@@ -364,8 +364,7 @@ func BenchmarkHAWCTraining(b *testing.B) {
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
 // BenchmarkClustererAblation reports each clusterer's counting MAE as a
-// custom benchmark metric alongside its cost — the Table IV ablation plus
-// the parametric extensions (k-means, GMM) the paper rejects.
+// custom benchmark metric alongside its cost — the Table IV ablation.
 func BenchmarkClustererAblation(b *testing.B) {
 	l := lab(b)
 	clf := l.HAWC()
@@ -375,8 +374,6 @@ func BenchmarkClustererAblation(b *testing.B) {
 		counting.FixedEpsClusterer{Eps: 0.3},
 		counting.FixedEpsClusterer{Eps: 0.5},
 		counting.HierarchicalClusterer{},
-		counting.KMeansClusterer{Seed: 1},
-		counting.GMMClusterer{Seed: 1},
 	} {
 		b.Run(c.Name(), func(b *testing.B) {
 			var mae float64

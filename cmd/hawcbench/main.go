@@ -8,8 +8,8 @@
 //
 // Experiments: table1 table2 table3 table4 table5 table6 fig4 fig6 fig8
 // (combined 8a+8b; fig8a/fig8b run the individual variants) fig9 fig10
-// fig11 parallel kernels stream cluster geom fleet history offload api
-// thermal, or "all". Presets: quick, standard, full.
+// fig11 parallel kernels stream fleet history offload thermal, or "all".
+// Presets: quick, standard, full.
 //
 // The parallel experiment sweeps frame-level worker counts and, with
 // -parallel-out, writes the machine-readable BENCH_parallel.json consumed
@@ -18,19 +18,12 @@
 // batch sizes 1/8/32 and, with -kernels-out, writes BENCH_kernels.json.
 // The stream experiment compares the staged streaming scheduler against
 // the frame-at-a-time loop per worker count and, with -stream-out,
-// writes BENCH_stream.json. The cluster experiment sweeps the
-// geometry-stage engines (voxel grid with one build per frame vs the
-// per-sub-pass k-d tree path) over crowd density × clutter and, with
-// -cluster-out, writes BENCH_cluster.json with per-row label-equivalence
-// asserted. The geom experiment A/Bs the structure-of-arrays geometry
-// stage with the SIMD distance kernels against the scalar
-// array-of-structs path over crowd density and, with -geom-out, writes
-// BENCH_geom.json with exact label equivalence asserted per frame. The
-// fleet experiment stands up the campus backend per pole
-// count (10/100/1k/10k), streams synthetic reports from a multiplexed
-// fleet while dashboard query workers hammer the snapshot-served HTTP
-// query API, and, with -fleet-out, writes BENCH_fleet.json (reports/sec,
-// query QPS, p99 ingest and query latency, report-conservation check).
+// writes BENCH_stream.json. The fleet experiment stands up the campus
+// backend per pole count (10/100/1k/10k), streams synthetic reports from
+// a multiplexed fleet while dashboard query workers hammer the
+// snapshot-served HTTP query API, and, with -fleet-out, writes
+// BENCH_fleet.json (reports/sec, query QPS, p99 ingest and query latency,
+// report-conservation check).
 // The history experiment benchmarks the FTDC-style time-series store:
 // a store-level ingest sweep at 1k/10k poles (appends/sec, bytes/sample
 // and compression vs naive 16-byte float64 rows, conservation), a
@@ -44,15 +37,10 @@
 // edge-only vs forced-offload pole race through a live backend at
 // induced edge saturation, and a deterministic thermal ramp through the
 // adaptive hysteresis controller; -offload-out writes BENCH_offload.json
-// for the CI bench-offload gates. The api experiment A/Bs the
-// snapshot-keyed pre-serialized response cache against the per-request
-// encode path over the cacheable query endpoints at 1k/10k poles,
-// asserts the bodies byte-identical, and runs an HTTP phase with
-// conditional (If-None-Match) dashboard queries under fleet report
-// load; -api-out writes BENCH_api.json for the CI bench-api gates. The
-// thermal experiment rederives the Figure 10 temperature analysis from
-// history store reads (raw zip + 24h downsampled daily maxima) and
-// asserts it matches the in-memory telemetry path bit for bit.
+// for the CI bench-offload gates. The thermal experiment rederives the
+// Figure 10 temperature analysis from history store reads (raw zip + 24h
+// downsampled daily maxima) and asserts it matches the in-memory
+// telemetry path bit for bit.
 //
 // SIGINT/SIGTERM stop the run between experiments: the current
 // experiment finishes, its output (and any requested JSON artifact
@@ -63,6 +51,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -81,16 +70,13 @@ func main() {
 }
 
 func run() error {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (table1..table6, fig4, fig6, fig8a, fig8b, fig9, fig10, fig11, parallel, kernels, stream, cluster, geom, fleet, history, offload, api, thermal, all)")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (table1..table6, fig4, fig6, fig8a, fig8b, fig9, fig10, fig11, parallel, kernels, stream, fleet, history, offload, thermal, all)")
 	parallelOut := flag.String("parallel-out", "", "write the parallel sweep as JSON to this path (e.g. BENCH_parallel.json)")
 	kernelsOut := flag.String("kernels-out", "", "write the kernels sweep as JSON to this path (e.g. BENCH_kernels.json)")
 	streamOut := flag.String("stream-out", "", "write the stream-vs-loop sweep as JSON to this path (e.g. BENCH_stream.json)")
-	clusterOut := flag.String("cluster-out", "", "write the cluster-engine sweep as JSON to this path (e.g. BENCH_cluster.json)")
-	geomOut := flag.String("geom-out", "", "write the geometry-stage SIMD sweep as JSON to this path (e.g. BENCH_geom.json)")
 	fleetOut := flag.String("fleet-out", "", "write the fleet-scale backend sweep as JSON to this path (e.g. BENCH_fleet.json)")
 	historyOut := flag.String("history-out", "", "write the history-store benchmark as JSON to this path (e.g. BENCH_history.json)")
 	offloadOut := flag.String("offload-out", "", "write the edge/cloud offload benchmark as JSON to this path (e.g. BENCH_offload.json)")
-	apiOut := flag.String("api-out", "", "write the query-serving cache benchmark as JSON to this path (e.g. BENCH_api.json)")
 	preset := flag.String("preset", "standard", "dataset/training scale: quick, standard, full")
 	seed := flag.Int64("seed", 0, "override the preset's random seed")
 	pnEpochs := flag.Int("pn-epochs", 0, "override the preset's PointNet training epochs")
@@ -272,171 +258,48 @@ func run() error {
 		header("Parallel — frame-pipeline throughput sweep")
 		r := experiments.ParallelBench(lab)
 		fmt.Print(experiments.FormatParallel(r))
-		if *parallelOut != "" {
-			f, err := os.Create(*parallelOut)
-			if err != nil {
-				return fmt.Errorf("parallel-out: %w", err)
-			}
-			if err := experiments.WriteParallelJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("parallel-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("parallel-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *parallelOut)
+		if err := writeArtifact(*parallelOut, "parallel-out", func(w io.Writer) error { return experiments.WriteParallelJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("kernels") {
 		header("Kernels — inference kernel path sweep")
 		r := experiments.KernelsBench(lab)
 		fmt.Print(experiments.FormatKernels(r))
-		if *kernelsOut != "" {
-			f, err := os.Create(*kernelsOut)
-			if err != nil {
-				return fmt.Errorf("kernels-out: %w", err)
-			}
-			if err := experiments.WriteKernelsJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("kernels-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("kernels-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *kernelsOut)
+		if err := writeArtifact(*kernelsOut, "kernels-out", func(w io.Writer) error { return experiments.WriteKernelsJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("stream") {
 		header("Stream — staged scheduler vs frame-at-a-time loop")
 		r := experiments.StreamBench(lab)
 		fmt.Print(experiments.FormatStream(r))
-		if *streamOut != "" {
-			f, err := os.Create(*streamOut)
-			if err != nil {
-				return fmt.Errorf("stream-out: %w", err)
-			}
-			if err := experiments.WriteStreamJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("stream-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("stream-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *streamOut)
-		}
-	}
-	if runIt("cluster") {
-		header("Cluster — geometry-stage engine sweep (grid vs kdtree)")
-		r := experiments.ClusterBench(lab)
-		fmt.Print(experiments.FormatCluster(r))
-		if *clusterOut != "" {
-			f, err := os.Create(*clusterOut)
-			if err != nil {
-				return fmt.Errorf("cluster-out: %w", err)
-			}
-			if err := experiments.WriteClusterJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("cluster-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("cluster-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *clusterOut)
-		}
-	}
-	if runIt("geom") {
-		header("Geom — SoA + SIMD geometry stage vs scalar baseline")
-		r := experiments.GeomBench(lab)
-		fmt.Print(experiments.FormatGeom(r))
-		if *geomOut != "" {
-			f, err := os.Create(*geomOut)
-			if err != nil {
-				return fmt.Errorf("geom-out: %w", err)
-			}
-			if err := experiments.WriteGeomJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("geom-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("geom-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *geomOut)
+		if err := writeArtifact(*streamOut, "stream-out", func(w io.Writer) error { return experiments.WriteStreamJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("fleet") {
 		header("Fleet — sharded backend + query API at 10/100/1k/10k poles")
 		r := experiments.FleetBench(lab)
 		fmt.Print(experiments.FormatFleet(r))
-		if *fleetOut != "" {
-			f, err := os.Create(*fleetOut)
-			if err != nil {
-				return fmt.Errorf("fleet-out: %w", err)
-			}
-			if err := experiments.WriteFleetJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("fleet-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("fleet-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *fleetOut)
+		if err := writeArtifact(*fleetOut, "fleet-out", func(w io.Writer) error { return experiments.WriteFleetJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("history") {
 		header("History — FTDC-style time-series store: ingest, compression, /api/history p99")
 		r := experiments.HistoryBench(lab)
 		fmt.Print(experiments.FormatHistory(r))
-		if *historyOut != "" {
-			f, err := os.Create(*historyOut)
-			if err != nil {
-				return fmt.Errorf("history-out: %w", err)
-			}
-			if err := experiments.WriteHistoryJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("history-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("history-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *historyOut)
+		if err := writeArtifact(*historyOut, "history-out", func(w io.Writer) error { return experiments.WriteHistoryJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("offload") {
 		header("Offload — adaptive edge/cloud classify offload over the quantized wire")
 		r := experiments.OffloadBench(lab)
 		fmt.Print(experiments.FormatOffload(r))
-		if *offloadOut != "" {
-			f, err := os.Create(*offloadOut)
-			if err != nil {
-				return fmt.Errorf("offload-out: %w", err)
-			}
-			if err := experiments.WriteOffloadJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("offload-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("offload-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *offloadOut)
-		}
-	}
-	if runIt("api") {
-		header("Api — pre-serialized response cache vs per-request encode")
-		r := experiments.ApiBench(lab)
-		fmt.Print(experiments.FormatApi(r))
-		if *apiOut != "" {
-			f, err := os.Create(*apiOut)
-			if err != nil {
-				return fmt.Errorf("api-out: %w", err)
-			}
-			if err := experiments.WriteApiJSON(f, r); err != nil {
-				f.Close()
-				return fmt.Errorf("api-out: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("api-out: %w", err)
-			}
-			fmt.Printf("wrote %s\n", *apiOut)
+		if err := writeArtifact(*offloadOut, "offload-out", func(w io.Writer) error { return experiments.WriteOffloadJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	if runIt("thermal") {
@@ -458,5 +321,27 @@ func run() error {
 		return nil
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Second))
+	return nil
+}
+
+// writeArtifact writes one experiment's JSON artifact to path, naming
+// the flag that asked for it in any error; an empty path (flag unset)
+// writes nothing.
+func writeArtifact(path, flagName string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
 }

@@ -262,7 +262,7 @@ func (s *Server) api(endpoint string, h func(http.ResponseWriter, *http.Request,
 		snap := s.Current()
 		var status int
 		var entry *cacheEntry
-		if cacheable && !s.cacheOff.Load() {
+		if cacheable {
 			entry = snap.cache.lookup(endpoint, r)
 		}
 		if entry != nil {
@@ -287,13 +287,6 @@ func (s *Server) api(endpoint string, h func(http.ResponseWriter, *http.Request,
 		s.apiM.latency.ObserveDuration(time.Since(t0))
 	}
 }
-
-// SetResponseCache enables or disables serving from the pre-serialized
-// response cache at runtime. Disabled, every request takes the
-// fall-through encoder path — the per-request-encode baseline the
-// ApiBench experiment measures cached throughput against. (Bodies are
-// bit-identical either way; only the serving cost changes.)
-func (s *Server) SetResponseCache(enabled bool) { s.cacheOff.Store(!enabled) }
 
 // recentAlerts copies the newest limit alerts (and the lifetime total,
 // including entries the bounded ring has evicted) out of the alert log

@@ -87,12 +87,6 @@ type Config struct {
 	// OffloadMaxBatch caps the clusters coalesced into one forward pass
 	// (0 selects DefaultOffloadMaxBatch).
 	OffloadMaxBatch int
-	// DisableResponseCache starts the server with the pre-serialized
-	// response cache bypassed: every API request takes the pooled
-	// per-request-encode path. Benchmarks toggle this (SetResponseCache)
-	// to measure the cached path against its baseline; production keeps
-	// the cache on.
-	DisableResponseCache bool
 	// Obs, when non-nil, registers the backend's metrics: per-pole report
 	// and alert counters, last-seen timestamps, compartment temperature,
 	// connection counts, wire traffic, the edge latency each report
@@ -172,10 +166,6 @@ type Server struct {
 
 	alog alertLog
 
-	// cacheOff bypasses the snapshot response cache when set
-	// (Config.DisableResponseCache / SetResponseCache).
-	cacheOff atomic.Bool
-
 	// modelVersion fingerprints the backend's own classifier weights
 	// (0 when Classifier is nil or unversioned); offload batches carrying
 	// a different nonzero version are rejected. skewAlerted dedupes the
@@ -228,7 +218,6 @@ func Listen(cfg Config) (*Server, error) {
 	}
 	s.snap.Store(newSnapshot(0, time.Now(), nil))
 	s.alog.init(cfg.AlertLogCap)
-	s.cacheOff.Store(cfg.DisableResponseCache)
 	s.skewAlerted = make(map[uint32]bool)
 	if cfg.Classifier != nil {
 		if v, ok := cfg.Classifier.(interface{ ModelVersion() uint32 }); ok {

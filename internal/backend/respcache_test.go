@@ -19,21 +19,28 @@ import (
 var cacheablePaths = []string{"/api/campus", "/api/poles", "/api/zones", "/api/top", "/api/top?k=10"}
 
 // TestCachedBodiesBitIdentical is the correctness contract of the
-// tentpole: for every cacheable request, the pre-serialized body must be
-// byte-for-byte what the fall-through encoder path produces for the same
-// snapshot. Anything less and a dashboard's parse behavior would depend
-// on which path answered.
+// response cache: for every cacheable request, the pre-serialized body
+// must be byte-for-byte what writeJSON produces from the endpoint
+// handler's return value for the same snapshot — the fall-through path
+// uncommon parameters still take. Anything less and a dashboard's parse
+// behavior would depend on which path answered.
 func TestCachedBodiesBitIdentical(t *testing.T) {
 	s := newAPITestServer(t)
 	h := s.APIHandler()
+	handlers := map[string]func(http.ResponseWriter, *http.Request, *Snapshot) (int, any){
+		"/api/campus": s.handleCampus,
+		"/api/poles":  s.handlePoles,
+		"/api/zones":  s.handleZones,
+		"/api/top":    s.handleTop,
+	}
 
 	for _, path := range cacheablePaths {
+		req := httptest.NewRequest("GET", path, nil)
 		cached := httptest.NewRecorder()
-		h.ServeHTTP(cached, httptest.NewRequest("GET", path, nil))
-		s.SetResponseCache(false)
+		h.ServeHTTP(cached, req)
 		direct := httptest.NewRecorder()
-		h.ServeHTTP(direct, httptest.NewRequest("GET", path, nil))
-		s.SetResponseCache(true)
+		status, body := handlers[req.URL.Path](direct, req, s.Current())
+		writeJSON(direct, status, body)
 
 		if cached.Code != http.StatusOK || direct.Code != http.StatusOK {
 			t.Fatalf("%s: status cached=%d direct=%d", path, cached.Code, direct.Code)

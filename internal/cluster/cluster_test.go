@@ -207,113 +207,6 @@ func TestHierarchicalDegenerate(t *testing.T) {
 	}
 }
 
-func TestHierarchicalKExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := blob(rng, geom.P(0, 0, 0), 0.05, 20)
-	b := blob(rng, geom.P(3, 0, 0), 0.05, 20)
-	c := blob(rng, geom.P(0, 3, 0), 0.05, 20)
-	cloud := append(append(a, b...), c...)
-	res := HierarchicalK(cloud, 3)
-	if res.NumClusters != 3 {
-		t.Fatalf("NumClusters = %d, want 3", res.NumClusters)
-	}
-	// Each blob must be uniform.
-	for blobIdx := 0; blobIdx < 3; blobIdx++ {
-		first := res.Labels[blobIdx*20]
-		for i := 0; i < 20; i++ {
-			if res.Labels[blobIdx*20+i] != first {
-				t.Fatalf("blob %d split", blobIdx)
-			}
-		}
-	}
-	if res := HierarchicalK(cloud, 100); res.NumClusters != len(cloud) {
-		t.Errorf("k>n should give n singletons, got %d", res.NumClusters)
-	}
-	if res := HierarchicalK(nil, 3); res.NumClusters != 0 {
-		t.Error("empty HierarchicalK should be empty")
-	}
-}
-
-func TestKMeansSeparatesBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := blob(rng, geom.P(0, 0, 0), 0.1, 50)
-	b := blob(rng, geom.P(10, 0, 0), 0.1, 50)
-	cloud := append(a.Clone(), b...)
-	res := KMeans(cloud, 2, 20, rng)
-	if res.NumClusters != 2 {
-		t.Fatalf("NumClusters = %d", res.NumClusters)
-	}
-	// Blob A all same label, blob B all the other.
-	la, lb := res.Labels[0], res.Labels[50]
-	if la == lb {
-		t.Fatal("blobs merged")
-	}
-	for i := 0; i < 50; i++ {
-		if res.Labels[i] != la || res.Labels[50+i] != lb {
-			t.Fatal("blob assignment not uniform")
-		}
-	}
-}
-
-func TestKMeansDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if res := KMeans(nil, 3, 10, rng); res.NumClusters != 0 {
-		t.Error("empty kmeans")
-	}
-	// k > n clamps to n.
-	cloud := geom.Cloud{geom.P(0, 0, 0), geom.P(1, 1, 1)}
-	res := KMeans(cloud, 5, 10, rng)
-	if res.NumClusters != 2 {
-		t.Errorf("k>n should clamp, got %d", res.NumClusters)
-	}
-	// Identical points: must terminate and produce valid labels.
-	dup := geom.Cloud{geom.P(1, 1, 1), geom.P(1, 1, 1), geom.P(1, 1, 1)}
-	res = KMeans(dup, 2, 10, rng)
-	for _, l := range res.Labels {
-		if l < 0 || l >= res.NumClusters {
-			t.Error("invalid label for duplicate points")
-		}
-	}
-}
-
-func TestGMMSeparatesBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	a := blob(rng, geom.P(0, 0, 0), 0.1, 60)
-	b := blob(rng, geom.P(8, 0, 0), 0.1, 60)
-	cloud := append(a.Clone(), b...)
-	res := GMM(cloud, 2, 30, rng)
-	la, lb := res.Labels[0], res.Labels[60]
-	if la == lb {
-		t.Fatal("GMM merged well-separated blobs")
-	}
-	misassigned := 0
-	for i := 0; i < 60; i++ {
-		if res.Labels[i] != la {
-			misassigned++
-		}
-		if res.Labels[60+i] != lb {
-			misassigned++
-		}
-	}
-	if misassigned > 3 {
-		t.Errorf("GMM misassigned %d/120 points", misassigned)
-	}
-}
-
-func TestGMMDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if res := GMM(nil, 2, 5, rng); res.NumClusters != 0 {
-		t.Error("empty GMM")
-	}
-	dup := geom.Cloud{geom.P(1, 1, 1), geom.P(1, 1, 1)}
-	res := GMM(dup, 2, 5, rng)
-	for _, l := range res.Labels {
-		if l < 0 {
-			t.Error("GMM labeled noise on duplicates")
-		}
-	}
-}
-
 func TestFastFloor(t *testing.T) {
 	tests := []struct {
 		in   float64

@@ -1,19 +1,15 @@
 // Package cluster implements the point-cloud clustering algorithms
 // discussed in Section IV of the paper: DBSCAN with a fixed ε, the
 // proposed adaptive-ε DBSCAN (per-capture ε from the k-nearest-neighbor
-// elbow), single-linkage hierarchical clustering, k-means, and Gaussian
-// mixture clustering. HAWC-CC uses adaptive DBSCAN; the rest are the
-// baselines of Table IV.
+// elbow), and single-linkage hierarchical clustering. HAWC-CC uses
+// adaptive DBSCAN; the rest are the baselines of Table IV.
 //
-// The density-based algorithms run against internal/spatial's
-// NeighborIndex: by default a uniform voxel grid built once per frame and
-// shared by the adaptive-ε kNN curve, the structure-gap coarse pass, and
-// DBSCAN expansion (Scratch, GridIndex); the k-d tree engine
-// (KDTreeIndex) remains available as the equivalence reference and
-// benchmark baseline, rebuilding per sub-pass the way the pre-grid
-// pipeline did. Both engines produce identical labels — see the
-// neighbor-ordering contract in internal/kdtree — which the property
-// tests in this package pin.
+// The density-based algorithms run against internal/spatial's voxel
+// grid, built once per frame and shared by the adaptive-ε kNN curve, the
+// structure-gap coarse pass, and DBSCAN expansion (Scratch). The
+// expansion and the ε search take the index as a spatial.NeighborIndex,
+// which is where the property tests in this package substitute the k-d
+// tree oracle (internal/kdtree) and pin identical labels.
 package cluster
 
 import (
@@ -22,7 +18,6 @@ import (
 	"sort"
 
 	"hawccc/internal/geom"
-	"hawccc/internal/kdtree"
 	"hawccc/internal/knee"
 	"hawccc/internal/spatial"
 )
@@ -114,8 +109,6 @@ func (r Result) NoiseCount() int {
 	return n
 }
 
-// IndexKind selects the spatial index engine a Scratch runs density
-// queries against.
 // kthDister is the optional index fast path for the ε curve: the exact
 // squared distance to a point's k-th neighbor, without materializing
 // the neighbors. spatial.Grid implements it; KthFast reports whether
@@ -125,27 +118,11 @@ type kthDister interface {
 	KthDist2All(dst []float64, k int)
 }
 
-type IndexKind int
-
-const (
-	// GridIndex (the default) is the voxel grid of internal/spatial,
-	// built once per top-level call and shared by every sub-pass: the
-	// adaptive-ε kNN curve, the structure-gap coarse DBSCAN (whose result
-	// is reused when the final ε lands on the fallback), and the final
-	// expansion.
-	GridIndex IndexKind = iota
-	// KDTreeIndex is the k-d tree engine, faithful to the pre-grid
-	// pipeline's cost structure: a fresh tree per sub-pass and no
-	// coarse-result reuse. It produces identical labels to GridIndex and
-	// serves as the equivalence reference and benchmark baseline.
-	KDTreeIndex
-)
-
 // Scratch holds the reusable state of the density-based clustering path:
 // the per-frame spatial index plus every working buffer DBSCAN and the
-// adaptive-ε search need. A zero Scratch is ready to use (GridIndex).
-// Reusing one Scratch across frames makes the steady state
-// allocation-free once the buffers have grown to the traffic.
+// adaptive-ε search need. A zero Scratch is ready to use. Reusing one
+// Scratch across frames makes the steady state allocation-free once the
+// buffers have grown to the traffic.
 //
 // Results returned by Scratch methods alias the Scratch's buffers:
 // Labels and Sizes are valid only until the Scratch's next use. Callers
@@ -153,9 +130,6 @@ const (
 // functions, which use a throwaway Scratch) get freshly allocated
 // buffers by construction. A Scratch is not safe for concurrent use.
 type Scratch struct {
-	// Kind selects the index engine; the zero value is GridIndex.
-	Kind IndexKind
-
 	grid spatial.Grid
 
 	// Query and expansion buffers.
@@ -170,9 +144,6 @@ type Scratch struct {
 	// Coarse-pass cache: structureGap's DBSCAN at the fallback ε, kept so
 	// Adaptive can return it directly when the final ε is the fallback —
 	// the fallback-ε pass is then paid once per frame instead of twice.
-	coarseValid  bool
-	coarseEps    float64
-	coarseMinPts int
 	coarseNum    int
 	coarseLabels []int
 	coarseSizes  []int
@@ -183,53 +154,10 @@ type Scratch struct {
 	gaps      []float64
 }
 
-// pointsView is the minimal point-source abstraction the density
-// algorithms need: either an array-of-structs cloud or a
-// structure-of-arrays one. The branch sits at query-issue granularity
-// (once per point visited), not inside the distance loops, which stay in
-// internal/spatial.
-type pointsView struct {
-	aos geom.Cloud
-	soa *geom.CloudSoA
-}
-
-func viewOf(cloud geom.Cloud) pointsView        { return pointsView{aos: cloud} }
-func viewOfSoA(cloud *geom.CloudSoA) pointsView { return pointsView{soa: cloud} }
-
-func (v pointsView) len() int {
-	if v.soa != nil {
-		return v.soa.Len()
-	}
-	return len(v.aos)
-}
-
-func (v pointsView) at(i int) geom.Point3 {
-	if v.soa != nil {
-		return v.soa.At(i)
-	}
-	return v.aos[i]
-}
-
-// index builds the query engine for one sub-pass over cloud. GridIndex
-// rebuilds the scratch-owned grid in place (allocation-free in steady
-// state) with the given cell edge; KDTreeIndex allocates a fresh tree,
-// reproducing the pre-grid pipeline it benchmarks against.
+// index rebuilds the scratch-owned grid over cloud in place
+// (allocation-free in steady state) with the given cell edge.
 func (s *Scratch) index(cloud geom.Cloud, cell float64) spatial.NeighborIndex {
-	if s.Kind == KDTreeIndex {
-		return kdtree.New(cloud)
-	}
 	s.grid.Reset(cloud, cell)
-	return &s.grid
-}
-
-// indexSoA is index for a structure-of-arrays cloud. The SoA path runs
-// only on the voxel-grid engine — the k-d tree copies points internally
-// and exists as the AoS equivalence baseline.
-func (s *Scratch) indexSoA(cloud *geom.CloudSoA, cell float64) spatial.NeighborIndex {
-	if s.Kind == KDTreeIndex {
-		panic("cluster: SoA clustering requires GridIndex")
-	}
-	s.grid.ResetSoA(cloud, cell)
 	return &s.grid
 }
 
@@ -251,23 +179,7 @@ func (s *Scratch) DBSCAN(cloud geom.Cloud, eps float64, minPts int) Result {
 	if len(cloud) == 0 || eps <= 0 || minPts < 1 {
 		return s.degenerate(len(cloud), eps)
 	}
-	return s.dbscan(s.index(cloud, eps), viewOf(cloud), eps, minPts)
-}
-
-// DBSCANSoA clusters a structure-of-arrays cloud. Labels are identical
-// to DBSCAN over the widened cloud (the float32→float64 widening is
-// exact); requires GridIndex.
-func DBSCANSoA(cloud *geom.CloudSoA, eps float64, minPts int) Result {
-	var s Scratch
-	return s.DBSCANSoA(cloud, eps, minPts)
-}
-
-// DBSCANSoA is the Scratch-backed form of the package-level DBSCANSoA.
-func (s *Scratch) DBSCANSoA(cloud *geom.CloudSoA, eps float64, minPts int) Result {
-	if cloud.Len() == 0 || eps <= 0 || minPts < 1 {
-		return s.degenerate(cloud.Len(), eps)
-	}
-	return s.dbscan(s.indexSoA(cloud, eps), viewOfSoA(cloud), eps, minPts)
+	return s.dbscan(s.index(cloud, eps), cloud, eps, minPts)
 }
 
 // degenerate labels every point noise (empty cloud or nonsensical
@@ -281,8 +193,8 @@ func (s *Scratch) degenerate(n int, eps float64) Result {
 }
 
 // dbscan runs the expansion against an already-built index.
-func (s *Scratch) dbscan(idx spatial.NeighborIndex, pts pointsView, eps float64, minPts int) Result {
-	s.labels = growInts(s.labels, pts.len())
+func (s *Scratch) dbscan(idx spatial.NeighborIndex, pts geom.Cloud, eps float64, minPts int) Result {
+	s.labels = growInts(s.labels, len(pts))
 	num := s.expand(idx, pts, eps, minPts, s.labels)
 	s.sizes = countSizes(s.labels, growInts(s.sizes, num))
 	return Result{Labels: s.labels, NumClusters: num, Epsilon: eps, Sizes: s.sizes}
@@ -299,11 +211,11 @@ func (s *Scratch) dbscan(idx spatial.NeighborIndex, pts pointsView, eps float64,
 // order: every member of a cluster's queue gets the same id, and the
 // visited set of one expansion is the core-reachable component of its
 // seed. Any NeighborIndex therefore yields identical labels.
-func (s *Scratch) expand(idx spatial.NeighborIndex, pts pointsView, eps float64, minPts int, labels []int) int {
+func (s *Scratch) expand(idx spatial.NeighborIndex, pts geom.Cloud, eps float64, minPts int, labels []int) int {
 	for i := range labels {
 		labels[i] = Noise
 	}
-	n := pts.len()
+	n := len(pts)
 	s.visited = growBools(s.visited, n)
 	visited := s.visited
 	for i := range visited {
@@ -317,7 +229,7 @@ func (s *Scratch) expand(idx spatial.NeighborIndex, pts pointsView, eps float64,
 			continue
 		}
 		visited[i] = true
-		nbuf = idx.RadiusInto(nbuf[:0], pts.at(i), eps)
+		nbuf = idx.RadiusInto(nbuf[:0], pts[i], eps)
 		if len(nbuf) < minPts {
 			continue // noise (may be claimed later as a border point)
 		}
@@ -334,7 +246,7 @@ func (s *Scratch) expand(idx spatial.NeighborIndex, pts pointsView, eps float64,
 			}
 			visited[j] = true
 			labels[j] = next
-			nbuf = idx.RadiusInto(nbuf[:0], pts.at(j), eps)
+			nbuf = idx.RadiusInto(nbuf[:0], pts[j], eps)
 			if len(nbuf) >= minPts {
 				queue = append(queue, nbuf...)
 			}
@@ -401,14 +313,6 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 	return AdaptiveConfig{K: 4, MinPts: 5, FallbackEps: 0.3, MinEps: 0.2, MaxEps: 0.5}
 }
 
-// frameCell picks the grid cell edge for one adaptive frame: the
-// fallback ε sits inside the [MinEps, MaxEps] band, so one grid at that
-// edge serves the kNN curve, the coarse pass, and whatever final ε the
-// elbow lands on. A non-positive fallback defers to AutoCell.
-func frameCell(cfg AdaptiveConfig) float64 {
-	return cfg.FallbackEps
-}
-
 // OptimalEpsilon computes the per-capture ε: sort every point's K-th
 // nearest-neighbor distance ascending and take the curve value at the
 // elbow (paper Section IV), with the elbow search restricted to the
@@ -419,30 +323,19 @@ func OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
 }
 
 // OptimalEpsilon is the Scratch-backed form of the package-level
-// OptimalEpsilon; with GridIndex the kNN curve and the structure-gap
-// pass share one grid build.
+// OptimalEpsilon; the kNN curve and the structure-gap pass share one
+// grid build.
 func (s *Scratch) OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
-	s.coarseValid = false
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return cfg.FallbackEps
 	}
-	return s.optimalEpsilon(s.index(cloud, frameCell(cfg)), viewOf(cloud), cfg)
-}
-
-// OptimalEpsilonSoA is OptimalEpsilon for a structure-of-arrays cloud;
-// requires GridIndex.
-func (s *Scratch) OptimalEpsilonSoA(cloud *geom.CloudSoA, cfg AdaptiveConfig) float64 {
-	s.coarseValid = false
-	if cfg.K < 1 || cloud.Len() < cfg.K+2 {
-		return cfg.FallbackEps
-	}
-	return s.optimalEpsilon(s.indexSoA(cloud, frameCell(cfg)), viewOfSoA(cloud), cfg)
+	return s.optimalEpsilon(s.index(cloud, cfg.FallbackEps), cloud, cfg)
 }
 
 // optimalEpsilon runs the elbow search and structural refinement against
 // an already-built index.
-func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts pointsView, cfg AdaptiveConfig) float64 {
-	n := pts.len()
+func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg AdaptiveConfig) float64 {
+	n := len(pts)
 	dists := growFloats(s.dists, n)
 	// The curve only needs each point's k-th neighbor distance, never the
 	// neighbor identities; an index that can answer that value directly
@@ -458,7 +351,7 @@ func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts pointsView, cfg 
 	} else {
 		knnb := s.knnb
 		for i := 0; i < n; i++ {
-			knnb = idx.KNNInto(knnb[:0], pts.at(i), cfg.K+1)
+			knnb = idx.KNNInto(knnb[:0], pts[i], cfg.K+1)
 			dists[i] = math.Sqrt(knnb[len(knnb)-1].Dist2)
 		}
 		s.knnb = knnb
@@ -515,27 +408,16 @@ func growFloats(s []float64, n int) []float64 {
 // structures: a coarse DBSCAN pass at the fallback ε, then the 10th
 // percentile of nearest-centroid distances among clusters with at least
 // structureMinPts points. ok is false when the scene has fewer than two
-// such structures. With GridIndex the coarse result is cached on the
-// Scratch so Adaptive can reuse it when the final ε is the fallback.
-func (s *Scratch) structureGap(idx spatial.NeighborIndex, pts pointsView, cfg AdaptiveConfig) (float64, bool) {
+// such structures. The coarse result is cached on the Scratch so
+// Adaptive can reuse it when the final ε is the fallback.
+func (s *Scratch) structureGap(idx spatial.NeighborIndex, pts geom.Cloud, cfg AdaptiveConfig) (float64, bool) {
 	const structureMinPts = 15
 
-	// The coarse pass. With the shared grid the expansion runs against
-	// the frame index already built; the k-d tree engine rebuilds, as the
-	// pre-grid pipeline's nested DBSCAN call did.
-	coarseIdx := idx
-	if s.Kind == KDTreeIndex {
-		coarseIdx = kdtree.New(pts.aos)
-	}
-	s.coarseLabels = growInts(s.coarseLabels, pts.len())
-	num := s.expand(coarseIdx, pts, cfg.FallbackEps, cfg.MinPts, s.coarseLabels)
+	// The coarse pass runs against the frame index already built.
+	s.coarseLabels = growInts(s.coarseLabels, len(pts))
+	num := s.expand(idx, pts, cfg.FallbackEps, cfg.MinPts, s.coarseLabels)
 	s.coarseSizes = countSizes(s.coarseLabels, growInts(s.coarseSizes, num))
-	if s.Kind == GridIndex {
-		s.coarseValid = true
-		s.coarseEps = cfg.FallbackEps
-		s.coarseMinPts = cfg.MinPts
-		s.coarseNum = num
-	}
+	s.coarseNum = num
 
 	if cap(s.sums) < num {
 		s.sums = make([]geom.Point3, num)
@@ -546,7 +428,7 @@ func (s *Scratch) structureGap(idx spatial.NeighborIndex, pts pointsView, cfg Ad
 	}
 	for i, l := range s.coarseLabels {
 		if l != Noise {
-			sums[l] = sums[l].Add(pts.at(i))
+			sums[l] = sums[l].Add(pts[i])
 		}
 	}
 	centroids := s.centroids[:0]
@@ -617,52 +499,24 @@ func Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
 }
 
 // Adaptive is the Scratch-backed form of the package-level Adaptive and
-// the geometry stage's per-frame entry point. With GridIndex the frame's
-// grid is built exactly once and shared by the kNN curve, the coarse
-// structure pass, and the final expansion — and when the elbow lands on
-// the fallback ε, the coarse pass *is* the final result and no second
-// expansion runs. The result aliases the Scratch's buffers (see
-// Scratch). Labels are identical to the package-level Adaptive's for
-// every IndexKind.
+// the geometry stage's per-frame entry point. The frame's grid is built
+// exactly once (cell edge = the fallback ε, which sits inside the
+// [MinEps, MaxEps] band, so one grid serves every ε the elbow can land
+// on) and shared by the kNN curve, the coarse structure pass, and the
+// final expansion — and when the elbow lands on the fallback ε, the
+// coarse pass *is* the final result and no second expansion runs. The
+// result aliases the Scratch's buffers (see Scratch).
 func (s *Scratch) Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
-	s.coarseValid = false
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return s.DBSCAN(cloud, cfg.FallbackEps, cfg.MinPts)
 	}
-	idx := s.index(cloud, frameCell(cfg))
-	eps := s.optimalEpsilon(idx, viewOf(cloud), cfg)
-	if s.coarseValid && eps == s.coarseEps && cfg.MinPts == s.coarseMinPts {
+	idx := s.index(cloud, cfg.FallbackEps)
+	eps := s.optimalEpsilon(idx, cloud, cfg)
+	if eps == cfg.FallbackEps {
 		// The elbow landed on the fallback ε: the coarse structure pass
 		// already computed exactly this clustering.
 		return Result{Labels: s.coarseLabels, NumClusters: s.coarseNum, Epsilon: eps, Sizes: s.coarseSizes}
 	}
-	if s.Kind == KDTreeIndex {
-		return s.DBSCAN(cloud, eps, cfg.MinPts)
-	}
 	// Same frame index, final ε.
-	return s.dbscan(idx, viewOf(cloud), eps, cfg.MinPts)
-}
-
-// AdaptiveSoA runs the adaptive clustering over a structure-of-arrays
-// cloud. Labels are identical to Adaptive over the widened cloud;
-// requires GridIndex.
-func AdaptiveSoA(cloud *geom.CloudSoA, cfg AdaptiveConfig) Result {
-	var s Scratch
-	return s.AdaptiveSoA(cloud, cfg)
-}
-
-// AdaptiveSoA is the Scratch-backed form of the package-level
-// AdaptiveSoA, with the same one-grid-per-frame and coarse-result reuse
-// behavior as Adaptive.
-func (s *Scratch) AdaptiveSoA(cloud *geom.CloudSoA, cfg AdaptiveConfig) Result {
-	s.coarseValid = false
-	if cfg.K < 1 || cloud.Len() < cfg.K+2 {
-		return s.DBSCANSoA(cloud, cfg.FallbackEps, cfg.MinPts)
-	}
-	idx := s.indexSoA(cloud, frameCell(cfg))
-	eps := s.optimalEpsilon(idx, viewOfSoA(cloud), cfg)
-	if s.coarseValid && eps == s.coarseEps && cfg.MinPts == s.coarseMinPts {
-		return Result{Labels: s.coarseLabels, NumClusters: s.coarseNum, Epsilon: eps, Sizes: s.coarseSizes}
-	}
-	return s.dbscan(idx, viewOfSoA(cloud), eps, cfg.MinPts)
+	return s.dbscan(idx, cloud, eps, cfg.MinPts)
 }

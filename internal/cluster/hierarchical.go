@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"container/heap"
-
-	"hawccc/internal/geom"
-)
+import "hawccc/internal/geom"
 
 // Hierarchical performs agglomerative single-linkage clustering, cutting
 // the dendrogram at the given distance threshold: clusters are merged while
@@ -105,95 +101,4 @@ func fastFloor(x float64) int64 {
 		i--
 	}
 	return i
-}
-
-// mergeEvent is one step of the agglomerative process (used by Dendrogram).
-type mergeEvent struct {
-	dist float64
-	a, b int
-}
-
-type mergeHeap []mergeEvent
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeEvent)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// HierarchicalK performs single-linkage agglomeration down to exactly k
-// clusters (or fewer if the cloud has fewer points). Exposed for tests and
-// for callers that know the expected cluster count.
-func HierarchicalK(cloud geom.Cloud, k int) Result {
-	n := len(cloud)
-	labels := make([]int, n)
-	if n == 0 || k < 1 {
-		for i := range labels {
-			labels[i] = Noise
-		}
-		return Result{Labels: labels}
-	}
-	if k > n {
-		k = n
-	}
-
-	parent := make([]int, n)
-	size := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-		size[i] = 1
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
-	// All pairwise edges into a heap: O(n² log n). Acceptable for the small
-	// per-capture clouds this is applied to.
-	h := make(mergeHeap, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			h = append(h, mergeEvent{cloud[i].Dist2(cloud[j]), i, j})
-		}
-	}
-	heap.Init(&h)
-
-	remaining := n
-	for remaining > k && h.Len() > 0 {
-		e := heap.Pop(&h).(mergeEvent)
-		ra, rb := find(e.a), find(e.b)
-		if ra == rb {
-			continue
-		}
-		if size[ra] < size[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		size[ra] += size[rb]
-		remaining--
-	}
-
-	next := 0
-	compact := make(map[int]int, k)
-	for i := range cloud {
-		root := find(i)
-		id, ok := compact[root]
-		if !ok {
-			id = next
-			compact[root] = id
-			next++
-		}
-		labels[i] = id
-	}
-	return Result{Labels: labels, NumClusters: next}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"hawccc/internal/geom"
+	"hawccc/internal/kdtree"
+	"hawccc/internal/spatial"
 )
 
 // sceneSpec names one generated point layout for the cross-engine
@@ -126,27 +128,38 @@ func checkResult(t *testing.T, scene string, r Result) {
 	}
 }
 
+// treeIndex adapts the k-d tree oracle to spatial.NeighborIndex: Len,
+// RadiusInto, and RadiusCount are the tree's own, KNNInto converts the
+// neighbor type.
+type treeIndex struct{ *kdtree.Tree }
+
+func (t treeIndex) KNNInto(dst []spatial.Neighbor, q geom.Point3, k int) []spatial.Neighbor {
+	dst = dst[:0]
+	for _, n := range t.Tree.KNN(q, k) {
+		dst = append(dst, spatial.Neighbor(n))
+	}
+	return dst
+}
+
 // TestDBSCANGridMatchesKDTree is the cross-engine property test: on
-// every scene the voxel-grid engine and the k-d tree engine produce
-// identical labels — not merely the same partition up to renumbering,
-// because both expand clusters in ascending seed order over identical
-// neighbor sets.
+// every scene the expansion over the voxel grid and over the k-d tree
+// oracle produces identical labels — not merely the same partition up
+// to renumbering, because both expand clusters in ascending seed order
+// over identical neighbor sets.
 func TestDBSCANGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	grid := &Scratch{Kind: GridIndex}
-	tree := &Scratch{Kind: KDTreeIndex}
+	var grid, tree Scratch
 	for _, scene := range propertyScenes(rng) {
+		idx := treeIndex{kdtree.New(scene.cloud)}
 		for _, eps := range []float64{0.15, 0.3, 0.45} {
 			for _, minPts := range []int{3, 5} {
 				g := grid.DBSCAN(scene.cloud, eps, minPts)
 				checkResult(t, scene.name, g)
-				gl := append([]int(nil), g.Labels...)
-				gn := g.NumClusters
-				k := tree.DBSCAN(scene.cloud, eps, minPts)
+				k := tree.dbscan(idx, scene.cloud, eps, minPts)
 				checkResult(t, scene.name, k)
-				if gn != k.NumClusters || !equalLabels(gl, k.Labels) {
+				if g.NumClusters != k.NumClusters || !equalLabels(g.Labels, k.Labels) {
 					t.Fatalf("%s eps=%g minPts=%d: grid labels differ from kdtree\ngrid %v (%d clusters)\ntree %v (%d clusters)",
-						scene.name, eps, minPts, gl, gn, k.Labels, k.NumClusters)
+						scene.name, eps, minPts, g.Labels, g.NumClusters, k.Labels, k.NumClusters)
 				}
 			}
 		}
@@ -154,26 +167,26 @@ func TestDBSCANGridMatchesKDTree(t *testing.T) {
 }
 
 // TestAdaptiveGridMatchesKDTree extends the property to the full
-// adaptive path: elbow ε, structure-gap refinement, coarse-result reuse
-// and all.
+// adaptive path: elbow ε and structure-gap refinement against the tree,
+// then a fresh expansion at the final ε — so it also pins that the
+// grid path's coarse-result reuse returns what a second pass would.
 func TestAdaptiveGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	cfg := DefaultAdaptiveConfig()
-	grid := &Scratch{Kind: GridIndex}
-	tree := &Scratch{Kind: KDTreeIndex}
+	var grid, tree Scratch
 	for _, scene := range propertyScenes(rng) {
 		g := grid.Adaptive(scene.cloud, cfg)
 		checkResult(t, scene.name, g)
-		gl := append([]int(nil), g.Labels...)
-		gn, ge := g.NumClusters, g.Epsilon
-		k := tree.Adaptive(scene.cloud, cfg)
-		checkResult(t, scene.name, k)
-		if ge != k.Epsilon {
-			t.Fatalf("%s: grid eps %g != kdtree eps %g", scene.name, ge, k.Epsilon)
+		idx := treeIndex{kdtree.New(scene.cloud)}
+		eps := tree.optimalEpsilon(idx, scene.cloud, cfg)
+		if g.Epsilon != eps {
+			t.Fatalf("%s: grid eps %g != kdtree eps %g", scene.name, g.Epsilon, eps)
 		}
-		if gn != k.NumClusters || !equalLabels(gl, k.Labels) {
+		k := tree.dbscan(idx, scene.cloud, eps, cfg.MinPts)
+		checkResult(t, scene.name, k)
+		if g.NumClusters != k.NumClusters || !equalLabels(g.Labels, k.Labels) {
 			t.Fatalf("%s: adaptive grid labels differ from kdtree\ngrid %v (%d)\ntree %v (%d)",
-				scene.name, gl, gn, k.Labels, k.NumClusters)
+				scene.name, g.Labels, g.NumClusters, k.Labels, k.NumClusters)
 		}
 	}
 }

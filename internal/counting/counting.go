@@ -10,7 +10,6 @@ package counting
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -712,62 +711,4 @@ func EvaluateParallel(p *Pipeline, frames []dataset.Frame, workers int) (Evaluat
 	ev.MeanLatency = time.Duration(mean)
 	ev.StdLatency = time.Duration(std)
 	return ev, nil
-}
-
-// KMeansClusterer partitions frames with k-means, choosing k from the
-// ingested point count (k ≈ points / PointsPerCluster). The paper rejects
-// parametric clustering for this task — k is unknowable per frame and the
-// convex clusters split or merge pedestrians — and this extension clusterer
-// exists to demonstrate exactly that in the ablation benchmarks.
-type KMeansClusterer struct {
-	// PointsPerCluster estimates k; defaults to 150 (≈ one mid-range
-	// pedestrian's returns).
-	PointsPerCluster int
-	// Seed drives the k-means++ initialization.
-	Seed int64
-}
-
-var _ Clusterer = KMeansClusterer{}
-
-// Name implements Clusterer.
-func (KMeansClusterer) Name() string { return "kmeans" }
-
-// Cluster implements Clusterer.
-func (k KMeansClusterer) Cluster(cloud geom.Cloud) cluster.Result {
-	per := k.PointsPerCluster
-	if per <= 0 {
-		per = 150
-	}
-	kk := (len(cloud) + per - 1) / per
-	if kk < 1 {
-		kk = 1
-	}
-	rng := rand.New(rand.NewSource(k.Seed + 1))
-	return cluster.KMeans(cloud, kk, 20, rng)
-}
-
-// GMMClusterer partitions frames with a Gaussian mixture, with the same
-// heuristic component count as KMeansClusterer; an extension baseline.
-type GMMClusterer struct {
-	PointsPerCluster int
-	Seed             int64
-}
-
-var _ Clusterer = GMMClusterer{}
-
-// Name implements Clusterer.
-func (GMMClusterer) Name() string { return "gmm" }
-
-// Cluster implements Clusterer.
-func (g GMMClusterer) Cluster(cloud geom.Cloud) cluster.Result {
-	per := g.PointsPerCluster
-	if per <= 0 {
-		per = 150
-	}
-	kk := (len(cloud) + per - 1) / per
-	if kk < 1 {
-		kk = 1
-	}
-	rng := rand.New(rand.NewSource(g.Seed + 1))
-	return cluster.GMM(cloud, kk, 15, rng)
 }

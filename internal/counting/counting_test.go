@@ -161,28 +161,6 @@ func TestMinClusterPointsFiltersSmallClusters(t *testing.T) {
 	}
 }
 
-func TestParametricClusterersRun(t *testing.T) {
-	g := dataset.NewGenerator(6)
-	frames := g.CrowdFrames(2, 2, 3, 1)
-	for _, c := range []Clusterer{
-		KMeansClusterer{Seed: 1},
-		KMeansClusterer{PointsPerCluster: 80, Seed: 1},
-		GMMClusterer{Seed: 1},
-	} {
-		p := New(acceptAll{})
-		p.Clusterer = c
-		for _, f := range frames {
-			r := p.Count(f.Cloud)
-			if r.Count < 0 {
-				t.Errorf("%s produced negative count", c.Name())
-			}
-		}
-		if c.Name() == "" {
-			t.Error("clusterer must have a name")
-		}
-	}
-}
-
 func TestCountDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := dataset.NewGenerator(7)
 	frames := g.CrowdFrames(4, 2, 5, 2)

@@ -11,6 +11,9 @@ import (
 var sharedLab = NewLab(Quick())
 
 func TestTableI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains all four classifiers")
+	}
 	rows := TableI(sharedLab)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))

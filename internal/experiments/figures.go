@@ -12,10 +12,10 @@ import (
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/ground"
-	"hawccc/internal/kdtree"
 	"hawccc/internal/metrics"
 	"hawccc/internal/models"
 	"hawccc/internal/projection"
+	"hawccc/internal/spatial"
 	"hawccc/internal/telemetry"
 )
 
@@ -78,12 +78,11 @@ func Figure4(l *Lab) Figure4Result {
 }
 
 func knnCurve(cloud geom.Cloud, k int) []float64 {
-	tree := kdtree.New(cloud)
+	grid := spatial.NewGrid(cloud, 0)
 	out := make([]float64, 0, len(cloud))
 	for _, p := range cloud {
-		nn := tree.KNN(p, k+1)
-		d2 := nn[len(nn)-1].Dist2
-		out = append(out, sqrt(d2))
+		// k+1 because the query point itself sits at distance 0.
+		out = append(out, sqrt(grid.KthDist2(p, k+1)))
 	}
 	sort.Float64s(out)
 	return out

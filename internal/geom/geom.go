@@ -91,6 +91,21 @@ func (c Cloud) Translate(d Point3) Cloud {
 	return c
 }
 
+// AppendTranslated appends src shifted by d onto dst and returns the
+// extended slice. It replaces the Clone-then-Translate-then-append
+// pattern on scene assembly paths with a single pass and no temporary.
+func AppendTranslated(dst, src Cloud, d Point3) Cloud {
+	if need := len(dst) + len(src); cap(dst) < need {
+		grown := make(Cloud, len(dst), need)
+		copy(grown, dst)
+		dst = grown
+	}
+	for _, p := range src {
+		dst = append(dst, p.Add(d))
+	}
+	return dst
+}
+
 // Bounds returns the axis-aligned bounding box of the cloud. Empty clouds
 // yield an empty box (Min > Max on every axis).
 func (c Cloud) Bounds() Box {

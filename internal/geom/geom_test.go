@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -182,5 +183,49 @@ func TestFilterAndMinMaxZ(t *testing.T) {
 	}
 	if !math.IsInf(Cloud(nil).MinZ(), 1) || !math.IsInf(Cloud(nil).MaxZ(), -1) {
 		t.Error("empty cloud min/max should be ±Inf")
+	}
+}
+
+func randCloud(rng *rand.Rand, n int) Cloud {
+	c := make(Cloud, n)
+	for i := range c {
+		c[i] = Point3{
+			X: rng.Float64()*60 - 30,
+			Y: rng.Float64()*60 - 30,
+			Z: rng.Float64() * 3,
+		}
+	}
+	return c
+}
+
+// TestAppendTranslated checks the fused clone+translate+append against
+// the explicit composition it replaced, and pins its allocation
+// behavior: exactly one allocation from nil, zero into spare capacity.
+func TestAppendTranslated(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	src := randCloud(rng, 128)
+	d := P(2.5, -1.25, 0.5)
+
+	want := append(Cloud{{X: 9}}, src.Clone().Translate(d)...)
+	got := AppendTranslated(Cloud{{X: 9}}, src, d)
+	if len(got) != len(want) {
+		t.Fatalf("len %d != %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("point %d: %v != %v", i, got[i], want[i])
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(50, func() {
+		_ = AppendTranslated(nil, src, d)
+	}); allocs != 1 {
+		t.Fatalf("AppendTranslated(nil, ...) allocs = %.1f, want 1", allocs)
+	}
+	buf := make(Cloud, 0, 2*len(src))
+	if allocs := testing.AllocsPerRun(50, func() {
+		buf = AppendTranslated(buf[:0], src, d)
+	}); allocs != 0 {
+		t.Fatalf("AppendTranslated into spare capacity allocs = %.1f, want 0", allocs)
 	}
 }

@@ -42,10 +42,3 @@ func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64
 //
 //go:noescape
 func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32)
-
-// minMaxAVX reduces vals[0:n] to its minimum and maximum via
-// VMINPS/VMAXPS; n must be a positive multiple of 8. Finite inputs
-// only; ±0 signs in the result are unspecified.
-//
-//go:noescape
-func minMaxAVX(vals *float32, n int) (min, max float32)

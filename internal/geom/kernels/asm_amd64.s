@@ -170,43 +170,3 @@ mkloop:
 
 	VZEROUPPER
 	RET
-
-// func minMaxAVX(vals *float32, n int) (min, max float32)
-//
-// Eight-lane VMINPS/VMAXPS accumulators seeded with the first block,
-// then a horizontal reduction: fold the high 128-bit half in, then
-// shuffle-and-min twice down to lane 0.
-TEXT ·minMaxAVX(SB), NOSPLIT, $0-24
-	MOVQ vals+0(FP), SI
-	MOVQ n+8(FP), CX
-	VMOVUPS (SI), Y0          // min accumulator
-	VMOVUPS (SI), Y1          // max accumulator
-	ADDQ    $32, SI
-	SUBQ    $8, CX
-	JZ      reduce
-
-mloop:
-	VMOVUPS (SI), Y2
-	VMINPS  Y2, Y0, Y0
-	VMAXPS  Y2, Y1, Y1
-	ADDQ    $32, SI
-	SUBQ    $8, CX
-	JNZ     mloop
-
-reduce:
-	VEXTRACTF128 $1, Y0, X2
-	VMINPS  X2, X0, X0
-	VEXTRACTF128 $1, Y1, X3
-	VMAXPS  X3, X1, X1
-	VSHUFPS $0xee, X0, X0, X2 // lanes [2,3,2,3]
-	VMINPS  X2, X0, X0
-	VSHUFPS $0xee, X1, X1, X3
-	VMAXPS  X3, X1, X1
-	VSHUFPS $0x55, X0, X0, X2 // lane [1,...]
-	VMINPS  X2, X0, X0
-	VSHUFPS $0x55, X1, X1, X3
-	VMAXPS  X3, X1, X1
-	VMOVSS  X0, min+16(FP)
-	VMOVSS  X1, max+20(FP)
-	VZEROUPPER
-	RET

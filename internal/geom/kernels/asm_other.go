@@ -20,7 +20,3 @@ func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64 {
 func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32) {
 	panic("kernels: no assembly on this architecture")
 }
-
-func minMaxAVX(vals *float32, n int) (min, max float32) {
-	panic("kernels: no assembly on this architecture")
-}

@@ -1,9 +1,9 @@
 // Package kernels provides the vectorized float32 primitives behind the
-// structure-of-arrays geometry path: bulk squared distances from a query
-// point to a contiguous x/y/z slice triple, masked ε-radius compare
-// counting, and min/max bounds reduction. These are the inner loops of
-// internal/spatial's voxel-grid radius and kNN scans, which DBSCAN and
-// the adaptive-ε curve issue thousands of times per frame.
+// voxel grid's float32 coordinate mirror: bulk squared distances from a
+// query point to a contiguous x/y/z slice triple, and masked ε-radius
+// compare counting. These are the inner loops of internal/spatial's
+// voxel-grid radius and kNN scans, which DBSCAN and the adaptive-ε curve
+// issue thousands of times per frame.
 //
 // Like internal/nn/kernels, the package keeps a pure-Go reference
 // implementation of every kernel and dispatches to AVX assembly
@@ -11,11 +11,8 @@
 // they are usable. The assembly follows the same bit-identical
 // accumulation contract: per-lane operation sequence equal to the
 // reference (VSUBPS/VMULPS/VADDPS with a fixed association, never FMA),
-// so Dist2 and CountDist2LE produce bit-identical results on every path
-// and the dispatch changes speed, not values. MinMax is bit-identical on
-// finite inputs up to the sign of zero (VMINPS/VMAXPS and the scalar
-// reference may disagree on ±0, which compare equal); it is undefined on
-// NaN inputs, which the callers exclude.
+// so every kernel produces bit-identical results on every path and the
+// dispatch changes speed, not values.
 //
 // All results are computed in float32. Callers that need exact float64
 // semantics (the voxel grid's filter-and-refine queries) bound the
@@ -157,41 +154,4 @@ func maskLERef(hiM, loM []uint8, xs, ys, zs []float32, qx, qy, qz, tHi, tLo floa
 		}
 		hiM[b], loM[b] = h, l
 	}
-}
-
-// MinMax returns the minimum and maximum of vals, which must be
-// non-empty and free of NaNs. On inputs mixing -0 and +0 the sign of the
-// returned zeros is unspecified (the values still compare equal).
-func MinMax(vals []float32) (min, max float32) {
-	if len(vals) == 0 {
-		panic("kernels: MinMax of empty slice")
-	}
-	if vectorized && len(vals) >= 16 {
-		m := len(vals) &^ 7
-		min, max = minMaxAVX(&vals[0], m)
-		for _, v := range vals[m:] {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		return min, max
-	}
-	return minMaxRef(vals)
-}
-
-// minMaxRef is the scalar reference for MinMax.
-func minMaxRef(vals []float32) (min, max float32) {
-	min, max = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }

@@ -147,36 +147,6 @@ func TestCountDist2LENaNNeverCounts(t *testing.T) {
 	}
 }
 
-func TestMinMaxMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for n := 1; n <= 100; n++ {
-		vals := make([]float32, n)
-		for i := range vals {
-			vals[i] = randVal(rng)
-		}
-		wantMin, wantMax := minMaxRef(vals)
-		gotMin, gotMax := MinMax(vals)
-		// ±0 signs are unspecified, so compare by value, not bits.
-		if gotMin != wantMin || gotMax != wantMax {
-			t.Fatalf("n=%d: MinMax = (%g, %g), reference = (%g, %g)",
-				n, gotMin, gotMax, wantMin, wantMax)
-		}
-	}
-}
-
-func TestMinMaxSingleAndUniform(t *testing.T) {
-	if min, max := MinMax([]float32{3.5}); min != 3.5 || max != 3.5 {
-		t.Fatalf("MinMax single = (%g, %g)", min, max)
-	}
-	uniform := make([]float32, 37)
-	for i := range uniform {
-		uniform[i] = -2.25
-	}
-	if min, max := MinMax(uniform); min != -2.25 || max != -2.25 {
-		t.Fatalf("MinMax uniform = (%g, %g)", min, max)
-	}
-}
-
 func TestSetVectorizedToggle(t *testing.T) {
 	orig := Vectorized()
 	defer SetVectorized(orig)
@@ -219,7 +189,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Dist2":        func() { Dist2(make([]float32, 3), make([]float32, 2), make([]float32, 3), make([]float32, 3), 0, 0, 0) },
 		"CountDist2LE": func() { CountDist2LE(make([]float32, 3), make([]float32, 2), make([]float32, 3), 0, 0, 0, 1) },
-		"MinMaxEmpty":  func() { MinMax(nil) },
 	} {
 		func() {
 			defer func() {

@@ -51,23 +51,6 @@ func (r ROI) CropInto(dst, c geom.Cloud) geom.Cloud {
 	return dst
 }
 
-// ContainsXYZ is Contains over float32 coordinates, widened exactly to
-// float64 so the decision matches Contains on the widened point.
-func (r ROI) ContainsXYZ(x, y, z float32) bool {
-	return r.Contains(geom.Point3{X: float64(x), Y: float64(y), Z: float64(z)})
-}
-
-// CropSoAInto appends the points of c inside the ROI to dst (typically
-// Reset between frames) — CropInto for the structure-of-arrays flow. The
-// selected points and their order match CropInto on the widened cloud.
-func (r ROI) CropSoAInto(dst, c *geom.CloudSoA) {
-	for i := range c.X {
-		if r.ContainsXYZ(c.X[i], c.Y[i], c.Z[i]) {
-			dst.AppendXYZ(c.X[i], c.Y[i], c.Z[i])
-		}
-	}
-}
-
 // DefaultZMin is the ground-segmentation threshold: empirical ground noise
 // extends up to 0.4 m above the walkway, so with ground at −3 m the filter
 // keeps z ≥ −2.6 m (Section III).
@@ -90,31 +73,9 @@ func SegmentInto(dst, c geom.Cloud, zMin float64) geom.Cloud {
 	return dst
 }
 
-// SegmentSoAInto appends the points of c with z ≥ zMin to dst —
-// SegmentInto for the structure-of-arrays flow.
-func SegmentSoAInto(dst, c *geom.CloudSoA, zMin float64) {
-	for i := range c.Z {
-		if float64(c.Z[i]) >= zMin {
-			dst.AppendXYZ(c.X[i], c.Y[i], c.Z[i])
-		}
-	}
-}
-
 // Ingest applies the full ingestion chain — ROI crop then ground
 // segmentation with the default threshold — exactly as the deployed
 // pipeline does before clustering.
 func Ingest(c geom.Cloud, roi ROI) geom.Cloud {
 	return Segment(roi.Crop(c), DefaultZMin)
-}
-
-// IngestSoAInto applies the full ingestion chain in one pass over a
-// structure-of-arrays cloud, appending survivors to dst. The surviving
-// points and their order match Ingest on the widened cloud (both filters
-// commute into a single conjunction over each point).
-func IngestSoAInto(dst, c *geom.CloudSoA, roi ROI) {
-	for i := range c.X {
-		if roi.ContainsXYZ(c.X[i], c.Y[i], c.Z[i]) && float64(c.Z[i]) >= DefaultZMin {
-			dst.AppendXYZ(c.X[i], c.Y[i], c.Z[i])
-		}
-	}
 }

@@ -1,16 +1,16 @@
 // Package kdtree implements a static 3-dimensional k-d tree over LiDAR
-// point clouds. HAWC-CC uses it for the adaptive-clustering
-// k-nearest-neighbor distance curve (Section IV), DBSCAN's ε-range queries,
-// and the height-aware projection's per-point neighborhood height variance
-// (Section V) — either directly or as the reference engine behind
-// internal/spatial's NeighborIndex interface, whose voxel grid is the
-// default on the per-frame hot path.
+// point clouds. It is the reference the running system's voxel grid
+// (internal/spatial) is held to: tests import it as the oracle for the
+// adaptive-clustering k-nearest-neighbor distance curve (Section IV),
+// DBSCAN's ε-range queries, and the height-aware projection's per-point
+// neighborhood height variance (Section V). No non-test package imports
+// it.
 //
 // The tree is built once over an immutable cloud; queries are read-only and
-// safe for concurrent use. KNN results follow the package-wide neighbor
-// ordering contract: ascending (Dist2, Index), with distance ties broken by
-// the lower original cloud index, so every NeighborIndex implementation
-// returns bit-identical neighbor sets.
+// safe for concurrent use. KNN results follow the neighbor ordering
+// contract the grid shares: ascending (Dist2, Index), with distance ties
+// broken by the lower original cloud index, so the tree and the grid
+// return bit-identical neighbor sets.
 package kdtree
 
 import (
@@ -306,7 +306,8 @@ func (t *Tree) radiusCount(lo, hi int, q geom.Point3, r2 float64) int {
 // ties broken by the lower original cloud index. A total order makes the
 // k-nearest set a pure function of the cloud and query — independent of
 // traversal order — which is what lets the k-d tree and the voxel grid
-// (internal/spatial) promise bit-identical results.
+// (internal/spatial, which keeps its own copy of this order) promise
+// bit-identical results.
 func Less(a, b Neighbor) bool {
 	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
 }

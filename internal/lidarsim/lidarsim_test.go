@@ -262,9 +262,9 @@ func TestCloudOf(t *testing.T) {
 	}
 }
 
-// TestCloudOfInto pins the pooled-buffer companions: both Into
-// variants match CloudOf and are allocation-free once their buffers
-// have grown to frame size.
+// TestCloudOfInto pins the pooled-buffer companion: CloudOfInto matches
+// CloudOf and is allocation-free once its buffer has grown to frame
+// size.
 func TestCloudOfInto(t *testing.T) {
 	rs := make([]Return, 100)
 	for i := range rs {
@@ -285,28 +285,6 @@ func TestCloudOfInto(t *testing.T) {
 		buf = CloudOfInto(buf[:0], rs)
 	}); allocs != 0 {
 		t.Fatalf("recycled CloudOfInto allocates: %.1f allocs/op", allocs)
-	}
-
-	var soa geom.CloudSoA
-	CloudOfSoAInto(&soa, rs)
-	if soa.Len() != len(want) {
-		t.Fatalf("CloudOfSoAInto len %d, want %d", soa.Len(), len(want))
-	}
-	for i := range want {
-		wp := geom.Point3{
-			X: float64(float32(want[i].X)),
-			Y: float64(float32(want[i].Y)),
-			Z: float64(float32(want[i].Z)),
-		}
-		if p := soa.At(i); p != wp {
-			t.Fatalf("SoA point %d: %v", i, p)
-		}
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		soa.Reset()
-		CloudOfSoAInto(&soa, rs)
-	}); allocs != 0 {
-		t.Fatalf("recycled CloudOfSoAInto allocates: %.1f allocs/op", allocs)
 	}
 }
 

@@ -249,17 +249,6 @@ func CloudOfInto(dst geom.Cloud, returns []Return) geom.Cloud {
 	return dst
 }
 
-// CloudOfSoAInto appends the bare points of returns to a
-// structure-of-arrays cloud (typically Reset between frames), rounding
-// coordinates to float32 — the zero-copy entry into the SoA geometry
-// flow.
-func CloudOfSoAInto(dst *geom.CloudSoA, returns []Return) {
-	dst.Grow(len(returns))
-	for _, r := range returns {
-		dst.Append(r.Point)
-	}
-}
-
 // SplitByKind partitions returns into human, object, and ground clouds.
 func SplitByKind(returns []Return) (human, object, ground geom.Cloud) {
 	for _, r := range returns {

@@ -123,6 +123,9 @@ func TestHAWCErrors(t *testing.T) {
 }
 
 func TestPointNetTrainPredict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains PointNet for three epochs")
+	}
 	split := smallSplit(t)
 	p := NewPointNet()
 	if err := p.Train(split.Train, TrainConfig{Epochs: 3, Seed: 2}); err != nil {

@@ -19,11 +19,9 @@ import (
 // indexPool recycles the spatial indexes behind the neighborhood
 // channels (HAP's σz, DA's density). Projection runs per candidate
 // cluster on the classify stage's worker pool, so the pool hands each
-// worker a warm index whose buffers are already grown — the voxel grid
-// replaces the per-cluster k-d tree build that used to dominate the
-// channel's cost. Results are identical to the tree's: both engines
-// honor the neighbor-ordering contract of internal/kdtree, so the
-// neighbor sets and their iteration order are bit-for-bit the same.
+// worker a warm index whose buffers are already grown. The equivalence
+// tests hold the channels to the k-d tree oracle (internal/kdtree) bit
+// for bit.
 var indexPool = sync.Pool{New: func() any { return new(spatial.FrameIndex) }}
 
 // Image is a D×D multi-channel raster in channel-last layout:
@@ -125,35 +123,6 @@ func heightVariation(cloud geom.Cloud, k int) []float64 {
 		var v float64
 		for _, n := range nn {
 			d := cloud[n.Index].Z - mean
-			v += d * d
-		}
-		out[i] = math.Sqrt(v / float64(len(nn)))
-	}
-	return out
-}
-
-// HeightVariationSoA is heightVariation over a structure-of-arrays
-// cloud: σ_z per point from the z-spread of its K nearest neighbors,
-// computed against a pooled grid built directly on the SoA storage. The
-// values are identical to the AoS computation on the widened cloud (the
-// float32→float64 widening is exact and both engines honor the same
-// neighbor-ordering contract).
-func HeightVariationSoA(cloud *geom.CloudSoA, k int) []float64 {
-	fi := indexPool.Get().(*spatial.FrameIndex)
-	defer indexPool.Put(fi)
-	fi.BuildSoA(cloud, 0)
-	n := cloud.Len()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		nn := fi.KNN(cloud.At(i), k)
-		var mean float64
-		for _, nb := range nn {
-			mean += float64(cloud.Z[nb.Index])
-		}
-		mean /= float64(len(nn))
-		var v float64
-		for _, nb := range nn {
-			d := float64(cloud.Z[nb.Index]) - mean
 			v += d * d
 		}
 		out[i] = math.Sqrt(v / float64(len(nn)))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hawccc/internal/geom"
-	"hawccc/internal/kdtree"
 )
 
 // benchCloud approximates one ingested frame: a few person-sized blobs
@@ -30,15 +29,6 @@ func BenchmarkGridBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkKDTreeBuild(b *testing.B) {
-	cloud := benchCloud(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = kdtree.New(cloud)
-	}
-}
-
 func BenchmarkGridRadius(b *testing.B) {
 	cloud := benchCloud(2000)
 	g := NewGrid(cloud, benchRadius)
@@ -50,17 +40,6 @@ func BenchmarkGridRadius(b *testing.B) {
 	}
 }
 
-func BenchmarkKDTreeRadius(b *testing.B) {
-	cloud := benchCloud(2000)
-	tr := kdtree.New(cloud)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = tr.RadiusInto(buf[:0], cloud[i%len(cloud)], benchRadius)
-	}
-}
-
 func BenchmarkGridKNN(b *testing.B) {
 	cloud := benchCloud(2000)
 	g := NewGrid(cloud, benchRadius)
@@ -69,16 +48,5 @@ func BenchmarkGridKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.KNNInto(buf[:0], cloud[i%len(cloud)], benchK)
-	}
-}
-
-func BenchmarkKDTreeKNN(b *testing.B) {
-	cloud := benchCloud(2000)
-	tr := kdtree.New(cloud)
-	var buf []Neighbor
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = tr.KNNInto(buf[:0], cloud[i%len(cloud)], benchK)
 	}
 }

@@ -26,12 +26,6 @@ func (f *FrameIndex) Build(cloud geom.Cloud, cell float64) {
 	f.Grid.Reset(cloud, cell)
 }
 
-// BuildSoA (re)indexes a structure-of-arrays cloud; see Grid.ResetSoA
-// for the storage and exactness contract.
-func (f *FrameIndex) BuildSoA(cloud *geom.CloudSoA, cell float64) {
-	f.Grid.ResetSoA(cloud, cell)
-}
-
 // Len returns the number of indexed points.
 func (f *FrameIndex) Len() int { return f.Grid.Len() }
 

@@ -5,7 +5,6 @@ import (
 
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
-	"hawccc/internal/kdtree"
 )
 
 // maxGridCells bounds the voxel count of one grid. A pathologically
@@ -21,8 +20,6 @@ const maxGridCells = 1 << 18
 // query visits at most 27 cells. The zero value is an empty grid for
 // which every query returns no results; use NewGrid, or Reset to rebuild
 // in place reusing the internal arrays (the one-build-per-frame path).
-// ResetSoA indexes a structure-of-arrays cloud instead; every query
-// behaves identically in either mode.
 //
 // On hardware with usable AVX the grid also keeps a float32 mirror of
 // the coordinates in CSR order and runs radius and kNN scans through the
@@ -32,12 +29,11 @@ const maxGridCells = 1 << 18
 // are re-checked in float64 against the source coordinates, so vector
 // and scalar paths return bit-identical results (see gridvec.go).
 //
-// Unlike kdtree.Tree, the grid references the cloud instead of copying
-// it: it is a per-frame index, valid only while the indexed cloud is
-// unchanged. Queries are read-only and safe for concurrent use.
+// The grid references the cloud instead of copying it: it is a
+// per-frame index, valid only while the indexed cloud is unchanged.
+// Queries are read-only and safe for concurrent use.
 type Grid struct {
-	pts        geom.Cloud     // AoS source (Reset); nil in SoA mode
-	spts       *geom.CloudSoA // SoA source (ResetSoA); nil in AoS mode
+	pts        geom.Cloud
 	cell, inv  float64
 	min        geom.Point3
 	nx, ny, nz int
@@ -71,35 +67,8 @@ func NewGrid(cloud geom.Cloud, cell float64) *Grid {
 // selects AutoCell's default. The grid references cloud; the caller must
 // not mutate it while the grid is in use.
 func (g *Grid) Reset(cloud geom.Cloud, cell float64) {
-	g.pts, g.spts = cloud, nil
+	g.pts = cloud
 	n := len(cloud)
-	if n == 0 {
-		g.clear()
-		return
-	}
-	if cell <= 0 {
-		cell = AutoCell(cloud, 8)
-	}
-	b := cloud.Bounds()
-	ncells := g.sizeLattice(b, cell, n)
-	for i, p := range cloud {
-		c := g.cellIndex(p)
-		g.cellOf[i] = c
-		g.start[c+1]++
-	}
-	g.finishBuild(n, ncells, b)
-}
-
-// ResetSoA rebuilds the grid over a structure-of-arrays cloud, reusing
-// the internal arrays like Reset. Binning, query geometry, and exact
-// re-checks all use the stored float32 coordinates widened (exactly) to
-// float64, so results match running the scalar grid over the widened
-// cloud bit for bit. cell <= 0 derives AutoCell's default from the SoA
-// bounds. The grid references cloud; the caller must not mutate it while
-// the grid is in use.
-func (g *Grid) ResetSoA(cloud *geom.CloudSoA, cell float64) {
-	g.pts, g.spts = nil, cloud
-	n := cloud.Len()
 	if n == 0 {
 		g.clear()
 		return
@@ -109,8 +78,8 @@ func (g *Grid) ResetSoA(cloud *geom.CloudSoA, cell float64) {
 		cell = autoCellSized(b.Size(), n, 8)
 	}
 	ncells := g.sizeLattice(b, cell, n)
-	for i := 0; i < n; i++ {
-		c := g.cellIndex(cloud.At(i))
+	for i, p := range cloud {
+		c := g.cellIndex(p)
 		g.cellOf[i] = c
 		g.start[c+1]++
 	}
@@ -193,22 +162,10 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// point returns the source coordinates of indexed point id, exact in
-// float64 regardless of storage mode.
-func (g *Grid) point(id int32) geom.Point3 {
-	if g.spts != nil {
-		return g.spts.At(int(id))
-	}
-	return g.pts[id]
-}
-
 // Len returns the number of indexed points.
 func (g *Grid) Len() int {
 	if g == nil {
 		return 0
-	}
-	if g.spts != nil {
-		return g.spts.Len()
 	}
 	return len(g.pts)
 }
@@ -309,18 +266,9 @@ func (g *Grid) RadiusInto(dst []int, q geom.Point3, r float64) []int {
 			row := (ix*g.ny + iy) * g.nz
 			for iz := iz0; iz <= iz1; iz++ {
 				c := row + iz
-				ids := g.ids[g.start[c]:g.start[c+1]]
-				if g.spts != nil {
-					for _, id := range ids {
-						if q.Dist2(g.spts.At(int(id))) <= r2 {
-							dst = append(dst, int(id))
-						}
-					}
-				} else {
-					for _, id := range ids {
-						if q.Dist2(g.pts[id]) <= r2 {
-							dst = append(dst, int(id))
-						}
+				for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+					if q.Dist2(g.pts[id]) <= r2 {
+						dst = append(dst, int(id))
 					}
 				}
 			}
@@ -357,18 +305,9 @@ func (g *Grid) RadiusCount(q geom.Point3, r float64) int {
 			row := (ix*g.ny + iy) * g.nz
 			for iz := iz0; iz <= iz1; iz++ {
 				c := row + iz
-				ids := g.ids[g.start[c]:g.start[c+1]]
-				if g.spts != nil {
-					for _, id := range ids {
-						if q.Dist2(g.spts.At(int(id))) <= r2 {
-							count++
-						}
-					}
-				} else {
-					for _, id := range ids {
-						if q.Dist2(g.pts[id]) <= r2 {
-							count++
-						}
+				for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+					if q.Dist2(g.pts[id]) <= r2 {
+						count++
 					}
 				}
 			}
@@ -418,7 +357,7 @@ func (g *Grid) KNNInto(dst []Neighbor, q geom.Point3, k int) []Neighbor {
 		}
 		s.ring(qx, qy, qz, d)
 	}
-	kdtree.SortNeighbors(s.items)
+	sortNeighbors(s.items)
 	return s.items
 }
 
@@ -434,7 +373,7 @@ func maxInt6(a, b, c, d, e, f int) int {
 }
 
 // knnScan carries one KNNInto search: the bounded max-heap of retained
-// neighbors (ordered by kdtree.Less, so ties resolve to the lower index)
+// neighbors (ordered by less, so ties resolve to the lower index)
 // plus the query geometry. It lives on the caller's stack.
 type knnScan struct {
 	g     *Grid
@@ -549,18 +488,12 @@ func (s *knnScan) cell(ix, iy, iz int) {
 				return
 			}
 			id := g.ids[o]
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.point(id))})
+			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
 		}
 		return
 	}
-	if g.spts != nil {
-		for _, id := range g.ids[lo:hi] {
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.spts.At(int(id)))})
-		}
-	} else {
-		for _, id := range g.ids[lo:hi] {
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
-		}
+	for _, id := range g.ids[lo:hi] {
+		s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
 	}
 }
 
@@ -594,7 +527,7 @@ func axisDist(rel float64, i int, cell float64) float64 {
 }
 
 // offer pushes a candidate into the bounded max-heap (ordered by
-// kdtree.Less over (Dist2, Index)), keeping the k smallest.
+// less over (Dist2, Index)), keeping the k smallest.
 func (s *knnScan) offer(n Neighbor) {
 	items := s.items
 	if len(items) < s.k {
@@ -602,7 +535,7 @@ func (s *knnScan) offer(n Neighbor) {
 		i := len(items) - 1
 		for i > 0 {
 			parent := (i - 1) / 2
-			if !kdtree.Less(items[parent], items[i]) {
+			if !less(items[parent], items[i]) {
 				break
 			}
 			items[parent], items[i] = items[i], items[parent]
@@ -611,7 +544,7 @@ func (s *knnScan) offer(n Neighbor) {
 		s.items = items
 		return
 	}
-	if !kdtree.Less(n, items[0]) {
+	if !less(n, items[0]) {
 		return
 	}
 	items[0] = n
@@ -619,10 +552,10 @@ func (s *knnScan) offer(n Neighbor) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < size && kdtree.Less(items[largest], items[l]) {
+		if l < size && less(items[largest], items[l]) {
 			largest = l
 		}
-		if r < size && kdtree.Less(items[largest], items[r]) {
+		if r < size && less(items[largest], items[r]) {
 			largest = r
 		}
 		if largest == i {

@@ -63,7 +63,12 @@ func bruteKNN(cloud geom.Cloud, q geom.Point3, k int) []Neighbor {
 	for i, p := range cloud {
 		ns[i] = Neighbor{Index: i, Dist2: q.Dist2(p)}
 	}
-	sort.Slice(ns, func(i, j int) bool { return kdtree.Less(ns[i], ns[j]) })
+	// The order is spelled out here, not borrowed from the grid's less, so
+	// the reference stays independent of the code it checks.
+	sort.Slice(ns, func(i, j int) bool {
+		a, b := ns[i], ns[j]
+		return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
+	})
 	if k > len(ns) {
 		k = len(ns)
 	}
@@ -98,6 +103,15 @@ func equalNeighbors(a, b []Neighbor) bool {
 		}
 	}
 	return true
+}
+
+// fromTree converts the k-d tree oracle's neighbors to this package's.
+func fromTree(ns []kdtree.Neighbor) []Neighbor {
+	out := make([]Neighbor, len(ns))
+	for i, n := range ns {
+		out[i] = Neighbor(n)
+	}
+	return out
 }
 
 // queryPoints yields a mix of indexed points, perturbed points, and
@@ -182,7 +196,8 @@ func TestGridMatchesKDTree(t *testing.T) {
 	g := NewGrid(cloud, 0.3)
 	tr := kdtree.New(cloud)
 	var gids, tids []int
-	var gn, tn []Neighbor
+	var gn []Neighbor
+	var tn []kdtree.Neighbor
 	for _, q := range queryPoints(rng, cloud, 60) {
 		for _, r := range []float64{0.1, 0.3, 1.5} {
 			gids = g.RadiusInto(gids[:0], q, r)
@@ -197,7 +212,7 @@ func TestGridMatchesKDTree(t *testing.T) {
 		for _, k := range []int{1, 5, 12} {
 			gn = g.KNNInto(gn[:0], q, k)
 			tn = tr.KNNInto(tn[:0], q, k)
-			if !equalNeighbors(gn, tn) {
+			if !equalNeighbors(gn, fromTree(tn)) {
 				t.Fatalf("q=%v k=%d: grid kNN %v != kdtree %v", q, k, gn, tn)
 			}
 		}
@@ -212,7 +227,7 @@ func TestKDTreeIntoMatchesAllocating(t *testing.T) {
 	cloud := randomCloud(rng, 300)
 	tr := kdtree.New(cloud)
 	var ids []int
-	var ns []Neighbor
+	var ns []kdtree.Neighbor
 	for _, q := range queryPoints(rng, cloud, 40) {
 		for _, r := range []float64{0, 0.25, 1.0} {
 			want := tr.Radius(q, r)
@@ -224,7 +239,7 @@ func TestKDTreeIntoMatchesAllocating(t *testing.T) {
 		for _, k := range []int{1, 6, 20} {
 			want := tr.KNN(q, k)
 			ns = tr.KNNInto(ns[:0], q, k)
-			if !equalNeighbors(ns, want) {
+			if !equalNeighbors(fromTree(ns), fromTree(want)) {
 				t.Fatalf("q=%v k=%d: KNNInto %v != KNN %v", q, k, ns, want)
 			}
 		}

@@ -94,7 +94,7 @@ func (g *Grid) KthDist2All(dst []float64, k int) {
 	var prev geom.Point3
 	var prevD float64
 	for i, id := range g.ids[:n] {
-		p := g.point(id)
+		p := g.pts[id]
 		if i > 0 {
 			// Seed the query's bound from its predecessor: by the
 			// triangle inequality the k nearest of prev sit within
@@ -284,7 +284,7 @@ func (s *kthSearch) span(lo, hi int) {
 	g := s.g
 	if hi-lo < kthMinVecSpan {
 		for _, id := range g.ids[lo:hi] {
-			d2 := s.q.Dist2(g.point(id))
+			d2 := s.q.Dist2(g.pts[id])
 			if s.hn < s.k {
 				if d2 <= s.t0 {
 					s.offer(d2)
@@ -324,7 +324,7 @@ func (s *kthSearch) span(lo, hi int) {
 			for h != 0 {
 				j := bits.TrailingZeros8(h)
 				h &= h - 1
-				d2 := s.q.Dist2(g.point(g.ids[base+j]))
+				d2 := s.q.Dist2(g.pts[g.ids[base+j]])
 				if s.hn < s.k {
 					if d2 <= s.t0 {
 						s.offer(d2)
@@ -337,7 +337,7 @@ func (s *kthSearch) span(lo, hi int) {
 		lo += m
 	}
 	for _, id := range g.ids[lo:hi] {
-		d2 := s.q.Dist2(g.point(id))
+		d2 := s.q.Dist2(g.pts[id])
 		if s.hn < s.k {
 			if d2 <= s.t0 {
 				s.offer(d2)

@@ -1,7 +1,7 @@
 package spatial
 
-// Vectorized grid scans: the structure-of-arrays fast path behind
-// RadiusInto, RadiusCount, and KNNInto.
+// Vectorized grid scans: the fast path behind RadiusInto, RadiusCount,
+// and KNNInto.
 //
 // The grid keeps a float32 mirror of the coordinates in CSR (ids) order,
 // so every cell — and every contiguous run of z-cells a radius query
@@ -27,8 +27,9 @@ package spatial
 // sorted kNN lists, and the k-th-distance values behind the adaptive ε
 // curve are bit-identical, so every grid-vs-kdtree and loop-vs-stream
 // equality property in the test suite holds verbatim. Toggling
-// kernels.SetVectorized therefore changes speed, never results, which
-// is what lets GeomBench A/B the two paths on one machine.
+// kernels.SetVectorized therefore changes speed, never results; the
+// scalar scan is what runs on hardware without AVX and what
+// gridvec_test.go compares the vector scan against.
 //
 // Error bound. With u = 2⁻²⁴ (float32 ulp), M a bound on every
 // coordinate magnitude (grid maxAbs joined with the query point), and
@@ -83,19 +84,11 @@ func (g *Grid) refreshVec(n int, b geom.Box) {
 	g.gx = growFloat32(g.gx, n)
 	g.gy = growFloat32(g.gy, n)
 	g.gz = growFloat32(g.gz, n)
-	if g.spts != nil {
-		for j, id := range g.ids[:n] {
-			g.gx[j] = g.spts.X[id]
-			g.gy[j] = g.spts.Y[id]
-			g.gz[j] = g.spts.Z[id]
-		}
-	} else {
-		for j, id := range g.ids[:n] {
-			p := g.pts[id]
-			g.gx[j] = float32(p.X)
-			g.gy[j] = float32(p.Y)
-			g.gz[j] = float32(p.Z)
-		}
+	for j, id := range g.ids[:n] {
+		p := g.pts[id]
+		g.gx[j] = float32(p.X)
+		g.gy[j] = float32(p.Y)
+		g.gz[j] = float32(p.Z)
 	}
 }
 
@@ -170,7 +163,7 @@ func (g *Grid) radiusVec(dst []int, q geom.Point3, r2 float64, ix0, ix1, iy0, iy
 		lo, hi := int(g.start[row+iz0]), int(g.start[end+iz1+1])
 		if hi-lo < minVecSpan {
 			for _, id := range g.ids[lo:hi] {
-				if q.Dist2(g.point(id)) <= r2 {
+				if q.Dist2(g.pts[id]) <= r2 {
 					dst = append(dst, int(id))
 				}
 			}
@@ -197,7 +190,7 @@ func (g *Grid) radiusVec(dst []int, q geom.Point3, r2 float64, ix0, ix1, iy0, iy
 					j := bits.TrailingZeros8(h)
 					h &= h - 1
 					id := g.ids[base+j]
-					if l>>uint(j)&1 != 0 || q.Dist2(g.point(id)) <= r2 {
+					if l>>uint(j)&1 != 0 || q.Dist2(g.pts[id]) <= r2 {
 						dst = append(dst, int(id))
 					}
 				}
@@ -205,7 +198,7 @@ func (g *Grid) radiusVec(dst []int, q geom.Point3, r2 float64, ix0, ix1, iy0, iy
 			lo += m
 		}
 		for _, id := range g.ids[lo:hi] {
-			if q.Dist2(g.point(id)) <= r2 {
+			if q.Dist2(g.pts[id]) <= r2 {
 				dst = append(dst, int(id))
 			}
 		}
@@ -231,7 +224,7 @@ func (g *Grid) radiusCountVec(q geom.Point3, r2 float64, ix0, ix1, iy0, iy1, iz0
 		lo, hi := int(g.start[row+iz0]), int(g.start[end+iz1+1])
 		if hi-lo < minVecSpan {
 			for _, id := range g.ids[lo:hi] {
-				if q.Dist2(g.point(id)) <= r2 {
+				if q.Dist2(g.pts[id]) <= r2 {
 					count++
 				}
 			}
@@ -253,7 +246,7 @@ func (g *Grid) radiusCountVec(q geom.Point3, r2 float64, ix0, ix1, iy0, iy1, iz0
 					if d2f > hiF {
 						continue
 					}
-					if d2f <= loF || q.Dist2(g.point(g.ids[lo+j])) <= r2 {
+					if d2f <= loF || q.Dist2(g.pts[g.ids[lo+j]]) <= r2 {
 						count++
 					}
 				}
@@ -289,7 +282,7 @@ func (s *knnScan) cellVec(lo, hi int) {
 				continue
 			}
 			id := g.ids[lo+j]
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.point(id))})
+			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
 		}
 		lo += m
 	}

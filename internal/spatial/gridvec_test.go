@@ -98,97 +98,69 @@ func TestGridVectorizedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGridSoAMatchesWidenedAoS pins the ResetSoA contract: queries
-// against an SoA-built grid match the scalar AoS grid built over the
-// float32-widened cloud bit for bit, and both match brute force.
-func TestGridSoAMatchesWidenedAoS(t *testing.T) {
+// float32Cloud rounds every coordinate through float32, so the grid's
+// float32 mirror holds the source coordinates exactly and every
+// point-to-point distance sits where a prefilter compare could flip.
+func float32Cloud(c geom.Cloud) geom.Cloud {
+	out := make(geom.Cloud, len(c))
+	for i, p := range c {
+		out[i] = geom.Point3{X: float64(float32(p.X)), Y: float64(float32(p.Y)), Z: float64(float32(p.Z))}
+	}
+	return out
+}
+
+// TestGridFloat32CloudVectorMatchesScalar runs the vector and the scalar
+// scan over float32-representable clouds and holds both to brute force:
+// radius sets, counts, sorted kNN lists, and the k-th distances behind
+// the adaptive ε curve must all be exact in either mode, so the two
+// modes are bit-identical to each other.
+func TestGridFloat32CloudVectorMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{7, 200, 500} {
-		var soa geom.CloudSoA
-		soa.FromCloud(randomCloud(rng, n))
-		widened := soa.ToCloud()
-
-		cell := AutoCellSoA(&soa, 8)
-		if aos := AutoCell(widened, 8); cell != aos {
-			t.Fatalf("n=%d: AutoCellSoA %g != AutoCell %g on widened cloud", n, cell, aos)
+		cloud := float32Cloud(randomCloud(rng, n))
+		queries := queryPoints(rng, cloud, 10)
+		radii := make([][]float64, len(queries))
+		for i, q := range queries {
+			radii[i] = boundaryRadii(rng, cloud, q, 3)
 		}
-
-		gs := &Grid{}
-		gs.ResetSoA(&soa, cell)
-		ga := NewGrid(widened, cell)
-		if gs.Len() != n || ga.Len() != n {
-			t.Fatalf("n=%d: Len soa=%d aos=%d", n, gs.Len(), ga.Len())
-		}
-
-		for _, q := range queryPoints(rng, widened, 10) {
-			for _, r := range boundaryRadii(rng, widened, q, 3) {
-				sIDs := gs.RadiusInto(nil, q, r)
-				aIDs := ga.RadiusInto(nil, q, r)
-				if !equalInts(sIDs, aIDs) {
-					t.Fatalf("n=%d r=%g: SoA radius %v != AoS %v", n, r, sIDs, aIDs)
+		withVectorized(t, func(vec bool) {
+			g := NewGrid(cloud, 0) // rebuild so the vec flag is re-latched
+			if g.Len() != n {
+				t.Fatalf("n=%d vec=%v: Len = %d", n, vec, g.Len())
+			}
+			for i, q := range queries {
+				for _, r := range radii[i] {
+					ids := sortedCopy(g.RadiusInto(nil, q, r))
+					if want := bruteRadius(cloud, q, r); !equalInts(ids, want) {
+						t.Fatalf("n=%d vec=%v r=%g: radius %v != brute %v", n, vec, r, ids, want)
+					}
+					if c := g.RadiusCount(q, r); c != len(ids) {
+						t.Fatalf("n=%d vec=%v r=%g: RadiusCount %d != %d", n, vec, r, c, len(ids))
+					}
 				}
-				if want := bruteRadius(widened, q, r); !equalInts(sortedCopy(sIDs), want) {
-					t.Fatalf("n=%d r=%g: SoA radius %v != brute %v", n, r, sortedCopy(sIDs), want)
-				}
-				if c := gs.RadiusCount(q, r); c != len(sIDs) {
-					t.Fatalf("n=%d r=%g: SoA RadiusCount %d != %d", n, r, c, len(sIDs))
+				for _, k := range []int{1, 5, 12} {
+					want := bruteKNN(cloud, q, k)
+					if nb := g.KNNInto(nil, q, k); !equalNeighbors(nb, want) {
+						t.Fatalf("n=%d vec=%v k=%d: kNN %v != brute %v", n, vec, k, nb, want)
+					}
+					if d2 := g.KthDist2(q, k); d2 != want[len(want)-1].Dist2 {
+						t.Fatalf("n=%d vec=%v k=%d: KthDist2 %g != brute %g", n, vec, k, d2, want[len(want)-1].Dist2)
+					}
 				}
 			}
-			for _, k := range []int{1, 5, 12} {
-				sNb := gs.KNNInto(nil, q, k)
-				if aNb := ga.KNNInto(nil, q, k); !equalNeighbors(sNb, aNb) {
-					t.Fatalf("n=%d k=%d: SoA kNN %v != AoS %v", n, k, sNb, aNb)
-				}
-				if want := bruteKNN(widened, q, k); !equalNeighbors(sNb, want) {
-					t.Fatalf("n=%d k=%d: SoA kNN %v != brute %v", n, k, sNb, want)
+			const k = 5
+			if !g.KthFast(k) {
+				return
+			}
+			all := make([]float64, n)
+			g.KthDist2All(all, k)
+			for i, p := range cloud {
+				want := bruteKNN(cloud, p, k)
+				if all[i] != want[len(want)-1].Dist2 {
+					t.Fatalf("n=%d point %d: KthDist2All %g != brute %g", n, i, all[i], want[len(want)-1].Dist2)
 				}
 			}
-		}
-	}
-}
-
-// TestGridSoAResetReuse mirrors TestGridResetReuse for the SoA build
-// path: steady-state rebuild plus queries must be allocation-free.
-func TestGridSoAResetReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var soa geom.CloudSoA
-	soa.FromCloud(randomCloud(rng, 300))
-	g := &Grid{}
-	g.ResetSoA(&soa, 0.4)
-	q := soa.At(0)
-	nbuf := make([]int, 0, 64)
-	kbuf := make([]Neighbor, 0, 16)
-	allocs := testing.AllocsPerRun(100, func() {
-		g.ResetSoA(&soa, 0.4)
-		nbuf = g.RadiusInto(nbuf[:0], q, 0.6)
-		kbuf = g.KNNInto(kbuf[:0], q, 8)
-		_ = g.RadiusCount(q, 0.6)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ResetSoA+query allocates: %.1f allocs/op", allocs)
-	}
-}
-
-// TestFrameIndexBuildSoA checks the pooled FrameIndex SoA entry point
-// against brute force over the widened cloud.
-func TestFrameIndexBuildSoA(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	var soa geom.CloudSoA
-	soa.FromCloud(randomCloud(rng, 250))
-	widened := soa.ToCloud()
-	var fi FrameIndex
-	fi.BuildSoA(&soa, 0.3)
-	if fi.Len() != soa.Len() {
-		t.Fatalf("Len = %d, want %d", fi.Len(), soa.Len())
-	}
-	for _, q := range queryPoints(rng, widened, 15) {
-		want := bruteRadius(widened, q, 0.5)
-		if got := sortedCopy(fi.Radius(q, 0.5)); !equalInts(got, want) {
-			t.Fatalf("BuildSoA radius mismatch: got %v want %v", got, want)
-		}
-		if wantK := bruteKNN(widened, q, 6); !equalNeighbors(fi.KNN(q, 6), wantK) {
-			t.Fatalf("BuildSoA kNN mismatch")
-		}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package spatial provides the fixed-radius neighbor indexes behind the
+// Package spatial provides the fixed-radius neighbor index behind the
 // geometry stage of the counting pipeline: a uniform voxel grid tuned for
-// DBSCAN-style ε-range queries, and the NeighborIndex interface that lets
-// the clustering and projection code run against either the grid or the
-// k-d tree (internal/kdtree) interchangeably.
+// DBSCAN-style ε-range queries, and the NeighborIndex interface the
+// clustering and projection code query it through (which is also where
+// the equivalence tests substitute the k-d tree oracle, internal/kdtree).
 //
 // The grid follows the classic observation of the DBSCAN literature
 // (Ester et al. 1996): when the query radius ε is known up front,
@@ -13,28 +13,47 @@
 // structure-gap coarse pass, DBSCAN expansion, and the projection
 // neighborhoods.
 //
-// Every implementation honors one neighbor-ordering contract, defined in
-// internal/kdtree: k-nearest-neighbor sets are the k smallest candidates
-// under ascending (Dist2, Index), ties broken by the lower cloud index,
-// and radius queries include points at exactly radius r. Under that
-// contract the grid and the tree return bit-identical results, which is
-// what the cluster package's partition-equivalence property tests pin.
+// One neighbor-ordering contract holds throughout: k-nearest-neighbor
+// sets are the k smallest candidates under ascending (Dist2, Index), ties
+// broken by the lower cloud index, and radius queries include points at
+// exactly radius r. internal/kdtree honors the same contract, so the grid
+// and the tree return bit-identical results, which is what the
+// grid-vs-tree property tests here and in the cluster package pin.
 package spatial
 
 import (
 	"math"
 
 	"hawccc/internal/geom"
-	"hawccc/internal/kdtree"
 )
 
 // Neighbor is a kNN query result: the cloud index of the point and its
-// squared distance from the query point. It is the k-d tree's Neighbor
-// type, aliased so both index implementations share one query signature.
-type Neighbor = kdtree.Neighbor
+// squared distance from the query point.
+type Neighbor struct {
+	Index int
+	Dist2 float64
+}
+
+// less is the total order on neighbors: ascending distance, ties broken
+// by the lower cloud index. A total order makes the k-nearest set a pure
+// function of the cloud and query, independent of traversal order.
+func less(a, b Neighbor) bool {
+	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
+}
+
+// sortNeighbors orders ns ascending under less. Insertion sort: k is
+// single digits on every hot path, and unlike sort.Slice it performs no
+// heap allocation, which the Into query variants rely on.
+func sortNeighbors(ns []Neighbor) {
+	for i := 1; i < len(ns); i++ {
+		for j := i; j > 0 && less(ns[j], ns[j-1]); j-- {
+			ns[j], ns[j-1] = ns[j-1], ns[j]
+		}
+	}
+}
 
 // NeighborIndex is the small query surface the geometry stage needs from
-// a spatial index. Both *Grid and *kdtree.Tree implement it.
+// a spatial index. *Grid implements it.
 //
 // The Into variants append into dst (callers typically pass dst[:0]) and
 // are allocation-free once dst has grown to the result size; RadiusInto's
@@ -55,10 +74,7 @@ type NeighborIndex interface {
 	KNNInto(dst []Neighbor, q geom.Point3, k int) []Neighbor
 }
 
-var (
-	_ NeighborIndex = (*Grid)(nil)
-	_ NeighborIndex = (*kdtree.Tree)(nil)
-)
+var _ NeighborIndex = (*Grid)(nil)
 
 // AutoCell picks a voxel edge length for kNN-style workloads over cloud:
 // under a uniform-density assumption it targets about k points per 3×3×3
@@ -73,16 +89,8 @@ func AutoCell(cloud geom.Cloud, k int) float64 {
 	return autoCellSized(cloud.Bounds().Size(), len(cloud), k)
 }
 
-// AutoCellSoA is AutoCell for a structure-of-arrays cloud.
-func AutoCellSoA(cloud *geom.CloudSoA, k int) float64 {
-	if cloud.Len() == 0 {
-		return 1
-	}
-	return autoCellSized(cloud.Bounds().Size(), cloud.Len(), k)
-}
-
-// autoCellSized is the shared heuristic: cell edge from the bounding-box
-// size and point count.
+// autoCellSized is AutoCell's heuristic over an already-computed
+// bounding-box size and point count.
 func autoCellSized(size geom.Point3, n, k int) float64 {
 	if k < 1 {
 		k = 1

@@ -107,24 +107,6 @@ func (b *ClusterBatch) AppendCloud(i int, dst geom.Cloud) geom.Cloud {
 	return dst
 }
 
-// AppendSoA dequantizes cluster i onto dst in structure-of-arrays
-// layout, for consumers feeding the vectorized geometry kernels.
-// float32 rounding here is ≤ ~6 µm at campus scale — far inside the
-// Scale/2 tolerance bound, but NOT bit-identical to AppendCloud, so the
-// backend's classify path must not use it (see classifyJobs and the
-// label-equivalence contract in DESIGN.md).
-func (b *ClusterBatch) AppendSoA(i int, dst *geom.CloudSoA) {
-	c := &b.Clusters[i]
-	dst.Grow(c.Len())
-	for j := range c.X {
-		dst.AppendXYZ(
-			float32(b.Origin.X+b.Scale*float64(c.X[j])),
-			float32(b.Origin.Y+b.Scale*float64(c.Y[j])),
-			float32(b.Origin.Z+b.Scale*float64(c.Z[j])),
-		)
-	}
-}
-
 // ClassifyResult returns the backend's per-cluster labels for one
 // ClusterBatch. Labels are positional: Labels[i] is true when cluster i
 // of the batch with the same (PoleID, Seq) was classified human.

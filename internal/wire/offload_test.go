@@ -60,11 +60,15 @@ func normalize(b ClusterBatch) ClusterBatch {
 }
 
 // TestClusterBatchTolerance pins the quantization contract: every
-// dequantized coordinate is within Scale/2 of the original.
+// dequantized coordinate is within Scale/2 of the original, at the
+// default scale a non-positive scale argument selects.
 func TestClusterBatchTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	clusters := randClusters(rng, 6)
-	b := BuildClusterBatch(1, 1, clusters, DefaultQuantScale)
+	b := BuildClusterBatch(1, 1, clusters, 0)
+	if b.Scale != DefaultQuantScale {
+		t.Fatalf("scale ≤ 0 should select DefaultQuantScale, got %g", b.Scale)
+	}
 	got, err := DecodeClusterBatch(EncodeClusterBatch(b))
 	if err != nil {
 		t.Fatal(err)
@@ -80,31 +84,6 @@ func TestClusterBatchTolerance(t *testing.T) {
 			q := back[j]
 			if math.Abs(p.X-q.X) > tol || math.Abs(p.Y-q.Y) > tol || math.Abs(p.Z-q.Z) > tol {
 				t.Fatalf("cluster %d point %d: %+v recovered as %+v, tolerance %g", i, j, p, q, tol)
-			}
-		}
-	}
-}
-
-// TestClusterBatchSoAMatchesCloud pins that the SoA dequantization path
-// the backend uses agrees with AppendCloud to float32 precision.
-func TestClusterBatchSoAMatchesCloud(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	b := BuildClusterBatch(1, 1, randClusters(rng, 3), 0)
-	if b.Scale != DefaultQuantScale {
-		t.Fatalf("scale ≤ 0 should select DefaultQuantScale, got %g", b.Scale)
-	}
-	for i := range b.Clusters {
-		var aos geom.Cloud
-		aos = b.AppendCloud(i, aos)
-		var soa geom.CloudSoA
-		b.AppendSoA(i, &soa)
-		if soa.Len() != len(aos) {
-			t.Fatalf("cluster %d: SoA %d points, AoS %d", i, soa.Len(), len(aos))
-		}
-		for j, p := range aos {
-			q := soa.At(j)
-			if float32(p.X) != float32(q.X) || float32(p.Y) != float32(q.Y) || float32(p.Z) != float32(q.Z) {
-				t.Fatalf("cluster %d point %d: SoA %+v vs AoS %+v", i, j, q, p)
 			}
 		}
 	}
