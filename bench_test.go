@@ -14,7 +14,6 @@ package hawccc
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -411,41 +410,6 @@ func BenchmarkQuantizationAblation(b *testing.B) {
 				_ = v.clf.PredictHuman(test[i%len(test)].Cloud)
 			}
 			b.ReportMetric(acc*100, "acc%")
-		})
-	}
-}
-
-// BenchmarkParallelFrames measures frame-pipeline throughput at several
-// worker counts — the measurement behind BENCH_parallel.json. Sub-
-// benchmark names carry the worker count so CI runs can diff scaling.
-func BenchmarkParallelFrames(b *testing.B) {
-	l := lab(b)
-	p := counting.New(l.HAWC())
-	frames := l.Frames()
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ev, err := counting.EvaluateParallel(p, frames, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(ev.MAE, "MAE")
-			}
-		})
-	}
-}
-
-// BenchmarkCountWorkers measures one frame's cluster-level fan-out: the
-// latency knob a pole node turns when a single frame must finish fast.
-func BenchmarkCountWorkers(b *testing.B) {
-	l := lab(b)
-	p := counting.New(l.HAWC())
-	frame := l.Frames()[0].Cloud
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = p.CountWorkers(frame, workers)
-			}
 		})
 	}
 }

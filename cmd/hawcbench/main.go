@@ -6,24 +6,16 @@
 //	hawcbench -exp table1,table5 -preset standard
 //	hawcbench -exp all -preset quick
 //
-// Experiments: table1 table2 table3 table4 table5 table6 fig4 fig6 fig8
-// (combined 8a+8b; fig8a/fig8b run the individual variants) fig9 fig10
-// fig11 parallel kernels stream fleet history offload thermal, or "all".
+// Experiments: the ids in experimentIDs below (hawcbench -h prints them),
+// or "all"; an id outside that list exits 1. fig8 is the combined 8a+8b;
+// fig8a/fig8b run the individual variants and only when named.
 // Presets: quick, standard, full.
 //
-// The parallel experiment sweeps frame-level worker counts and, with
-// -parallel-out, writes the machine-readable BENCH_parallel.json consumed
-// by the CI bench-smoke job. The kernels experiment sweeps the inference
-// kernel paths (naive scalar loops vs im2col/GEMM, float vs int8) over
-// batch sizes 1/8/32 and, with -kernels-out, writes BENCH_kernels.json.
-// The stream experiment compares the staged streaming scheduler against
-// the frame-at-a-time loop per worker count and, with -stream-out,
-// writes BENCH_stream.json. The fleet experiment stands up the campus
-// backend per pole count (10/100/1k/10k), streams synthetic reports from
-// a multiplexed fleet while dashboard query workers hammer the
-// snapshot-served HTTP query API, and, with -fleet-out, writes
-// BENCH_fleet.json (reports/sec, query QPS, p99 ingest and query latency,
-// report-conservation check).
+// The fleet experiment stands up the campus backend per pole count
+// (10/100/1k/10k), streams synthetic reports from a multiplexed fleet
+// while dashboard query workers hammer the snapshot-served HTTP query
+// API, and, with -fleet-out, writes BENCH_fleet.json (reports/sec, query
+// QPS, p99 ingest and query latency, report-conservation check).
 // The history experiment benchmarks the FTDC-style time-series store:
 // a store-level ingest sweep at 1k/10k poles (appends/sec, bytes/sample
 // and compression vs naive 16-byte float64 rows, conservation), a
@@ -54,13 +46,20 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"hawccc/internal/experiments"
-	"hawccc/internal/obs"
 )
+
+// experimentIDs is every id -exp accepts besides "all", in run order.
+var experimentIDs = []string{
+	"table1", "table2", "table3", "table4", "table5", "table6",
+	"fig4", "fig6", "fig8", "fig8a", "fig8b", "fig9", "fig10",
+	"fleet", "history", "offload", "thermal", "fig11",
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -70,10 +69,7 @@ func main() {
 }
 
 func run() error {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (table1..table6, fig4, fig6, fig8a, fig8b, fig9, fig10, fig11, parallel, kernels, stream, fleet, history, offload, thermal, all)")
-	parallelOut := flag.String("parallel-out", "", "write the parallel sweep as JSON to this path (e.g. BENCH_parallel.json)")
-	kernelsOut := flag.String("kernels-out", "", "write the kernels sweep as JSON to this path (e.g. BENCH_kernels.json)")
-	streamOut := flag.String("stream-out", "", "write the stream-vs-loop sweep as JSON to this path (e.g. BENCH_stream.json)")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids ("+validIDs()+")")
 	fleetOut := flag.String("fleet-out", "", "write the fleet-scale backend sweep as JSON to this path (e.g. BENCH_fleet.json)")
 	historyOut := flag.String("history-out", "", "write the history-store benchmark as JSON to this path (e.g. BENCH_history.json)")
 	offloadOut := flag.String("offload-out", "", "write the edge/cloud offload benchmark as JSON to this path (e.g. BENCH_offload.json)")
@@ -81,7 +77,6 @@ func run() error {
 	seed := flag.Int64("seed", 0, "override the preset's random seed")
 	pnEpochs := flag.Int("pn-epochs", 0, "override the preset's PointNet training epochs")
 	hawcEpochs := flag.Int("hawc-epochs", 0, "override the preset's HAWC training epochs")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address while experiments run (empty = off)")
 	verbose := flag.Bool("v", true, "print progress")
 	flag.Parse()
 
@@ -110,26 +105,14 @@ func run() error {
 	if *verbose {
 		lab.Log = os.Stderr
 	}
-	if *metricsAddr != "" {
-		// The bench pipelines register their stage histograms here, so a
-		// profiler can watch the sweep live (and grab pprof profiles of it).
-		lab.Obs = obs.NewRegistry()
-		ms, err := obs.Serve(*metricsAddr, lab.Obs)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Fprintln(os.Stderr, "metrics on", ms.URL())
-	}
-
 	// SIGINT/SIGTERM finish the experiment in flight, then skip the rest
 	// so artifacts flush and the process exits cleanly.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*expFlag, ",") {
-		wanted[strings.TrimSpace(strings.ToLower(id))] = true
+	wanted, err := parseExperiments(*expFlag)
+	if err != nil {
+		return err
 	}
 	all := wanted["all"]
 	runIt := func(id string) bool { return ctx.Err() == nil && (all || wanted[id]) }
@@ -254,30 +237,6 @@ func run() error {
 		}
 		fmt.Println()
 	}
-	if runIt("parallel") {
-		header("Parallel — frame-pipeline throughput sweep")
-		r := experiments.ParallelBench(lab)
-		fmt.Print(experiments.FormatParallel(r))
-		if err := writeArtifact(*parallelOut, "parallel-out", func(w io.Writer) error { return experiments.WriteParallelJSON(w, r) }); err != nil {
-			return err
-		}
-	}
-	if runIt("kernels") {
-		header("Kernels — inference kernel path sweep")
-		r := experiments.KernelsBench(lab)
-		fmt.Print(experiments.FormatKernels(r))
-		if err := writeArtifact(*kernelsOut, "kernels-out", func(w io.Writer) error { return experiments.WriteKernelsJSON(w, r) }); err != nil {
-			return err
-		}
-	}
-	if runIt("stream") {
-		header("Stream — staged scheduler vs frame-at-a-time loop")
-		r := experiments.StreamBench(lab)
-		fmt.Print(experiments.FormatStream(r))
-		if err := writeArtifact(*streamOut, "stream-out", func(w io.Writer) error { return experiments.WriteStreamJSON(w, r) }); err != nil {
-			return err
-		}
-	}
 	if runIt("fleet") {
 		header("Fleet — sharded backend + query API at 10/100/1k/10k poles")
 		r := experiments.FleetBench(lab)
@@ -322,6 +281,25 @@ func run() error {
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Second))
 	return nil
+}
+
+// validIDs renders experimentIDs plus "all" for the usage string and the
+// unknown-id error.
+func validIDs() string { return strings.Join(experimentIDs, ", ") + ", all" }
+
+// parseExperiments resolves the -exp comma list into the set of wanted
+// ids, rejecting any id that is neither in experimentIDs nor "all" — a
+// typo or a retired id must fail the run, not silently do nothing.
+func parseExperiments(list string) (map[string]bool, error) {
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id != "all" && !slices.Contains(experimentIDs, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, validIDs())
+		}
+		wanted[id] = true
+	}
+	return wanted, nil
 }
 
 // writeArtifact writes one experiment's JSON artifact to path, naming

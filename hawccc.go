@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"hawccc/internal/counting"
@@ -70,6 +69,12 @@ func DefaultTrainOptions() TrainOptions {
 // content and its network runs a stateless inference pass, so any number
 // of goroutines may share one Counter — the fan-out pattern for a pole
 // node serving several sensors.
+//
+// A frame is counted one of three ways, all producing bit-identical
+// counts: Count (one synchronous pass), Evaluate (a loop over Count), and
+// Stream (the staged scheduler). Count classifies a frame's clusters on
+// the pipeline's Parallelism goroutines — runtime.NumCPU() for every
+// Counter built here; a width of 1 or less classifies inline.
 type Counter struct {
 	pipeline   *counting.Pipeline
 	classifier *models.HAWC
@@ -122,42 +127,13 @@ func Train(samples []Sample, opts TrainOptions) (*Counter, error) {
 	return &Counter{pipeline: counting.New(h), classifier: h}, nil
 }
 
-// CountOptions configures how a frame (or frame set) is processed.
-type CountOptions struct {
-	// Parallelism is the number of worker goroutines: 0 or 1 processes
-	// sequentially, n > 1 fans work out across n goroutines. For Count
-	// the workers split one frame's clusters; for Evaluate they split the
-	// frame set. Results are identical at every setting — inference is
-	// deterministic per cluster — so Parallelism is purely a latency
-	// knob. Set it to the pole hardware's core count (the default).
-	Parallelism int
-}
-
-// DefaultCountOptions uses every core, the deployment configuration for a
-// pole node whose frame budget is the bottleneck.
-func DefaultCountOptions() CountOptions {
-	return CountOptions{Parallelism: runtime.NumCPU()}
-}
-
 // Count processes one raw LiDAR frame: ingestion, adaptive clustering,
-// per-cluster classification across all cores. A Counter is safe for
-// concurrent use: many goroutines may call Count on one shared Counter.
+// and per-cluster classification on the counter's worker width (see
+// Counter). A Counter is safe for concurrent use: many goroutines may call
+// Count on one shared Counter.
 func (c *Counter) Count(frame Cloud) Result {
 	r := c.pipeline.Count(frame)
 	return Result{Count: r.Count, Clusters: r.Clusters, Latency: r.Timing}
-}
-
-// CountWith is Count with explicit options for this call.
-func (c *Counter) CountWith(frame Cloud, opts CountOptions) Result {
-	r := c.pipeline.CountWorkers(frame, sequentialIfZero(opts.Parallelism))
-	return Result{Count: r.Count, Clusters: r.Clusters, Latency: r.Timing}
-}
-
-// CountParallel processes one frame with a full-width worker pool — an
-// explicit spelling of Count's default behavior, kept for callers that
-// tuned the pipeline's Parallelism down and want one fast frame.
-func (c *Counter) CountParallel(frame Cloud) Result {
-	return c.CountWith(frame, DefaultCountOptions())
 }
 
 // StreamOptions configures the staged streaming scheduler behind
@@ -243,15 +219,6 @@ func (c *Counter) StreamWith(ctx context.Context, frames <-chan Frame, opts Stre
 	return out
 }
 
-// sequentialIfZero maps the public options convention (0 = sequential) to
-// the pipeline's worker-count convention (0 = NumCPU).
-func sequentialIfZero(parallelism int) int {
-	if parallelism <= 0 {
-		return 1
-	}
-	return parallelism
-}
-
 // Quantize converts the counter's classifier to int8 inference using the
 // given calibration samples (typically ~100 training samples), returning
 // a new Counter. The original is unchanged.
@@ -313,22 +280,6 @@ func (c *Counter) Evaluate(frames []Frame) (Evaluation, error) {
 		return Evaluation{}, fmt.Errorf("hawccc: %w", err)
 	}
 	return Evaluation{MAE: ev.MAE, MSE: ev.MSE, Accuracy: ev.Accuracy()}, nil
-}
-
-// EvaluateWith runs the counter over labeled frames fanned out across
-// opts.Parallelism worker goroutines. MAE, MSE, and Accuracy are identical
-// to Evaluate's at every worker count; only the wall-clock time changes.
-func (c *Counter) EvaluateWith(frames []Frame, opts CountOptions) (Evaluation, error) {
-	ev, err := counting.EvaluateParallel(c.pipeline, frames, sequentialIfZero(opts.Parallelism))
-	if err != nil {
-		return Evaluation{}, fmt.Errorf("hawccc: %w", err)
-	}
-	return Evaluation{MAE: ev.MAE, MSE: ev.MSE, Accuracy: ev.Accuracy()}, nil
-}
-
-// EvaluateParallel is EvaluateWith at full core width.
-func (c *Counter) EvaluateParallel(frames []Frame) (Evaluation, error) {
-	return c.EvaluateWith(frames, DefaultCountOptions())
 }
 
 // EvaluateClassifier measures single-cluster detection accuracy on

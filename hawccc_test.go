@@ -111,33 +111,48 @@ func TestROIAndHelpers(t *testing.T) {
 	}
 }
 
+// streamAll pushes frames through c.Stream and collects the results.
+func streamAll(c *Counter, frames []Frame) []StreamResult {
+	in := make(chan Frame)
+	go func() {
+		defer close(in)
+		for _, f := range frames {
+			in <- f
+		}
+	}()
+	var out []StreamResult
+	for r := range c.Stream(context.Background(), in) {
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestCountDeterministicAcrossWorkers is the public determinism contract:
-// same frame → same count whether clusters are classified sequentially or
-// on 2 or 8 workers, and parallel evaluation reproduces sequential MAE/MSE
-// exactly.
+// same frame → same count whether clusters are classified inline or on 2
+// or 8 workers, Evaluate reproduces the sequential MAE/MSE exactly at
+// every width, and Stream delivers the same counts in input order.
 func TestCountDeterministicAcrossWorkers(t *testing.T) {
 	c, _ := trainSmall(t)
 	frames := GenerateFrames(5, 4, 1, 4)
+	c.pipeline.Parallelism = 1
+	want := make([]Result, len(frames))
 	for i, f := range frames {
-		want := c.CountWith(f.Cloud, CountOptions{Parallelism: 1})
-		for _, workers := range []int{2, 8} {
-			got := c.CountWith(f.Cloud, CountOptions{Parallelism: workers})
-			if got.Count != want.Count || got.Clusters != want.Clusters {
-				t.Errorf("frame %d at %d workers: count %d/%d clusters, sequential %d/%d",
-					i, workers, got.Count, got.Clusters, want.Count, want.Clusters)
-			}
-		}
-		if got := c.CountParallel(f.Cloud); got.Count != want.Count {
-			t.Errorf("frame %d: CountParallel %d != sequential %d", i, got.Count, want.Count)
-		}
+		want[i] = c.Count(f.Cloud)
 	}
-
-	seq, err := c.EvaluateWith(frames, CountOptions{Parallelism: 1})
+	seq, err := c.Evaluate(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := c.EvaluateWith(frames, CountOptions{Parallelism: workers})
+		c.pipeline.Parallelism = workers
+		for i, f := range frames {
+			got := c.Count(f.Cloud)
+			if got.Count != want[i].Count || got.Clusters != want[i].Clusters {
+				t.Errorf("frame %d at %d workers: count %d/%d clusters, sequential %d/%d",
+					i, workers, got.Count, got.Clusters, want[i].Count, want[i].Clusters)
+			}
+		}
+		par, err := c.Evaluate(frames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,21 +161,33 @@ func TestCountDeterministicAcrossWorkers(t *testing.T) {
 				workers, par.MAE, par.MSE, par.Accuracy, seq.MAE, seq.MSE, seq.Accuracy)
 		}
 	}
-	if par, err := c.EvaluateParallel(frames); err != nil || par.MAE != seq.MAE {
-		t.Errorf("EvaluateParallel = %+v, %v; want MAE %v", par, err, seq.MAE)
+	streamed := streamAll(c, frames)
+	if len(streamed) != len(frames) {
+		t.Fatalf("stream delivered %d results, want %d", len(streamed), len(frames))
+	}
+	for i, r := range streamed {
+		if r.Seq != uint64(i) || r.Count != want[i].Count || r.Clusters != want[i].Clusters {
+			t.Errorf("streamed result %d: seq %d count %d/%d clusters, sequential %d/%d",
+				i, r.Seq, r.Count, r.Clusters, want[i].Count, want[i].Clusters)
+		}
 	}
 }
 
 // TestConcurrentSharedCounter drives one shared Counter from 8 goroutines
-// mixing Count, CountParallel, and Evaluate; run under -race this is the
+// mixing Count, Stream, and Evaluate; run under -race this is the
 // load-bearing proof that the whole inference stack shares no mutable
 // state.
 func TestConcurrentSharedCounter(t *testing.T) {
 	c, _ := trainSmall(t)
+	c.pipeline.Parallelism = 2 // exercise the intra-frame pool on any host
 	frames := GenerateFrames(6, 4, 1, 3)
 	want := make([]int, len(frames))
 	for i, f := range frames {
 		want[i] = c.Count(f.Cloud).Count
+	}
+	wantEval, err := c.Evaluate(frames)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const goroutines = 8
@@ -171,25 +198,25 @@ func TestConcurrentSharedCounter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range frames {
-				i := (k + g) % len(frames)
-				var got Result
-				switch g % 3 {
-				case 0:
-					got = c.Count(frames[i].Cloud)
-				case 1:
-					got = c.CountParallel(frames[i].Cloud)
-				default:
-					got = c.CountWith(frames[i].Cloud, CountOptions{Parallelism: 2})
+			switch g % 3 {
+			case 0:
+				for k := range frames {
+					i := (k + g) % len(frames)
+					if got := c.Count(frames[i].Cloud); got.Count != want[i] {
+						errs <- fmt.Errorf("goroutine %d frame %d: count %d, want %d", g, i, got.Count, want[i])
+						return
+					}
 				}
-				if got.Count != want[i] {
-					errs <- fmt.Errorf("goroutine %d frame %d: count %d, want %d", g, i, got.Count, want[i])
-					return
+			case 1:
+				for _, r := range streamAll(c, frames) {
+					if r.Count != want[r.Seq] {
+						errs <- fmt.Errorf("goroutine %d streamed frame %d: count %d, want %d", g, r.Seq, r.Count, want[r.Seq])
+						return
+					}
 				}
-			}
-			if g == 0 {
-				if _, err := c.EvaluateParallel(frames); err != nil {
-					errs <- err
+			default:
+				if ev, err := c.Evaluate(frames); err != nil || ev != wantEval {
+					errs <- fmt.Errorf("goroutine %d: Evaluate = %+v, %v; want %+v", g, ev, err, wantEval)
 				}
 			}
 		}()
@@ -205,19 +232,15 @@ func TestStreamMatchesCount(t *testing.T) {
 	c, _ := trainSmall(t)
 	frames := GenerateFrames(5, 6, 1, 4)
 
-	in := make(chan Frame)
-	go func() {
-		defer close(in)
-		for _, f := range frames {
-			in <- f
-		}
-	}()
-	i := 0
-	for r := range c.Stream(context.Background(), in) {
+	results := streamAll(c, frames)
+	if len(results) != len(frames) {
+		t.Fatalf("stream delivered %d results, want %d", len(results), len(frames))
+	}
+	for i, r := range results {
 		if r.Seq != uint64(i) {
 			t.Errorf("result %d arrived with seq %d — out of order", i, r.Seq)
 		}
-		want := c.CountWith(frames[i].Cloud, CountOptions{Parallelism: 1})
+		want := c.Count(frames[i].Cloud)
 		if r.Count != want.Count || r.Clusters != want.Clusters {
 			t.Errorf("frame %d: streamed count=%d clusters=%d, Count gave %d/%d",
 				i, r.Count, r.Clusters, want.Count, want.Clusters)
@@ -225,10 +248,6 @@ func TestStreamMatchesCount(t *testing.T) {
 		if r.E2E <= 0 || r.Latency.Total() <= 0 {
 			t.Errorf("frame %d: missing latency (E2E=%v total=%v)", i, r.E2E, r.Latency.Total())
 		}
-		i++
-	}
-	if i != len(frames) {
-		t.Fatalf("stream delivered %d results, want %d", i, len(frames))
 	}
 }
 

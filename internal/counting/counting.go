@@ -161,11 +161,13 @@ type Pipeline struct {
 	// pattern, mirroring dataset.MinVisiblePoints.
 	MinClusterPoints int
 	// Parallelism is the number of goroutines classifying clusters inside
-	// one Count call. 0 or 1 runs sequentially (the bit-identical
-	// fallback); New sets runtime.NumCPU(), matching pole hardware where
-	// every core counts toward the frame budget. Values above 1 require a
-	// Classifier that is safe for concurrent PredictHuman calls — every
-	// classifier in internal/models is, once trained.
+	// one Count call. 1 or less classifies inline on the calling goroutine;
+	// New sets runtime.NumCPU(), matching pole hardware where every core
+	// counts toward the frame budget. Counts are identical at every value —
+	// classification is deterministic per cluster and aggregation is
+	// order-independent. Values above 1 require a Classifier that is safe
+	// for concurrent PredictHuman calls — every classifier in
+	// internal/models is, once trained.
 	Parallelism int
 	// BatchSize is how many clusters go into one forward pass when the
 	// Classifier implements models.BatchClassifier: workers take a batch
@@ -219,9 +221,9 @@ type pipelineObs struct {
 
 // Instrument registers the pipeline's metrics in reg and starts recording
 // per-frame stage spans, cluster label counts, and classify queue waits.
-// extra labels are attached to every series (benchmarks label by worker
-// count, a multi-tenant deployment might label by sensor). It returns p
-// for chaining; a nil registry leaves the pipeline uninstrumented.
+// extra labels are attached to every series (a multi-tenant deployment
+// might label by sensor). It returns p for chaining; a nil registry
+// leaves the pipeline uninstrumented.
 func (p *Pipeline) Instrument(reg *obs.Registry, extra ...obs.Label) *Pipeline {
 	if reg == nil {
 		return p
@@ -255,21 +257,6 @@ func (p *Pipeline) Instrument(reg *obs.Registry, extra ...obs.Label) *Pipeline {
 			"time a cluster batch waits for a classify worker", obs.LatencyBuckets(), extra...),
 	}
 	return p
-}
-
-// StageHistograms exposes the pipeline's stage instruments keyed by stage
-// name ("roi", "ground", "cluster", "classify", "total", "queue_wait");
-// values are nil on an uninstrumented pipeline. Benchmarks snapshot these
-// to report p50/p95/p99 per stage.
-func (p *Pipeline) StageHistograms() map[string]*obs.Histogram {
-	return map[string]*obs.Histogram{
-		"roi":        p.m.roi,
-		"ground":     p.m.ground,
-		"cluster":    p.m.cluster,
-		"classify":   p.m.classify,
-		"total":      p.m.total,
-		"queue_wait": p.m.queueWait,
-	}
 }
 
 // DefaultBatchSize is the cluster batch per forward pass when BatchSize
@@ -360,31 +347,20 @@ func releaseJob(j *streamJob) {
 // Parallelism goroutines. A pipeline without a classifier returns a zero
 // Result rather than panicking, so a misconfigured pole node degrades to
 // reporting an empty walkway instead of crashing its capture loop.
-func (p *Pipeline) Count(frame geom.Cloud) Result {
-	return p.CountWorkers(frame, p.Parallelism)
-}
-
-// CountWorkers is Count with an explicit worker count for this call only:
-// 0 or negative selects runtime.NumCPU(), 1 runs sequentially. The result
-// is identical at any worker count — classification is deterministic per
-// cluster and aggregation is order-independent.
 //
-// Count and CountWorkers are one-shot synchronous passes of the same
-// stage executors the streaming scheduler (Stream/StreamWith) drives, so
-// the frame-at-a-time and streaming paths cannot diverge: a frame
-// produces bit-identical Count/Clusters/Noise either way.
-func (p *Pipeline) CountWorkers(frame geom.Cloud, workers int) Result {
+// Count is a one-shot synchronous pass of the same stage executors the
+// streaming scheduler (Stream/StreamWith) drives, so the frame-at-a-time
+// and streaming paths cannot diverge: a frame produces bit-identical
+// Count/Clusters/Noise either way.
+func (p *Pipeline) Count(frame geom.Cloud) Result {
 	if p.Classifier == nil {
 		return Result{}
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	j := acquireJob()
 	j.frame = frame
 	p.stageIngest(j)
 	p.stageCluster(j)
-	p.stageClassify(j, workers)
+	p.stageClassify(j, p.Parallelism)
 	res := j.res
 	releaseJob(j)
 	p.observeFrame(res)
@@ -651,59 +627,19 @@ func (e Evaluation) Accuracy() float64 {
 // Evaluate runs the pipeline over labeled frames one at a time (each frame
 // still classifies its clusters on p.Parallelism workers).
 func Evaluate(p *Pipeline, frames []dataset.Frame) (Evaluation, error) {
-	return EvaluateParallel(p, frames, 1)
-}
-
-// EvaluateParallel runs the pipeline over labeled frames on the given
-// number of worker goroutines; 0 or negative selects runtime.NumCPU().
-// Predicted and Truth stay in input order regardless of which worker
-// finishes first, and — because per-cluster classification is
-// deterministic — MAE and MSE are identical at any worker count. With
-// more than one frame worker, each frame is counted sequentially inside
-// its worker so the two levels of parallelism don't oversubscribe the
-// cores.
-func EvaluateParallel(p *Pipeline, frames []dataset.Frame, workers int) (Evaluation, error) {
 	if len(frames) == 0 {
 		return Evaluation{}, errors.New("counting: no frames")
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(frames) {
-		workers = len(frames)
 	}
 	ev := Evaluation{
 		Predicted: make([]float64, len(frames)),
 		Truth:     make([]float64, len(frames)),
 	}
 	lat := make([]float64, len(frames))
-	count := func(i int, clusterWorkers int) {
-		r := p.CountWorkers(frames[i].Cloud, clusterWorkers)
+	for i := range frames {
+		r := p.Count(frames[i].Cloud)
 		ev.Predicted[i] = float64(r.Count)
 		ev.Truth[i] = float64(frames[i].Count)
 		lat[i] = float64(r.Timing.Total())
-	}
-	if workers <= 1 {
-		for i := range frames {
-			count(i, p.Parallelism)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(frames) {
-						return
-					}
-					count(i, 1)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	ev.MAE = metrics.MAE(ev.Predicted, ev.Truth)
 	ev.MSE = metrics.MSE(ev.Predicted, ev.Truth)

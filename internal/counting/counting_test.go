@@ -166,48 +166,15 @@ func TestCountDeterministicAcrossWorkerCounts(t *testing.T) {
 	frames := g.CrowdFrames(4, 2, 5, 2)
 	p := New(heightStub{})
 	for i, f := range frames {
-		want := p.CountWorkers(f.Cloud, 1)
-		for _, workers := range []int{2, 8, 0} { // 0 = NumCPU
-			got := p.CountWorkers(f.Cloud, workers)
+		p.Parallelism = 1
+		want := p.Count(f.Cloud)
+		for _, workers := range []int{2, 8, 0} { // 0 = sequential, like 1
+			p.Parallelism = workers
+			got := p.Count(f.Cloud)
 			if got.Count != want.Count || got.Clusters != want.Clusters || got.Noise != want.Noise {
 				t.Errorf("frame %d at %d workers: %+v, sequential %+v", i, workers, got, want)
 			}
 		}
-	}
-}
-
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	g := dataset.NewGenerator(8)
-	frames := g.CrowdFrames(6, 1, 4, 1)
-	p := New(heightStub{})
-	seq, err := EvaluateParallel(p, frames, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8, 0} {
-		par, err := EvaluateParallel(p, frames, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.MAE != seq.MAE || par.MSE != seq.MSE {
-			t.Errorf("%d workers: MAE/MSE %v/%v, sequential %v/%v",
-				workers, par.MAE, par.MSE, seq.MAE, seq.MSE)
-		}
-		for i := range seq.Predicted {
-			if par.Predicted[i] != seq.Predicted[i] {
-				t.Fatalf("%d workers: Predicted[%d] = %v out of input order (want %v)",
-					workers, i, par.Predicted[i], seq.Predicted[i])
-			}
-			if par.Truth[i] != seq.Truth[i] {
-				t.Fatalf("%d workers: Truth[%d] out of input order", workers, i)
-			}
-		}
-		if par.MeanLatency <= 0 {
-			t.Error("parallel evaluation lost per-frame latency")
-		}
-	}
-	if _, err := EvaluateParallel(p, nil, 4); err == nil {
-		t.Error("empty frame set accepted")
 	}
 }
 
@@ -220,6 +187,17 @@ func TestNewPipelineDefaultsToAllCores(t *testing.T) {
 	var zero Pipeline
 	if zero.Parallelism != 0 {
 		t.Error("zero pipeline must default to sequential")
+	}
+}
+
+// stageHistograms returns the four per-stage span histograms of p keyed
+// by stage name; values are nil on an uninstrumented pipeline.
+func stageHistograms(p *Pipeline) map[string]*obs.Histogram {
+	return map[string]*obs.Histogram{
+		"roi":      p.m.roi,
+		"ground":   p.m.ground,
+		"cluster":  p.m.cluster,
+		"classify": p.m.classify,
 	}
 }
 
@@ -251,14 +229,16 @@ func TestBatchedCountMatchesSequential(t *testing.T) {
 	g := dataset.NewGenerator(10)
 	frames := g.CrowdFrames(4, 2, 6, 2)
 	plain := New(heightStub{})
+	plain.Parallelism = 1
 	for i, f := range frames {
-		want := plain.CountWorkers(f.Cloud, 1)
+		want := plain.Count(f.Cloud)
 		for _, bs := range []int{1, 3, 0} { // 0 = DefaultBatchSize
 			for _, workers := range []int{1, 2, 8} {
 				stub := &batchStub{}
 				p := New(stub)
 				p.BatchSize = bs
-				got := p.CountWorkers(f.Cloud, workers)
+				p.Parallelism = workers
+				got := p.Count(f.Cloud)
 				if got.Count != want.Count || got.Clusters != want.Clusters {
 					t.Errorf("frame %d bs=%d workers=%d: %+v, per-cluster %+v", i, bs, workers, got, want)
 				}
@@ -291,8 +271,8 @@ func TestInstrumentedPipelineRecordsSpans(t *testing.T) {
 
 	totalClusters := 0
 	for i, f := range frames {
-		want := plain.CountWorkers(f.Cloud, 1)
-		got := p.CountWorkers(f.Cloud, 1)
+		want := plain.Count(f.Cloud)
+		got := p.Count(f.Cloud)
 		if got.Count != want.Count || got.Clusters != want.Clusters {
 			t.Errorf("frame %d: instrumented %+v differs from plain %+v", i, got, want)
 		}
@@ -311,8 +291,7 @@ func TestInstrumentedPipelineRecordsSpans(t *testing.T) {
 	if humans+objects != uint64(totalClusters) {
 		t.Errorf("human %d + object %d clusters != evaluated %d", humans, objects, totalClusters)
 	}
-	for _, stage := range []string{"roi", "ground", "cluster", "classify"} {
-		h := p.StageHistograms()[stage]
+	for stage, h := range stageHistograms(p) {
 		if h == nil {
 			t.Fatalf("stage %q histogram missing", stage)
 		}
@@ -320,17 +299,15 @@ func TestInstrumentedPipelineRecordsSpans(t *testing.T) {
 			t.Errorf("stage %q observed %d frames, want %d", stage, s.Count, len(frames))
 		}
 	}
-	if s := p.StageHistograms()["total"].Snapshot(); s.Count != uint64(len(frames)) || s.Sum <= 0 {
+	if s := p.m.total.Snapshot(); s.Count != uint64(len(frames)) || s.Sum <= 0 {
 		t.Errorf("total histogram count=%d sum=%g", s.Count, s.Sum)
 	}
 }
 
 func TestUninstrumentedPipelineHasNilStageHistograms(t *testing.T) {
 	p := New(heightStub{})
-	for stage, h := range p.StageHistograms() {
-		if h != nil {
-			t.Errorf("stage %q non-nil on uninstrumented pipeline", stage)
-		}
+	if p.m != (pipelineObs{}) {
+		t.Errorf("uninstrumented pipeline holds instruments: %+v", p.m)
 	}
 	// Instrument with a nil registry stays uninstrumented and still counts.
 	p.Instrument(nil)
@@ -347,11 +324,12 @@ func TestQueueWaitRecordedOnParallelClassify(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := New(heightStub{}).Instrument(reg)
 	p.BatchSize = 1 // one cluster per batch: forces multiple handouts
-	r := p.CountWorkers(f.Cloud, 4)
+	p.Parallelism = 4
+	r := p.Count(f.Cloud)
 	if r.Clusters < 2 {
 		t.Skipf("frame produced %d clusters; need ≥2 for the parallel path", r.Clusters)
 	}
-	qw := p.StageHistograms()["queue_wait"].Snapshot()
+	qw := p.m.queueWait.Snapshot()
 	if qw.Count != uint64(r.Clusters) {
 		t.Errorf("queue-wait observations = %d, want one per batch = %d", qw.Count, r.Clusters)
 	}
@@ -361,9 +339,16 @@ func TestQueueWaitRecordedOnParallelClassify(t *testing.T) {
 	if r.Timing.QueueWait > r.Timing.Classify {
 		t.Errorf("queue wait %v exceeds classify stage %v", r.Timing.QueueWait, r.Timing.Classify)
 	}
-	// Sequential classification records no queue wait.
-	seq := p.CountWorkers(f.Cloud, 1)
-	if seq.Timing.QueueWait != 0 {
-		t.Errorf("sequential path recorded queue wait %v", seq.Timing.QueueWait)
+	// Sequential classification — Parallelism 1 and the zero value alike —
+	// records no queue wait.
+	for _, workers := range []int{1, 0} {
+		p.Parallelism = workers
+		seq := p.Count(f.Cloud)
+		if seq.Timing.QueueWait != 0 {
+			t.Errorf("Parallelism=%d recorded queue wait %v", workers, seq.Timing.QueueWait)
+		}
+		if got := p.m.queueWait.Snapshot().Count; got != qw.Count {
+			t.Errorf("Parallelism=%d added %d queue-wait observations", workers, got-qw.Count)
+		}
 	}
 }

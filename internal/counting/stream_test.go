@@ -27,8 +27,9 @@ func TestCountMatchesGolden(t *testing.T) {
 	frames := goldenInput()
 	p := New(heightStub{})
 	for workers := 1; workers <= 4; workers *= 2 {
+		p.Parallelism = workers
 		for i, f := range frames {
-			r := p.CountWorkers(f.Cloud, workers)
+			r := p.Count(f.Cloud)
 			g := goldenFrames[i]
 			if r.Count != g.count || r.Clusters != g.clusters || r.Noise != g.noise {
 				t.Errorf("workers=%d frame %d: got {%d %d %d}, golden {%d %d %d}",
@@ -198,16 +199,17 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 	frames := goldenInput()
 	p := New(heightStub{})
+	p.Parallelism = 1
 
 	// Warm the job pool and the scratch buffers across every frame shape
 	// the window replays, then demand allocation-free steady state.
 	want := make([]int, len(frames))
 	for i := range frames {
-		want[i] = p.CountWorkers(frames[i].Cloud, 1).Count
+		want[i] = p.Count(frames[i].Cloud).Count
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := range frames {
-			if r := p.CountWorkers(frames[i].Cloud, 1); r.Count != want[i] {
+			if r := p.Count(frames[i].Cloud); r.Count != want[i] {
 				t.Errorf("frame %d count drifted: %d vs %d", i, r.Count, want[i])
 			}
 		}
@@ -226,11 +228,11 @@ func TestTimingTotalMatchesObservedSpans(t *testing.T) {
 	f := goldenInput()[0]
 	reg := obs.NewRegistry()
 	p := New(heightStub{}).Instrument(reg)
-	r := p.CountWorkers(f.Cloud, 1)
+	r := p.Count(f.Cloud)
 
 	stageSum := 0.0
-	for _, stage := range []string{"roi", "ground", "cluster", "classify"} {
-		s := p.StageHistograms()[stage].Snapshot()
+	for stage, h := range stageHistograms(p) {
+		s := h.Snapshot()
 		if s.Count != 1 {
 			t.Fatalf("stage %q observed %d spans, want 1", stage, s.Count)
 		}
@@ -241,7 +243,7 @@ func TestTimingTotalMatchesObservedSpans(t *testing.T) {
 	if diff := stageSum - total; diff > eps || diff < -eps {
 		t.Errorf("observed stage spans sum to %.9fs, Timing.Total() = %.9fs", stageSum, total)
 	}
-	if s := p.StageHistograms()["total"].Snapshot(); s.Count != 1 || s.Sum-total > eps || total-s.Sum > eps {
+	if s := p.m.total.Snapshot(); s.Count != 1 || s.Sum-total > eps || total-s.Sum > eps {
 		t.Errorf("total histogram sum %.9fs (count %d), want %.9fs", s.Sum, s.Count, total)
 	}
 }

@@ -316,120 +316,6 @@ func TestConfigPresets(t *testing.T) {
 	}
 }
 
-func TestParallelBench(t *testing.T) {
-	r := ParallelBench(sharedLab)
-	if r.NumCPU < 1 || r.Frames == 0 || len(r.Rows) < 2 {
-		t.Fatalf("degenerate sweep: %+v", r)
-	}
-	if r.Rows[0].Workers != 1 {
-		t.Fatalf("sweep must start at 1 worker, got %d", r.Rows[0].Workers)
-	}
-	seen := map[int]bool{}
-	for i, row := range r.Rows {
-		if seen[row.Workers] {
-			t.Errorf("duplicate worker count %d", row.Workers)
-		}
-		seen[row.Workers] = true
-		if row.FramesPerSec <= 0 || row.MeanTotalMs <= 0 {
-			t.Errorf("row %d: no throughput/latency recorded: %+v", i, row)
-		}
-		// The determinism contract: every sweep point re-counts the same
-		// frames, so MAE must be bit-identical across worker counts.
-		if row.MAE != r.Rows[0].MAE {
-			t.Errorf("workers=%d: MAE %v differs from sequential %v",
-				row.Workers, row.MAE, r.Rows[0].MAE)
-		}
-		// Every row embeds the per-stage latency quantiles.
-		for _, stage := range []string{"roi", "ground", "cluster", "classify", "total", "queue_wait"} {
-			q, ok := row.Stages[stage]
-			if !ok {
-				t.Errorf("workers=%d: stage %q missing from quantiles", row.Workers, stage)
-				continue
-			}
-			if q.P50Ms > q.P95Ms || q.P95Ms > q.P99Ms {
-				t.Errorf("workers=%d stage %s: quantiles not ordered: %+v", row.Workers, stage, q)
-			}
-		}
-		if q := row.Stages["total"]; q.P50Ms <= 0 {
-			t.Errorf("workers=%d: total p50 = %v, want > 0", row.Workers, q.P50Ms)
-		}
-	}
-	if !seen[2] || !seen[4] {
-		t.Errorf("sweep must include 2 and 4 workers: %+v", r.Rows)
-	}
-	if r.Rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %v, want 1", r.Rows[0].Speedup)
-	}
-
-	if s := FormatParallel(r); !strings.Contains(s, "Frames/s") {
-		t.Error("format output incomplete")
-	}
-	var buf bytes.Buffer
-	if err := WriteParallelJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var decoded ParallelResult
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if decoded.NumCPU != r.NumCPU || len(decoded.Rows) != len(r.Rows) {
-		t.Errorf("JSON round-trip lost data: %+v", decoded)
-	}
-	if !strings.Contains(buf.String(), `"stage_quantiles"`) {
-		t.Error("artifact missing stage_quantiles")
-	}
-	if got := decoded.Rows[0].Stages["total"].P50Ms; got != r.Rows[0].Stages["total"].P50Ms {
-		t.Errorf("stage quantiles lost in round-trip: %v", got)
-	}
-}
-
-func TestStreamBench(t *testing.T) {
-	r := StreamBench(sharedLab)
-	if r.NumCPU < 1 || r.Frames == 0 || r.Trials < 1 || r.Passes < 1 || r.QueueDepth < 1 || len(r.Rows) < 2 {
-		t.Fatalf("degenerate sweep: %+v", r)
-	}
-	if r.Rows[0].Workers != 1 {
-		t.Fatalf("sweep must start at 1 worker, got %d", r.Rows[0].Workers)
-	}
-	for i, row := range r.Rows {
-		if row.LoopFramesPerSec <= 0 || row.StreamFramesPerSec <= 0 {
-			t.Errorf("row %d: missing throughput: %+v", i, row)
-		}
-		if row.LoopP50Ms <= 0 || row.StreamP50Ms <= 0 ||
-			row.LoopP50Ms > row.LoopP99Ms || row.StreamP50Ms > row.StreamP99Ms {
-			t.Errorf("row %d: latency percentiles inconsistent: %+v", i, row)
-		}
-		// The bit-equivalence contract between the loop and the scheduler.
-		if row.StreamMAE != row.LoopMAE {
-			t.Errorf("workers=%d: stream MAE %v differs from loop MAE %v",
-				row.Workers, row.StreamMAE, row.LoopMAE)
-		}
-	}
-	last := r.Rows[len(r.Rows)-1]
-	if r.StreamSpeedupMaxWorkers != last.Speedup {
-		t.Errorf("gate field %v does not match widest row's speedup %v",
-			r.StreamSpeedupMaxWorkers, last.Speedup)
-	}
-
-	if s := FormatStream(r); !strings.Contains(s, "stream speedup at max workers") {
-		t.Error("format output incomplete")
-	}
-	var buf bytes.Buffer
-	if err := WriteStreamJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var decoded StreamBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"stream_speedup_max_workers"`) {
-		t.Error("artifact missing the CI gate field")
-	}
-	if decoded.StreamSpeedupMaxWorkers != r.StreamSpeedupMaxWorkers || len(decoded.Rows) != len(r.Rows) {
-		t.Errorf("JSON round-trip lost data: %+v", decoded)
-	}
-}
-
 // TestFleetRowQuick runs one small fleet point end to end: reports over
 // multiplexed conns, concurrent query load, and the conservation check.
 // The full 10k-pole sweep belongs to hawcbench/CI, not the unit tests.

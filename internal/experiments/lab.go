@@ -13,7 +13,6 @@ import (
 
 	"hawccc/internal/dataset"
 	"hawccc/internal/models"
-	"hawccc/internal/obs"
 )
 
 // Config controls dataset sizes and training budgets.
@@ -86,11 +85,6 @@ type Lab struct {
 	Cfg Config
 	// Log, if non-nil, receives progress lines during expensive steps.
 	Log io.Writer
-	// Obs, if non-nil, is the registry benchmark pipelines register their
-	// stage histograms in, so a live /metrics endpoint exposes the same
-	// series the JSON artifacts embed. Nil makes each bench use a private
-	// registry.
-	Obs *obs.Registry
 
 	once struct {
 		split, frames, pools              sync.Once

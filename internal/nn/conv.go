@@ -58,11 +58,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // apply computes the convolution of x into out ([N, H, W, Cout], fully
 // overwritten) via im2col + packed GEMM: the kernel weights [KH·KW·Cin,
 // Cout] are packed once per call, then each image is lowered to its patch
-// matrix and multiplied. The im2col tap order matches applyNaive's
-// accumulation order and the GEMM accumulates k ascending, so the output
-// is bit-identical to the scalar reference. Workspace comes from the
-// scratch arena; apply reads only the layer parameters, so it is safe to
-// call concurrently from multiple goroutines (with distinct scratches).
+// matrix and multiplied. The im2col tap order matches the accumulation
+// order of the scalar reference (applyNaive in naive_test.go) and the GEMM
+// accumulates k ascending, so the output is bit-identical to it. Workspace
+// comes from the scratch arena; apply reads only the layer parameters, so
+// it is safe to call concurrently from multiple goroutines (with distinct
+// scratches).
 func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	k := c.KH * c.KW * c.Cin
@@ -73,51 +74,6 @@ func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
 	for ni := 0; ni < n; ni++ {
 		kernels.Im2col(h, w, c.Cin, c.KH, c.KW, x.Data[ni*m*c.Cin:(ni+1)*m*c.Cin], col)
 		kernels.GemmPacked(m, c.Cout, k, col, bp, bd, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout])
-	}
-}
-
-// applyNaive is the scalar reference convolution, retained to pin the
-// GEMM path bit-for-bit in tests and to measure its speedup in the
-// kernels benchmark. It deliberately has no data-dependent shortcuts
-// (a zero-activation skip once lived here): latency must not depend on
-// input sparsity, or benchmarks and the pole's frame budget drift with
-// scene content.
-func (c *Conv2D) applyNaive(x, out *tensor.Tensor) {
-	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	ph, pw := c.KH/2, c.KW/2
-	wd, bd := c.W.Value.Data, c.B.Value.Data
-
-	for ni := 0; ni < n; ni++ {
-		inBase := ni * h * w * c.Cin
-		outBase := ni * h * w * c.Cout
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				oi := out.Data[outBase+(y*w+xx)*c.Cout:]
-				oi = oi[:c.Cout]
-				copy(oi, bd)
-				for ky := 0; ky < c.KH; ky++ {
-					iy := y + ky - ph
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < c.KW; kx++ {
-						ix := xx + kx - pw
-						if ix < 0 || ix >= w {
-							continue
-						}
-						in := x.Data[inBase+(iy*w+ix)*c.Cin:]
-						wBase := (ky*c.KW + kx) * c.Cin * c.Cout
-						for ci := 0; ci < c.Cin; ci++ {
-							xv := in[ci]
-							wk := wd[wBase+ci*c.Cout : wBase+(ci+1)*c.Cout]
-							for co := range oi {
-								oi[co] += xv * wk[co]
-							}
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -55,9 +55,9 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // GEMM. Below kernels.PackMinRows the kernel runs its direct loop —
 // packing the weights cannot pay off at batch 1 — so no pack buffer is
 // drawn in that case. Both kernel paths accumulate bias-first, k
-// ascending, making the result bit-identical to applyNaive. apply reads
-// only the layer parameters, so it is safe to call concurrently (with
-// distinct scratches).
+// ascending, making the result bit-identical to the scalar reference
+// (applyNaive in naive_test.go). apply reads only the layer parameters, so
+// it is safe to call concurrently (with distinct scratches).
 func (d *Dense) apply(x, out *tensor.Tensor, s *Scratch) {
 	n := x.Dim(0)
 	var pack []float32
@@ -65,25 +65,6 @@ func (d *Dense) apply(x, out *tensor.Tensor, s *Scratch) {
 		pack = s.slice(kernels.PackedLen(d.In, d.Out))
 	}
 	kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, pack)
-}
-
-// applyNaive is the scalar reference, retained to pin the GEMM path bit
-// for bit and to benchmark against. Like Conv2D.applyNaive it has no
-// zero-activation skip: latency must not depend on input sparsity.
-func (d *Dense) applyNaive(x, out *tensor.Tensor) {
-	n := x.Dim(0)
-	w, b := d.W.Value.Data, d.B.Value.Data
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*d.In : (i+1)*d.In]
-		oi := out.Data[i*d.Out : (i+1)*d.Out]
-		copy(oi, b)
-		for k, xv := range xi {
-			wk := w[k*d.Out : (k+1)*d.Out]
-			for j := range oi {
-				oi[j] += xv * wk[j]
-			}
-		}
-	}
 }
 
 // Backward implements Layer.

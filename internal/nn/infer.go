@@ -29,9 +29,6 @@ import (
 type Scratch struct {
 	bufs [][]float32
 	next int
-	// naive selects the scalar reference kernels instead of the
-	// im2col/GEMM path (see Sequential.InferNaive).
-	naive bool
 }
 
 // reset rewinds the arena so the next pass reuses the same buffers.
@@ -102,21 +99,8 @@ type Inferencer interface {
 // implement Inferencer fall back to Forward and forfeit the concurrency
 // guarantee for the whole model.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return s.inferWith(x, false)
-}
-
-// InferNaive is Infer routed through the scalar reference kernels instead
-// of the im2col/GEMM path. It exists to measure the kernel speedup
-// (hawcbench -exp kernels, the nn microbenchmarks) and to pin the two
-// paths together in tests; its outputs are bit-identical to Infer's.
-func (s *Sequential) InferNaive(x *tensor.Tensor) *tensor.Tensor {
-	return s.inferWith(x, true)
-}
-
-func (s *Sequential) inferWith(x *tensor.Tensor, naive bool) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
-	sc.naive = naive
 	for _, l := range s.Layers {
 		if inf, ok := l.(Inferencer); ok {
 			x = inf.Infer(x, sc)
@@ -125,7 +109,6 @@ func (s *Sequential) inferWith(x *tensor.Tensor, naive bool) *tensor.Tensor {
 		}
 	}
 	out := x.Clone()
-	sc.naive = false
 	scratchPool.Put(sc)
 	return out
 }
@@ -136,11 +119,7 @@ func (c *Conv2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N, H, W, %d]", x.Shape, c.Cin))
 	}
 	out := s.uninit(x.Dim(0), x.Dim(1), x.Dim(2), c.Cout)
-	if s.naive {
-		c.applyNaive(x, out)
-	} else {
-		c.apply(x, out, s)
-	}
+	c.apply(x, out, s)
 	return out
 }
 
@@ -151,11 +130,7 @@ func (d *Dense) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense input %v, want [N, %d]", x.Shape, d.In))
 	}
 	out := s.uninit(n, d.Out)
-	if s.naive {
-		d.applyNaive(x, out)
-	} else {
-		d.apply(x, out, s)
-	}
+	d.apply(x, out, s)
 	return out
 }
 

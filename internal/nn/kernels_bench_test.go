@@ -9,8 +9,8 @@ import (
 )
 
 // Microbenchmarks for the inference kernels at HAWC's real layer shapes
-// (17×17×7 input, 3×3 convs, Dense 1024→128). The hawcbench -exp kernels
-// sweep measures whole-network throughput; these isolate single layers:
+// (17×17×7 input, 3×3 convs, Dense 1024→128), GEMM path against the
+// scalar reference — the one remaining kernel speed comparison:
 //
 //	go test ./internal/nn -bench 'Conv|Dense' -benchmem
 

@@ -143,13 +143,13 @@ func TestInferNaiveMatchesInfer(t *testing.T) {
 	sparsify(rng, x, 0.4)
 	fwd := m.Forward(x, false)
 	fast := m.Infer(x)
-	slow := m.InferNaive(x)
+	slow := inferNaive(m, x)
 	for i := range fwd.Data {
 		if fast.Data[i] != fwd.Data[i] {
 			t.Fatalf("Infer[%d] = %v, Forward = %v", i, fast.Data[i], fwd.Data[i])
 		}
 		if slow.Data[i] != fwd.Data[i] {
-			t.Fatalf("InferNaive[%d] = %v, Forward = %v", i, slow.Data[i], fwd.Data[i])
+			t.Fatalf("inferNaive[%d] = %v, Forward = %v", i, slow.Data[i], fwd.Data[i])
 		}
 	}
 	// Batch invariance: each row of the batched result equals the

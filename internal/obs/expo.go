@@ -164,9 +164,3 @@ func (m *MetricsServer) URL() string { return "http://" + m.Addr() + "/metrics" 
 
 // Close stops the listener.
 func (m *MetricsServer) Close() error { return m.srv.Close() }
-
-// QuantilesMs is a convenience for benchmark reporting: p50/p95/p99 of a
-// snapshot converted to milliseconds.
-func (s HistSnapshot) QuantilesMs() (p50, p95, p99 float64) {
-	return s.Quantile(0.50) * 1e3, s.Quantile(0.95) * 1e3, s.Quantile(0.99) * 1e3
-}

@@ -131,14 +131,3 @@ func TestServeMountsExtraHandlers(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantilesMs(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.002, 0.004})
-	for i := 0; i < 100; i++ {
-		h.Observe(0.0015) // all in (0.001, 0.002]
-	}
-	p50, p95, p99 := h.Snapshot().QuantilesMs()
-	if p50 < 1 || p50 > 2 || p95 < 1 || p95 > 2 || p99 < 1 || p99 > 2 {
-		t.Errorf("quantiles ms = %g %g %g, want within (1,2]", p50, p95, p99)
-	}
-}

@@ -25,28 +25,6 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return q.Dequantize()
 }
 
-// naiveApplier is implemented by ops that keep a scalar reference
-// implementation alongside their GEMM Apply.
-type naiveApplier interface {
-	ApplyNaive(x *QTensor) *QTensor
-}
-
-// ForwardNaive is Forward routed through the scalar reference kernels.
-// Integer arithmetic makes it exactly equal to Forward; it exists to
-// measure the int8 GEMM speedup (hawcbench -exp kernels) and to pin the
-// two paths together in tests.
-func (m *Model) ForwardNaive(x *tensor.Tensor) *tensor.Tensor {
-	q := QuantizeActivations(x, m.InScale, m.InZero)
-	for _, op := range m.Ops {
-		if na, ok := op.(naiveApplier); ok {
-			q = na.ApplyNaive(q)
-		} else {
-			q = op.Apply(q)
-		}
-	}
-	return q.Dequantize()
-}
-
 // WeightBytes returns the total int8 parameter footprint.
 func (m *Model) WeightBytes() int {
 	n := 0

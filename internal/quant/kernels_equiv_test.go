@@ -100,7 +100,7 @@ func TestModelForwardNaiveMatchesForward(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		x := tensor.New(n, 4, 4, 2)
 		x.RandNormal(rng, 1)
-		want := qm.ForwardNaive(x)
+		want := forwardNaive(qm, x)
 		got := qm.Forward(x)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {

@@ -89,7 +89,7 @@ func (c *QConv2D) WeightBytes() int { return len(c.W) + 4*len(c.Bias) }
 // with the input zero point, so they contribute exactly nothing after
 // the zero-point shift), and requantization runs over the int32
 // accumulator plane. Integer arithmetic is exact, so this is equal to
-// ApplyNaive element for element.
+// the scalar reference (ApplyNaive in naive_test.go) element for element.
 func (c *QConv2D) Apply(x *QTensor) *QTensor {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := NewQTensor(c.OutScale, c.OutZero, n, h, w, c.Cout)
@@ -110,52 +110,6 @@ func (c *QConv2D) Apply(x *QTensor) *QTensor {
 		requantize(acc, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout], c.Mult, c.OutZero, lo)
 	}
 	gemmPool.Put(g)
-	return out
-}
-
-// ApplyNaive is the scalar reference convolution, retained to pin the
-// GEMM path in tests and to benchmark against (hawcbench -exp kernels).
-// Like the float reference it has no data-dependent shortcuts.
-func (c *QConv2D) ApplyNaive(x *QTensor) *QTensor {
-	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := NewQTensor(c.OutScale, c.OutZero, n, h, w, c.Cout)
-	ph, pw := c.KH/2, c.KW/2
-	lo := int32(-128)
-	if c.FusedReLU && c.OutZero > lo {
-		lo = c.OutZero
-	}
-	acc := make([]int32, c.Cout)
-	for ni := 0; ni < n; ni++ {
-		inBase := ni * h * w * c.Cin
-		outBase := ni * h * w * c.Cout
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				copy(acc, c.Bias)
-				for ky := 0; ky < c.KH; ky++ {
-					iy := y + ky - ph
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < c.KW; kx++ {
-						ix := xx + kx - pw
-						if ix < 0 || ix >= w {
-							continue
-						}
-						in := x.Data[inBase+(iy*w+ix)*c.Cin:]
-						wBase := (ky*c.KW + kx) * c.Cin * c.Cout
-						for ci := 0; ci < c.Cin; ci++ {
-							xv := int32(in[ci]) - c.InZero
-							wk := c.W[wBase+ci*c.Cout : wBase+(ci+1)*c.Cout]
-							for co := range acc {
-								acc[co] += xv * int32(wk[co])
-							}
-						}
-					}
-				}
-				requantize(acc, out.Data[outBase+(y*w+xx)*c.Cout:outBase+(y*w+xx+1)*c.Cout], c.Mult, c.OutZero, lo)
-			}
-		}
-	}
 	return out
 }
 
@@ -181,7 +135,8 @@ func (d *QDense) Name() string { return fmt.Sprintf("QDense(%d→%d)", d.In, d.O
 func (d *QDense) WeightBytes() int { return len(d.W) + 4*len(d.Bias) }
 
 // Apply implements QOp as one int8 GEMM over the whole batch, then one
-// requantization pass. Exactly equal to ApplyNaive (integer arithmetic).
+// requantization pass. Exactly equal to the scalar reference (ApplyNaive
+// in naive_test.go): integer arithmetic.
 func (d *QDense) Apply(x *QTensor) *QTensor {
 	n := x.Dim(0)
 	out := NewQTensor(d.OutScale, d.OutZero, n, d.Out)
@@ -198,31 +153,6 @@ func (d *QDense) Apply(x *QTensor) *QTensor {
 	kernels.GemmInt8(n, d.Out, d.In, x.Data, d.InZero, d.W, d.Bias, acc, pack)
 	requantize(acc, out.Data, d.Mult, d.OutZero, lo)
 	gemmPool.Put(g)
-	return out
-}
-
-// ApplyNaive is the scalar reference, retained to pin the GEMM path in
-// tests and to benchmark against. No data-dependent shortcuts.
-func (d *QDense) ApplyNaive(x *QTensor) *QTensor {
-	n := x.Dim(0)
-	out := NewQTensor(d.OutScale, d.OutZero, n, d.Out)
-	lo := int32(-128)
-	if d.FusedReLU && d.OutZero > lo {
-		lo = d.OutZero
-	}
-	acc := make([]int32, d.Out)
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*d.In : (i+1)*d.In]
-		copy(acc, d.Bias)
-		for k, xq := range xi {
-			xv := int32(xq) - d.InZero
-			wk := d.W[k*d.Out : (k+1)*d.Out]
-			for j := range acc {
-				acc[j] += xv * int32(wk[j])
-			}
-		}
-		requantize(acc, out.Data[i*d.Out:(i+1)*d.Out], d.Mult, d.OutZero, lo)
-	}
 	return out
 }
 
