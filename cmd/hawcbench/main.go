@@ -11,39 +11,17 @@
 // fig8a/fig8b run the individual variants and only when named.
 // Presets: quick, standard, full.
 //
-// The fleet experiment stands up the campus backend per pole count
-// (10/100/1k/10k), streams synthetic reports from a multiplexed fleet
-// while dashboard query workers hammer the snapshot-served HTTP query
-// API, and, with -fleet-out, writes BENCH_fleet.json (reports/sec, query
-// QPS, p99 ingest and query latency, report-conservation check).
-// The history experiment benchmarks the FTDC-style time-series store:
-// a store-level ingest sweep at 1k/10k poles (appends/sec, bytes/sample
-// and compression vs naive 16-byte float64 rows, conservation), a
-// bit-exact raw round-trip check, and an end-to-end replay where a
-// history-enabled backend ingests fleet reports while scaled query
-// workers mix /api/history reads into the dashboard load; -history-out
-// writes BENCH_history.json for the CI bench-history gates. The offload
-// experiment measures the adaptive edge/cloud classify offload in three
-// phases — the quantized cluster transport (bytes/frame vs float32,
-// dequantization error vs the tolerance bound, label agreement), an
-// edge-only vs forced-offload pole race through a live backend at
-// induced edge saturation, and a deterministic thermal ramp through the
-// adaptive hysteresis controller; -offload-out writes BENCH_offload.json
-// for the CI bench-offload gates. The thermal experiment rederives the
-// Figure 10 temperature analysis from history store reads (raw zip + 24h
-// downsampled daily maxima) and asserts it matches the in-memory
-// telemetry path bit for bit.
+// That is all it does: nothing here loads a backend or reports a rate
+// or a percentile — the system benchmark is bench/ (bash bench/run.sh).
 //
 // SIGINT/SIGTERM stop the run between experiments: the current
-// experiment finishes, its output (and any requested JSON artifact
-// already produced) is flushed, and the process exits 0.
+// experiment finishes, its output is flushed, and the process exits 0.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -57,8 +35,7 @@ import (
 // experimentIDs is every id -exp accepts besides "all", in run order.
 var experimentIDs = []string{
 	"table1", "table2", "table3", "table4", "table5", "table6",
-	"fig4", "fig6", "fig8", "fig8a", "fig8b", "fig9", "fig10",
-	"fleet", "history", "offload", "thermal", "fig11",
+	"fig4", "fig6", "fig8", "fig8a", "fig8b", "fig9", "fig10", "fig11",
 }
 
 func main() {
@@ -70,9 +47,6 @@ func main() {
 
 func run() error {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids ("+validIDs()+")")
-	fleetOut := flag.String("fleet-out", "", "write the fleet-scale backend sweep as JSON to this path (e.g. BENCH_fleet.json)")
-	historyOut := flag.String("history-out", "", "write the history-store benchmark as JSON to this path (e.g. BENCH_history.json)")
-	offloadOut := flag.String("offload-out", "", "write the edge/cloud offload benchmark as JSON to this path (e.g. BENCH_offload.json)")
 	preset := flag.String("preset", "standard", "dataset/training scale: quick, standard, full")
 	seed := flag.Int64("seed", 0, "override the preset's random seed")
 	pnEpochs := flag.Int("pn-epochs", 0, "override the preset's PointNet training epochs")
@@ -106,7 +80,7 @@ func run() error {
 		lab.Log = os.Stderr
 	}
 	// SIGINT/SIGTERM finish the experiment in flight, then skip the rest
-	// so artifacts flush and the process exits cleanly.
+	// so its output flushes and the process exits cleanly.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -237,34 +211,6 @@ func run() error {
 		}
 		fmt.Println()
 	}
-	if runIt("fleet") {
-		header("Fleet — sharded backend + query API at 10/100/1k/10k poles")
-		r := experiments.FleetBench(lab)
-		fmt.Print(experiments.FormatFleet(r))
-		if err := writeArtifact(*fleetOut, "fleet-out", func(w io.Writer) error { return experiments.WriteFleetJSON(w, r) }); err != nil {
-			return err
-		}
-	}
-	if runIt("history") {
-		header("History — FTDC-style time-series store: ingest, compression, /api/history p99")
-		r := experiments.HistoryBench(lab)
-		fmt.Print(experiments.FormatHistory(r))
-		if err := writeArtifact(*historyOut, "history-out", func(w io.Writer) error { return experiments.WriteHistoryJSON(w, r) }); err != nil {
-			return err
-		}
-	}
-	if runIt("offload") {
-		header("Offload — adaptive edge/cloud classify offload over the quantized wire")
-		r := experiments.OffloadBench(lab)
-		fmt.Print(experiments.FormatOffload(r))
-		if err := writeArtifact(*offloadOut, "offload-out", func(w io.Writer) error { return experiments.WriteOffloadJSON(w, r) }); err != nil {
-			return err
-		}
-	}
-	if runIt("thermal") {
-		header("Thermal — Figure 10 rederived from the history store")
-		fmt.Print(experiments.FormatThermal(experiments.ThermalBench(lab)))
-	}
 	if runIt("fig11") {
 		header("Figure 11 — density level visualization")
 		for _, r := range experiments.Figure11(lab) {
@@ -300,26 +246,4 @@ func parseExperiments(list string) (map[string]bool, error) {
 		wanted[id] = true
 	}
 	return wanted, nil
-}
-
-// writeArtifact writes one experiment's JSON artifact to path, naming
-// the flag that asked for it in any error; an empty path (flag unset)
-// writes nothing.
-func writeArtifact(path, flagName string, write func(io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("%s: %w", flagName, err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", flagName, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("%s: %w", flagName, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

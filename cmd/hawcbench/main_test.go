@@ -16,7 +16,7 @@ func TestParseExperiments(t *testing.T) {
 		}
 	}
 	// Retired and misspelled ids fail the run and name themselves.
-	for _, bad := range []string{"parallel", "stream", "kernels", "table5,tabel1", ""} {
+	for _, bad := range []string{"parallel", "stream", "kernels", "fleet", "history", "offload", "thermal", "table5,tabel1", ""} {
 		_, err := parseExperiments(bad)
 		if err == nil {
 			t.Errorf("-exp %q accepted", bad)

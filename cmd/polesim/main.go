@@ -14,22 +14,10 @@
 // as its offload classifier, so counts are identical wherever a cluster
 // is classified.
 //
-// With -synthetic it becomes a fleet-scale load generator instead: no
-// model is trained and no LiDAR pipeline runs — -poles simulated poles
-// (10000 works) stream synthetic count reports over a bounded number of
-// multiplexed connections, optionally with per-connection staggered
-// phases (-stagger) and pacing (-interval), while -query-workers
-// dashboard clients hammer the snapshot-served campus query API. The
-// run prints reports/sec, ack-RTT percentiles, and query latency — the
-// same measurements the hawcbench fleet experiment records.
-//
-//	polesim -synthetic -poles 10000 -reports 5 -query-workers 4
-//
 // With -history every count report and telemetry reading is also
 // captured into the FTDC-style time-series store (internal/tsdb) and
 // served back through /api/history; -history-dir streams sealed chunks
-// to rotated segment files, and -history-percent aims that share of the
-// synthetic query load at the history endpoint (both imply -history).
+// to rotated segment files (and implies -history).
 //
 // Poles are assigned round-robin to -zones campus zones; the backend's
 // query API (served on -api-addr, and mounted at /api/ on the metrics
@@ -67,7 +55,6 @@ import (
 	"hawccc/internal/backend"
 	"hawccc/internal/counting"
 	"hawccc/internal/dataset"
-	"hawccc/internal/fleet"
 	"hawccc/internal/models"
 	"hawccc/internal/obs"
 	"hawccc/internal/pole"
@@ -83,37 +70,27 @@ func main() {
 }
 
 func run() error {
-	poles := flag.Int("poles", 3, "number of pole nodes (simulated poles in -synthetic mode)")
+	poles := flag.Int("poles", 3, "number of pole nodes")
 	frames := flag.Int("frames", 8, "frames per pole")
 	maxPeople := flag.Int("max-people", 6, "maximum pedestrians per frame")
 	epochs := flag.Int("epochs", 10, "HAWC training epochs")
 	perClass := flag.Int("train", 250, "training samples per class")
 	crowding := flag.Int("crowding-limit", 6, "backend crowding alert threshold (0 = off)")
-	interval := flag.Duration("interval", 0, "pacing between frames (per report round in -synthetic mode; 0 = as fast as possible)")
+	interval := flag.Duration("interval", 0, "pacing between frames (0 = as fast as possible)")
 	seed := flag.Int64("seed", 7, "random seed")
 	reconnects := flag.Int("reconnects", 3, "re-dial attempts per pole when the backend connection drops (0 = fail fast)")
 	zones := flag.Int("zones", 4, "campus zones poles are assigned to round-robin")
-	apiAddr := flag.String("api-addr", "", "serve the campus query API on this address (e.g. 127.0.0.1:8080; empty = off unless -query-workers needs it)")
-	synthetic := flag.Bool("synthetic", false, "fleet load-generator mode: skip training and the LiDAR pipeline, stream synthetic reports")
-	reports := flag.Int("reports", 50, "reports per simulated pole in -synthetic mode")
-	conns := flag.Int("conns", 0, "TCP connections the synthetic fleet is multiplexed over (0 = min(poles, 64))")
-	stagger := flag.Duration("stagger", 0, "maximum random initial phase offset per connection in -synthetic mode")
-	queryWorkers := flag.Int("query-workers", 0, "concurrent query-API clients during a -synthetic run (0 = off)")
+	apiAddr := flag.String("api-addr", "", "serve the campus query API on this address (e.g. 127.0.0.1:8080; empty = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
 	metricsDump := flag.String("metrics-dump", "", "after the run, scrape /metrics and write the exposition text to this file (implies -metrics-addr 127.0.0.1:0 if unset)")
 	history := flag.Bool("history", false, "capture per-pole history in the FTDC-style time-series store and serve /api/history")
 	historyDir := flag.String("history-dir", "", "stream sealed history chunks to segment files in this directory (implies -history)")
-	historyPercent := flag.Int("history-percent", 0, "percent of -query-workers load aimed at /api/history in -synthetic mode (implies -history)")
 	offloadFlag := flag.String("offload", "off", "edge/cloud classify offload mode: off, forced, or adaptive")
-	conditional := flag.Int("conditional", 0, "percent of -query-workers snapshot queries sent conditionally (If-None-Match revalidation; unchanged snapshots answer 304)")
 	flag.Parse()
 
 	offload, err := counting.ParseOffloadMode(*offloadFlag)
 	if err != nil {
 		return err
-	}
-	if *synthetic && offload != counting.OffloadOff {
-		return fmt.Errorf("-offload needs the full LiDAR pipeline; drop -synthetic")
 	}
 
 	// One mutex serializes every diagnostic line the simulator itself
@@ -134,12 +111,7 @@ func run() error {
 		reg = obs.NewRegistry()
 	}
 
-	// The query API needs an address when query load is requested.
-	if *apiAddr == "" && *queryWorkers > 0 {
-		*apiAddr = "127.0.0.1:0"
-	}
-
-	if *historyDir != "" || *historyPercent > 0 {
+	if *historyDir != "" {
 		*history = true
 	}
 	var histCfg *tsdb.Config
@@ -150,14 +122,11 @@ func run() error {
 	// The campus model trains before the backend starts: the backend's
 	// offload service classifies with the same trained HAWC the poles
 	// run, which is what makes offloaded counts identical to edge ones.
-	var clf *models.HAWC
-	if !*synthetic {
-		fmt.Printf("training HAWC on %d samples/class (%d epochs)...\n", *perClass, *epochs)
-		clf = models.NewHAWC()
-		if err := clf.Train(dataset.NewGenerator(*seed).Classification(*perClass),
-			models.TrainConfig{Epochs: *epochs, Seed: *seed}); err != nil {
-			return err
-		}
+	fmt.Printf("training HAWC on %d samples/class (%d epochs)...\n", *perClass, *epochs)
+	clf := models.NewHAWC()
+	if err := clf.Train(dataset.NewGenerator(*seed).Classification(*perClass),
+		models.TrainConfig{Epochs: *epochs, Seed: *seed}); err != nil {
+		return err
 	}
 	var backendClf models.BatchClassifier
 	if offload != counting.OffloadOff {
@@ -200,23 +169,12 @@ func run() error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if *synthetic {
-		if err := runSynthetic(ctx, srv, syntheticConfig{
-			poles: *poles, reports: *reports, conns: *conns,
-			interval: *interval, stagger: *stagger,
-			zones: *zones, seed: *seed, queryWorkers: *queryWorkers,
-			historyPercent: *historyPercent, conditionalPercent: *conditional,
-		}); err != nil {
-			return err
-		}
-	} else {
-		if err := runCampus(ctx, srv, reg, clf, campusConfig{
-			poles: *poles, frames: *frames, maxPeople: *maxPeople,
-			interval: *interval, seed: *seed, reconnects: *reconnects,
-			zones: *zones, offload: offload,
-		}, logf); err != nil {
-			return err
-		}
+	if err := runCampus(ctx, srv, reg, clf, campusConfig{
+		poles: *poles, frames: *frames, maxPeople: *maxPeople,
+		interval: *interval, seed: *seed, reconnects: *reconnects,
+		zones: *zones, offload: offload,
+	}, logf); err != nil {
+		return err
 	}
 
 	printSnapshot(srv)
@@ -238,9 +196,9 @@ type campusConfig struct {
 	offload                                     counting.OffloadMode
 }
 
-// runCampus is the full-pipeline mode: launch N pole nodes that scan,
-// count (on the edge or, per -offload, through the backend's classify
-// service), and report upstream with the already-trained campus model.
+// runCampus launches N pole nodes that scan, count (on the edge or, per
+// -offload, through the backend's classify service), and report upstream
+// with the already-trained campus model.
 func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf *models.HAWC, cfg campusConfig, logf func(string, ...any)) error {
 	if cfg.offload != counting.OffloadOff {
 		fmt.Printf("offload mode: %s\n", cfg.offload)
@@ -262,12 +220,12 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 		node, err := pole.Dial(pole.Config{
 			PoleID:        uint32(id),
 			Location:      fmt.Sprintf("walkway-%d", id),
-			Zone:          fleet.ZoneName(uint32(id), cfg.zones),
+			Zone:          zoneName(id, cfg.zones),
 			BackendAddr:   srv.Addr(),
 			Pipeline:      counting.New(clf).Instrument(reg),
 			Source:        src,
 			FrameInterval: cfg.interval,
-			Telemetry:     readings[400*id:],
+			Telemetry:     telemetryWindow(readings, id),
 			Offload:       counting.OffloadConfig{Mode: cfg.offload},
 			ModelVersion:  ver,
 			MaxReconnects: cfg.reconnects,
@@ -297,69 +255,20 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 	return nil
 }
 
-type syntheticConfig struct {
-	poles, reports, conns, zones, queryWorkers int
-	historyPercent, conditionalPercent         int
-	interval, stagger                          time.Duration
-	seed                                       int64
+// zoneName assigns pole id to one of zones campus zones round-robin
+// (a non-positive count falls back to the -zones default).
+func zoneName(id, zones int) string {
+	if zones <= 0 {
+		zones = 4
+	}
+	return fmt.Sprintf("zone-%d", id%zones)
 }
 
-// runSynthetic is the load-generator mode: a multiplexed synthetic
-// fleet plus optional dashboard query load, no LiDAR pipeline at all.
-func runSynthetic(ctx context.Context, srv *backend.Server, cfg syntheticConfig) error {
-	fmt.Printf("synthetic fleet: %d poles × %d reports (%d zones)\n", cfg.poles, cfg.reports, cfg.zones)
-
-	qctx, stopQueries := context.WithCancel(ctx)
-	defer stopQueries()
-	queryDone := make(chan fleet.QueryResult, 1)
-	if cfg.queryWorkers > 0 {
-		go func() {
-			queryDone <- fleet.Query(qctx, fleet.QueryConfig{
-				BaseURL:            "http://" + srv.APIAddr(),
-				Workers:            cfg.queryWorkers,
-				Poles:              cfg.poles,
-				Zones:              cfg.zones,
-				HistoryPercent:     cfg.historyPercent,
-				ConditionalPercent: cfg.conditionalPercent,
-				Seed:               cfg.seed + 1,
-			})
-		}()
-	}
-
-	rep, err := fleet.Report(ctx, fleet.ReportConfig{
-		Addr:           srv.Addr(),
-		Poles:          cfg.poles,
-		ReportsPerPole: cfg.reports,
-		Conns:          cfg.conns,
-		Interval:       cfg.interval,
-		Stagger:        cfg.stagger,
-		Zones:          cfg.zones,
-		Seed:           cfg.seed,
-	})
-	stopQueries()
-	if err != nil && ctx.Err() == nil {
-		return err
-	}
-
-	fmt.Printf("\nreports: %d over %d conns in %v — %.0f reports/s, ack RTT p50 %.3fms p99 %.3fms, %d alerts\n",
-		rep.Reports, rep.Conns, rep.Elapsed.Round(time.Millisecond),
-		rep.ReportsPerSec, rep.AckRTT.P50Ms, rep.AckRTT.P99Ms, rep.Alerts)
-	if cfg.queryWorkers > 0 {
-		q := <-queryDone
-		fmt.Printf("queries: %d from %d workers — %.0f QPS, p50 %.3fms p99 %.3fms, %d errors\n",
-			q.Queries, q.Workers, q.QPS, q.Latency.P50Ms, q.Latency.P99Ms, q.Errors+q.NonOK)
-		if q.NotModified > 0 {
-			fmt.Printf("conditional revalidations answered 304: %d\n", q.NotModified)
-		}
-		if q.HistoryQueries > 0 {
-			fmt.Printf("history queries: %d — p50 %.3fms p99 %.3fms\n",
-				q.HistoryQueries, q.HistoryLatency.P50Ms, q.HistoryLatency.P99Ms)
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Println("interrupted — campus shut down gracefully")
-	}
-	return nil
+// telemetryWindow is the slice of the simulated summer a pole replays:
+// each id starts 400 readings after the previous one, wrapping so any
+// number of poles gets a non-empty window.
+func telemetryWindow(readings []telemetry.Reading, id int) []telemetry.Reading {
+	return readings[(400*id)%len(readings):]
 }
 
 // printSnapshot forces a fresh campus snapshot and prints the per-pole

@@ -81,12 +81,6 @@ type Config struct {
 	// OffloadWorkers sizes the offload worker pool (0 selects
 	// runtime.NumCPU()).
 	OffloadWorkers int
-	// OffloadQueue bounds the offload batch queue (0 selects
-	// DefaultOffloadQueue).
-	OffloadQueue int
-	// OffloadMaxBatch caps the clusters coalesced into one forward pass
-	// (0 selects DefaultOffloadMaxBatch).
-	OffloadMaxBatch int
 	// Obs, when non-nil, registers the backend's metrics: per-pole report
 	// and alert counters, last-seen timestamps, compartment temperature,
 	// connection counts, wire traffic, the edge latency each report

@@ -68,11 +68,10 @@ type offloadObs struct {
 
 // offloadService owns the bounded queue and the coalescing workers.
 type offloadService struct {
-	s        *Server
-	clf      models.BatchClassifier
-	maxBatch int
-	q        chan offloadJob
-	m        offloadObs
+	s   *Server
+	clf models.BatchClassifier
+	q   chan offloadJob
+	m   offloadObs
 }
 
 // newOffloadService registers the service's series and starts the
@@ -82,19 +81,10 @@ func newOffloadService(s *Server) *offloadService {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	queue := s.cfg.OffloadQueue
-	if queue <= 0 {
-		queue = DefaultOffloadQueue
-	}
-	maxBatch := s.cfg.OffloadMaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultOffloadMaxBatch
-	}
 	o := &offloadService{
-		s:        s,
-		clf:      s.cfg.Classifier,
-		maxBatch: maxBatch,
-		q:        make(chan offloadJob, queue),
+		s:   s,
+		clf: s.cfg.Classifier,
+		q:   make(chan offloadJob, DefaultOffloadQueue),
 	}
 	if reg := s.cfg.Obs; reg != nil {
 		o.m = offloadObs{
@@ -147,8 +137,9 @@ type offloadScratch struct {
 }
 
 // worker drains the queue: each pass takes one batch, opportunistically
-// coalesces more queued batches (across poles) until maxBatch clusters
-// are in hand, runs one batched forward pass, and answers every pole.
+// coalesces more queued batches (across poles) until
+// DefaultOffloadMaxBatch clusters are in hand, runs one batched forward
+// pass, and answers every pole.
 func (o *offloadService) worker(ctx context.Context) {
 	var sc offloadScratch
 	for {
@@ -159,7 +150,7 @@ func (o *offloadService) worker(ctx context.Context) {
 			sc.jobs = append(sc.jobs[:0], job)
 			n := len(job.batch.Clusters)
 		coalesce:
-			for n < o.maxBatch {
+			for n < DefaultOffloadMaxBatch {
 				select {
 				case more := <-o.q:
 					sc.jobs = append(sc.jobs, more)

@@ -177,19 +177,6 @@ type Pipeline struct {
 	// Counts are identical at any batch size — batched classification is
 	// bit-equal per cluster.
 	BatchSize int
-	// LatticeScale is the classification lattice step in metres. Before
-	// classification every kept cluster is snapped onto this quantization
-	// lattice — the exact quantize→dequantize round trip the offload
-	// transport applies (wire.ClusterBatch at this scale) — so a
-	// cluster's label is independent of where classification runs: the
-	// backend decodes the same lattice integers and dequantizes with the
-	// same arithmetic, making edge, fallback, and offloaded
-	// classification operate on bit-identical float64 clouds. The snap
-	// moves each coordinate by at most half a step (1 mm at the default
-	// 2 mm scale, two orders of magnitude under LiDAR ranging noise). 0
-	// selects wire.DefaultQuantScale; negative disables snapping, which
-	// also forfeits the edge/cloud label-equivalence guarantee.
-	LatticeScale float64
 	// m holds the pipeline's observability instruments. All fields are
 	// nil (no-op) until Instrument is called, so an uninstrumented
 	// pipeline pays only dead nil-receiver calls on the hot path.
@@ -398,25 +385,16 @@ func (p *Pipeline) stageCluster(j *streamJob) {
 	j.res.Noise = cr.NoiseCount()
 }
 
-// latticeScale resolves the classification lattice: LatticeScale,
-// wire.DefaultQuantScale when zero, and 0 (snapping off) when negative.
-func (p *Pipeline) latticeScale() float64 {
-	if p.LatticeScale < 0 {
-		return 0
-	}
-	if p.LatticeScale == 0 {
-		return wire.DefaultQuantScale
-	}
-	return p.LatticeScale
-}
-
-// stageKeep filters clusters below MinClusterPoints into j.kept and, on
-// the default lattice-snapping path, canonicalizes the kept clusters:
-// they are quantized into j.batch exactly as the offload transport
-// would ship them, and the kept headers are repointed at the
-// dequantized clouds. Every classify variant routes through here, so
+// stageKeep filters clusters below MinClusterPoints into j.kept and
+// canonicalizes the survivors onto the classification lattice: they are
+// quantized into j.batch at wire.DefaultQuantScale exactly as the
+// offload transport ships them, and the kept headers are repointed at
+// the dequantized clouds. Every classify variant routes through here, so
 // what gets classified locally is bit-identical to what the backend
-// reconstructs from the same batch.
+// reconstructs from the same batch — a cluster's label does not depend
+// on where classification runs. The snap moves each coordinate by at
+// most half a step (1 mm at the 2 mm scale, two orders of magnitude
+// under LiDAR ranging noise).
 func (p *Pipeline) stageKeep(j *streamJob) {
 	kept := j.kept[:0]
 	for _, c := range j.clusters {
@@ -426,11 +404,10 @@ func (p *Pipeline) stageKeep(j *streamJob) {
 	}
 	j.kept = kept
 	j.res.Clusters = len(kept)
-	scale := p.latticeScale()
-	if scale <= 0 || len(kept) == 0 {
+	if len(kept) == 0 {
 		return
 	}
-	j.batch.BuildInto(0, j.seq, kept, scale)
+	j.batch.BuildInto(0, j.seq, kept, wire.DefaultQuantScale)
 	// Pre-size the backing buffer so AppendCloud never reallocates it —
 	// the kept headers sliced out of it below must stay valid.
 	if total := j.batch.Points(); cap(j.canonPts) < total {
@@ -493,13 +470,6 @@ func (p *Pipeline) stageClassifyRemote(j *streamJob, off *OffloadController) boo
 		j.res.Count = 0
 		j.res.Timing.Classify = time.Since(t0)
 		return true
-	}
-	if p.latticeScale() <= 0 {
-		// Snapping disabled: the batch was not built by stageKeep, so
-		// quantize here for transport only (local classification then
-		// runs on raw coordinates and may diverge from the backend's —
-		// the documented cost of turning the lattice off).
-		j.batch.BuildInto(0, j.seq, kept, wire.DefaultQuantScale)
 	}
 	labels, err := off.classifyRemote(&j.batch)
 	if err != nil || len(labels) != len(kept) {

@@ -87,16 +87,12 @@ type OffloadConfig struct {
 	Mode OffloadMode
 	// Remote performs the offloaded classification. Required for any
 	// mode other than OffloadOff; a nil Remote disables offloading.
-	// The transport scale is the pipeline's LatticeScale — the shipped
-	// batch is the one the classify stage snapped to.
+	// The shipped batch is the one the classify stage snapped to.
 	Remote RemoteClassifier
 	// EnterQueueDepth: offload when the classify queue holds at least
 	// this many waiting frames. 0 selects DefaultQueueDepth (a full
 	// queue at the default depth); negative disables the depth signal.
 	EnterQueueDepth int
-	// ExitQueueDepth: a drained queue must be at or below this depth to
-	// return local (default 0 — fully drained).
-	ExitQueueDepth int
 	// EnterBackpressure: offload when at least this many classify-queue
 	// handoffs blocked since the previous decision. 0 selects 1;
 	// negative disables the backpressure signal.
@@ -283,7 +279,7 @@ func (c *OffloadController) decide(queueDepth int, blockedSends uint64) bool {
 	// offloading must not be able to hold it there. Under live streaming
 	// the classify queue routinely holds a frame or two, so without this
 	// gating a depth-disabled controller would never return local.
-	calm := (c.cfg.EnterQueueDepth <= 0 || queueDepth <= c.cfg.ExitQueueDepth) &&
+	calm := (c.cfg.EnterQueueDepth <= 0 || queueDepth == 0) &&
 		(c.cfg.EnterBackpressure <= 0 || blocked == 0) &&
 		(c.cfg.EnterTempC <= 0 || temp <= c.cfg.ExitTempC)
 	if c.offloading {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -313,53 +311,5 @@ func TestConfigPresets(t *testing.T) {
 	}
 	if q.Seed != s.Seed || s.Seed != f.Seed {
 		t.Error("presets should share the default seed")
-	}
-}
-
-// TestFleetRowQuick runs one small fleet point end to end: reports over
-// multiplexed conns, concurrent query load, and the conservation check.
-// The full 10k-pole sweep belongs to hawcbench/CI, not the unit tests.
-func TestFleetRowQuick(t *testing.T) {
-	row := benchFleetRow(sharedLab, 20, 5)
-	if row.Reports != 100 || row.ReportsPerSec <= 0 {
-		t.Errorf("report phase: %+v", row)
-	}
-	if !row.AllReportsRecorded || row.SnapshotPoles != 20 {
-		t.Errorf("conservation failed: %+v", row)
-	}
-	// QueryErrors includes ramp-up 404s (per-pole queries racing the first
-	// snapshot), so it is recorded but only loosely bounded here.
-	if row.Queries == 0 || row.QueryQPS <= 0 || row.QueryErrors >= row.Queries/2 {
-		t.Errorf("query phase: %+v", row)
-	}
-	if row.ReportP50Ms <= 0 || row.ReportP50Ms > row.ReportP99Ms {
-		t.Errorf("RTT percentiles inconsistent: %+v", row)
-	}
-
-	r := FleetBenchResult{
-		NumCPU: 1, QueryWorkers: fleetQueryWorkers,
-		Rows: []FleetRow{row}, LargestPoles: 20,
-		ReportsPerSecLargest: row.ReportsPerSec, ReportsPerSecPeak: row.ReportsPerSec,
-		QueryP99MsLargest: row.QueryP99Ms, AllReportsRecorded: row.AllReportsRecorded,
-		ScaleRetention: 1, TotalReportsDelivered: row.Reports,
-	}
-	if s := FormatFleet(r); !strings.Contains(s, "all reports recorded") {
-		t.Error("format output incomplete")
-	}
-	var buf bytes.Buffer
-	if err := WriteFleetJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var decoded FleetBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	for _, gate := range []string{`"scale_retention"`, `"query_p99_ms_largest"`, `"all_reports_recorded"`, `"reports_per_sec_largest"`} {
-		if !strings.Contains(buf.String(), gate) {
-			t.Errorf("artifact missing CI gate field %s", gate)
-		}
-	}
-	if decoded.LargestPoles != 20 || len(decoded.Rows) != 1 {
-		t.Errorf("JSON round-trip lost data: %+v", decoded)
 	}
 }

@@ -175,11 +175,51 @@ func TestStatsConservation(t *testing.T) {
 		t.Errorf("sealed = %d, want 480", stats.SealedSamples)
 	}
 	// 8-sample chunks amortize the 19-byte chunk header poorly — the
-	// production default of 512 is what the ≥8x CI gate exercises — but
-	// even these tiny chunks must beat 16-byte rows.
+	// production default of 512 is what TestStatsConservationSeriesMix
+	// holds to ≥8x — but even these tiny chunks must beat 16-byte rows.
 	if stats.BytesPerSample <= 0 || stats.CompressionVs16 < 3 {
 		t.Errorf("bytes/sample %.2f, compression %.1fx — regular integral series should compress well",
 			stats.BytesPerSample, stats.CompressionVs16)
+	}
+}
+
+// TestStatsConservationSeriesMix appends the four per-pole series the
+// backend records — integral count and clusters, whole-µs edge latency,
+// 0.25 °C-quantized compartment temperature — at the production chunk
+// size and requires every sample conserved and the mix to seal at ≥8x
+// under naive 16-byte (int64, float64) rows.
+func TestStatsConservationSeriesMix(t *testing.T) {
+	const poles, rounds = 8, 2 * DefaultChunkSamples
+	count := func(pole uint32, round int) float64 {
+		wave := 3 * math.Sin(2*math.Pi*float64(round)/16+float64(pole%16)/16*2*math.Pi)
+		c := 2 + float64(pole%7) + wave + float64((int(pole)*31+round*17)%3)
+		return math.Floor(math.Max(c, 0))
+	}
+	st := MustNew(Config{MaxChunks: -1})
+	for pole := uint32(1); pole <= poles; pole++ {
+		cnt, cl := st.Series(pole, "count"), st.Series(pole, "clusters")
+		lat, temp := st.Series(pole, "edge_latency_us"), st.Series(pole, "pole_temp_c")
+		for round := 0; round < rounds; round++ {
+			ts := int64(round) * 1_000_000_000
+			c := count(pole, round)
+			cnt.Append(ts, c)
+			cl.Append(ts, math.Floor(c/3))
+			lat.Append(ts, float64(900+(int(pole)*13+round*7)%120))
+			diurnal := 36 + 8*math.Sin(2*math.Pi*float64(round)/2048+float64(pole%8))
+			temp.Append(ts, math.Round(diurnal*4)/4)
+		}
+	}
+	st.SealAll()
+	stats := st.Stats()
+	if want := uint64(poles * 4 * rounds); stats.Appended != want || stats.Retained != stats.Appended {
+		t.Errorf("appended/retained = %d/%d, want %d/%d", stats.Appended, stats.Retained, want, want)
+	}
+	if stats.DroppedSamples != 0 {
+		t.Errorf("dropped = %d, want 0", stats.DroppedSamples)
+	}
+	if stats.CompressionVs16 < 8 {
+		t.Errorf("compression %.1fx (%.2f bytes/sample), want ≥ 8x on the backend's series mix",
+			stats.CompressionVs16, stats.BytesPerSample)
 	}
 }
 
