@@ -12,6 +12,7 @@ import (
 
 	"hawccc/internal/counting"
 	"hawccc/internal/dataset"
+	"hawccc/internal/metrics"
 	"hawccc/internal/models"
 	"hawccc/internal/obs"
 )
@@ -74,10 +75,16 @@ func run() error {
 		fmt.Printf("frame %3d: %3d people (truth %3d) in %6.2f ms\n",
 			i, r.Count, f.Count, float64(r.Timing.Total().Microseconds())/1000)
 	}
-	elapsed := time.Since(start)
-	ev := evaluation(pred, truth)
-	fmt.Printf("\n%d frames in %v — MAE %.2f, MSE %.2f\n", len(frames), elapsed.Round(time.Millisecond), ev.mae, ev.mse)
+	fmt.Print("\n", summary(time.Since(start), pred, truth))
 	return nil
+}
+
+// summary is the closing line: MAE and MSE as every other tool in the
+// repository defines them (metrics.MSE is the root of the mean squared
+// error, the paper's definition).
+func summary(elapsed time.Duration, pred, truth []float64) string {
+	return fmt.Sprintf("%d frames in %v — MAE %.2f, MSE %.2f\n", len(pred),
+		elapsed.Round(time.Millisecond), metrics.MAE(pred, truth), metrics.MSE(pred, truth))
 }
 
 func poolClouds(h *models.HAWC) []dataset.Sample {
@@ -88,23 +95,4 @@ func poolClouds(h *models.HAWC) []dataset.Sample {
 		out = append(out, dataset.Sample{Cloud: c})
 	}
 	return out
-}
-
-type ev struct{ mae, mse float64 }
-
-func evaluation(pred, truth []float64) ev {
-	var sumAbs, sumSq float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		if d < 0 {
-			d = -d
-		}
-		sumAbs += d
-		sumSq += d * d
-	}
-	n := float64(len(pred))
-	if n == 0 {
-		return ev{}
-	}
-	return ev{mae: sumAbs / n, mse: sumSq / n}
 }

@@ -33,9 +33,9 @@
 // exist without racing a short-lived process.
 //
 // Each pole streams its frames straight from a per-pole dataset
-// generator through the counting pipeline's staged scheduler — no frame
-// set is materialized up front — so memory stays flat however long the
-// run is. SIGINT/SIGTERM shut the campus down gracefully: poles drain,
+// generator through the counting pipeline's streaming scheduler — no
+// frame set is materialized up front — so memory stays flat however long
+// the run is. SIGINT/SIGTERM shut the campus down gracefully: poles drain,
 // the snapshot prints, -metrics-dump still writes, and the process
 // exits 0.
 package main
@@ -212,7 +212,7 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 	var wg sync.WaitGroup
 	for id := 1; id <= cfg.poles; id++ {
 		// Each pole owns a seeded generator and streams frames from it on
-		// demand — the staged scheduler pulls as capacity frees up, so no
+		// demand — the streaming scheduler pulls as capacity frees up, so no
 		// pole ever materializes its whole frame set.
 		src := dataset.NewGenerator(cfg.seed+int64(id)).CrowdSource(cfg.frames, 1, cfg.maxPeople, 2)
 		// All poles share the registry: pipeline stage histograms aggregate

@@ -1,6 +1,7 @@
 // Stream-counter: count people continuously with Counter.Stream — the
-// staged scheduler that overlaps ingest, clustering, and classification
-// of consecutive frames — instead of a frame-at-a-time Count loop.
+// scheduler that counts consecutive frames at once on a pool of workers
+// and delivers the results in order — instead of a frame-at-a-time Count
+// loop.
 //
 //	go run ./examples/stream-counter
 //

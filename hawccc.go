@@ -72,9 +72,9 @@ func DefaultTrainOptions() TrainOptions {
 //
 // A frame is counted one of three ways, all producing bit-identical
 // counts: Count (one synchronous pass), Evaluate (a loop over Count), and
-// Stream (the staged scheduler). Count classifies a frame's clusters on
-// the pipeline's Parallelism goroutines — runtime.NumCPU() for every
-// Counter built here; a width of 1 or less classifies inline.
+// Stream (a pool of workers, one frame each). Both use the pipeline's
+// Parallelism cores — runtime.NumCPU() for every Counter built here:
+// Count spreads one frame's clusters over them, Stream spreads frames.
 type Counter struct {
 	pipeline   *counting.Pipeline
 	classifier *models.HAWC
@@ -136,10 +136,10 @@ func (c *Counter) Count(frame Cloud) Result {
 	return Result{Count: r.Count, Clusters: r.Clusters, Latency: r.Timing}
 }
 
-// StreamOptions configures the staged streaming scheduler behind
-// Counter.StreamWith: per-stage worker counts and the bounded depth of
-// the inter-stage queues. The zero value selects the deployment
-// defaults (see counting.DefaultStreamConfig).
+// StreamOptions configures the streaming scheduler behind
+// Counter.StreamWith: the bounded depth of its two queues and the
+// optional offload controller. The zero value is the deployment
+// configuration; the scheduler's width is the counter's Parallelism.
 type StreamOptions = counting.StreamConfig
 
 // StreamResult is one counted frame from a Counter stream.
@@ -148,25 +148,25 @@ type StreamResult struct {
 	// arrive in Seq order.
 	Seq uint64
 	// E2E is the frame's end-to-end latency through the scheduler,
-	// including inter-stage queueing (Latency covers only compute).
+	// including queueing (Latency covers only compute).
 	E2E time.Duration
 	Result
 }
 
-// Stream counts frames continuously: it runs the staged scheduler
-// (ingest → cluster → classify → report, connected by bounded queues)
-// over the input channel and delivers one Result per frame, in input
-// order, on the returned channel. Unlike a Count loop, the stages of
-// consecutive frames overlap, so a pole node sustains a higher frame
-// rate at the same core count while memory stays bounded by the queue
-// depths — a slow consumer backpressures the stream instead of growing
-// a backlog.
+// Stream counts frames continuously: a feeder queues the input channel's
+// frames for a pool of workers, each worker takes one frame from ROI crop
+// to count, and a reorderer delivers one Result per frame, in input
+// order, on the returned channel. Unlike a Count loop, consecutive
+// frames are counted at once on different cores, so a pole node sustains
+// a higher frame rate at the same core count while memory stays bounded
+// by the two queue depths plus the workers — a slow consumer
+// backpressures the stream instead of growing a backlog.
 //
 // The stream ends when the input channel closes (every accepted frame's
 // result is flushed, then the returned channel closes) or when ctx is
 // canceled (in-flight frames are dropped and the channel closes). The
-// per-frame counts are bit-identical to Count's: both paths execute the
-// same stage code.
+// per-frame counts are bit-identical to Count's: a worker runs the
+// function Count runs.
 func (c *Counter) Stream(ctx context.Context, frames <-chan Frame) <-chan StreamResult {
 	return c.StreamWith(ctx, frames, StreamOptions{})
 }

@@ -2,8 +2,14 @@ package hawccc
 
 import (
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hawccc/internal/backend"
+	"hawccc/internal/counting"
+	"hawccc/internal/pole"
+	"hawccc/internal/tsdb"
 )
 
 // goList runs `go list` with args from the module root and returns the
@@ -42,6 +48,34 @@ func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 		switch pkg {
 		case "hawccc/internal/backend", "hawccc/internal/pole", "hawccc/internal/tsdb":
 			t.Errorf("internal/experiments reaches %s (paper tables and figures need no live campus)", pkg)
+		}
+	}
+}
+
+// TestConfigSurface pins the exported fields of the system's config
+// structs. Every field is a setting tests and the benchmark would have
+// to cover, so adding one is a reviewed line here, not a drive-by.
+func TestConfigSurface(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  any
+		want string
+	}{
+		{counting.StreamConfig{}, "QueueDepth Offload"},
+		{counting.OffloadConfig{}, "Mode Remote EnterQueueDepth EnterBackpressure EnterTempC ExitTempC MinDwellFrames"},
+		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry Offload ModelVersion MaxReconnects Obs Logf"},
+		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History HistorySampleInterval Classifier Obs Logf"},
+		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},
+		{tsdb.SamplerConfig{}, "Interval Now"},
+	} {
+		typ := reflect.TypeOf(tc.cfg)
+		var got []string
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if g := strings.Join(got, " "); g != tc.want {
+			t.Errorf("%s fields:\n got  %s\n want %s", typ, g, tc.want)
 		}
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"hawccc/internal/wire"
 )
 
-// DefaultAlertLogCap is the alert log's retained-entry capacity when
-// Config.AlertLogCap is zero.
+// DefaultAlertLogCap is the alert log's retained-entry capacity.
 const DefaultAlertLogCap = 1024
 
 // alertLog is a fixed-capacity ring buffer over the most recent alerts.

@@ -58,21 +58,3 @@ func TestAlertLogDefaultCap(t *testing.T) {
 		t.Fatalf("init(0) capacity %d, want DefaultAlertLogCap %d", len(l.buf), DefaultAlertLogCap)
 	}
 }
-
-func TestServerAlertLogCap(t *testing.T) {
-	s, err := Listen(Config{Addr: "127.0.0.1:0", SnapshotInterval: -1, AlertLogCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		s.alog.add(logAlert(i))
-	}
-	got := s.Alerts()
-	if len(got) != 2 || got[0].PoleID != 3 || got[1].PoleID != 4 {
-		t.Fatalf("Alerts() after overflow = %v, want poles 3, 4", got)
-	}
-	if total, _ := s.recentAlerts(-1); total != 5 {
-		t.Fatalf("lifetime total %d, want 5", total)
-	}
-}

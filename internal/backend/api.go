@@ -47,9 +47,6 @@ var cacheableEndpoints = map[string]bool{"campus": true, "poles": true, "zones":
 
 func newAPIObs(reg *obs.Registry) apiObs {
 	m := apiObs{requests: make(map[string]*obs.Counter, len(apiEndpoints))}
-	if reg == nil {
-		return m
-	}
 	for _, ep := range apiEndpoints {
 		m.requests[ep] = reg.Counter("backend_api_requests_total", "query API requests served, by endpoint", obs.L("endpoint", ep))
 	}

@@ -39,13 +39,11 @@ type Config struct {
 	// this address (see APIHandler for the endpoints). Empty leaves the
 	// API unbound; APIHandler can still be mounted on an external mux.
 	APIAddr string
-	// Shards is the pole-registry shard count, rounded up to a power of
-	// two (0 selects DefaultShards).
-	Shards int
 	// SnapshotInterval is the cadence of the background snapshot rebuild
 	// serving the query API. 0 selects DefaultSnapshotInterval; negative
 	// disables the background loop entirely (snapshots then rebuild only
-	// through RebuildSnapshot, which tests use for determinism).
+	// through RebuildSnapshot): a determinism seam kept for tests and for
+	// the benchmark's solo-ingest ledger, which no deployment sets.
 	SnapshotInterval time.Duration
 	// CrowdingLimit raises AlertCrowding when a single report's count
 	// meets or exceeds it (0 disables).
@@ -54,10 +52,6 @@ type Config struct {
 	// or exceeds it in °C (0 disables). The Coral Dev Board is rated to
 	// 50 °C.
 	OverheatLimit float64
-	// AlertLogCap bounds the in-memory alert log: once full, raising a
-	// new alert evicts the oldest retained one. 0 selects
-	// DefaultAlertLogCap.
-	AlertLogCap int
 	// History, when non-nil, enables the FTDC-style time-series capture
 	// (internal/tsdb): every count report and telemetry reading is
 	// appended to per-pole history series at its wire timestamp, and the
@@ -67,8 +61,9 @@ type Config struct {
 	History *tsdb.Config
 	// HistorySampleInterval is the cadence of the background sampler that
 	// captures every Obs instrument into the history store (0 selects
-	// tsdb.DefaultSampleInterval). Negative disables the background loop;
-	// tests then drive capture deterministically through SampleHistory.
+	// tsdb.DefaultSampleInterval). Negative disables the background loop
+	// — a determinism seam no deployment sets: tests then drive capture
+	// through SampleHistory.
 	// Ignored unless both History and Obs are set.
 	HistorySampleInterval time.Duration
 	// Classifier, when non-nil, enables the classify offload service:
@@ -78,9 +73,6 @@ type Config struct {
 	// batch as a protocol error, which makes the sending pole fall back
 	// to local classification.
 	Classifier models.BatchClassifier
-	// OffloadWorkers sizes the offload worker pool (0 selects
-	// runtime.NumCPU()).
-	OffloadWorkers int
 	// Obs, when non-nil, registers the backend's metrics: per-pole report
 	// and alert counters, last-seen timestamps, compartment temperature,
 	// connection counts, wire traffic, the edge latency each report
@@ -205,13 +197,13 @@ func Listen(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		ln:       ln,
-		reg:      newRegistry(cfg.Shards),
+		reg:      newRegistry(),
 		loopCtx:  ctx,
 		shutdown: cancel,
 		done:     make(chan struct{}),
 	}
 	s.snap.Store(newSnapshot(0, time.Now(), nil))
-	s.alog.init(cfg.AlertLogCap)
+	s.alog.init(DefaultAlertLogCap)
 	s.skewAlerted = make(map[uint32]bool)
 	if cfg.Classifier != nil {
 		if v, ok := cfg.Classifier.(interface{ ModelVersion() uint32 }); ok {
@@ -242,23 +234,22 @@ func Listen(cfg Config) (*Server, error) {
 			go s.historyLoop(interval)
 		}
 	}
-	if reg := cfg.Obs; reg != nil {
-		s.m = backendObs{
-			connsActive:    reg.Gauge("backend_connections_active", "pole connections currently open"),
-			connsTotal:     reg.Counter("backend_connections_total", "pole connections accepted since start"),
-			bytesIn:        reg.Counter("backend_wire_bytes_received_total", "framed bytes received from poles"),
-			bytesOut:       reg.Counter("backend_wire_bytes_sent_total", "framed bytes sent to poles"),
-			msgsIn:         reg.Counter("backend_wire_messages_received_total", "framed messages received from poles"),
-			msgsOut:        reg.Counter("backend_wire_messages_sent_total", "framed messages sent to poles"),
-			crowding:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "crowding")),
-			overheat:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "overheat")),
-			modelSkew:      reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "model_skew")),
-			versionSkew:    reg.Counter("backend_offload_version_skew_total", "offload cluster batches rejected for classifier version skew"),
-			edgeLatency:    reg.Histogram("backend_report_edge_latency_seconds", "per-frame edge processing latency carried by count reports", obs.LatencyBuckets()),
-			snapshotBuilds: reg.Counter("backend_snapshot_builds_total", "campus snapshots rebuilt from the sharded registry"),
-			snapshotPoles:  reg.Gauge("backend_snapshot_poles", "poles in the current campus snapshot"),
-			snapshotBuilt:  reg.Gauge("backend_snapshot_built_timestamp_seconds", "unix time the current campus snapshot was built"),
-		}
+	reg := cfg.Obs
+	s.m = backendObs{
+		connsActive:    reg.Gauge("backend_connections_active", "pole connections currently open"),
+		connsTotal:     reg.Counter("backend_connections_total", "pole connections accepted since start"),
+		bytesIn:        reg.Counter("backend_wire_bytes_received_total", "framed bytes received from poles"),
+		bytesOut:       reg.Counter("backend_wire_bytes_sent_total", "framed bytes sent to poles"),
+		msgsIn:         reg.Counter("backend_wire_messages_received_total", "framed messages received from poles"),
+		msgsOut:        reg.Counter("backend_wire_messages_sent_total", "framed messages sent to poles"),
+		crowding:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "crowding")),
+		overheat:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "overheat")),
+		modelSkew:      reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "model_skew")),
+		versionSkew:    reg.Counter("backend_offload_version_skew_total", "offload cluster batches rejected for classifier version skew"),
+		edgeLatency:    reg.Histogram("backend_report_edge_latency_seconds", "per-frame edge processing latency carried by count reports", obs.LatencyBuckets()),
+		snapshotBuilds: reg.Counter("backend_snapshot_builds_total", "campus snapshots rebuilt from the sharded registry"),
+		snapshotPoles:  reg.Gauge("backend_snapshot_poles", "poles in the current campus snapshot"),
+		snapshotBuilt:  reg.Gauge("backend_snapshot_built_timestamp_seconds", "unix time the current campus snapshot was built"),
 	}
 	s.apiM = newAPIObs(cfg.Obs)
 	if cfg.Classifier != nil {
@@ -530,8 +521,8 @@ func (s *Server) Snapshot() []PoleStats {
 }
 
 // Alerts returns a copy of the retained alerts in raise order. The log
-// is a bounded ring (Config.AlertLogCap): once more alerts have been
-// raised than it holds, the oldest are no longer returned.
+// is a bounded ring of DefaultAlertLogCap entries: once more alerts have
+// been raised than it holds, the oldest are no longer returned.
 func (s *Server) Alerts() []wire.Alert {
 	_, out := s.alog.recent(-1)
 	return out

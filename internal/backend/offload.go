@@ -77,17 +77,12 @@ type offloadService struct {
 // newOffloadService registers the service's series and starts the
 // worker pool on the server's lifecycle.
 func newOffloadService(s *Server) *offloadService {
-	workers := s.cfg.OffloadWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	reg := s.cfg.Obs
 	o := &offloadService{
 		s:   s,
 		clf: s.cfg.Classifier,
 		q:   make(chan offloadJob, DefaultOffloadQueue),
-	}
-	if reg := s.cfg.Obs; reg != nil {
-		o.m = offloadObs{
+		m: offloadObs{
 			batches: reg.Counter("backend_offload_batches_total",
 				"cluster batches received from poles shedding classification"),
 			clusters: reg.Counter("backend_offload_clusters_total",
@@ -99,9 +94,9 @@ func newOffloadService(s *Server) *offloadService {
 			classify: reg.Histogram("backend_offload_classify_seconds",
 				"latency of one coalesced offload classify pass (dequantize + forward)",
 				obs.LatencyBuckets()),
-		}
+		},
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.NumCPU(); w++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

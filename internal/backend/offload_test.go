@@ -40,7 +40,7 @@ func (s extentStub) PredictHumans(cs []geom.Cloud) []bool {
 // TestOffloadServiceClassifiesBatches drives the offload service at the
 // wire level: quantized batches in, positionally keyed labels out.
 func TestOffloadServiceClassifiesBatches(t *testing.T) {
-	s, err := Listen(Config{Addr: "127.0.0.1:0", Classifier: extentStub{}, OffloadWorkers: 1})
+	s, err := Listen(Config{Addr: "127.0.0.1:0", Classifier: extentStub{}})
 	if err != nil {
 		t.Fatal(err)
 	}

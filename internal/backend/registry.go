@@ -5,10 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShards is the registry shard count when Config.Shards is zero.
-// 64 shards keep the probability of two concurrently reporting poles
-// colliding on one lock low even at 10k-pole fleets, while the snapshot
-// builder still walks the whole registry in microseconds.
+// DefaultShards is the registry shard count. 64 shards keep the
+// probability of two concurrently reporting poles colliding on one lock
+// low even at 10k-pole fleets, while the snapshot builder still walks the
+// whole registry in microseconds. A power of two, so shard selection is
+// a mask, not a modulo.
 const DefaultShards = 64
 
 // registry is the sharded pole-state store behind the backend: pole IDs
@@ -44,17 +45,9 @@ type poleEntry struct {
 	hist  *poleHist
 }
 
-// newRegistry builds a registry with n shards, rounded up to a power of
-// two so shard selection is a mask, not a modulo.
-func newRegistry(n int) *registry {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	r := &registry{shards: make([]shard, size), mask: uint32(size - 1)}
+// newRegistry builds a registry with DefaultShards shards.
+func newRegistry() *registry {
+	r := &registry{shards: make([]shard, DefaultShards), mask: DefaultShards - 1}
 	for i := range r.shards {
 		r.shards[i].poles = make(map[uint32]*poleEntry)
 	}

@@ -38,7 +38,7 @@ func findShardMates(t *testing.T, r *registry) (same, other uint32) {
 }
 
 func TestShardIndexSpreadsSequentialIDs(t *testing.T) {
-	r := newRegistry(0)
+	r := newRegistry()
 	if len(r.shards) != DefaultShards {
 		t.Fatalf("default registry has %d shards, want %d", len(r.shards), DefaultShards)
 	}
@@ -62,26 +62,12 @@ func TestShardIndexSpreadsSequentialIDs(t *testing.T) {
 	}
 }
 
-func TestRegistryRoundsShardsToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 128},
-	} {
-		r := newRegistry(tc.in)
-		if len(r.shards) != tc.want {
-			t.Errorf("newRegistry(%d): %d shards, want %d", tc.in, len(r.shards), tc.want)
-		}
-		if int(r.mask)+1 != tc.want {
-			t.Errorf("newRegistry(%d): mask %d does not match %d shards", tc.in, r.mask, tc.want)
-		}
-	}
-}
-
 // TestConcurrentReportsSameAndCrossShard hammers three poles — two pinned
 // to the same shard, one on a different shard — from concurrent
 // goroutines and checks that per-pole aggregates are exact: no lost
 // updates under same-shard lock contention, no cross-shard interference.
 func TestConcurrentReportsSameAndCrossShard(t *testing.T) {
-	r := newRegistry(0)
+	r := newRegistry()
 	mate, stranger := findShardMates(t, r)
 	ids := []uint32{1, mate, stranger}
 

@@ -128,9 +128,11 @@ type Timing struct {
 	Ingest   time.Duration
 	Cluster  time.Duration
 	Classify time.Duration
-	// QueueWait is the longest time any cluster batch waited between the
-	// start of the classify stage and a worker picking it up. It overlaps
-	// Classify (it is contention inside that stage), so Total excludes it.
+	// QueueWait is contention for workers, which Total excludes. From
+	// Count it is the longest time any cluster batch waited between the
+	// start of the classify stage and a worker picking it up (it overlaps
+	// Classify); from Stream it is the frame's wait in the scheduler's
+	// input queue.
 	QueueWait time.Duration
 }
 
@@ -157,26 +159,16 @@ type Pipeline struct {
 	Clusterer Clusterer
 	// Classifier labels each cluster (HAWC for HAWC-CC, etc.).
 	Classifier models.Classifier
-	// MinClusterPoints skips clusters too small to be an annotatable
-	// pattern, mirroring dataset.MinVisiblePoints.
-	MinClusterPoints int
-	// Parallelism is the number of goroutines classifying clusters inside
-	// one Count call. 1 or less classifies inline on the calling goroutine;
-	// New sets runtime.NumCPU(), matching pole hardware where every core
+	// Parallelism is the number of cores the pipeline may use: goroutines
+	// classifying one frame's clusters inside a Count call, frames counted
+	// at once inside a Stream call. 1 or less runs on one goroutine; New
+	// sets runtime.NumCPU(), matching pole hardware where every core
 	// counts toward the frame budget. Counts are identical at every value —
 	// classification is deterministic per cluster and aggregation is
 	// order-independent. Values above 1 require a Classifier that is safe
 	// for concurrent PredictHuman calls — every classifier in
 	// internal/models is, once trained.
 	Parallelism int
-	// BatchSize is how many clusters go into one forward pass when the
-	// Classifier implements models.BatchClassifier: workers take a batch
-	// at a time, so one frame's clusters become ⌈N/BatchSize⌉ stacked
-	// [B, H, W, C] passes instead of N batch-1 passes. 0 selects
-	// DefaultBatchSize; classifiers without batch support ignore it.
-	// Counts are identical at any batch size — batched classification is
-	// bit-equal per cluster.
-	BatchSize int
 	// m holds the pipeline's observability instruments. All fields are
 	// nil (no-op) until Instrument is called, so an uninstrumented
 	// pipeline pays only dead nil-receiver calls on the hot path.
@@ -207,14 +199,11 @@ type pipelineObs struct {
 }
 
 // Instrument registers the pipeline's metrics in reg and starts recording
-// per-frame stage spans, cluster label counts, and classify queue waits.
+// per-frame stage spans, cluster label counts, and waits for a worker.
 // extra labels are attached to every series (a multi-tenant deployment
 // might label by sensor). It returns p for chaining; a nil registry
-// leaves the pipeline uninstrumented.
+// hands out nil (no-op) instruments, leaving the pipeline uninstrumented.
 func (p *Pipeline) Instrument(reg *obs.Registry, extra ...obs.Label) *Pipeline {
-	if reg == nil {
-		return p
-	}
 	p.reg = reg
 	p.extra = append([]obs.Label(nil), extra...)
 	withExtra := func(labels ...obs.Label) []obs.Label {
@@ -241,60 +230,54 @@ func (p *Pipeline) Instrument(reg *obs.Registry, extra ...obs.Label) *Pipeline {
 		total: reg.Histogram("hawc_frame_seconds",
 			"end-to-end per-frame counting latency", obs.LatencyBuckets(), extra...),
 		queueWait: reg.Histogram("hawc_classify_queue_wait_seconds",
-			"time a cluster batch waits for a classify worker", obs.LatencyBuckets(), extra...),
+			"time a cluster batch (Count) or a frame (Stream) waits for a worker", obs.LatencyBuckets(), extra...),
 	}
 	return p
 }
 
-// DefaultBatchSize is the cluster batch per forward pass when BatchSize
-// is unset. Large enough to amortize weight packing across the GEMM
-// batch, small enough that a typical frame still splits into several
-// batches for the worker pool.
+// DefaultBatchSize is how many clusters go into one forward pass when
+// the Classifier implements models.BatchClassifier: workers take a batch
+// at a time, so one frame's clusters become ⌈N/16⌉ stacked [B, H, W, C]
+// passes instead of N batch-1 passes. Large enough to amortize weight
+// packing across the GEMM batch, small enough that a crowded frame still
+// splits into several batches for the worker pool. Batched
+// classification is bit-equal per cluster, so counts do not depend on it.
 const DefaultBatchSize = 16
-
-// batchSize resolves the configured batch size.
-func (p *Pipeline) batchSize() int {
-	if p.BatchSize > 0 {
-		return p.BatchSize
-	}
-	return DefaultBatchSize
-}
 
 // New builds a pipeline with deployment defaults around the classifier.
 func New(classifier models.Classifier) *Pipeline {
 	return &Pipeline{
-		ROI:              ground.DefaultROI(),
-		Clusterer:        NewAdaptiveClusterer(),
-		Classifier:       classifier,
-		MinClusterPoints: dataset.MinVisiblePoints,
-		Parallelism:      runtime.NumCPU(),
+		ROI:         ground.DefaultROI(),
+		Clusterer:   NewAdaptiveClusterer(),
+		Classifier:  classifier,
+		Parallelism: runtime.NumCPU(),
 	}
 }
 
 // Name identifies the framework, e.g. "HAWC-CC".
 func (p *Pipeline) Name() string { return p.Classifier.Name() + "-CC" }
 
-// streamJob is the unit of work the staged scheduler moves between
-// stages: one frame plus every buffer its processing needs. Jobs are
-// pooled and their buffers (crop/segment scratch, materialized cluster
-// clouds, kept-cluster headers) are recycled, so both the one-shot Count
-// path and steady-state streaming stay allocation-flat outside the
-// clustering kernels. A job is owned by exactly one goroutine at a time
-// — ownership transfers with the job as it moves through the stages.
+// streamJob is the unit of work of both counting modes: one frame plus
+// every buffer its processing needs. Jobs are pooled and their buffers
+// (crop/segment scratch, materialized cluster clouds, kept-cluster
+// headers) are recycled, so both the one-shot Count path and
+// steady-state streaming stay allocation-flat outside the clustering
+// kernels. A job is owned by exactly one goroutine at a time — under
+// streaming, ownership transfers with the job from feeder to worker to
+// reorderer.
 type streamJob struct {
 	// seq is the frame's position on the stream input (0 for one-shot).
 	seq uint64
-	// enqueued is when the scheduler dequeued the frame; classifyReady
-	// is when the cluster stage finished, the base of the queue-wait
-	// measurement under streaming.
-	enqueued, classifyReady time.Time
+	// enqueued is when the scheduler dequeued the frame: the base of the
+	// queue-wait and end-to-end measurements under streaming.
+	enqueued time.Time
 	// frame is the caller's raw cloud (never mutated, never retained).
 	frame geom.Cloud
 	// cropped and ingested are the pooled ingest buffers.
 	cropped, ingested geom.Cloud
 	// clusters are the materialized cluster clouds (backing arrays
 	// recycled via cluster.Result.ClustersInto); kept holds the headers
-	// of those meeting MinClusterPoints.
+	// of those meeting dataset.MinVisiblePoints.
 	clusters []geom.Cloud
 	kept     []geom.Cloud
 	// scratch carries the geometry stage's per-frame spatial index and
@@ -324,7 +307,7 @@ func acquireJob() *streamJob { return jobPool.Get().(*streamJob) }
 // data but keeping the scratch buffers.
 func releaseJob(j *streamJob) {
 	j.seq = 0
-	j.enqueued, j.classifyReady = time.Time{}, time.Time{}
+	j.enqueued = time.Time{}
 	j.frame = nil
 	j.res = Result{}
 	jobPool.Put(j)
@@ -335,23 +318,41 @@ func releaseJob(j *streamJob) {
 // Result rather than panicking, so a misconfigured pole node degrades to
 // reporting an empty walkway instead of crashing its capture loop.
 //
-// Count is a one-shot synchronous pass of the same stage executors the
-// streaming scheduler (Stream/StreamWith) drives, so the frame-at-a-time
-// and streaming paths cannot diverge: a frame produces bit-identical
-// Count/Clusters/Noise either way.
+// Count is a one-shot synchronous call of countJob, the function every
+// worker of the streaming scheduler (Stream/StreamWith) runs, so the
+// frame-at-a-time and streaming paths cannot diverge: a frame produces
+// bit-identical Count/Clusters/Noise either way.
 func (p *Pipeline) Count(frame geom.Cloud) Result {
-	if p.Classifier == nil {
-		return Result{}
-	}
 	j := acquireJob()
 	j.frame = frame
-	p.stageIngest(j)
-	p.stageCluster(j)
-	p.stageClassify(j, p.Parallelism)
+	p.countJob(j, p.Parallelism, nil, nil)
 	res := j.res
 	releaseJob(j)
-	p.observeFrame(res)
 	return res
+}
+
+// countJob takes one job from ROI crop to count on the calling goroutine,
+// classifying on the given number of goroutines, and records the frame
+// into the pipeline's instruments. Without a classifier it leaves the
+// job's zero Result. A stream worker passes its offload controller and
+// the queue whose saturation the controller watches: a shed frame ships
+// its clusters to the backend, and one that fails remotely is classified
+// locally instead, so either way the job leaves with a count.
+func (p *Pipeline) countJob(j *streamJob, workers int, off *OffloadController, q *boundedQ) {
+	if p.Classifier == nil {
+		return
+	}
+	p.stageIngest(j)
+	p.stageCluster(j)
+	if off != nil && off.ShouldOffload(len(q.ch), q.blocked.Load()) {
+		if !p.stageClassifyRemote(j, off) {
+			off.fellBack()
+			p.stageClassify(j, workers)
+		}
+	} else {
+		p.stageClassify(j, workers)
+	}
+	p.observeFrame(j.res)
 }
 
 // stageIngest crops the frame to the ROI and removes ground returns,
@@ -385,7 +386,8 @@ func (p *Pipeline) stageCluster(j *streamJob) {
 	j.res.Noise = cr.NoiseCount()
 }
 
-// stageKeep filters clusters below MinClusterPoints into j.kept and
+// stageKeep drops clusters too small to be an annotatable pattern
+// (below dataset.MinVisiblePoints), collects the rest in j.kept and
 // canonicalizes the survivors onto the classification lattice: they are
 // quantized into j.batch at wire.DefaultQuantScale exactly as the
 // offload transport ships them, and the kept headers are repointed at
@@ -398,7 +400,7 @@ func (p *Pipeline) stageCluster(j *streamJob) {
 func (p *Pipeline) stageKeep(j *streamJob) {
 	kept := j.kept[:0]
 	for _, c := range j.clusters {
-		if len(c) >= p.MinClusterPoints {
+		if len(c) >= dataset.MinVisiblePoints {
 			kept = append(kept, c)
 		}
 	}
@@ -422,12 +424,12 @@ func (p *Pipeline) stageKeep(j *streamJob) {
 	}
 }
 
-// stageClassify filters clusters below MinClusterPoints (snapping the
+// stageClassify filters out the small clusters (snapping the
 // survivors onto the classification lattice, see stageKeep) and labels
 // the rest on the given number of goroutines (the intra-frame worker
 // pool; streaming uses 1 here and gets its parallelism from frames in
 // flight). The sequential path leaves Timing.QueueWait untouched so the
-// streaming scheduler can account inter-stage queueing there instead.
+// streaming scheduler can account the wait for a worker there instead.
 func (p *Pipeline) stageClassify(j *streamJob, workers int) {
 	t0 := time.Now()
 	p.stageKeep(j)
@@ -437,13 +439,8 @@ func (p *Pipeline) stageClassify(j *streamJob, workers int) {
 	}
 	if workers <= 1 {
 		n := 0
-		bs := p.batchSize()
-		for start := 0; start < len(kept); start += bs {
-			end := start + bs
-			if end > len(kept) {
-				end = len(kept)
-			}
-			n += p.classifyBatch(kept, start, end)
+		for start := 0; start < len(kept); start += DefaultBatchSize {
+			n += p.classifyBatch(kept, start, min(start+DefaultBatchSize, len(kept)))
 		}
 		j.res.Count = n
 	} else {
@@ -535,7 +532,7 @@ func (p *Pipeline) classifyBatch(kept []geom.Cloud, start, end int) int {
 // a worker picks it up; its maximum is the frame's straggler penalty and
 // every batch's wait feeds the queue-wait histogram.
 func (p *Pipeline) classifyParallel(kept []geom.Cloud, workers int) (int, time.Duration) {
-	bs := p.batchSize()
+	const bs = DefaultBatchSize
 	chunks := (len(kept) + bs - 1) / bs
 	if workers > chunks {
 		workers = chunks
@@ -561,11 +558,7 @@ func (p *Pipeline) classifyParallel(kept []geom.Cloud, workers int) (int, time.D
 					localMax = ns
 				}
 				start := ci * bs
-				end := start + bs
-				if end > len(kept) {
-					end = len(kept)
-				}
-				local += int64(p.classifyBatch(kept, start, end))
+				local += int64(p.classifyBatch(kept, start, min(start+bs, len(kept))))
 			}
 			humans.Add(local)
 			for {

@@ -146,18 +146,28 @@ func TestCountWithoutClassifierDegrades(t *testing.T) {
 	}
 }
 
-func TestMinClusterPointsFiltersSmallClusters(t *testing.T) {
-	// Two points near each other form a cluster below the minimum; the
-	// pipeline must skip it.
-	cloud := geom.Cloud{
-		geom.P(20, 0, -1), geom.P(20.05, 0, -1), geom.P(20, 0.05, -1),
-		geom.P(20.05, 0.05, -1), geom.P(20.02, 0.02, -1.05),
+func TestSmallClustersAreFiltered(t *testing.T) {
+	// A cluster below dataset.MinVisiblePoints is not an annotatable
+	// pattern and must be skipped. Adaptive DBSCAN's MinPts equals that
+	// floor, so a looser fixed-ε clusterer produces the small cluster.
+	blob := func(y float64, n int) geom.Cloud {
+		var c geom.Cloud
+		for i := 0; i < n; i++ {
+			c = append(c, geom.P(20+0.02*float64(i), y, -1))
+		}
+		return c
 	}
 	p := New(acceptAll{})
-	p.MinClusterPoints = 100
-	r := p.Count(cloud)
-	if r.Clusters != 0 || r.Count != 0 {
-		t.Errorf("small cluster not filtered: %+v", r)
+	p.Clusterer = FixedEpsClusterer{Eps: 0.3, MinPts: 3}
+	for _, tc := range []struct{ small, want int }{
+		{dataset.MinVisiblePoints - 1, 1},
+		{dataset.MinVisiblePoints, 2},
+	} {
+		cloud := append(blob(-1, tc.small), blob(1, 2*dataset.MinVisiblePoints)...)
+		r := p.Count(cloud)
+		if r.Clusters != tc.want || r.Count != tc.want || r.Noise != 0 {
+			t.Errorf("%d-point cluster beside a large one: %+v, want %d kept and no noise", tc.small, r, tc.want)
+		}
 	}
 }
 
@@ -223,41 +233,40 @@ func (b *batchStub) PredictHumans(clouds []geom.Cloud) []bool {
 }
 
 // TestBatchedCountMatchesSequential pins the batched path against the
-// per-cluster path at several worker counts and batch sizes; run under
-// -race this also proves batch handout shares no unsynchronized state.
+// per-cluster path at several worker counts, on sparse frames (one
+// batch) and crowd frames (several); run under -race this also proves
+// batch handout shares no unsynchronized state.
 func TestBatchedCountMatchesSequential(t *testing.T) {
 	g := dataset.NewGenerator(10)
-	frames := g.CrowdFrames(4, 2, 6, 2)
+	frames := append(g.CrowdFrames(2, 2, 6, 2), g.CrowdFrames(2, 20, 24, 3)...)
 	plain := New(heightStub{})
 	plain.Parallelism = 1
+	split := false
 	for i, f := range frames {
 		want := plain.Count(f.Cloud)
-		for _, bs := range []int{1, 3, 0} { // 0 = DefaultBatchSize
-			for _, workers := range []int{1, 2, 8} {
-				stub := &batchStub{}
-				p := New(stub)
-				p.BatchSize = bs
-				p.Parallelism = workers
-				got := p.Count(f.Cloud)
-				if got.Count != want.Count || got.Clusters != want.Clusters {
-					t.Errorf("frame %d bs=%d workers=%d: %+v, per-cluster %+v", i, bs, workers, got, want)
-				}
-				limit := bs
-				if limit == 0 {
-					limit = DefaultBatchSize
-				}
-				total := 0
-				for _, n := range stub.batches {
-					if n > limit {
-						t.Errorf("frame %d bs=%d workers=%d: batch of %d exceeds limit %d", i, bs, workers, n, limit)
-					}
-					total += n
-				}
-				if total != got.Clusters {
-					t.Errorf("frame %d bs=%d workers=%d: batches covered %d clusters, want %d", i, bs, workers, total, got.Clusters)
-				}
+		for _, workers := range []int{1, 2, 8} {
+			stub := &batchStub{}
+			p := New(stub)
+			p.Parallelism = workers
+			got := p.Count(f.Cloud)
+			if got.Count != want.Count || got.Clusters != want.Clusters {
+				t.Errorf("frame %d workers=%d: %+v, per-cluster %+v", i, workers, got, want)
 			}
+			total := 0
+			for _, n := range stub.batches {
+				if n > DefaultBatchSize {
+					t.Errorf("frame %d workers=%d: batch of %d exceeds DefaultBatchSize", i, workers, n)
+				}
+				total += n
+			}
+			if total != got.Clusters {
+				t.Errorf("frame %d workers=%d: batches covered %d clusters, want %d", i, workers, total, got.Clusters)
+			}
+			split = split || len(stub.batches) > 1
 		}
+	}
+	if !split {
+		t.Error("no frame split into several batches; the crowd frames must exceed DefaultBatchSize clusters")
 	}
 }
 
@@ -320,18 +329,20 @@ func TestUninstrumentedPipelineHasNilStageHistograms(t *testing.T) {
 
 func TestQueueWaitRecordedOnParallelClassify(t *testing.T) {
 	g := dataset.NewGenerator(13)
-	f := g.CrowdFrames(1, 5, 8, 3)[0] // a dense frame with many clusters
+	// A crowd frame with more clusters than one batch holds, so the
+	// parallel path hands out several.
+	f := g.CrowdFrames(1, 20, 24, 3)[0]
 	reg := obs.NewRegistry()
 	p := New(heightStub{}).Instrument(reg)
-	p.BatchSize = 1 // one cluster per batch: forces multiple handouts
 	p.Parallelism = 4
 	r := p.Count(f.Cloud)
-	if r.Clusters < 2 {
-		t.Skipf("frame produced %d clusters; need ≥2 for the parallel path", r.Clusters)
+	batches := (r.Clusters + DefaultBatchSize - 1) / DefaultBatchSize
+	if batches < 2 {
+		t.Fatalf("frame produced %d clusters; need > %d for several batches", r.Clusters, DefaultBatchSize)
 	}
 	qw := p.m.queueWait.Snapshot()
-	if qw.Count != uint64(r.Clusters) {
-		t.Errorf("queue-wait observations = %d, want one per batch = %d", qw.Count, r.Clusters)
+	if qw.Count != uint64(batches) {
+		t.Errorf("queue-wait observations = %d, want one per batch = %d", qw.Count, batches)
 	}
 	if r.Timing.QueueWait <= 0 {
 		t.Error("frame span missing queue wait")

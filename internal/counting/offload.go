@@ -1,5 +1,5 @@
-// offload.go adds the edge/cloud offload decision point to the staged
-// scheduler: a hysteresis controller watches the classify queue's
+// offload.go adds the edge/cloud offload decision point to the streaming
+// scheduler: a hysteresis controller watches the input queue's
 // depth and backpressure plus the enclosure temperature (telemetry,
 // Fig. 10) and decides per frame whether the classify stage runs on the
 // pole or ships the clusters to the backend over the quantized wire
@@ -28,7 +28,7 @@ import (
 // classification sees bit-identical clouds to local. The batch is owned
 // by the calling frame job and must not be retained after the call
 // returns. Implementations must be safe for concurrent calls — the
-// scheduler's classify workers offload frames in parallel.
+// scheduler's workers offload frames in parallel.
 type RemoteClassifier interface {
 	ClassifyRemote(batch *wire.ClusterBatch) ([]bool, error)
 }
@@ -89,11 +89,14 @@ type OffloadConfig struct {
 	// mode other than OffloadOff; a nil Remote disables offloading.
 	// The shipped batch is the one the classify stage snapped to.
 	Remote RemoteClassifier
-	// EnterQueueDepth: offload when the classify queue holds at least
-	// this many waiting frames. 0 selects DefaultQueueDepth (a full
+	// The thresholds below stay fields, though no deployment sets them,
+	// because the live thermal test has to switch the queue signals off.
+	//
+	// EnterQueueDepth: offload when the scheduler's input queue holds at
+	// least this many waiting frames. 0 selects DefaultQueueDepth (a full
 	// queue at the default depth); negative disables the depth signal.
 	EnterQueueDepth int
-	// EnterBackpressure: offload when at least this many classify-queue
+	// EnterBackpressure: offload when at least this many input-queue
 	// handoffs blocked since the previous decision. 0 selects 1;
 	// negative disables the backpressure signal.
 	EnterBackpressure int
@@ -130,7 +133,7 @@ func (c OffloadConfig) withDefaults() OffloadConfig {
 }
 
 // OffloadController is the per-pole hysteresis decision point. It is
-// fed three saturation signals — classify-queue depth, classify-queue
+// fed three saturation signals — input-queue depth, input-queue
 // backpressure events, and compartment temperature — and latches into
 // the offloading state as soon as any signal trips its enter threshold,
 // returning to local only after every signal has stayed below its exit
@@ -147,7 +150,7 @@ type OffloadController struct {
 	mu         sync.Mutex
 	offloading bool
 	calm       int    // consecutive calm frames while offloading
-	lastBP     uint64 // classify-queue blocked-handoff count at last decision
+	lastBP     uint64 // input-queue blocked-handoff count at last decision
 
 	switches            atomic.Uint64
 	localN, remoteN     atomic.Uint64
@@ -170,7 +173,7 @@ func NewOffloadController(cfg OffloadConfig) *OffloadController {
 // offloading), and the remote round-trip latency histogram
 // (hawc_offload_rtt_seconds). It returns c for chaining.
 func (c *OffloadController) Instrument(reg *obs.Registry, extra ...obs.Label) *OffloadController {
-	if c == nil || reg == nil {
+	if c == nil {
 		return c
 	}
 	dec := func(kind string) *obs.Counter {
@@ -236,8 +239,8 @@ func (c *OffloadController) Decisions() (local, remote, fallback uint64) {
 	return c.localN.Load(), c.remoteN.Load(), c.fallbackN.Load()
 }
 
-// ShouldOffload is the per-frame decision, called by classify workers
-// with the classify queue's current depth and cumulative blocked-send
+// ShouldOffload is the per-frame decision, called by stream workers
+// with the input queue's current depth and cumulative blocked-send
 // count. It records the decision in the controller's counters; a
 // subsequent remote failure is reported via fellBack.
 func (c *OffloadController) ShouldOffload(queueDepth int, blockedSends uint64) bool {
@@ -277,7 +280,7 @@ func (c *OffloadController) decide(queueDepth int, blockedSends uint64) bool {
 	// A disabled enter signal (negative threshold) is excluded from the
 	// calm test too: a signal that can never push the controller into
 	// offloading must not be able to hold it there. Under live streaming
-	// the classify queue routinely holds a frame or two, so without this
+	// the input queue routinely holds a frame or two, so without this
 	// gating a depth-disabled controller would never return local.
 	calm := (c.cfg.EnterQueueDepth <= 0 || queueDepth == 0) &&
 		(c.cfg.EnterBackpressure <= 0 || blocked == 0) &&

@@ -163,7 +163,7 @@ func TestOffloadControllerQueueSignals(t *testing.T) {
 		t.Fatal("offloaded with an empty queue")
 	}
 	if !ctl.ShouldOffload(DefaultQueueDepth, 0) {
-		t.Fatal("full classify queue did not trigger offload")
+		t.Fatal("full input queue did not trigger offload")
 	}
 	for i := 0; i < 2; i++ {
 		ctl.ShouldOffload(0, 0)
@@ -188,7 +188,7 @@ func TestOffloadControllerQueueSignals(t *testing.T) {
 // TestOffloadControllerDisabledSignalsDoNotBlockExit pins the calm-side
 // gating: a signal disabled for entry (negative threshold) must not
 // hold the controller in the offloading state either. Under live
-// streaming the classify queue routinely holds a frame or two, so a
+// streaming the input queue routinely holds a frame or two, so a
 // thermal-only controller has to exit through a nonzero queue depth.
 func TestOffloadControllerDisabledSignalsDoNotBlockExit(t *testing.T) {
 	ctl := NewOffloadController(OffloadConfig{

@@ -1,16 +1,16 @@
-// stream.go implements the staged streaming scheduler: the continuous
-// counterpart of Count for a pole that ingests LiDAR sweeps nonstop.
-// Frames flow through ingest → cluster → classify → report as pooled
-// jobs over bounded channels, so memory is bounded by the queue depths,
-// a slow stage backpressures the stages above it instead of growing an
-// unbounded backlog, and every stage overlaps with the others. Results
-// are emitted in input order; per-frame outputs are bit-identical to
-// Count's because both paths run the same stage executors.
+// stream.go implements the streaming scheduler: the continuous
+// counterpart of Count for a pole that ingests LiDAR sweeps nonstop. A
+// feeder turns the input channel into sequenced pooled jobs on one
+// bounded queue; Pipeline.Parallelism workers each carry one job from
+// ROI crop to count; a reorderer emits the results in input order.
+// Memory is bounded by the two queue depths plus the workers, and a slow
+// consumer backpressures capture instead of growing a backlog. Per-frame
+// outputs are bit-identical to Count's because a worker runs the very
+// function Count runs (countJob).
 package counting
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,66 +19,38 @@ import (
 	"hawccc/internal/obs"
 )
 
-// DefaultQueueDepth is the bounded capacity of each inter-stage queue
-// when StreamConfig.QueueDepth is unset: deep enough to absorb per-frame
+// DefaultQueueDepth is the bounded capacity of each scheduler queue when
+// StreamConfig.QueueDepth is unset: deep enough to absorb per-frame
 // jitter, shallow enough that total in-flight memory stays a handful of
-// frames per stage.
+// frames.
 const DefaultQueueDepth = 4
 
-// StreamConfig sizes the staged scheduler. Zero values select the
-// corresponding DefaultStreamConfig field, so the zero StreamConfig is
-// the deployment configuration.
+// StreamConfig configures one Stream call. The scheduler's width is not
+// here: it is Pipeline.Parallelism, the cores the pipeline may use in
+// either mode. The zero StreamConfig is the deployment configuration.
 type StreamConfig struct {
-	// IngestWorkers / ClusterWorkers / ClassifyWorkers are the per-stage
-	// worker pools. Ingest is two cheap filters, so one worker usually
-	// saturates it; clustering and classification carry the compute and
-	// split the cores between them by default. Streaming parallelism is
-	// across frames — each classify worker labels one frame's clusters
-	// sequentially — so results stay deterministic at any setting.
-	IngestWorkers, ClusterWorkers, ClassifyWorkers int
-	// QueueDepth bounds each inter-stage channel. Total in-flight frames
-	// are at most 4*QueueDepth + workers + 1, which is the scheduler's
-	// whole steady-state memory footprint beyond the pooled buffers.
+	// QueueDepth bounds the input queue, the report queue and the output
+	// channel (0 selects DefaultQueueDepth). Frames in flight ahead of the
+	// reorderer are at most 2*QueueDepth + Parallelism + 1 — two queues,
+	// one per worker, one in the feeder's hand — which is the scheduler's
+	// whole steady-state footprint beyond the pooled buffers. Kept as a
+	// field because tests and the benchmark pin it to make queueing
+	// deterministic; no deployment sets it.
 	QueueDepth int
 	// Offload, when non-nil, adds the edge/cloud offload decision point
-	// after the cluster stage: each classify worker consults the
-	// controller per frame and either classifies locally or ships the
-	// kept clusters through the controller's RemoteClassifier. Offloaded
-	// results re-enter the reorder buffer like local ones, and a remote
-	// failure falls back to local classification, so ordered emission
-	// and per-frame delivery are unchanged. Nil keeps every frame local.
+	// after clustering: each worker consults the controller per frame and
+	// either classifies locally or ships the kept clusters through the
+	// controller's RemoteClassifier. Offloaded results re-enter the
+	// reorder buffer like local ones, and a remote failure falls back to
+	// local classification, so ordered emission and per-frame delivery
+	// are unchanged. Nil keeps every frame local.
 	Offload *OffloadController
-}
-
-// DefaultStreamConfig splits the cores between the two compute stages
-// and bounds the queues at DefaultQueueDepth.
-func DefaultStreamConfig() StreamConfig {
-	half := runtime.NumCPU() / 2
-	if half < 1 {
-		half = 1
-	}
-	return StreamConfig{
-		IngestWorkers:   1,
-		ClusterWorkers:  half,
-		ClassifyWorkers: half,
-		QueueDepth:      DefaultQueueDepth,
-	}
 }
 
 // withDefaults resolves zero fields to the deployment defaults.
 func (c StreamConfig) withDefaults() StreamConfig {
-	d := DefaultStreamConfig()
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = d.IngestWorkers
-	}
-	if c.ClusterWorkers <= 0 {
-		c.ClusterWorkers = d.ClusterWorkers
-	}
-	if c.ClassifyWorkers <= 0 {
-		c.ClassifyWorkers = d.ClassifyWorkers
-	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = d.QueueDepth
+		c.QueueDepth = DefaultQueueDepth
 	}
 	return c
 }
@@ -90,20 +62,20 @@ type StreamResult struct {
 	Seq uint64
 	// E2E is the end-to-end latency of this frame through the scheduler:
 	// from dequeuing the input to emitting the result, including all
-	// inter-stage queueing (Timing covers only the compute segments).
+	// queueing (Timing covers only the compute segments).
 	E2E time.Duration
 	Result
 }
 
-// Stream runs the staged scheduler with the deployment configuration
-// over frames until the input channel closes (results for every accepted
+// Stream runs the scheduler with the deployment configuration over
+// frames until the input channel closes (results for every accepted
 // frame are flushed, then the returned channel closes) or ctx is
 // canceled (in-flight frames are dropped and the channel closes).
 // Results arrive in input order. The scheduler owns all intermediate
 // buffering; the caller only ever holds one frame and one result.
 //
-// A pipeline without a classifier degrades exactly as Count does: every
-// frame yields a zero Result.
+// A pipeline without a classifier degrades as Count does: every frame
+// comes back, in order, with zero counts.
 func (p *Pipeline) Stream(ctx context.Context, frames <-chan geom.Cloud) <-chan StreamResult {
 	return p.StreamWith(ctx, frames, StreamConfig{})
 }
@@ -111,77 +83,41 @@ func (p *Pipeline) Stream(ctx context.Context, frames <-chan geom.Cloud) <-chan 
 // StreamWith is Stream with an explicit scheduler configuration.
 func (p *Pipeline) StreamWith(ctx context.Context, frames <-chan geom.Cloud, cfg StreamConfig) <-chan StreamResult {
 	cfg = cfg.withDefaults()
-	out := make(chan StreamResult, cfg.QueueDepth)
-	if p.Classifier == nil {
-		go degradeStream(ctx, frames, out)
-		return out
-	}
 	s := &scheduler{
 		p:   p,
 		ctx: ctx,
-		cfg: cfg,
+		off: cfg.Offload,
 		in:  frames,
-		out: out,
-		e2e: p.streamHistogram("hawc_stream_e2e_seconds",
-			"end-to-end frame latency through the streaming scheduler (compute + queueing)"),
+		// Buffered so a consumer that lags by a few frames does not
+		// stall the reorderer.
+		out:     make(chan StreamResult, cfg.QueueDepth),
+		qIn:     p.streamQueue(cfg.QueueDepth, "ingest"),
+		qReport: p.streamQueue(cfg.QueueDepth, "report"),
+		e2e: p.reg.Histogram("hawc_stream_e2e_seconds",
+			"end-to-end frame latency through the streaming scheduler (compute + queueing)",
+			obs.LatencyBuckets(), p.extra...),
 	}
-	s.qIngest = p.streamQueue(cfg.QueueDepth, "ingest")
-	s.qCluster = p.streamQueue(cfg.QueueDepth, "cluster")
-	s.qClassify = p.streamQueue(cfg.QueueDepth, "classify")
-	s.qReport = p.streamQueue(cfg.QueueDepth, "report")
 	go s.run()
-	return out
+	return s.out
 }
 
-// degradeStream is the nil-classifier path: one zero Result per frame.
-func degradeStream(ctx context.Context, frames <-chan geom.Cloud, out chan<- StreamResult) {
-	defer close(out)
-	var seq uint64
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case _, ok := <-frames:
-			if !ok {
-				return
-			}
-			select {
-			case out <- StreamResult{Seq: seq}:
-				seq++
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-}
-
-// streamQueue builds one bounded inter-stage queue, registering its
-// depth gauge and backpressure counter when the pipeline is instrumented
-// (series hawc_stream_queue_depth{stage=...} and
-// hawc_stream_backpressure_total{stage=...}, plus the pipeline's extra
-// labels).
+// streamQueue builds one bounded scheduler queue and registers its depth
+// gauge and backpressure counter under the pipeline's labels (series
+// hawc_stream_queue_depth{stage=...} and
+// hawc_stream_backpressure_total{stage=...}; no-ops when the pipeline is
+// uninstrumented).
 func (p *Pipeline) streamQueue(depth int, stage string) *boundedQ {
-	q := &boundedQ{ch: make(chan *streamJob, depth)}
-	if p.reg != nil {
-		labels := append([]obs.Label{obs.L("stage", stage)}, p.extra...)
-		q.depth = p.reg.Gauge("hawc_stream_queue_depth",
-			"frames waiting in one staged-scheduler queue", labels...)
-		q.bp = p.reg.Counter("hawc_stream_backpressure_total",
-			"stage handoffs that blocked on a full downstream queue", labels...)
+	labels := append([]obs.Label{obs.L("stage", stage)}, p.extra...)
+	return &boundedQ{
+		ch: make(chan *streamJob, depth),
+		depth: p.reg.Gauge("hawc_stream_queue_depth",
+			"frames waiting in one streaming-scheduler queue", labels...),
+		bp: p.reg.Counter("hawc_stream_backpressure_total",
+			"handoffs that blocked on a full scheduler queue", labels...),
 	}
-	return q
 }
 
-// streamHistogram registers a scheduler histogram under the pipeline's
-// labels, or returns nil (no-op) when uninstrumented.
-func (p *Pipeline) streamHistogram(name, help string) *obs.Histogram {
-	if p.reg == nil {
-		return nil
-	}
-	return p.reg.Histogram(name, help, obs.LatencyBuckets(), p.extra...)
-}
-
-// boundedQ is a bounded inter-stage channel with queue-depth and
+// boundedQ is a bounded channel of jobs with queue-depth and
 // backpressure accounting. The gauge tracks occupancy approximately
 // (incremented after a successful send, decremented after receive),
 // which is all a scrape needs.
@@ -226,57 +162,31 @@ func (q *boundedQ) recv() (*streamJob, bool) {
 	return j, ok
 }
 
-// scheduler wires the stage pools together for one Stream call.
+// scheduler is the state of one Stream call.
 type scheduler struct {
 	p   *Pipeline
 	ctx context.Context
-	cfg StreamConfig
+	off *OffloadController
 	in  <-chan geom.Cloud
 	out chan StreamResult
 
-	qIngest, qCluster, qClassify, qReport *boundedQ
+	qIn, qReport *boundedQ
 
 	e2e *obs.Histogram
 }
 
-// run starts the stage pools and reports results on the caller's
-// goroutine budget: feeder, three stage pools, and the reorderer. Each
-// pool closes its downstream queue once its upstream is drained, so a
-// closed input cascades into a flushed, closed output.
+// run starts the feeder and the worker pool and reorders on its own
+// goroutine. Each closes its downstream queue once its upstream is
+// drained, so a closed input cascades into a flushed, closed output.
 func (s *scheduler) run() {
 	go s.feed()
-	go s.pool(s.cfg.IngestWorkers, s.qIngest, s.qCluster, s.p.stageIngest)
-	go s.pool(s.cfg.ClusterWorkers, s.qCluster, s.qClassify, func(j *streamJob) {
-		s.p.stageCluster(j)
-		// The queue-wait clock starts when the frame is ready for
-		// classification; blocking on a full classify queue is exactly
-		// the wait the histogram is meant to surface.
-		j.classifyReady = time.Now()
-	})
-	go s.pool(s.cfg.ClassifyWorkers, s.qClassify, s.qReport, func(j *streamJob) {
-		wait := time.Since(j.classifyReady)
-		s.p.m.queueWait.ObserveDuration(wait)
-		// The offload decision point: the controller reads the classify
-		// queue's live depth and cumulative blocked handoffs; a shed
-		// frame that fails remotely is classified locally instead, so
-		// either way the job proceeds to the reorder buffer.
-		off := s.cfg.Offload
-		if off.ShouldOffload(len(s.qClassify.ch), s.qClassify.blocked.Load()) {
-			if !s.p.stageClassifyRemote(j, off) {
-				off.fellBack()
-				s.p.stageClassify(j, 1)
-			}
-		} else {
-			s.p.stageClassify(j, 1)
-		}
-		j.res.Timing.QueueWait = wait
-	})
+	go s.pool(max(1, s.p.Parallelism))
 	s.report()
 }
 
 // feed turns the input channel into sequenced pooled jobs.
 func (s *scheduler) feed() {
-	defer close(s.qIngest.ch)
+	defer close(s.qIn.ch)
 	var seq uint64
 	for {
 		select {
@@ -291,7 +201,7 @@ func (s *scheduler) feed() {
 			j.frame = frame
 			j.enqueued = time.Now()
 			seq++
-			if !s.qIngest.send(s.ctx, j) {
+			if !s.qIn.send(s.ctx, j) {
 				releaseJob(j)
 				return
 			}
@@ -299,23 +209,31 @@ func (s *scheduler) feed() {
 	}
 }
 
-// pool runs one stage: workers drain src, apply fn, and hand the job
-// downstream; the last worker out closes dst so the next stage can
-// finish. A send refused by cancelation releases the job — the frame is
-// dropped, which is the documented cancel semantics.
-func (s *scheduler) pool(workers int, src, dst *boundedQ, fn func(*streamJob)) {
+// pool runs the workers: each takes a job off the input queue, counts it
+// single-threaded (streaming parallelism is across frames, so results
+// stay deterministic at any width), and hands it to the reorderer; the
+// last worker out closes the report queue. The offload controller reads
+// the input queue's live depth and cumulative blocked handoffs — both
+// mean the pool is saturated. A send refused by cancelation releases the
+// job — the frame is dropped, which is the documented cancel semantics.
+func (s *scheduler) pool(workers int) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				j, ok := src.recv()
+				j, ok := s.qIn.recv()
 				if !ok {
 					return
 				}
-				fn(j)
-				if !dst.send(s.ctx, j) {
+				// Waiting for a worker, blocked handoff into a full queue
+				// included, is the wait the histogram is meant to surface.
+				wait := time.Since(j.enqueued)
+				s.p.m.queueWait.ObserveDuration(wait)
+				s.p.countJob(j, 1, s.off, s.qIn)
+				j.res.Timing.QueueWait = wait
+				if !s.qReport.send(s.ctx, j) {
 					releaseJob(j)
 					return
 				}
@@ -323,13 +241,13 @@ func (s *scheduler) pool(workers int, src, dst *boundedQ, fn func(*streamJob)) {
 		}()
 	}
 	wg.Wait()
-	close(dst.ch)
+	close(s.qReport.ch)
 }
 
 // report reorders completed jobs into input order and emits them. The
-// reorder buffer is bounded by the frames in flight (queue depths plus
-// workers), so it cannot grow without bound. On cancelation remaining
-// results are dropped and their jobs released.
+// reorder buffer holds only frames that overtook the one still in a
+// worker, so it is bounded by the frames in flight. On cancelation
+// remaining results are dropped and their jobs released.
 func (s *scheduler) report() {
 	defer close(s.out)
 	pending := make(map[uint64]*streamJob)
@@ -360,12 +278,11 @@ func (s *scheduler) report() {
 	}
 }
 
-// emit observes the frame's instruments, releases the job, and delivers
-// the result; it returns false once the context is canceled.
+// emit releases the job and delivers its result; it returns false once
+// the context is canceled.
 func (s *scheduler) emit(j *streamJob) bool {
 	r := StreamResult{Seq: j.seq, E2E: time.Since(j.enqueued), Result: j.res}
 	releaseJob(j)
-	s.p.observeFrame(r.Result)
 	s.e2e.ObserveDuration(r.E2E)
 	select {
 	case s.out <- r:

@@ -2,6 +2,8 @@ package counting
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -60,39 +62,72 @@ func streamFrames(ctx context.Context, p *Pipeline, frames []dataset.Frame, cfg 
 	return out
 }
 
+// TestStreamMatchesGoldenInOrder streams the golden frames at several
+// pool widths and queue depths. Widths above the core count matter:
+// frames then finish out of order, so the reorder buffer is exercised
+// (and raced, under -race) even on a 2-core runner.
 func TestStreamMatchesGoldenInOrder(t *testing.T) {
 	frames := goldenInput()
-	configs := []StreamConfig{
-		{},
-		{IngestWorkers: 1, ClusterWorkers: 1, ClassifyWorkers: 1, QueueDepth: 1},
-		{IngestWorkers: 2, ClusterWorkers: 4, ClassifyWorkers: 4, QueueDepth: 2},
+	for _, workers := range []int{1, 2, 8} {
+		for _, depth := range []int{1, 2} {
+			p := New(heightStub{})
+			p.Parallelism = workers
+			results := streamFrames(context.Background(), p, frames, StreamConfig{QueueDepth: depth})
+			if len(results) != len(frames) {
+				t.Fatalf("workers=%d depth=%d: got %d results, want %d", workers, depth, len(results), len(frames))
+			}
+			for i, r := range results {
+				if r.Seq != uint64(i) {
+					t.Errorf("workers=%d depth=%d: result %d has seq %d — out of order", workers, depth, i, r.Seq)
+				}
+				g := goldenFrames[i]
+				if r.Count != g.count || r.Clusters != g.clusters || r.Noise != g.noise {
+					t.Errorf("workers=%d depth=%d frame %d: streamed {%d %d %d}, golden {%d %d %d}",
+						workers, depth, i, r.Count, r.Clusters, r.Noise, g.count, g.clusters, g.noise)
+				}
+				if r.E2E <= 0 {
+					t.Errorf("workers=%d depth=%d frame %d: no end-to-end latency", workers, depth, i)
+				}
+				if r.Timing.Total() <= 0 {
+					t.Errorf("workers=%d depth=%d frame %d: no stage timing", workers, depth, i)
+				}
+				if r.E2E < r.Timing.Total() {
+					t.Errorf("workers=%d depth=%d frame %d: E2E %v below compute time %v",
+						workers, depth, i, r.E2E, r.Timing.Total())
+				}
+			}
+		}
 	}
-	for ci, cfg := range configs {
-		p := New(heightStub{})
-		results := streamFrames(context.Background(), p, frames, cfg)
-		if len(results) != len(frames) {
-			t.Fatalf("config %d: got %d results, want %d", ci, len(results), len(frames))
+}
+
+// TestStreamInFlightBound pins the scheduler's memory bound: with nobody
+// reading results it accepts one frame per slot — input queue, worker,
+// report queue, output buffer, one in the feeder's hand, one in the
+// reorderer's — and then backpressures its input.
+func TestStreamInFlightBound(t *testing.T) {
+	const depth, workers = 1, 1
+	const bound = 3*depth + workers + 2
+	ctx, cancel := context.WithCancel(context.Background())
+	p := New(heightStub{})
+	p.Parallelism = workers
+	in := make(chan geom.Cloud)
+	out := p.StreamWith(ctx, in, StreamConfig{QueueDepth: depth})
+
+	cloud := goldenInput()[0].Cloud
+	accepted := 0
+	for blocked := false; !blocked && accepted <= bound; {
+		select {
+		case in <- cloud:
+			accepted++
+		case <-time.After(500 * time.Millisecond):
+			blocked = true
 		}
-		for i, r := range results {
-			if r.Seq != uint64(i) {
-				t.Errorf("config %d: result %d has seq %d — out of order", ci, i, r.Seq)
-			}
-			g := goldenFrames[i]
-			if r.Count != g.count || r.Clusters != g.clusters || r.Noise != g.noise {
-				t.Errorf("config %d frame %d: streamed {%d %d %d}, golden {%d %d %d}",
-					ci, i, r.Count, r.Clusters, r.Noise, g.count, g.clusters, g.noise)
-			}
-			if r.E2E <= 0 {
-				t.Errorf("config %d frame %d: no end-to-end latency", ci, i)
-			}
-			if r.Timing.Total() <= 0 {
-				t.Errorf("config %d frame %d: no stage timing", ci, i)
-			}
-			if r.E2E < r.Timing.Total() {
-				t.Errorf("config %d frame %d: E2E %v below compute time %v",
-					ci, i, r.E2E, r.Timing.Total())
-			}
-		}
+	}
+	if accepted > bound {
+		t.Errorf("scheduler accepted %d frames with no consumer, want at most %d", accepted, bound)
+	}
+	cancel()
+	for range out {
 	}
 }
 
@@ -142,7 +177,7 @@ func TestStreamRecordsQueueMetrics(t *testing.T) {
 	p := New(heightStub{}).Instrument(reg)
 
 	ctx := context.Background()
-	cfg := StreamConfig{IngestWorkers: 1, ClusterWorkers: 1, ClassifyWorkers: 1, QueueDepth: 1}
+	cfg := StreamConfig{QueueDepth: 1}
 	in := make(chan geom.Cloud)
 	go func() {
 		defer close(in)
@@ -151,7 +186,7 @@ func TestStreamRecordsQueueMetrics(t *testing.T) {
 		}
 	}()
 	out := p.StreamWith(ctx, in, cfg)
-	// A slow consumer fills every queue behind the report stage, forcing
+	// A slow consumer fills both queues behind the reorderer, forcing
 	// observable backpressure.
 	first := true
 	n := 0
@@ -169,8 +204,22 @@ func TestStreamRecordsQueueMetrics(t *testing.T) {
 	if s := reg.Histogram("hawc_stream_e2e_seconds", "", obs.LatencyBuckets()).Snapshot(); s.Count != uint64(len(frames)) {
 		t.Errorf("e2e histogram observed %d frames, want %d", s.Count, len(frames))
 	}
+	// Exactly the scheduler's two queues are exposed, drained to zero.
+	stages := map[string][]string{}
+	reg.EachSeries(func(si obs.SeriesInfo) {
+		if si.Name == "hawc_stream_queue_depth" || si.Name == "hawc_stream_backpressure_total" {
+			stages[si.Name] = append(stages[si.Name], si.Label("stage"))
+		}
+	})
+	for _, name := range []string{"hawc_stream_queue_depth", "hawc_stream_backpressure_total"} {
+		got := stages[name]
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, []string{"ingest", "report"}) {
+			t.Errorf("%s has stages %v, want exactly [ingest report]", name, got)
+		}
+	}
 	bp := uint64(0)
-	for _, stage := range []string{"ingest", "cluster", "classify", "report"} {
+	for _, stage := range []string{"ingest", "report"} {
 		bp += reg.Counter("hawc_stream_backpressure_total", "", obs.L("stage", stage)).Value()
 		if d := reg.Gauge("hawc_stream_queue_depth", "", obs.L("stage", stage)).Value(); d != 0 {
 			t.Errorf("stage %q queue depth = %g after drain, want 0", stage, d)
@@ -249,15 +298,10 @@ func TestTimingTotalMatchesObservedSpans(t *testing.T) {
 }
 
 func TestStreamConfigDefaults(t *testing.T) {
-	got := StreamConfig{}.withDefaults()
-	if got != DefaultStreamConfig() {
-		t.Errorf("zero config resolved to %+v, want %+v", got, DefaultStreamConfig())
+	if got := (StreamConfig{}).withDefaults().QueueDepth; got != DefaultQueueDepth {
+		t.Errorf("zero config resolved to queue depth %d, want %d", got, DefaultQueueDepth)
 	}
-	partial := StreamConfig{ClassifyWorkers: 7}.withDefaults()
-	if partial.ClassifyWorkers != 7 {
-		t.Errorf("explicit worker count overridden: %+v", partial)
-	}
-	if partial.QueueDepth != DefaultQueueDepth || partial.IngestWorkers != 1 {
-		t.Errorf("unset fields not defaulted: %+v", partial)
+	if got := (StreamConfig{QueueDepth: 7}).withDefaults().QueueDepth; got != 7 {
+		t.Errorf("explicit queue depth overridden: %d", got)
 	}
 }

@@ -4,7 +4,7 @@
 // per-cluster labels come back. It runs over its own backend
 // connection — the report connection is occupied by the synchronous
 // report/ack exchange — and correlates replies by frame sequence
-// number, so every classify worker can have a batch in flight at once
+// number, so every stream worker can have a batch in flight at once
 // instead of serializing round trips.
 package pole
 

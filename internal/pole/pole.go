@@ -55,7 +55,7 @@ func (s *SliceSource) NextFrame() (dataset.Frame, error) {
 }
 
 // DefaultReconnectWait is the pause before re-dialing a broken backend
-// connection when Config.ReconnectWait is zero.
+// connection.
 const DefaultReconnectWait = 100 * time.Millisecond
 
 // Config parameterizes a pole node.
@@ -76,10 +76,6 @@ type Config struct {
 	// FrameInterval paces the capture loop (0 = process as fast as
 	// possible, used by tests and batch replays).
 	FrameInterval time.Duration
-	// Stream sizes the staged counting scheduler Run drives (per-stage
-	// workers, bounded queue depth). The zero value selects
-	// counting.DefaultStreamConfig.
-	Stream counting.StreamConfig
 	// Telemetry, when non-nil, is streamed alongside count reports (one
 	// reading per frame).
 	Telemetry []telemetry.Reading
@@ -100,9 +96,6 @@ type Config struct {
 	// a delivery fails, per report; after a successful ack the budget
 	// resets. 0 keeps the historical fail-fast behavior.
 	MaxReconnects int
-	// ReconnectWait is the pause before each re-dial (0 selects
-	// DefaultReconnectWait).
-	ReconnectWait time.Duration
 	// Obs, when non-nil, registers the node's metrics (frames processed,
 	// acked reports, reconnects, alerts received, report RTT, wire bytes)
 	// labeled pole="<id>". The node keeps private instruments either way,
@@ -273,7 +266,7 @@ func (n *Node) logf(format string, args ...any) {
 // Run processes frames until the source is exhausted or ctx is canceled,
 // then closes the connection. It returns the number of frames processed.
 //
-// Run drives the counting pipeline's staged streaming scheduler: a
+// Run drives the counting pipeline's streaming scheduler: a
 // capture goroutine paces the frame source into the stream while Run
 // delivers finished results to the backend, so capture, counting, and
 // report delivery of consecutive frames overlap instead of running
@@ -334,10 +327,8 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 		}
 	}()
 
-	streamCfg := n.cfg.Stream
-	streamCfg.Offload = n.offctl
 	processed := 0
-	for result := range n.cfg.Pipeline.StreamWith(ctx, frames, streamCfg) {
+	for result := range n.cfg.Pipeline.StreamWith(ctx, frames, counting.StreamConfig{Offload: n.offctl}) {
 		n.m.frames.Inc()
 
 		n.mu.Lock()
@@ -426,14 +417,10 @@ func (n *Node) withRetry(ctx context.Context, op func() error) error {
 // redo the hello handshake.
 func (n *Node) reconnect(ctx context.Context) error {
 	n.closeConn(false)
-	wait := n.cfg.ReconnectWait
-	if wait <= 0 {
-		wait = DefaultReconnectWait
-	}
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(wait):
+	case <-time.After(DefaultReconnectWait):
 	}
 	if err := n.connect(); err != nil {
 		return fmt.Errorf("pole: reconnect: %w", err)

@@ -298,7 +298,6 @@ func TestPoleReconnectsAndResendsReports(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig(t, fb.Addr(), frames)
 	cfg.MaxReconnects = 3
-	cfg.ReconnectWait = 5 * time.Millisecond
 	cfg.Obs = reg
 	node, err := Dial(cfg)
 	if err != nil {
@@ -361,7 +360,6 @@ func TestPoleExhaustsReconnectBudgetWhenBackendGone(t *testing.T) {
 
 	cfg := testConfig(t, fb.Addr(), frames)
 	cfg.MaxReconnects = 2
-	cfg.ReconnectWait = time.Millisecond
 	node, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +423,6 @@ func TestPoleRunStreamsThroughScheduler(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig(t, srv.Addr(), frames)
 	cfg.Pipeline = counting.New(tallStub{}).Instrument(reg)
-	cfg.Stream = counting.StreamConfig{QueueDepth: 2}
 	node, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -437,12 +434,12 @@ func TestPoleRunStreamsThroughScheduler(t *testing.T) {
 	if n != len(frames) {
 		t.Fatalf("processed %d frames, want %d", n, len(frames))
 	}
-	// Run counts through the staged scheduler, so the stream series carry
-	// the frames and every queue has drained by clean shutdown.
+	// Run counts through the streaming scheduler, so the stream series
+	// carry the frames and both queues have drained by clean shutdown.
 	if s := reg.Histogram("hawc_stream_e2e_seconds", "", obs.LatencyBuckets()).Snapshot(); s.Count != uint64(len(frames)) {
 		t.Errorf("stream e2e histogram observed %d frames, want %d", s.Count, len(frames))
 	}
-	for _, stage := range []string{"ingest", "cluster", "classify", "report"} {
+	for _, stage := range []string{"ingest", "report"} {
 		if d := reg.Gauge("hawc_stream_queue_depth", "", obs.L("stage", stage)).Value(); d != 0 {
 			t.Errorf("stage %q queue depth = %g after shutdown, want 0", stage, d)
 		}

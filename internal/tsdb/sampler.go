@@ -14,17 +14,20 @@ import (
 // Interval zero — the FTDC-style "one diagnostic document per second".
 const DefaultSampleInterval = time.Second
 
+const (
+	// poleLabel names the label whose numeric value routes a series to a
+	// pole's history. Series without it are stored under pole 0 —
+	// process-wide diagnostics.
+	poleLabel = "pole"
+	// sampledQuantile is the histogram quantile captured alongside count
+	// and sum, as sub-series ":p99".
+	sampledQuantile = 0.99
+)
+
 // SamplerConfig parameterizes a Sampler.
 type SamplerConfig struct {
 	// Interval is the capture cadence (0 selects DefaultSampleInterval).
 	Interval time.Duration
-	// PoleLabel names the label whose numeric value routes a series to a
-	// pole's history ("pole" when empty). Series without it are stored
-	// under pole 0 — process-wide diagnostics.
-	PoleLabel string
-	// Quantile is the histogram quantile captured alongside count and
-	// sum (0 selects 0.99).
-	Quantile float64
 	// Now overrides the clock for tests.
 	Now func() time.Time
 }
@@ -61,12 +64,6 @@ func NewSampler(st *Store, reg *obs.Registry, cfg SamplerConfig) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSampleInterval
 	}
-	if cfg.PoleLabel == "" {
-		cfg.PoleLabel = "pole"
-	}
-	if cfg.Quantile <= 0 || cfg.Quantile >= 1 {
-		cfg.Quantile = 0.99
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -74,7 +71,7 @@ func NewSampler(st *Store, reg *obs.Registry, cfg SamplerConfig) *Sampler {
 }
 
 // seriesFor resolves (and caches) the store handles for one registry
-// series: the pole comes from the configured label when it parses as a
+// series: the pole comes from the "pole" label when it parses as a
 // uint32, and the store-side name is the metric name plus any remaining
 // labels rendered in canonical sorted order.
 func (s *Sampler) seriesFor(si obs.SeriesInfo) *capturedSeries {
@@ -95,7 +92,7 @@ func (s *Sampler) seriesFor(si obs.SeriesInfo) *capturedSeries {
 	var b strings.Builder
 	b.WriteString(si.Name)
 	for _, l := range si.Labels {
-		if l.Key == s.cfg.PoleLabel {
+		if l.Key == poleLabel {
 			if id, err := strconv.ParseUint(l.Value, 10, 32); err == nil {
 				pole = uint32(id)
 				continue
@@ -113,8 +110,7 @@ func (s *Sampler) seriesFor(si obs.SeriesInfo) *capturedSeries {
 	if si.Histogram != nil {
 		cs.count = s.st.Series(pole, name+":count")
 		cs.sum = s.st.Series(pole, name+":sum")
-		q := strconv.FormatFloat(s.cfg.Quantile*100, 'g', -1, 64)
-		cs.quant = s.st.Series(pole, name+":p"+q)
+		cs.quant = s.st.Series(pole, name+":p99")
 	} else {
 		cs.value = s.st.Series(pole, name)
 	}
@@ -142,7 +138,7 @@ func (s *Sampler) SampleOnce() int {
 			snap := si.Histogram.Snapshot()
 			cs.count.Append(now, float64(snap.Count))
 			cs.sum.Append(now, snap.Sum)
-			cs.quant.Append(now, snap.Quantile(s.cfg.Quantile))
+			cs.quant.Append(now, snap.Quantile(sampledQuantile))
 			appended += 3
 		}
 	})

@@ -9,22 +9,24 @@ import (
 	"time"
 )
 
+// DefaultShards is the series-map shard count: a power of two, so shard
+// selection is a mask. Series hash to shards by pole ID with the same
+// murmur3 finalizer the backend registry uses, so a fleet's append
+// streams contend only on pole collisions.
+const DefaultShards = 64
+
 // Defaults for the zero values of Config.
 const (
-	DefaultShards       = 64
 	DefaultChunkSamples = 512
 	DefaultMaxChunks    = 256
 	DefaultSegmentBytes = 1 << 20
 	DefaultMaxSegments  = 8
 )
 
-// Config parameterizes a Store.
+// Config parameterizes a Store. The chunk and segment sizes, WarmStart
+// and MaxAge have no deployment that sets them today; they stay fields
+// because they gate the recovery path ROADMAP item 4 rewrites.
 type Config struct {
-	// Shards is the series-map shard count, rounded up to a power of two
-	// (0 selects DefaultShards). Series hash to shards by pole ID with
-	// the same murmur3 finalizer the backend registry uses, so a fleet's
-	// append streams contend only on pole collisions.
-	Shards int
 	// ChunkSamples is the hot-tier capacity per series: appends fill a
 	// fixed buffer reused in place, and every ChunkSamples samples the
 	// buffer seals into an immutable compressed chunk. 0 selects
@@ -62,9 +64,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.ChunkSamples <= 0 {
 		c.ChunkSamples = DefaultChunkSamples
 	}
@@ -121,11 +120,7 @@ type storeShard struct {
 // be created or written.
 func New(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	size := 1
-	for size < cfg.Shards {
-		size <<= 1
-	}
-	s := &Store{cfg: cfg, shards: make([]storeShard, size), mask: uint32(size - 1)}
+	s := &Store{cfg: cfg, shards: make([]storeShard, DefaultShards), mask: DefaultShards - 1}
 	for i := range s.shards {
 		s.shards[i].series = make(map[SeriesKey]*Series)
 	}

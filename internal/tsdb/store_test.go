@@ -272,7 +272,7 @@ func TestPoleSeriesListing(t *testing.T) {
 // readers and the stats walk; under -race this is the memory-model proof
 // that historical reads never tear the append path.
 func TestConcurrentAppendQuery(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 32, Shards: 4})
+	st := MustNew(Config{ChunkSamples: 32})
 	const (
 		writers = 4
 		perPole = 2000
@@ -385,7 +385,7 @@ func TestSealAllAndForceSeal(t *testing.T) {
 }
 
 func TestLookupAndSharding(t *testing.T) {
-	st := MustNew(Config{Shards: 8})
+	st := MustNew(Config{})
 	if _, ok := st.Lookup(1, "count"); ok {
 		t.Error("lookup invented a series")
 	}
