@@ -5,15 +5,6 @@
 //
 //	polesim -poles 3 -frames 10 -crowding-limit 8
 //
-// -offload selects the edge/cloud classify split: "off" (default)
-// counts entirely on the edge, "forced" ships every frame's clusters to
-// the backend's offload service over the quantized wire transport, and
-// "adaptive" lets each pole's hysteresis controller shed classification
-// only while its classify stage is saturated or its compartment runs
-// hot. The shared HAWC model is trained first and handed to the backend
-// as its offload classifier, so counts are identical wherever a cluster
-// is classified.
-//
 // With -history every count report and telemetry reading is also
 // captured into the FTDC-style time-series store (internal/tsdb) and
 // served back through /api/history; -history-dir streams sealed chunks
@@ -85,13 +76,7 @@ func run() error {
 	metricsDump := flag.String("metrics-dump", "", "after the run, scrape /metrics and write the exposition text to this file (implies -metrics-addr 127.0.0.1:0 if unset)")
 	history := flag.Bool("history", false, "capture per-pole history in the FTDC-style time-series store and serve /api/history")
 	historyDir := flag.String("history-dir", "", "stream sealed history chunks to segment files in this directory (implies -history)")
-	offloadFlag := flag.String("offload", "off", "edge/cloud classify offload mode: off, forced, or adaptive")
 	flag.Parse()
-
-	offload, err := counting.ParseOffloadMode(*offloadFlag)
-	if err != nil {
-		return err
-	}
 
 	// One mutex serializes every diagnostic line the simulator itself
 	// emits; backend and pole internals each serialize their own Logf, but
@@ -119,18 +104,11 @@ func run() error {
 		histCfg = &tsdb.Config{Dir: *historyDir}
 	}
 
-	// The campus model trains before the backend starts: the backend's
-	// offload service classifies with the same trained HAWC the poles
-	// run, which is what makes offloaded counts identical to edge ones.
 	fmt.Printf("training HAWC on %d samples/class (%d epochs)...\n", *perClass, *epochs)
 	clf := models.NewHAWC()
 	if err := clf.Train(dataset.NewGenerator(*seed).Classification(*perClass),
 		models.TrainConfig{Epochs: *epochs, Seed: *seed}); err != nil {
 		return err
-	}
-	var backendClf models.BatchClassifier
-	if offload != counting.OffloadOff {
-		backendClf = clf
 	}
 
 	srv, err := backend.Listen(backend.Config{
@@ -139,7 +117,6 @@ func run() error {
 		CrowdingLimit: *crowding,
 		OverheatLimit: 50,
 		History:       histCfg,
-		Classifier:    backendClf,
 		Obs:           reg,
 		Logf:          func(f string, a ...any) { logf("[backend] "+f, a...) },
 	})
@@ -172,7 +149,7 @@ func run() error {
 	if err := runCampus(ctx, srv, reg, clf, campusConfig{
 		poles: *poles, frames: *frames, maxPeople: *maxPeople,
 		interval: *interval, seed: *seed, reconnects: *reconnects,
-		zones: *zones, offload: offload,
+		zones: *zones,
 	}, logf); err != nil {
 		return err
 	}
@@ -193,20 +170,15 @@ type campusConfig struct {
 	poles, frames, maxPeople, reconnects, zones int
 	interval                                    time.Duration
 	seed                                        int64
-	offload                                     counting.OffloadMode
 }
 
-// runCampus launches N pole nodes that scan, count (on the edge or, per
-// -offload, through the backend's classify service), and report upstream
-// with the already-trained campus model.
+// runCampus launches N pole nodes that scan, count on the edge with the
+// already-trained campus model, and report upstream.
 func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf *models.HAWC, cfg campusConfig, logf func(string, ...any)) error {
-	if cfg.offload != counting.OffloadOff {
-		fmt.Printf("offload mode: %s\n", cfg.offload)
-	}
 	readings := telemetry.Simulate(telemetry.SummerConfig())
-	// Every pole runs the same trained weights as the backend, so they
-	// all advertise one classifier version; compute the hash once rather
-	// than per pole (it re-serializes the weights).
+	// Every pole runs the same trained weights, so they all advertise one
+	// classifier version; compute the hash once rather than per pole (it
+	// re-serializes the weights).
 	ver := clf.ModelVersion()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -226,7 +198,6 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 			Source:        src,
 			FrameInterval: cfg.interval,
 			Telemetry:     telemetryWindow(readings, id),
-			Offload:       counting.OffloadConfig{Mode: cfg.offload},
 			ModelVersion:  ver,
 			MaxReconnects: cfg.reconnects,
 			Obs:           reg,
@@ -242,7 +213,7 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 			if err != nil && ctx.Err() == nil {
 				fmt.Fprintf(os.Stderr, "pole %d: %v\n", id, err)
 			}
-			fmt.Printf("pole %d done: %d frames, %d alerts received\n", id, n, len(node.Alerts()))
+			fmt.Printf("pole %d done: %d frames, %d alerts received\n", id, n, node.AlertsReceived())
 		}(id)
 	}
 	wg.Wait()

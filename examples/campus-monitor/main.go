@@ -72,7 +72,7 @@ func main() {
 				log.Printf("pole %d: %v", id, err)
 			}
 			fmt.Printf("pole %d processed %d frames, received %d alerts\n",
-				id, n, len(node.Alerts()))
+				id, n, node.AlertsReceived())
 		}(id)
 	}
 	wg.Wait()

@@ -72,9 +72,10 @@ func DefaultTrainOptions() TrainOptions {
 //
 // A frame is counted one of three ways, all producing bit-identical
 // counts: Count (one synchronous pass), Evaluate (a loop over Count), and
-// Stream (a pool of workers, one frame each). Both use the pipeline's
-// Parallelism cores — runtime.NumCPU() for every Counter built here:
-// Count spreads one frame's clusters over them, Stream spreads frames.
+// Stream (a pool of workers, one frame each). All three use the
+// pipeline's Parallelism cores — runtime.NumCPU() for every Counter built
+// here: Count, and so Evaluate, spreads one frame's clusters over them;
+// Stream spreads frames.
 type Counter struct {
 	pipeline   *counting.Pipeline
 	classifier *models.HAWC
@@ -137,9 +138,9 @@ func (c *Counter) Count(frame Cloud) Result {
 }
 
 // StreamOptions configures the streaming scheduler behind
-// Counter.StreamWith: the bounded depth of its two queues and the
-// optional offload controller. The zero value is the deployment
-// configuration; the scheduler's width is the counter's Parallelism.
+// Counter.StreamWith: the bounded depth of its two queues. The zero
+// value is the deployment configuration; the scheduler's width is the
+// counter's Parallelism.
 type StreamOptions = counting.StreamConfig
 
 // StreamResult is one counted frame from a Counter stream.

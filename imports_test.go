@@ -32,7 +32,9 @@ func goList(t *testing.T, args ...string) []string {
 // never need a live campus, so the package must not reach the backend,
 // the pole node or the history store (bench/ is the system benchmark;
 // internal/wire stays reachable because the counting pipeline snaps
-// clusters onto its transport lattice).
+// clusters onto its classification lattice). And it keeps the cloud tier to
+// aggregation: the backend receives counts, so it must not reach the
+// classifiers or the counting pipeline.
 func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 	for _, pkg := range goList(t, "-deps", ".", "./cmd/...", "./examples/...") {
 		if pkg == "hawccc/internal/kdtree" {
@@ -50,6 +52,12 @@ func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 			t.Errorf("internal/experiments reaches %s (paper tables and figures need no live campus)", pkg)
 		}
 	}
+	for _, pkg := range goList(t, "-deps", "./internal/backend") {
+		switch pkg {
+		case "hawccc/internal/models", "hawccc/internal/counting":
+			t.Errorf("internal/backend reaches %s (the cloud tier aggregates, it does not infer)", pkg)
+		}
+	}
 }
 
 // TestConfigSurface pins the exported fields of the system's config
@@ -60,10 +68,9 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want string
 	}{
-		{counting.StreamConfig{}, "QueueDepth Offload"},
-		{counting.OffloadConfig{}, "Mode Remote EnterQueueDepth EnterBackpressure EnterTempC ExitTempC MinDwellFrames"},
-		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry Offload ModelVersion MaxReconnects Obs Logf"},
-		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History HistorySampleInterval Classifier Obs Logf"},
+		{counting.StreamConfig{}, "QueueDepth"},
+		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
+		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History HistorySampleInterval Obs Logf"},
 		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},
 		{tsdb.SamplerConfig{}, "Interval Now"},
 	} {

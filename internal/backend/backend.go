@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hawccc/internal/models"
 	"hawccc/internal/obs"
 	"hawccc/internal/tsdb"
 	"hawccc/internal/wire"
@@ -66,13 +65,6 @@ type Config struct {
 	// through SampleHistory.
 	// Ignored unless both History and Obs are set.
 	HistorySampleInterval time.Duration
-	// Classifier, when non-nil, enables the classify offload service:
-	// MsgClusterBatch frames from poles are dequantized, coalesced
-	// across poles into GEMM-sized batches, classified, and answered
-	// with per-cluster labels (see offload.go). Nil treats an offloaded
-	// batch as a protocol error, which makes the sending pole fall back
-	// to local classification.
-	Classifier models.BatchClassifier
 	// Obs, when non-nil, registers the backend's metrics: per-pole report
 	// and alert counters, last-seen timestamps, compartment temperature,
 	// connection counts, wire traffic, the edge latency each report
@@ -98,8 +90,8 @@ type PoleStats struct {
 	MaxTemp    float64   `json:"max_temp"`
 	Alerts     int       `json:"alerts"`
 	// ModelVersion is the classifier fingerprint the pole announced in
-	// its hello (0 = unversioned). When it differs from the backend's
-	// own model, the pole's offload batches are rejected (model skew).
+	// its hello (0 = unversioned). Inventory only: the backend runs no
+	// model to compare it with.
 	ModelVersion uint32 `json:"model_version,omitempty"`
 }
 
@@ -114,8 +106,6 @@ type backendObs struct {
 	msgsOut        *obs.Counter
 	crowding       *obs.Counter
 	overheat       *obs.Counter
-	modelSkew      *obs.Counter
-	versionSkew    *obs.Counter
 	edgeLatency    *obs.Histogram
 	snapshotBuilds *obs.Counter
 	snapshotPoles  *obs.Gauge
@@ -152,14 +142,6 @@ type Server struct {
 
 	alog alertLog
 
-	// modelVersion fingerprints the backend's own classifier weights
-	// (0 when Classifier is nil or unversioned); offload batches carrying
-	// a different nonzero version are rejected. skewAlerted dedupes the
-	// model-skew alert per pole so a retrying pole cannot flood the log.
-	modelVersion uint32
-	skewMu       sync.Mutex
-	skewAlerted  map[uint32]bool
-
 	// hist is the FTDC-style history store (nil when Config.History is
 	// nil); sampler captures Obs instruments into it on a background tick.
 	hist    *tsdb.Store
@@ -170,10 +152,6 @@ type Server struct {
 	// flushMu serializes drains.
 	histBatches []histShardBatch
 	flushMu     sync.Mutex
-
-	// off is the classify offload service (nil when Config.Classifier is
-	// nil).
-	off *offloadService
 
 	apiLn  net.Listener
 	apiSrv *http.Server
@@ -204,12 +182,6 @@ func Listen(cfg Config) (*Server, error) {
 	}
 	s.snap.Store(newSnapshot(0, time.Now(), nil))
 	s.alog.init(DefaultAlertLogCap)
-	s.skewAlerted = make(map[uint32]bool)
-	if cfg.Classifier != nil {
-		if v, ok := cfg.Classifier.(interface{ ModelVersion() uint32 }); ok {
-			s.modelVersion = v.ModelVersion()
-		}
-	}
 	if cfg.History != nil {
 		st, err := tsdb.New(*cfg.History)
 		if err != nil {
@@ -244,17 +216,12 @@ func Listen(cfg Config) (*Server, error) {
 		msgsOut:        reg.Counter("backend_wire_messages_sent_total", "framed messages sent to poles"),
 		crowding:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "crowding")),
 		overheat:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "overheat")),
-		modelSkew:      reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "model_skew")),
-		versionSkew:    reg.Counter("backend_offload_version_skew_total", "offload cluster batches rejected for classifier version skew"),
 		edgeLatency:    reg.Histogram("backend_report_edge_latency_seconds", "per-frame edge processing latency carried by count reports", obs.LatencyBuckets()),
 		snapshotBuilds: reg.Counter("backend_snapshot_builds_total", "campus snapshots rebuilt from the sharded registry"),
 		snapshotPoles:  reg.Gauge("backend_snapshot_poles", "poles in the current campus snapshot"),
 		snapshotBuilt:  reg.Gauge("backend_snapshot_built_timestamp_seconds", "unix time the current campus snapshot was built"),
 	}
 	s.apiM = newAPIObs(cfg.Obs)
-	if cfg.Classifier != nil {
-		s.off = newOffloadService(s)
-	}
 	interval := cfg.SnapshotInterval
 	if interval == 0 {
 		interval = DefaultSnapshotInterval
@@ -337,9 +304,8 @@ func (s *Server) acceptLoop(ctx context.Context) {
 func (s *Server) handle(conn net.Conn) error {
 	wc := wire.NewConn(conn)
 	wc.Instrument(s.m.bytesOut, s.m.bytesIn, s.m.msgsOut, s.m.msgsIn)
-	// All writes go through a per-connection lock: offload workers reply
-	// on the same connection the handler acks and alerts on.
-	lw := &lockedConn{wc: wc}
+	// This goroutine is the only writer on its connection, so acks and
+	// alerts go straight to wc.Send.
 	var poleID uint32
 	for {
 		t, body, err := wc.Recv()
@@ -366,18 +332,17 @@ func (s *Server) handle(conn net.Conn) error {
 				m.lastSeen.SetTime(p.LastSeen)
 			})
 			s.logf("backend: pole %d (%s) connected", h.PoleID, h.Location)
-			s.checkModelSkew(h.PoleID, h.ModelVersion)
 		case wire.MsgCountReport:
 			r, err := wire.DecodeCountReport(body)
 			if err != nil {
 				return err
 			}
 			s.recordCount(r)
-			if err := lw.send(wire.MsgAck, wire.EncodeAck(wire.Ack{Seq: r.Seq})); err != nil {
+			if err := wc.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{Seq: r.Seq})); err != nil {
 				return err
 			}
 			if s.cfg.CrowdingLimit > 0 && int(r.Count) >= s.cfg.CrowdingLimit {
-				if err := s.alert(lw, wire.Alert{
+				if err := s.alert(wc, wire.Alert{
 					PoleID:  r.PoleID,
 					Kind:    wire.AlertCrowding,
 					Message: fmt.Sprintf("count %d at pole %d meets or exceeds limit %d", r.Count, r.PoleID, s.cfg.CrowdingLimit),
@@ -392,7 +357,7 @@ func (s *Server) handle(conn net.Conn) error {
 			}
 			s.recordTelemetry(tm)
 			if s.cfg.OverheatLimit > 0 && tm.PoleTemp >= s.cfg.OverheatLimit {
-				if err := s.alert(lw, wire.Alert{
+				if err := s.alert(wc, wire.Alert{
 					PoleID:  tm.PoleID,
 					Kind:    wire.AlertOverheat,
 					Message: fmt.Sprintf("pole %d compartment at %.1f°C meets or exceeds rated %.1f°C", tm.PoleID, tm.PoleTemp, s.cfg.OverheatLimit),
@@ -400,27 +365,15 @@ func (s *Server) handle(conn net.Conn) error {
 					return err
 				}
 			}
-		case wire.MsgClusterBatch:
-			if err := s.handleClusterBatch(body, lw); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("backend: unexpected message type %d from pole %d", t, poleID)
 		}
 	}
 }
 
-func (s *Server) alert(wc *lockedConn, a wire.Alert) error {
-	s.alertLocal(a)
-	return wc.send(wire.MsgAlert, wire.EncodeAlert(a))
-}
-
-// alertLocal records an alert in the log and the pole's counters without
-// notifying the pole on the wire — for conditions detected on
-// connections whose protocol carries no alert frames (the offload
-// channel tolerates only classify results) or that need no pole-side
-// action.
-func (s *Server) alertLocal(a wire.Alert) {
+// alert records a in the log and the pole's counters and notifies the
+// pole on its connection.
+func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 	s.alog.add(a)
 	s.withPole(a.PoleID, func(p *PoleStats, m *poleObs, _ *poleHist) {
 		p.Alerts++
@@ -431,32 +384,9 @@ func (s *Server) alertLocal(a wire.Alert) {
 		s.m.crowding.Inc()
 	case wire.AlertOverheat:
 		s.m.overheat.Inc()
-	case wire.AlertModelSkew:
-		s.m.modelSkew.Inc()
 	}
 	s.logf("backend: ALERT %s", a.Message)
-}
-
-// checkModelSkew compares a pole-announced classifier version against
-// the backend's own and raises one AlertModelSkew per pole on mismatch.
-// Zero on either side means unversioned and is never flagged, so
-// synthetic fleets and classifier-less backends stay silent.
-func (s *Server) checkModelSkew(poleID, poleVersion uint32) {
-	if poleVersion == 0 || s.modelVersion == 0 || poleVersion == s.modelVersion {
-		return
-	}
-	s.skewMu.Lock()
-	seen := s.skewAlerted[poleID]
-	s.skewAlerted[poleID] = true
-	s.skewMu.Unlock()
-	if seen {
-		return
-	}
-	s.alertLocal(wire.Alert{
-		PoleID:  poleID,
-		Kind:    wire.AlertModelSkew,
-		Message: fmt.Sprintf("pole %d classifier version %#x does not match backend %#x; offloaded batches are rejected", poleID, poleVersion, s.modelVersion),
-	})
+	return wc.Send(wire.MsgAlert, wire.EncodeAlert(a))
 }
 
 // withPole runs f with the pole's aggregate record, instrument set, and

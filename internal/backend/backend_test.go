@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"encoding/hex"
 	"fmt"
 	"net"
 	"strings"
@@ -30,7 +31,7 @@ func TestHelloAndCountAggregation(t *testing.T) {
 	defer s.Close()
 
 	c := dialBackend(t, s)
-	if err := c.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{PoleID: 1, Location: "Palm Walk"})); err != nil {
+	if err := c.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{PoleID: 1, Location: "Palm Walk", ModelVersion: 7})); err != nil {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -61,6 +62,13 @@ func TestHelloAndCountAggregation(t *testing.T) {
 	}
 	if s.CampusCount() != 6 {
 		t.Errorf("campus count = %d", s.CampusCount())
+	}
+	// The announced classifier version is inventory: listed, never alerted on.
+	var one struct {
+		Pole map[string]any `json:"pole"`
+	}
+	if get(t, s.APIHandler(), "/api/poles/1", &one); one.Pole["model_version"] != 7.0 || one.Pole["alerts"] != 0.0 || len(s.Alerts()) != 0 {
+		t.Errorf("model_version 7 should be listed with no alert: %v, alerts %v", one.Pole, s.Alerts())
 	}
 }
 
@@ -178,20 +186,66 @@ func TestCloseUnblocksHandlers(t *testing.T) {
 	}
 }
 
+// TestMalformedMessageDropsConnection: a message type the backend does
+// not speak, sent after a valid hello, drops the connection through the
+// handler's default branch and records nothing for the pole. Types 6 and 7
+// are the retired cluster batch and classify result; the body is a
+// well-formed batch as PR 15's wire.EncodeClusterBatch wrote it (pole 1,
+// seq 1, one three-point cluster at the 2 mm scale), so an old pole still
+// shipping clusters gets the same answer as junk.
 func TestMalformedMessageDropsConnection(t *testing.T) {
-	s, err := Listen(Config{Addr: "127.0.0.1:0"})
+	batch, err := hex.DecodeString("000000010000000000000001000000003ff00000000000004000000000000000c0040000000000003f60624dd2f1a9fc0000000100000003000701f590000800fa64000a002eee10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	for _, tc := range []struct {
+		typ  wire.MsgType
+		body []byte
+	}{
+		{99, []byte("junk")},
+		{6, batch},
+		{7, batch},
+	} {
+		t.Run(fmt.Sprintf("type%d", tc.typ), func(t *testing.T) {
+			// Room for the two lines this connection logs (connected, then
+			// the error); the sink never blocks the server.
+			logs := make(chan string, 8)
+			s, err := Listen(Config{Addr: "127.0.0.1:0", Logf: func(f string, a ...any) {
+				select {
+				case logs <- fmt.Sprintf(f, a...):
+				default:
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
 
-	c := dialBackend(t, s)
-	if err := c.Send(wire.MsgType(99), []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	// The server drops the connection; the next read fails.
-	if _, _, err := c.Recv(); err == nil {
-		t.Error("expected dropped connection after malformed message")
+			c := dialBackend(t, s)
+			if err := c.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{PoleID: 1, Location: "Palm Walk"})); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(tc.typ, tc.body); err != nil {
+				t.Fatal(err)
+			}
+			// The server drops the connection; the next read fails.
+			if _, _, err := c.Recv(); err == nil {
+				t.Fatal("expected dropped connection after malformed message")
+			}
+			want := fmt.Sprintf("unexpected message type %d", tc.typ)
+			for logged := false; !logged; {
+				select {
+				case line := <-logs:
+					logged = strings.Contains(line, want)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("no log line with %q", want)
+				}
+			}
+			snap := s.Snapshot()
+			if len(snap) != 1 || snap[0].Reports != 0 || snap[0].Alerts != 0 {
+				t.Errorf("pole state after the drop: %+v", snap)
+			}
+		})
 	}
 }
 

@@ -286,10 +286,8 @@ type streamJob struct {
 	scratch cluster.Scratch
 	// batch is the frame's kept clusters quantized on the classification
 	// lattice (rebuilt in place each frame); canonPts is the backing
-	// buffer its dequantized clouds are sliced from. When lattice
-	// snapping is on, kept's headers point into canonPts after
-	// stageKeep, and the offload path ships batch itself so the backend
-	// classifies the very same integers.
+	// buffer its dequantized clouds are sliced from. After stageKeep,
+	// kept's headers point into canonPts.
 	batch    wire.ClusterBatch
 	canonPts geom.Cloud
 	// res accumulates the frame's Result as stages run.
@@ -325,7 +323,7 @@ func releaseJob(j *streamJob) {
 func (p *Pipeline) Count(frame geom.Cloud) Result {
 	j := acquireJob()
 	j.frame = frame
-	p.countJob(j, p.Parallelism, nil, nil)
+	p.countJob(j, p.Parallelism)
 	res := j.res
 	releaseJob(j)
 	return res
@@ -334,24 +332,14 @@ func (p *Pipeline) Count(frame geom.Cloud) Result {
 // countJob takes one job from ROI crop to count on the calling goroutine,
 // classifying on the given number of goroutines, and records the frame
 // into the pipeline's instruments. Without a classifier it leaves the
-// job's zero Result. A stream worker passes its offload controller and
-// the queue whose saturation the controller watches: a shed frame ships
-// its clusters to the backend, and one that fails remotely is classified
-// locally instead, so either way the job leaves with a count.
-func (p *Pipeline) countJob(j *streamJob, workers int, off *OffloadController, q *boundedQ) {
+// job's zero Result.
+func (p *Pipeline) countJob(j *streamJob, workers int) {
 	if p.Classifier == nil {
 		return
 	}
 	p.stageIngest(j)
 	p.stageCluster(j)
-	if off != nil && off.ShouldOffload(len(q.ch), q.blocked.Load()) {
-		if !p.stageClassifyRemote(j, off) {
-			off.fellBack()
-			p.stageClassify(j, workers)
-		}
-	} else {
-		p.stageClassify(j, workers)
-	}
+	p.stageClassify(j, workers)
 	p.observeFrame(j.res)
 }
 
@@ -389,14 +377,14 @@ func (p *Pipeline) stageCluster(j *streamJob) {
 // stageKeep drops clusters too small to be an annotatable pattern
 // (below dataset.MinVisiblePoints), collects the rest in j.kept and
 // canonicalizes the survivors onto the classification lattice: they are
-// quantized into j.batch at wire.DefaultQuantScale exactly as the
-// offload transport ships them, and the kept headers are repointed at
-// the dequantized clouds. Every classify variant routes through here, so
-// what gets classified locally is bit-identical to what the backend
-// reconstructs from the same batch — a cluster's label does not depend
-// on where classification runs. The snap moves each coordinate by at
-// most half a step (1 mm at the 2 mm scale, two orders of magnitude
-// under LiDAR ranging noise).
+// quantized into j.batch at wire.DefaultQuantScale and the kept headers
+// are repointed at the dequantized clouds. The snap moves each coordinate
+// by at most half a step (1 mm at the 2 mm scale, two orders of magnitude
+// under LiDAR ranging noise). Nothing ships the batch anywhere — clusters
+// are classified on the pole — but the snap stays because every golden
+// count is pinned on lattice coordinates and the benchmark's wire.snap
+// rows replay it and check the replay against Count (DESIGN.md, "The
+// classification lattice").
 func (p *Pipeline) stageKeep(j *streamJob) {
 	kept := j.kept[:0]
 	for _, c := range j.clusters {
@@ -447,42 +435,6 @@ func (p *Pipeline) stageClassify(j *streamJob, workers int) {
 		j.res.Count, j.res.Timing.QueueWait = p.classifyParallel(kept, workers)
 	}
 	j.res.Timing.Classify = time.Since(t0)
-}
-
-// stageClassifyRemote is stageClassify's offload variant: it runs the
-// same keep filter and lattice snap, then ships the frame's quantized
-// batch through the controller's RemoteClassifier instead of running
-// the local model, recording label counts into the same instruments so
-// campus-level series do not depend on where a cluster was classified.
-// Because the shipped batch is the one stageKeep canonicalized from,
-// the backend classifies bit-identical clouds to the local path. It
-// reports false — leaving the job's result untouched beyond the kept
-// filter — when the remote call failed, in which case the caller
-// classifies locally.
-func (p *Pipeline) stageClassifyRemote(j *streamJob, off *OffloadController) bool {
-	t0 := time.Now()
-	p.stageKeep(j)
-	kept := j.kept
-	if len(kept) == 0 {
-		j.res.Count = 0
-		j.res.Timing.Classify = time.Since(t0)
-		return true
-	}
-	labels, err := off.classifyRemote(&j.batch)
-	if err != nil || len(labels) != len(kept) {
-		return false
-	}
-	n := 0
-	for _, human := range labels {
-		if human {
-			n++
-		}
-	}
-	p.m.humans.Add(uint64(n))
-	p.m.objects.Add(uint64(len(kept) - n))
-	j.res.Count = n
-	j.res.Timing.Classify = time.Since(t0)
-	return true
 }
 
 // observeFrame records one completed frame into the pipeline's

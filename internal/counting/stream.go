@@ -12,7 +12,6 @@ package counting
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hawccc/internal/geom"
@@ -37,14 +36,6 @@ type StreamConfig struct {
 	// field because tests and the benchmark pin it to make queueing
 	// deterministic; no deployment sets it.
 	QueueDepth int
-	// Offload, when non-nil, adds the edge/cloud offload decision point
-	// after clustering: each worker consults the controller per frame and
-	// either classifies locally or ships the kept clusters through the
-	// controller's RemoteClassifier. Offloaded results re-enter the
-	// reorder buffer like local ones, and a remote failure falls back to
-	// local classification, so ordered emission and per-frame delivery
-	// are unchanged. Nil keeps every frame local.
-	Offload *OffloadController
 }
 
 // withDefaults resolves zero fields to the deployment defaults.
@@ -86,7 +77,6 @@ func (p *Pipeline) StreamWith(ctx context.Context, frames <-chan geom.Cloud, cfg
 	s := &scheduler{
 		p:   p,
 		ctx: ctx,
-		off: cfg.Offload,
 		in:  frames,
 		// Buffered so a consumer that lags by a few frames does not
 		// stall the reorderer.
@@ -125,10 +115,6 @@ type boundedQ struct {
 	ch    chan *streamJob
 	depth *obs.Gauge
 	bp    *obs.Counter
-	// blocked mirrors bp unconditionally (bp is nil-backed on an
-	// uninstrumented pipeline) so the offload controller always has a
-	// live backpressure signal to read.
-	blocked atomic.Uint64
 }
 
 // send enqueues j, blocking under backpressure; it returns false when
@@ -141,7 +127,6 @@ func (q *boundedQ) send(ctx context.Context, j *streamJob) bool {
 		return true
 	default:
 	}
-	q.blocked.Add(1)
 	q.bp.Inc()
 	select {
 	case q.ch <- j:
@@ -166,7 +151,6 @@ func (q *boundedQ) recv() (*streamJob, bool) {
 type scheduler struct {
 	p   *Pipeline
 	ctx context.Context
-	off *OffloadController
 	in  <-chan geom.Cloud
 	out chan StreamResult
 
@@ -212,10 +196,9 @@ func (s *scheduler) feed() {
 // pool runs the workers: each takes a job off the input queue, counts it
 // single-threaded (streaming parallelism is across frames, so results
 // stay deterministic at any width), and hands it to the reorderer; the
-// last worker out closes the report queue. The offload controller reads
-// the input queue's live depth and cumulative blocked handoffs — both
-// mean the pool is saturated. A send refused by cancelation releases the
-// job — the frame is dropped, which is the documented cancel semantics.
+// last worker out closes the report queue. A send refused by cancelation
+// releases the job — the frame is dropped, which is the documented cancel
+// semantics.
 func (s *scheduler) pool(workers int) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -231,7 +214,7 @@ func (s *scheduler) pool(workers int) {
 				// included, is the wait the histogram is meant to surface.
 				wait := time.Since(j.enqueued)
 				s.p.m.queueWait.ObserveDuration(wait)
-				s.p.countJob(j, 1, s.off, s.qIn)
+				s.p.countJob(j, 1)
 				j.res.Timing.QueueWait = wait
 				if !s.qReport.send(s.ctx, j) {
 					releaseJob(j)

@@ -58,6 +58,12 @@ func (s *SliceSource) NextFrame() (dataset.Frame, error) {
 // connection.
 const DefaultReconnectWait = 100 * time.Millisecond
 
+// DefaultAlertCap is how many received alerts a node retains (the
+// backend's DefaultAlertLogCap): the backend sends one crowding alert per
+// over-limit report, so a pole on a busy walkway would otherwise grow its
+// alert list from network input for as long as it lives.
+const DefaultAlertCap = 1024
+
 // Config parameterizes a pole node.
 type Config struct {
 	// PoleID identifies this pole on the campus network.
@@ -79,18 +85,9 @@ type Config struct {
 	// Telemetry, when non-nil, is streamed alongside count reports (one
 	// reading per frame).
 	Telemetry []telemetry.Reading
-	// Offload configures the edge/cloud classify offload (mode,
-	// hysteresis thresholds, quantization scale). With a mode other than
-	// counting.OffloadOff and Remote left nil, the node builds its own
-	// quantized-wire offloader to BackendAddr on a dedicated connection;
-	// a pre-set Remote is used as-is (tests inject loopbacks). The zero
-	// value keeps every frame classified on the pole.
-	Offload counting.OffloadConfig
 	// ModelVersion fingerprints the classifier weights Pipeline runs
-	// (models.HAWC.ModelVersion); it is announced in every hello and
-	// stamped onto offloaded cluster batches so the backend can flag —
-	// and refuse to classify across — weight-generation skew. Zero means
-	// unversioned.
+	// (models.HAWC.ModelVersion); it is announced in every hello and the
+	// backend lists it per pole as inventory. Zero means unversioned.
 	ModelVersion uint32
 	// MaxReconnects is how many times the node re-dials the backend when
 	// a delivery fails, per report; after a successful ack the budget
@@ -133,16 +130,14 @@ type Node struct {
 
 	logMu sync.Mutex
 
-	mu     sync.Mutex
-	alerts []wire.Alert
-	acked  uint64
-	sent   uint64
-
-	// offl is the node-owned offload transport (nil when offload is off
-	// or the config injected its own Remote); offctl is the decision
-	// controller handed to the stream scheduler.
-	offl   *Offloader
-	offctl *counting.OffloadController
+	mu sync.Mutex
+	// alerts is a ring over the newest DefaultAlertCap alerts: it grows by
+	// append until full, then alertHead is the oldest entry and each new
+	// alert overwrites it. The lifetime total is the alerts counter.
+	alerts    []wire.Alert
+	alertHead int
+	acked     uint64
+	sent      uint64
 }
 
 // Dial connects the pole to the backend and performs the hello handshake.
@@ -158,31 +153,11 @@ func Dial(cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg}
 	n.initObs()
-	if cfg.Offload.Mode != counting.OffloadOff {
-		if n.cfg.Offload.Remote == nil {
-			n.offl = NewOffloader(OffloaderConfig{
-				BackendAddr:  cfg.BackendAddr,
-				PoleID:       cfg.PoleID,
-				Location:     cfg.Location,
-				Zone:         cfg.Zone,
-				ModelVersion: cfg.ModelVersion,
-				BytesSent:    n.m.bytesOut, BytesReceived: n.m.bytesIn,
-				MsgsSent: n.m.msgsOut, MsgsReceived: n.m.msgsIn,
-			})
-			n.cfg.Offload.Remote = n.offl
-		}
-		id := obs.L("pole", strconv.FormatUint(uint64(cfg.PoleID), 10))
-		n.offctl = counting.NewOffloadController(n.cfg.Offload).Instrument(cfg.Obs, id)
-	}
 	if err := n.connect(); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
-
-// Offload returns the node's offload decision controller, or nil when
-// offload is off.
-func (n *Node) Offload() *counting.OffloadController { return n.offctl }
 
 // initObs builds the instrument set: registry-backed when cfg.Obs is set,
 // detached otherwise, so counters always count.
@@ -249,11 +224,6 @@ func (n *Node) closeConn(markStopped bool) {
 	if c != nil {
 		c.Close()
 	}
-	// Shutdown also retires the offload connection so in-flight
-	// ClassifyRemote calls unblock (their frames classify locally).
-	if markStopped && n.offl != nil {
-		n.offl.Close()
-	}
 }
 
 // logf serializes diagnostic output across goroutines sharing a sink.
@@ -292,7 +262,7 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 	var srcErr error
 	go func() {
 		defer close(frames)
-		for captured := 0; ; captured++ {
+		for {
 			if ctx.Err() != nil {
 				return
 			}
@@ -303,14 +273,6 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 			if err != nil {
 				srcErr = fmt.Errorf("pole: frame source: %w", err)
 				return
-			}
-			// Feed the enclosure temperature sampled WITH this frame to
-			// the offload controller before the frame enters the stream,
-			// so the classify decision for frame i sees reading i — the
-			// live telemetry loop — instead of a reading lagged by the
-			// pipeline's queue depth.
-			if captured < len(n.cfg.Telemetry) {
-				n.offctl.SetTemperature(n.cfg.Telemetry[captured].Pole)
 			}
 			select {
 			case frames <- frame.Cloud:
@@ -328,7 +290,7 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 	}()
 
 	processed := 0
-	for result := range n.cfg.Pipeline.StreamWith(ctx, frames, counting.StreamConfig{Offload: n.offctl}) {
+	for result := range n.cfg.Pipeline.Stream(ctx, frames) {
 		n.m.frames.Inc()
 
 		n.mu.Lock()
@@ -361,9 +323,6 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 		}
 
 		if processed < len(n.cfg.Telemetry) {
-			// The capture goroutine already fed this reading's compartment
-			// temperature to the offload controller (Fig. 10); here the
-			// reading just streams to the backend alongside the report.
 			r := n.cfg.Telemetry[processed]
 			tm := wire.EncodeTelemetry(wire.Telemetry{
 				PoleID:    n.cfg.PoleID,
@@ -456,7 +415,12 @@ func (n *Node) awaitAck(seq uint64) error {
 				return err
 			}
 			n.mu.Lock()
-			n.alerts = append(n.alerts, alert)
+			if len(n.alerts) < DefaultAlertCap {
+				n.alerts = append(n.alerts, alert)
+			} else {
+				n.alerts[n.alertHead] = alert
+				n.alertHead = (n.alertHead + 1) % DefaultAlertCap
+			}
 			n.mu.Unlock()
 			n.m.alerts.Inc()
 			n.logf("pole %d: received alert: %s", n.cfg.PoleID, alert.Message)
@@ -466,11 +430,14 @@ func (n *Node) awaitAck(seq uint64) error {
 	}
 }
 
-// Alerts returns the alerts this pole has received.
+// Alerts returns the newest alerts this pole has received — at most
+// DefaultAlertCap of them — oldest first. AlertsReceived is the total.
 func (n *Node) Alerts() []wire.Alert {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]wire.Alert(nil), n.alerts...)
+	out := make([]wire.Alert, 0, len(n.alerts))
+	out = append(out, n.alerts[n.alertHead:]...)
+	return append(out, n.alerts[:n.alertHead]...)
 }
 
 // Acked returns the highest acknowledged report sequence.
@@ -482,6 +449,10 @@ func (n *Node) Acked() uint64 {
 
 // Reconnects returns how many times the node re-dialed the backend.
 func (n *Node) Reconnects() uint64 { return n.m.reconnects.Value() }
+
+// AlertsReceived returns how many alerts the backend has delivered to
+// this node, retained by Alerts or not.
+func (n *Node) AlertsReceived() uint64 { return n.m.alerts.Value() }
 
 // BytesSent returns the framed bytes this node has written to the
 // backend across all connections.

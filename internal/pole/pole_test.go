@@ -2,6 +2,7 @@ package pole
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -218,19 +219,20 @@ type flakyBackend struct {
 	ln        net.Listener
 	dropAfter int
 	killAll   bool // also close the listener when the first session drops
+	alerts    int  // alerts sent ahead of each ack
 
 	mu       sync.Mutex
 	seqs     []uint64
 	sessions int
 }
 
-func newFlakyBackend(t *testing.T, dropAfter int, killAll bool) *flakyBackend {
+func newFlakyBackend(t *testing.T, dropAfter int, killAll bool, alerts int) *flakyBackend {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := &flakyBackend{ln: ln, dropAfter: dropAfter, killAll: killAll}
+	fb := &flakyBackend{ln: ln, dropAfter: dropAfter, killAll: killAll, alerts: alerts}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -276,6 +278,12 @@ func (fb *flakyBackend) serve(conn net.Conn, first bool) {
 			fb.mu.Lock()
 			fb.seqs = append(fb.seqs, r.Seq)
 			fb.mu.Unlock()
+			for a := 1; a <= fb.alerts; a++ {
+				alert := wire.Alert{PoleID: r.PoleID, Kind: wire.AlertCrowding, Message: fmt.Sprintf("report %d alert %d", r.Seq, a)}
+				if err := wc.Send(wire.MsgAlert, wire.EncodeAlert(alert)); err != nil {
+					return
+				}
+			}
 			if err := wc.Send(wire.MsgAck, wire.EncodeAck(wire.Ack{Seq: r.Seq})); err != nil {
 				return
 			}
@@ -291,7 +299,7 @@ func (fb *flakyBackend) serve(conn net.Conn, first bool) {
 }
 
 func TestPoleReconnectsAndResendsReports(t *testing.T) {
-	fb := newFlakyBackend(t, 2, false)
+	fb := newFlakyBackend(t, 2, false, 0)
 	g := dataset.NewGenerator(6)
 	frames := g.CrowdFrames(5, 1, 2, 0)
 
@@ -331,7 +339,7 @@ func TestPoleReconnectsAndResendsReports(t *testing.T) {
 }
 
 func TestPoleFailsFastWithoutReconnectBudget(t *testing.T) {
-	fb := newFlakyBackend(t, 1, false)
+	fb := newFlakyBackend(t, 1, false, 0)
 	g := dataset.NewGenerator(7)
 	frames := g.CrowdFrames(4, 1, 2, 0)
 
@@ -354,7 +362,7 @@ func TestPoleFailsFastWithoutReconnectBudget(t *testing.T) {
 }
 
 func TestPoleExhaustsReconnectBudgetWhenBackendGone(t *testing.T) {
-	fb := newFlakyBackend(t, 1, true) // listener dies with the first drop
+	fb := newFlakyBackend(t, 1, true, 0) // listener dies with the first drop
 	g := dataset.NewGenerator(8)
 	frames := g.CrowdFrames(3, 1, 2, 0)
 
@@ -450,75 +458,37 @@ func TestPoleRunStreamsThroughScheduler(t *testing.T) {
 	}
 }
 
-// batchTallStub widens tallStub for the backend's offload service.
-type batchTallStub struct{ tallStub }
-
-func (s batchTallStub) PredictHumans(cs []geom.Cloud) []bool {
-	out := make([]bool, len(cs))
-	for i, c := range cs {
-		out[i] = s.PredictHuman(c)
-	}
-	return out
-}
-
-// TestTemperatureRampFlipsOffloadController pins the live telemetry
-// wiring: the capture loop feeds each frame's compartment reading to the
-// offload controller, so a thermal ramp crossing the hysteresis band
-// flips an adaptive pole to backend classification and back — no
-// external SetTemperature caller involved.
-func TestTemperatureRampFlipsOffloadController(t *testing.T) {
-	srv, err := backend.Listen(backend.Config{Addr: "127.0.0.1:0", Classifier: batchTallStub{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const cold, hot = 15, 10
-	frames := dataset.NewGenerator(9).CrowdFrames(2*cold+hot, 1, 3, 1)
-	readings := make([]telemetry.Reading, 0, len(frames))
-	for i := range frames {
-		temp := 30.0 // idles well under the 45°C exit threshold
-		if i >= cold && i < cold+hot {
-			temp = 60 // plateau above the 50°C enter threshold
-		}
-		readings = append(readings, telemetry.Reading{At: time.Now(), Weather: 25, Pole: temp})
-	}
-
-	cfg := testConfig(t, srv.Addr(), frames)
-	cfg.Telemetry = readings
-	// Thermal-only adaptive offload: queue-depth and backpressure
-	// signals disabled, short dwell so the cold tail exits promptly.
-	cfg.Offload = counting.OffloadConfig{
-		Mode:              counting.OffloadAdaptive,
-		EnterQueueDepth:   -1,
-		EnterBackpressure: -1,
-		EnterTempC:        50,
-		ExitTempC:         45,
-		MinDwellFrames:    2,
-	}
-	// Pace capture so the per-frame readings track classification
-	// instead of racing ahead of the pipeline queues.
-	cfg.FrameInterval = time.Millisecond
+// TestAlertsKeepNewestBounded pins the bound on the received-alert list:
+// a backend that answers each of 400 reports with three alerts leaves the
+// newest DefaultAlertCap retained, oldest first, while AlertsReceived
+// still counts all 1200.
+func TestAlertsKeepNewestBounded(t *testing.T) {
+	fb := newFlakyBackend(t, 0, false, 3) // never drops; three alerts per report
+	const reports = 400
+	cfg := testConfig(t, fb.Addr(), make([]dataset.Frame, reports))
+	// No classifier: every frame counts zero at once, which is all a test
+	// of the ack loop needs.
+	cfg.Pipeline = counting.New(nil)
 	node, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	if n, err := node.Run(context.Background()); err != nil || n != reports {
+		t.Fatalf("Run = %d, %v; want %d frames", n, err, reports)
 	}
-
-	ctl := node.Offload()
-	local, remote, fallback := ctl.Decisions()
-	if remote == 0 {
-		t.Errorf("hot plateau never offloaded: local=%d remote=%d fallback=%d", local, remote, fallback)
+	alerts := node.Alerts()
+	if len(alerts) != DefaultAlertCap {
+		t.Fatalf("retained %d alerts, want %d", len(alerts), DefaultAlertCap)
 	}
-	if local == 0 {
-		t.Errorf("cold frames never classified locally: local=%d remote=%d fallback=%d", local, remote, fallback)
+	// 1200 received, 1024 kept: the oldest kept is the 177th, alert 3 of
+	// report 59; the newest is alert 3 of report 400.
+	if got, want := alerts[0].Message, "report 59 alert 3"; got != want {
+		t.Errorf("oldest retained alert = %q, want %q", got, want)
 	}
-	if sw := ctl.Switches(); sw < 2 {
-		t.Errorf("controller switched %d times, want >= 2 (into offload and back)", sw)
+	if got, want := alerts[len(alerts)-1].Message, "report 400 alert 3"; got != want {
+		t.Errorf("newest retained alert = %q, want %q", got, want)
 	}
-	if ctl.Offloading() {
-		t.Error("controller still offloading after the ramp cooled")
+	if got := node.AlertsReceived(); got != 3*reports {
+		t.Errorf("AlertsReceived = %d, want %d", got, 3*reports)
 	}
 }

@@ -34,6 +34,9 @@ const (
 	MsgAck MsgType = 4
 	// MsgAlert notifies poles of a backend-detected condition.
 	MsgAlert MsgType = 5
+	// 6 and 7 are retired (a cluster batch and its classify result, when
+	// a pole could ship clusters to the backend) and are never reused: a
+	// backend answers either with a dropped connection.
 )
 
 // Hello announces a pole to the backend.
@@ -42,9 +45,8 @@ type Hello struct {
 	Location string // human-readable walkway name
 	Zone     string // campus zone the pole belongs to (e.g. "north"); may be empty
 	// ModelVersion fingerprints the classifier weights the pole counts
-	// with (models.HAWC.ModelVersion). Zero means unversioned; the
-	// backend flags a mismatch against its own model so offloaded
-	// classification never silently mixes weight generations.
+	// with (models.HAWC.ModelVersion). Zero means unversioned. Inventory
+	// only: the backend records it per pole and compares it with nothing.
 	ModelVersion uint32
 }
 
@@ -85,11 +87,6 @@ const (
 	// AlertOverheat fires when compartment temperature exceeds the rated
 	// device limit.
 	AlertOverheat = 2
-	// AlertModelSkew fires when a pole's classifier version differs from
-	// the backend's: its offload batches are rejected (the pole falls
-	// back to edge classification) until the versions agree. Logged on
-	// the backend only — the offload channel carries no alert frames.
-	AlertModelSkew = 3
 )
 
 // WriteFrame writes one framed message: u32 length, u8 type, body.
