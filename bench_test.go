@@ -151,18 +151,6 @@ func BenchmarkFigure6(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure8a(b *testing.B) {
-	l := lab(b)
-	l.Split()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := experiments.Figure8a(l) // retrains all three models
-		if len(rs) != 3 {
-			b.Fatal("figure 8a needs 3 curves")
-		}
-	}
-}
-
 func BenchmarkFigure8b(b *testing.B) {
 	l := lab(b)
 	l.Split()

@@ -16,9 +16,10 @@
 // zone, and campus-wide, with top-K busiest poles.
 //
 // With -metrics-addr the whole campus exposes one Prometheus /metrics
-// endpoint plus net/http/pprof: backend connection and alert counters,
-// per-pole report counters and last-seen gauges, pipeline stage
-// histograms, wire byte counts, and report round-trip times.
+// endpoint plus net/http/pprof: backend connection, report and alert
+// counters (process-wide; a pole's own numbers are /api/poles/{id}),
+// each pole's ack and reconnect counters, pipeline stage histograms,
+// wire byte counts, and report round-trip times.
 // -metrics-dump scrapes that endpoint after the poles finish and writes
 // the exposition text to a file, which is how CI asserts the series
 // exist without racing a short-lived process.

@@ -34,7 +34,9 @@ func goList(t *testing.T, args ...string) []string {
 // internal/wire stays reachable because the counting pipeline snaps
 // clusters onto its classification lattice). And it keeps the cloud tier to
 // aggregation: the backend receives counts, so it must not reach the
-// classifiers or the counting pipeline.
+// classifiers or the counting pipeline, and the history store to
+// storage: it records what poles reported, so it must not reach the
+// metrics registry.
 func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 	for _, pkg := range goList(t, "-deps", ".", "./cmd/...", "./examples/...") {
 		if pkg == "hawccc/internal/kdtree" {
@@ -58,6 +60,11 @@ func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 			t.Errorf("internal/backend reaches %s (the cloud tier aggregates, it does not infer)", pkg)
 		}
 	}
+	for _, pkg := range goList(t, "-deps", "./internal/tsdb") {
+		if pkg == "hawccc/internal/obs" {
+			t.Errorf("internal/tsdb reaches %s (the store is a storage library; /metrics is scraped, not copied into it)", pkg)
+		}
+	}
 }
 
 // TestConfigSurface pins the exported fields of the system's config
@@ -72,7 +79,6 @@ func TestConfigSurface(t *testing.T) {
 		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
 		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History HistorySampleInterval Obs Logf"},
 		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},
-		{tsdb.SamplerConfig{}, "Interval Now"},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		var got []string

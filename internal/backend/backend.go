@@ -18,9 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,17 +58,18 @@ type Config struct {
 	// The pointed-to Config selects the store's sharding, chunking,
 	// retention, and optional disk-backed segments.
 	History *tsdb.Config
-	// HistorySampleInterval is the cadence of the background sampler that
-	// captures every Obs instrument into the history store (0 selects
-	// tsdb.DefaultSampleInterval). Negative disables the background loop
-	// — a determinism seam no deployment sets: tests then drive capture
-	// through SampleHistory.
-	// Ignored unless both History and Obs are set.
+	// HistorySampleInterval is the cadence of the history loop, which
+	// drains the per-shard report batches into the History store (0
+	// selects tsdb.DefaultSampleInterval; no effect without History).
+	// Negative disables the loop — a determinism seam no deployment
+	// sets: tests then call FlushHistory.
 	HistorySampleInterval time.Duration
-	// Obs, when non-nil, registers the backend's metrics: per-pole report
-	// and alert counters, last-seen timestamps, compartment temperature,
-	// connection counts, wire traffic, the edge latency each report
-	// carries, snapshot rebuild counters, and query API counters.
+	// Obs, when non-nil, registers the backend's metrics, all of them
+	// process-wide: reports and alerts received, connection counts, wire
+	// traffic, the edge latency each report carries, snapshot rebuild
+	// counters, and query API counters. No series is labelled by pole: a
+	// pole's present is its PoleStats row (/api/poles/{id}), its past the
+	// History store (/api/history).
 	Obs *obs.Registry
 	// Logf, if non-nil, receives diagnostic output; defaults to a no-op.
 	// The server serializes calls, so handlers for concurrent pole
@@ -104,23 +105,13 @@ type backendObs struct {
 	bytesOut       *obs.Counter
 	msgsIn         *obs.Counter
 	msgsOut        *obs.Counter
+	reports        *obs.Counter
 	crowding       *obs.Counter
 	overheat       *obs.Counter
 	edgeLatency    *obs.Histogram
 	snapshotBuilds *obs.Counter
 	snapshotPoles  *obs.Gauge
 	snapshotBuilt  *obs.Gauge
-}
-
-// poleObs is the per-pole instrument set, created when a pole is first
-// seen and cached in its registry entry so the report path does no
-// registry lookups.
-type poleObs struct {
-	reports  *obs.Counter
-	alerts   *obs.Counter
-	lastSeen *obs.Gauge
-	lastNum  *obs.Gauge
-	tempC    *obs.Gauge
 }
 
 // Server is the campus backend.
@@ -143,9 +134,8 @@ type Server struct {
 	alog alertLog
 
 	// hist is the FTDC-style history store (nil when Config.History is
-	// nil); sampler captures Obs instruments into it on a background tick.
-	hist    *tsdb.Store
-	sampler *tsdb.Sampler
+	// nil).
+	hist *tsdb.Store
 	// histBatches defers per-report tsdb appends off the shard-locked
 	// ingest callback: one batch per registry shard, mutated only under
 	// that shard's lock and drained by the history loop (history.go).
@@ -191,12 +181,8 @@ func Listen(cfg Config) (*Server, error) {
 		}
 		s.hist = st
 		s.histBatches = make([]histShardBatch, len(s.reg.shards))
-		if cfg.Obs != nil {
-			s.sampler = tsdb.NewSampler(st, cfg.Obs, tsdb.SamplerConfig{Interval: cfg.HistorySampleInterval})
-		}
-		// One loop owns both capture duties: drain the per-shard report
-		// batches into the store and (with a registry) take one sampler
-		// tick. Negative disables it; tests drive SampleHistory directly.
+		// The history loop drains the per-shard report batches into the
+		// store. Negative disables it; tests call FlushHistory directly.
 		if cfg.HistorySampleInterval >= 0 {
 			interval := cfg.HistorySampleInterval
 			if interval == 0 {
@@ -214,6 +200,7 @@ func Listen(cfg Config) (*Server, error) {
 		bytesOut:       reg.Counter("backend_wire_bytes_sent_total", "framed bytes sent to poles"),
 		msgsIn:         reg.Counter("backend_wire_messages_received_total", "framed messages received from poles"),
 		msgsOut:        reg.Counter("backend_wire_messages_sent_total", "framed messages sent to poles"),
+		reports:        reg.Counter("backend_reports_total", "count reports received"),
 		crowding:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "crowding")),
 		overheat:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "overheat")),
 		edgeLatency:    reg.Histogram("backend_report_edge_latency_seconds", "per-frame edge processing latency carried by count reports", obs.LatencyBuckets()),
@@ -322,14 +309,13 @@ func (s *Server) handle(conn net.Conn) error {
 				return err
 			}
 			poleID = h.PoleID
-			s.withPole(h.PoleID, func(p *PoleStats, m *poleObs, _ *poleHist) {
+			s.withPole(h.PoleID, func(p *PoleStats, _ *poleHist) {
 				p.Location = h.Location
 				p.Zone = h.Zone
 				if h.ModelVersion != 0 {
 					p.ModelVersion = h.ModelVersion
 				}
 				p.LastSeen = time.Now()
-				m.lastSeen.SetTime(p.LastSeen)
 			})
 			s.logf("backend: pole %d (%s) connected", h.PoleID, h.Location)
 		case wire.MsgCountReport:
@@ -356,7 +342,7 @@ func (s *Server) handle(conn net.Conn) error {
 				return err
 			}
 			s.recordTelemetry(tm)
-			if s.cfg.OverheatLimit > 0 && tm.PoleTemp >= s.cfg.OverheatLimit {
+			if s.cfg.OverheatLimit > 0 && finite(tm.PoleTemp) && tm.PoleTemp >= s.cfg.OverheatLimit {
 				if err := s.alert(wc, wire.Alert{
 					PoleID:  tm.PoleID,
 					Kind:    wire.AlertOverheat,
@@ -371,14 +357,11 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 }
 
-// alert records a in the log and the pole's counters and notifies the
-// pole on its connection.
+// alert records a in the log, the pole's row and the per-kind counter and
+// notifies the pole on its connection.
 func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 	s.alog.add(a)
-	s.withPole(a.PoleID, func(p *PoleStats, m *poleObs, _ *poleHist) {
-		p.Alerts++
-		m.alerts.Inc()
-	})
+	s.withPole(a.PoleID, func(p *PoleStats, _ *poleHist) { p.Alerts++ })
 	switch a.Kind {
 	case wire.AlertCrowding:
 		s.m.crowding.Inc()
@@ -389,32 +372,16 @@ func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 	return wc.Send(wire.MsgAlert, wire.EncodeAlert(a))
 }
 
-// withPole runs f with the pole's aggregate record, instrument set, and
-// history handles under the owning shard's lock, creating them on first
-// sight of the pole.
-func (s *Server) withPole(id uint32, f func(*PoleStats, *poleObs, *poleHist)) {
-	s.reg.withPole(id, s.newPoleObs, s.newPoleHist, f)
-}
-
-// newPoleObs creates the per-pole instruments; all nil without a registry.
-func (s *Server) newPoleObs(id uint32) *poleObs {
-	reg := s.cfg.Obs
-	if reg == nil {
-		return &poleObs{}
-	}
-	l := obs.L("pole", strconv.FormatUint(uint64(id), 10))
-	return &poleObs{
-		reports:  reg.Counter("backend_reports_total", "count reports received, by pole", l),
-		alerts:   reg.Counter("backend_pole_alerts_total", "alerts raised, by pole", l),
-		lastSeen: reg.Gauge("backend_pole_last_seen_timestamp_seconds", "unix time the pole last reported", l),
-		lastNum:  reg.Gauge("backend_pole_last_count", "most recent crowd count reported by the pole", l),
-		tempC:    reg.Gauge("backend_pole_temp_celsius", "most recent compartment temperature reported by the pole", l),
-	}
+// withPole runs f with the pole's aggregate record and history handles
+// under the owning shard's lock, creating them on first sight of the pole.
+func (s *Server) withPole(id uint32, f func(*PoleStats, *poleHist)) {
+	s.reg.withPole(id, s.newPoleHist, f)
 }
 
 func (s *Server) recordCount(r wire.CountReport) {
+	s.m.reports.Inc()
 	s.m.edgeLatency.Observe(float64(r.LatencyUS) / 1e6)
-	s.withPole(r.PoleID, func(p *PoleStats, m *poleObs, h *poleHist) {
+	s.withPole(r.PoleID, func(p *PoleStats, h *poleHist) {
 		p.Reports++
 		p.LastCount = int(r.Count)
 		p.TotalCount += int64(r.Count)
@@ -422,25 +389,29 @@ func (s *Server) recordCount(r wire.CountReport) {
 			p.PeakCount = int(r.Count)
 		}
 		p.LastSeen = time.Now()
-		m.reports.Inc()
-		m.lastNum.Set(float64(r.Count))
-		m.lastSeen.SetTime(p.LastSeen)
 		h.recordCount(r)
 	})
 }
 
+// recordTelemetry updates the pole's row and captures both readings to
+// history. The floats come straight off the socket and encoding/json
+// refuses NaN and ±Inf, so a non-finite PoleTemp reaches history only
+// (served there as null): the row — the only other place a temperature
+// lives — keeps its last finite value and stays servable.
 func (s *Server) recordTelemetry(t wire.Telemetry) {
-	s.withPole(t.PoleID, func(p *PoleStats, m *poleObs, h *poleHist) {
-		p.LastTemp = t.PoleTemp
-		if t.PoleTemp > p.MaxTemp {
-			p.MaxTemp = t.PoleTemp
+	s.withPole(t.PoleID, func(p *PoleStats, h *poleHist) {
+		if finite(t.PoleTemp) {
+			p.LastTemp = t.PoleTemp
+			if t.PoleTemp > p.MaxTemp {
+				p.MaxTemp = t.PoleTemp
+			}
 		}
 		p.LastSeen = time.Now()
-		m.tempC.Set(t.PoleTemp)
-		m.lastSeen.SetTime(p.LastSeen)
 		h.recordTelemetry(t)
 	})
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Snapshot returns fresh per-pole aggregates sorted by pole id: it
 // forces a rebuild and returns the new snapshot's rows. Scrape-style

@@ -321,12 +321,10 @@ func TestBackendMetricsExposition(t *testing.T) {
 		t.Fatalf("overheat alert: type=%d err=%v", typ, err)
 	}
 
-	id := obs.L("pole", "7")
-	if got := reg.Counter("backend_reports_total", "", id).Value(); got != 1 {
+	// backend_reports_total is one unlabelled process-wide counter; the
+	// pole's own numbers live in its row, not in per-pole series.
+	if got := reg.Counter("backend_reports_total", "").Value(); got != 1 {
 		t.Errorf("reports counter = %d, want 1", got)
-	}
-	if got := reg.Counter("backend_pole_alerts_total", "", id).Value(); got != 2 {
-		t.Errorf("per-pole alerts = %d, want 2", got)
 	}
 	if got := reg.Counter("backend_alerts_total", "", obs.L("kind", "crowding")).Value(); got != 1 {
 		t.Errorf("crowding alerts = %d, want 1", got)
@@ -334,14 +332,12 @@ func TestBackendMetricsExposition(t *testing.T) {
 	if got := reg.Counter("backend_alerts_total", "", obs.L("kind", "overheat")).Value(); got != 1 {
 		t.Errorf("overheat alerts = %d, want 1", got)
 	}
-	if got := reg.Gauge("backend_pole_last_count", "", id).Value(); got != 9 {
-		t.Errorf("last count gauge = %g, want 9", got)
+	row, ok := s.RebuildSnapshot().Pole(7)
+	if !ok {
+		t.Fatal("pole 7 missing from the forced snapshot")
 	}
-	if got := reg.Gauge("backend_pole_temp_celsius", "", id).Value(); got != 57.8 {
-		t.Errorf("temp gauge = %g, want 57.8", got)
-	}
-	if got := reg.Gauge("backend_pole_last_seen_timestamp_seconds", "", id).Value(); got <= 0 {
-		t.Errorf("last-seen gauge = %g, want unix time", got)
+	if row.Reports != 1 || row.Alerts != 2 || row.LastCount != 9 || row.LastTemp != 57.8 || row.LastSeen.IsZero() {
+		t.Errorf("pole row = %+v, want reports 1, alerts 2, last count 9, last temp 57.8, last seen set", row)
 	}
 	if s := reg.Histogram("backend_report_edge_latency_seconds", "", nil).Snapshot(); s.Count != 1 || s.Sum < 0.004 {
 		t.Errorf("edge latency histogram count=%d sum=%g, want 1 observation near 4.2ms", s.Count, s.Sum)

@@ -25,9 +25,9 @@ const DefaultHistoryWindow = 5 * time.Minute
 const DefaultHistoryLimit = 10000
 
 // poleHist is the per-pole history-series handle set, created on first
-// sight of a pole and cached in its registry entry (exactly like
-// poleObs) so the report path does no store lookups. A nil *poleHist —
-// history disabled — makes every capture a no-op.
+// sight of a pole and cached in its registry entry so the report path
+// does no store lookups. A nil *poleHist — history disabled — makes every
+// capture a no-op.
 type poleHist struct {
 	count    *tsdb.Series
 	clusters *tsdb.Series
@@ -92,8 +92,9 @@ func (b *histShardBatch) add(sr *tsdb.Series, ts int64, v float64) {
 // FlushHistory drains every shard's buffered history appends into the
 // store and returns the records written. Per-series order is preserved
 // (records drain in capture order). The history loop calls this each
-// tick; Close and SampleHistory call it so sealed chunks and test reads
-// see every capture. Safe for concurrent callers.
+// tick; Close calls it so sealed chunks carry every capture, and tests
+// call it before reading. Returns 0 when history is disabled. Safe for
+// concurrent callers.
 func (s *Server) FlushHistory() int {
 	if s.histBatches == nil {
 		return 0
@@ -141,9 +142,8 @@ func (s *Server) FlushHistory() int {
 }
 
 // historyLoop is the backend-owned capture tick: drain the per-shard
-// report batches, then (with a registry) take one obs sampler pass.
-// Runs until shutdown, with a final drain so no buffered capture is
-// dropped before Close seals the store.
+// report batches. Runs until shutdown, with a final drain so no buffered
+// capture is dropped before Close seals the store.
 func (s *Server) historyLoop(interval time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(interval)
@@ -155,9 +155,6 @@ func (s *Server) historyLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			s.FlushHistory()
-			if s.sampler != nil {
-				s.sampler.SampleOnce()
-			}
 		}
 	}
 }
@@ -194,20 +191,6 @@ func (h *poleHist) recordTelemetry(t wire.Telemetry) {
 // Config.History was not set.
 func (s *Server) History() *tsdb.Store { return s.hist }
 
-// SampleHistory captures one history tick deterministically: the
-// buffered report batches drain into the store, then (when Obs is set)
-// one sampler pass captures every instrument. It returns the records
-// written. Tests use it with HistorySampleInterval < 0; it returns 0
-// when history is disabled. Do not call concurrently with a running
-// history loop (the sampler is single-caller).
-func (s *Server) SampleHistory() int {
-	n := s.FlushHistory()
-	if s.sampler != nil {
-		n += s.sampler.SampleOnce()
-	}
-	return n
-}
-
 // jsonF64 marshals a float64 exactly (shortest round-trip formatting, so
 // decoding reproduces the identical bit pattern) while mapping NaN and
 // ±Inf — which JSON cannot carry — to null.
@@ -215,7 +198,7 @@ type jsonF64 float64
 
 func (f jsonF64) MarshalJSON() ([]byte, error) {
 	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	if !finite(v) {
 		return []byte("null"), nil
 	}
 	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil

@@ -202,38 +202,6 @@ func TestHistorySeriesListing(t *testing.T) {
 	}
 }
 
-// TestHistorySamplerCapture drives one deterministic sampler tick and
-// reads an obs-derived series back over the API: the typed EachSeries
-// walk, pole-label routing, and histogram expansion end to end.
-func TestHistorySamplerCapture(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newHistoryTestServer(t, reg)
-	sendReports(t, s, []float64{20, 25})
-
-	if n := s.SampleHistory(); n == 0 {
-		t.Fatal("sampler tick captured nothing")
-	}
-
-	// Per-pole instruments carry a pole="1" label, so their capture lands
-	// under pole 1 beside the inline wire series.
-	var resp HistoryResponse
-	if code := get(t, s.APIHandler(), "/api/history?pole=1&series=backend_reports_total&from=0&to=9223372036854775807", &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(resp.Samples) != 1 || float64(resp.Samples[0].V) != 2 {
-		t.Fatalf("sampled reports counter %+v, want one sample of 2", resp.Samples)
-	}
-
-	// Process-wide instruments land under pole 0, histograms as
-	// count/sum/quantile sub-series.
-	if code := get(t, s.APIHandler(), "/api/history?pole=0&series=backend_report_edge_latency_seconds:count&from=0&to=9223372036854775807", &resp); code != http.StatusOK {
-		t.Fatalf("histogram sub-series: status %d", code)
-	}
-	if len(resp.Samples) != 1 || float64(resp.Samples[0].V) != 2 {
-		t.Fatalf("edge latency count %+v, want 2 observations", resp.Samples)
-	}
-}
-
 func TestHistoryBadRequests(t *testing.T) {
 	s := newHistoryTestServer(t, nil)
 	sendReports(t, s, []float64{20})
@@ -276,8 +244,8 @@ func TestHistoryDisabledReturns404(t *testing.T) {
 	if s.History() != nil {
 		t.Error("History() non-nil without Config.History")
 	}
-	if s.SampleHistory() != 0 {
-		t.Error("SampleHistory captured without a store")
+	if s.FlushHistory() != 0 {
+		t.Error("FlushHistory wrote records without a store")
 	}
 }
 

@@ -37,11 +37,10 @@ type shard struct {
 	poles map[uint32]*poleEntry
 }
 
-// poleEntry pairs a pole's aggregates with its cached instrument set and
-// history-series handles so the report path does no registry lookups.
+// poleEntry pairs a pole's aggregates with its cached history-series
+// handles so the report path does no store lookups.
 type poleEntry struct {
 	stats PoleStats
-	obs   *poleObs
 	hist  *poleHist
 }
 
@@ -69,21 +68,20 @@ func mixPoleID(x uint32) uint32 {
 // shardIndex returns the shard an ID hashes to.
 func (r *registry) shardIndex(id uint32) uint32 { return mixPoleID(id) & r.mask }
 
-// withPole runs f with the pole's aggregate record, instrument set, and
-// history handles under the owning shard's lock, creating all three on
-// first sight. newObs and newHist are only invoked for new poles, inside
-// the critical section, so two racing first reports cannot
-// double-register instruments or history series.
-func (r *registry) withPole(id uint32, newObs func(uint32) *poleObs, newHist func(uint32) *poleHist, f func(*PoleStats, *poleObs, *poleHist)) {
+// withPole runs f with the pole's aggregate record and history handles
+// under the owning shard's lock, creating both on first sight. newHist is
+// only invoked for new poles, inside the critical section, so two racing
+// first reports cannot double-register history series.
+func (r *registry) withPole(id uint32, newHist func(uint32) *poleHist, f func(*PoleStats, *poleHist)) {
 	sh := &r.shards[r.shardIndex(id)]
 	r.lockAcquisitions.Add(1)
 	sh.mu.Lock()
 	e, ok := sh.poles[id]
 	if !ok {
-		e = &poleEntry{stats: PoleStats{PoleID: id}, obs: newObs(id), hist: newHist(id)}
+		e = &poleEntry{stats: PoleStats{PoleID: id}, hist: newHist(id)}
 		sh.poles[id] = e
 	}
-	f(&e.stats, e.obs, e.hist)
+	f(&e.stats, e.hist)
 	sh.mu.Unlock()
 	r.writes.Add(1)
 }

@@ -9,11 +9,8 @@ import (
 	"hawccc/internal/wire"
 )
 
-// noObs is the instrument factory for registry-level tests: all-nil
-// instruments, every update a no-op.
-func noObs(uint32) *poleObs { return &poleObs{} }
-
-// noHist is its history counterpart: nil handles, no-op capture.
+// noHist is the history factory for registry-level tests: nil handles,
+// no-op capture.
 func noHist(uint32) *poleHist { return nil }
 
 // findShardMates scans pole IDs from 2 upward for one that shares pole 1's
@@ -82,7 +79,7 @@ func TestConcurrentReportsSameAndCrossShard(t *testing.T) {
 			go func(id uint32) {
 				defer wg.Done()
 				for i := 0; i < reportsEach; i++ {
-					r.withPole(id, noObs, noHist, func(p *PoleStats, _ *poleObs, _ *poleHist) {
+					r.withPole(id, noHist, func(p *PoleStats, _ *poleHist) {
 						p.Reports++
 						p.LastCount = 3
 						p.TotalCount += 3
@@ -191,7 +188,7 @@ func TestNoTornCampusTotals(t *testing.T) {
 		reports = 200
 	)
 	for id := uint32(1); id <= poles; id++ {
-		s.withPole(id, func(p *PoleStats, _ *poleObs, _ *poleHist) {
+		s.withPole(id, func(p *PoleStats, _ *poleHist) {
 			p.Zone = map[uint32]string{0: "north", 1: "south"}[id%2]
 		})
 	}

@@ -173,18 +173,16 @@ type Pipeline struct {
 	// nil (no-op) until Instrument is called, so an uninstrumented
 	// pipeline pays only dead nil-receiver calls on the hot path.
 	m pipelineObs
-	// reg and extra remember the Instrument call so the streaming
-	// scheduler can register its queue-depth gauges and backpressure
-	// counters under the same labels; both stay nil/empty on an
-	// uninstrumented pipeline.
-	reg   *obs.Registry
-	extra []obs.Label
+	// reg remembers the Instrument call so the streaming scheduler can
+	// register its queue-depth gauges and backpressure counters in the
+	// same registry; nil on an uninstrumented pipeline.
+	reg *obs.Registry
 }
 
 // pipelineObs is the per-pipeline instrument set. Instruments are shared
 // through the Registry, so several pipelines instrumented against the
 // same registry (e.g. every pole in a campus) aggregate into one set of
-// campus-wide series unless distinguished by extra labels.
+// campus-wide series.
 type pipelineObs struct {
 	frames    *obs.Counter
 	humans    *obs.Counter
@@ -200,37 +198,32 @@ type pipelineObs struct {
 
 // Instrument registers the pipeline's metrics in reg and starts recording
 // per-frame stage spans, cluster label counts, and waits for a worker.
-// extra labels are attached to every series (a multi-tenant deployment
-// might label by sensor). It returns p for chaining; a nil registry
-// hands out nil (no-op) instruments, leaving the pipeline uninstrumented.
-func (p *Pipeline) Instrument(reg *obs.Registry, extra ...obs.Label) *Pipeline {
+// It returns p for chaining; a nil registry hands out nil (no-op)
+// instruments, leaving the pipeline uninstrumented.
+func (p *Pipeline) Instrument(reg *obs.Registry) *Pipeline {
 	p.reg = reg
-	p.extra = append([]obs.Label(nil), extra...)
-	withExtra := func(labels ...obs.Label) []obs.Label {
-		return append(labels, extra...)
-	}
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("hawc_frame_stage_seconds",
 			"per-frame latency of one pipeline stage (roi, ground, cluster, classify)",
-			obs.LatencyBuckets(), withExtra(obs.L("stage", name))...)
+			obs.LatencyBuckets(), obs.L("stage", name))
 	}
 	p.m = pipelineObs{
 		frames: reg.Counter("hawc_frames_total",
-			"LiDAR frames counted end to end", extra...),
+			"LiDAR frames counted end to end"),
 		humans: reg.Counter("hawc_clusters_total",
-			"clusters classified, by predicted label", withExtra(obs.L("label", "human"))...),
+			"clusters classified, by predicted label", obs.L("label", "human")),
 		objects: reg.Counter("hawc_clusters_total",
-			"clusters classified, by predicted label", withExtra(obs.L("label", "object"))...),
+			"clusters classified, by predicted label", obs.L("label", "object")),
 		noise: reg.Counter("hawc_noise_points_total",
-			"points discarded as clustering noise", extra...),
+			"points discarded as clustering noise"),
 		roi:      stage("roi"),
 		ground:   stage("ground"),
 		cluster:  stage("cluster"),
 		classify: stage("classify"),
 		total: reg.Histogram("hawc_frame_seconds",
-			"end-to-end per-frame counting latency", obs.LatencyBuckets(), extra...),
+			"end-to-end per-frame counting latency", obs.LatencyBuckets()),
 		queueWait: reg.Histogram("hawc_classify_queue_wait_seconds",
-			"time a cluster batch (Count) or a frame (Stream) waits for a worker", obs.LatencyBuckets(), extra...),
+			"time a cluster batch (Count) or a frame (Stream) waits for a worker", obs.LatencyBuckets()),
 	}
 	return p
 }

@@ -85,25 +85,25 @@ func (p *Pipeline) StreamWith(ctx context.Context, frames <-chan geom.Cloud, cfg
 		qReport: p.streamQueue(cfg.QueueDepth, "report"),
 		e2e: p.reg.Histogram("hawc_stream_e2e_seconds",
 			"end-to-end frame latency through the streaming scheduler (compute + queueing)",
-			obs.LatencyBuckets(), p.extra...),
+			obs.LatencyBuckets()),
 	}
 	go s.run()
 	return s.out
 }
 
 // streamQueue builds one bounded scheduler queue and registers its depth
-// gauge and backpressure counter under the pipeline's labels (series
+// gauge and backpressure counter in the pipeline's registry (series
 // hawc_stream_queue_depth{stage=...} and
 // hawc_stream_backpressure_total{stage=...}; no-ops when the pipeline is
 // uninstrumented).
 func (p *Pipeline) streamQueue(depth int, stage string) *boundedQ {
-	labels := append([]obs.Label{obs.L("stage", stage)}, p.extra...)
+	label := obs.L("stage", stage)
 	return &boundedQ{
 		ch: make(chan *streamJob, depth),
 		depth: p.reg.Gauge("hawc_stream_queue_depth",
-			"frames waiting in one streaming-scheduler queue", labels...),
+			"frames waiting in one streaming-scheduler queue", label),
 		bp: p.reg.Counter("hawc_stream_backpressure_total",
-			"handoffs that blocked on a full scheduler queue", labels...),
+			"handoffs that blocked on a full scheduler queue", label),
 	}
 }
 

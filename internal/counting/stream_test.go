@@ -3,7 +3,9 @@ package counting
 import (
 	"context"
 	"reflect"
+	"regexp"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,12 +207,14 @@ func TestStreamRecordsQueueMetrics(t *testing.T) {
 		t.Errorf("e2e histogram observed %d frames, want %d", s.Count, len(frames))
 	}
 	// Exactly the scheduler's two queues are exposed, drained to zero.
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
 	stages := map[string][]string{}
-	reg.EachSeries(func(si obs.SeriesInfo) {
-		if si.Name == "hawc_stream_queue_depth" || si.Name == "hawc_stream_backpressure_total" {
-			stages[si.Name] = append(stages[si.Name], si.Label("stage"))
-		}
-	})
+	for _, m := range regexp.MustCompile(`(?m)^(hawc_stream_queue_depth|hawc_stream_backpressure_total)\{stage="([^"]*)"\} `).FindAllStringSubmatch(text.String(), -1) {
+		stages[m[1]] = append(stages[m[1]], m[2])
+	}
 	for _, name := range []string{"hawc_stream_queue_depth", "hawc_stream_backpressure_total"} {
 		got := stages[name]
 		sort.Strings(got)

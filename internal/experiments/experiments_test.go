@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hawccc/internal/models"
 )
 
 // sharedLab is trained once for the whole test package (Quick config).
@@ -268,7 +270,7 @@ func TestTableVIQuick(t *testing.T) {
 
 func TestFigure8aQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("retrains all models")
+		t.Skip("trains the lab's three neural models")
 	}
 	rs := Figure8a(sharedLab)
 	if len(rs) != 3 {
@@ -311,5 +313,47 @@ func TestConfigPresets(t *testing.T) {
 	}
 	if q.Seed != s.Seed || s.Seed != f.Seed {
 		t.Error("presets should share the default seed")
+	}
+}
+
+// TestCurveRecordingLeavesTrainingUntouched pins what lets Figure 8a read
+// its curves off the lab's one training run instead of retraining: the
+// per-epoch evaluation callback does not move the weights (HAWC's
+// fingerprint equals that of the same run without a callback), and each
+// curve ends at the finished model's accuracy on the curve subset.
+func TestCurveRecordingLeavesTrainingUntouched(t *testing.T) {
+	l := NewLab(Config{
+		Seed: 42, SamplesPerClass: 40,
+		HAWCEpochs: 2, PointNetEpochs: 1, AEEpochs: 2,
+		CurveEvalSamples: 10,
+	})
+	curves := Figure8a(l)
+
+	plain := models.NewHAWC()
+	mustTrain(plain.Train(l.Split().Train, models.TrainConfig{Epochs: l.Cfg.HAWCEpochs, Seed: l.Cfg.Seed + 3}))
+	if got, want := l.HAWC().ModelVersion(), plain.ModelVersion(); got != want {
+		t.Errorf("HAWC trained with the recording callback has version %08x, without it %08x", got, want)
+	}
+
+	subset := l.curveTest()
+	if len(subset) != l.Cfg.CurveEvalSamples {
+		t.Fatalf("curve subset has %d samples, want %d", len(subset), l.Cfg.CurveEvalSamples)
+	}
+	for i, tc := range []struct {
+		clf    models.Classifier
+		epochs int
+	}{
+		{l.HAWC(), l.Cfg.HAWCEpochs},
+		{l.PointNet(), l.Cfg.PointNetEpochs},
+		{l.AutoEncoder(), l.Cfg.AEEpochs},
+	} {
+		c := curves[i]
+		if len(c.Acc) != tc.epochs {
+			t.Errorf("%s curve has %d points, want one per epoch (%d)", c.Model, len(c.Acc), tc.epochs)
+			continue
+		}
+		if got, want := c.Acc[len(c.Acc)-1], models.Evaluate(tc.clf, subset).Accuracy(); got != want {
+			t.Errorf("%s curve ends at %v, the finished model scores %v", c.Model, got, want)
+		}
 	}
 }

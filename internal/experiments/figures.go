@@ -120,45 +120,19 @@ type Figure8aResult struct {
 	Acc   []float64 // Acc[e] = test accuracy after epoch e
 }
 
-// Figure8a retraces the training curves of HAWC, PointNet, and the
-// AutoEncoder by re-training each with a per-epoch evaluation callback on
-// a bounded test subset.
+// Figure8a reads the training curves of HAWC, PointNet, and the
+// AutoEncoder: the lab records each model's per-epoch accuracy on a
+// bounded test subset during its one training run (same data, seed, and
+// budget a dedicated retraining would use), so nothing trains twice.
 func Figure8a(l *Lab) []Figure8aResult {
-	split := l.Split()
-	test := split.Test
-	if len(test) > l.Cfg.CurveEvalSamples {
-		test = test[:l.Cfg.CurveEvalSamples]
+	l.HAWC()
+	l.PointNet()
+	l.AutoEncoder()
+	return []Figure8aResult{
+		{Model: "HAWC", Acc: l.hawcAcc},
+		{Model: "PointNet", Acc: l.pnAcc},
+		{Model: "AutoEncoder", Acc: l.aeAcc},
 	}
-
-	var out []Figure8aResult
-	{
-		l.logf("Figure 8a: HAWC curve...")
-		h := models.NewHAWC()
-		r := Figure8aResult{Model: "HAWC"}
-		cfg := models.TrainConfig{Epochs: l.Cfg.HAWCEpochs, Seed: l.Cfg.Seed + 3}
-		cfg.Progress = func(int) { r.Acc = append(r.Acc, models.Evaluate(h, test).Accuracy()) }
-		mustTrain(h.Train(split.Train, cfg))
-		out = append(out, r)
-	}
-	{
-		l.logf("Figure 8a: PointNet curve...")
-		p := models.NewPointNet()
-		r := Figure8aResult{Model: "PointNet"}
-		cfg := models.TrainConfig{Epochs: l.Cfg.PointNetEpochs, Seed: l.Cfg.Seed + 4}
-		cfg.Progress = func(int) { r.Acc = append(r.Acc, models.Evaluate(p, test).Accuracy()) }
-		mustTrain(p.Train(split.Train, cfg))
-		out = append(out, r)
-	}
-	{
-		l.logf("Figure 8a: AutoEncoder curve...")
-		a := models.NewAutoEncoder()
-		r := Figure8aResult{Model: "AutoEncoder"}
-		cfg := models.TrainConfig{Epochs: l.Cfg.AEEpochs, Seed: l.Cfg.Seed + 5}
-		cfg.Progress = func(int) { r.Acc = append(r.Acc, models.Evaluate(a, test).Accuracy()) }
-		mustTrain(a.Train(split.Train, cfg))
-		out = append(out, r)
-	}
-	return out
 }
 
 // Figure8bResult is one model's accuracy across training-set fractions.
@@ -368,10 +342,7 @@ type Figure8Result struct {
 // with the given training fractions (the paper sweeps 100% → 0.1%).
 func Figure8(l *Lab, fractions []float64) Figure8Result {
 	split := l.Split()
-	test := split.Test
-	if len(test) > l.Cfg.CurveEvalSamples {
-		test = test[:l.Cfg.CurveEvalSamples]
-	}
+	test := l.curveTest()
 	rng := rand.New(rand.NewSource(l.Cfg.Seed + 7))
 
 	var res Figure8Result

@@ -100,6 +100,10 @@ type Lab struct {
 	ae    *models.AutoEncoder
 	aeQ   *models.AutoEncoder
 	oc    *models.OCSVM
+
+	// hawcAcc, pnAcc and aeAcc are Figure 8a's curves: each model's
+	// accuracy on curveTest after every epoch of its one training run.
+	hawcAcc, pnAcc, aeAcc []float64
 }
 
 // NewLab builds a lab over cfg.
@@ -143,6 +147,26 @@ func (l *Lab) Calib() []dataset.Sample {
 	return train[:n]
 }
 
+// curveTest is the bounded test subset the per-epoch accuracy curves are
+// evaluated on.
+func (l *Lab) curveTest() []dataset.Sample {
+	test := l.Split().Test
+	if len(test) > l.Cfg.CurveEvalSamples {
+		test = test[:l.Cfg.CurveEvalSamples]
+	}
+	return test
+}
+
+// recordCurve returns a TrainConfig.Progress callback appending clf's
+// accuracy on curveTest to acc after each epoch. Evaluation runs the
+// stateless inference path on content-seeded inputs, so recording does
+// not move the weights being trained (pinned by
+// TestCurveRecordingLeavesTrainingUntouched).
+func (l *Lab) recordCurve(clf models.Classifier, acc *[]float64) func(int) {
+	test := l.curveTest()
+	return func(int) { *acc = append(*acc, models.Evaluate(clf, test).Accuracy()) }
+}
+
 // HAWC returns the trained full-precision HAWC.
 func (l *Lab) HAWC() *models.HAWC {
 	l.once.hawc.Do(func() {
@@ -150,6 +174,7 @@ func (l *Lab) HAWC() *models.HAWC {
 		l.hawc = models.NewHAWC()
 		mustTrain(l.hawc.Train(l.Split().Train, models.TrainConfig{
 			Epochs: l.Cfg.HAWCEpochs, Seed: l.Cfg.Seed + 3,
+			Progress: l.recordCurve(l.hawc, &l.hawcAcc),
 		}))
 	})
 	return l.hawc
@@ -172,6 +197,7 @@ func (l *Lab) PointNet() *models.PointNet {
 		l.pn = models.NewPointNet()
 		mustTrain(l.pn.Train(l.Split().Train, models.TrainConfig{
 			Epochs: l.Cfg.PointNetEpochs, Seed: l.Cfg.Seed + 4,
+			Progress: l.recordCurve(l.pn, &l.pnAcc),
 		}))
 	})
 	return l.pn
@@ -194,6 +220,7 @@ func (l *Lab) AutoEncoder() *models.AutoEncoder {
 		l.ae = models.NewAutoEncoder()
 		mustTrain(l.ae.Train(l.Split().Train, models.TrainConfig{
 			Epochs: l.Cfg.AEEpochs, Seed: l.Cfg.Seed + 5,
+			Progress: l.recordCurve(l.ae, &l.aeAcc),
 		}))
 	})
 	return l.ae

@@ -267,8 +267,7 @@ func (k metricKind) String() string {
 
 // series is one labeled instrument within a family.
 type series struct {
-	labels    string  // rendered {k="v",...} or ""
-	labelSet  []Label // sorted by key; the parsed form of labels
+	labels    string // rendered {k="v",...} or ""
 	counter   *Counter
 	gauge     *Gauge
 	histogram *Histogram
@@ -298,23 +297,14 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// sortLabels returns a key-sorted copy of labels (nil for none).
-func sortLabels(labels []Label) []Label {
-	if len(labels) == 0 {
-		return nil
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return ls
-}
-
 // renderLabels produces the canonical {k="v",...} key, sorted by key so
 // label order at the call site doesn't split series.
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := sortLabels(labels)
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, l := range ls {
@@ -355,69 +345,9 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, cr
 	}
 	s := create()
 	s.labels = key
-	s.labelSet = sortLabels(labels)
 	f.series = append(f.series, s)
 	f.byKey[key] = s
 	return s
-}
-
-// SeriesInfo is one registered series as typed instruments: exactly one
-// of Counter, Gauge, or Histogram is non-nil. It exists so collectors —
-// the tsdb capture sampler above all — can read instruments directly
-// instead of scraping and re-parsing the Prometheus text exposition.
-type SeriesInfo struct {
-	Name string
-	Help string
-	// Labels is sorted by key; the slice is shared — callers must not
-	// mutate it.
-	Labels    []Label
-	Counter   *Counter
-	Gauge     *Gauge
-	Histogram *Histogram
-}
-
-// Label returns the value of the labeled dimension, or "" when absent.
-func (si SeriesInfo) Label(key string) string {
-	for _, l := range si.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
-// EachSeries calls f for every registered series in registration order
-// (families in creation order, series within a family in creation
-// order). Series registered while the walk runs may or may not be
-// visited — the same staleness contract a scrape has. A nil registry
-// visits nothing.
-func (r *Registry) EachSeries(f func(SeriesInfo)) {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	type famCopy struct {
-		name, help string
-		series     []*series
-	}
-	copies := make([]famCopy, 0, len(r.order))
-	for _, name := range r.order {
-		fam := r.families[name]
-		copies = append(copies, famCopy{fam.name, fam.help, append([]*series(nil), fam.series...)})
-	}
-	r.mu.RUnlock()
-	for _, fam := range copies {
-		for _, s := range fam.series {
-			f(SeriesInfo{
-				Name:      fam.name,
-				Help:      fam.help,
-				Labels:    s.labelSet,
-				Counter:   s.counter,
-				Gauge:     s.gauge,
-				Histogram: s.histogram,
-			})
-		}
-	}
 }
 
 // Counter returns the counter for name+labels, creating it on first use.

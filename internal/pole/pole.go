@@ -103,8 +103,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// poleObs is the node's instrument set.
-type poleObs struct {
+// nodeObs is the node's instrument set.
+type nodeObs struct {
 	frames     *obs.Counter
 	acked      *obs.Counter
 	reconnects *obs.Counter
@@ -119,7 +119,7 @@ type poleObs struct {
 // Node is a running pole.
 type Node struct {
 	cfg Config
-	m   poleObs
+	m   nodeObs
 
 	// connMu guards conn against the shutdown AfterFunc racing a
 	// reconnect swap; wc is only touched by the Dial/Run goroutine.
@@ -165,7 +165,7 @@ func (n *Node) initObs() {
 	id := obs.L("pole", strconv.FormatUint(uint64(n.cfg.PoleID), 10))
 	reg := n.cfg.Obs
 	if reg == nil {
-		n.m = poleObs{
+		n.m = nodeObs{
 			frames: &obs.Counter{}, acked: &obs.Counter{}, reconnects: &obs.Counter{},
 			alerts: &obs.Counter{}, rtt: obs.NewHistogram(obs.LatencyBuckets()),
 			bytesOut: &obs.Counter{}, bytesIn: &obs.Counter{},
@@ -173,7 +173,7 @@ func (n *Node) initObs() {
 		}
 		return
 	}
-	n.m = poleObs{
+	n.m = nodeObs{
 		frames:     reg.Counter("pole_frames_processed_total", "LiDAR frames captured and counted on the pole", id),
 		acked:      reg.Counter("pole_reports_acked_total", "count reports acknowledged by the backend", id),
 		reconnects: reg.Counter("pole_reconnects_total", "times the pole re-dialed a broken backend connection", id),

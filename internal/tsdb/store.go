@@ -15,6 +15,13 @@ import (
 // streams contend only on pole collisions.
 const DefaultShards = 64
 
+// DefaultSampleInterval is the default cadence of the loop that drains a
+// capturer's buffered appends into the store — the FTDC-style "one
+// diagnostic document per second". The store itself runs no loop; the
+// constant lives here because the backend's history loop and
+// bench/binding.go both bind it under this name.
+const DefaultSampleInterval = time.Second
+
 // Defaults for the zero values of Config.
 const (
 	DefaultChunkSamples = 512
@@ -82,8 +89,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SeriesKey identifies one series: a pole (0 for process-wide series the
-// sampler captures) and a short name like "count" or "pole_temp_c".
+// SeriesKey identifies one series: a pole and a short name like "count"
+// or "pole_temp_c".
 type SeriesKey struct {
 	Pole uint32 `json:"pole"`
 	Name string `json:"name"`
