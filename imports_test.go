@@ -77,7 +77,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{counting.StreamConfig{}, "QueueDepth"},
 		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
-		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History HistorySampleInterval Obs Logf"},
+		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History Obs Logf"},
 		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},
 	} {
 		typ := reflect.TypeOf(tc.cfg)

@@ -29,7 +29,7 @@ func newAPITestServer(t *testing.T) *Server {
 		if id%2 == 0 {
 			zone = "stadium"
 		}
-		s.withPole(id, func(p *PoleStats, _ *poleHist) {
+		s.withPole(id, func(p *PoleStats) {
 			p.Location = fmt.Sprintf("walkway-%d", id)
 			p.Zone = zone
 		})

@@ -55,15 +55,10 @@ type Config struct {
 	// (internal/tsdb): every count report and telemetry reading is
 	// appended to per-pole history series at its wire timestamp, and the
 	// /api/history endpoints serve raw and downsampled reads over them.
-	// The pointed-to Config selects the store's sharding, chunking,
-	// retention, and optional disk-backed segments.
+	// A sample is readable there when its report is acked. The pointed-to
+	// Config selects the store's chunking, retention, and optional
+	// disk-backed segments.
 	History *tsdb.Config
-	// HistorySampleInterval is the cadence of the history loop, which
-	// drains the per-shard report batches into the History store (0
-	// selects tsdb.DefaultSampleInterval; no effect without History).
-	// Negative disables the loop — a determinism seam no deployment
-	// sets: tests then call FlushHistory.
-	HistorySampleInterval time.Duration
 	// Obs, when non-nil, registers the backend's metrics, all of them
 	// process-wide: reports and alerts received, connection counts, wire
 	// traffic, the edge latency each report carries, snapshot rebuild
@@ -136,12 +131,6 @@ type Server struct {
 	// hist is the FTDC-style history store (nil when Config.History is
 	// nil).
 	hist *tsdb.Store
-	// histBatches defers per-report tsdb appends off the shard-locked
-	// ingest callback: one batch per registry shard, mutated only under
-	// that shard's lock and drained by the history loop (history.go).
-	// flushMu serializes drains.
-	histBatches []histShardBatch
-	flushMu     sync.Mutex
 
 	apiLn  net.Listener
 	apiSrv *http.Server
@@ -180,17 +169,6 @@ func Listen(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.hist = st
-		s.histBatches = make([]histShardBatch, len(s.reg.shards))
-		// The history loop drains the per-shard report batches into the
-		// store. Negative disables it; tests call FlushHistory directly.
-		if cfg.HistorySampleInterval >= 0 {
-			interval := cfg.HistorySampleInterval
-			if interval == 0 {
-				interval = tsdb.DefaultSampleInterval
-			}
-			s.wg.Add(1)
-			go s.historyLoop(interval)
-		}
 	}
 	reg := cfg.Obs
 	s.m = backendObs{
@@ -249,11 +227,9 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	if s.hist != nil {
-		// Drain any report batches the stopped history loop left behind
-		// (handlers have exited by now, so nothing refills them), seal the
-		// hot tails so disk segments carry every captured sample, then
+		// Handlers have exited by now, so every acked sample is in the
+		// store: seal the hot tails so disk segments carry them all, then
 		// flush the segment writer. The store itself stays readable.
-		s.FlushHistory()
 		s.hist.SealAll()
 		if cerr := s.hist.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -309,7 +285,7 @@ func (s *Server) handle(conn net.Conn) error {
 				return err
 			}
 			poleID = h.PoleID
-			s.withPole(h.PoleID, func(p *PoleStats, _ *poleHist) {
+			s.withPole(h.PoleID, func(p *PoleStats) {
 				p.Location = h.Location
 				p.Zone = h.Zone
 				if h.ModelVersion != 0 {
@@ -361,7 +337,7 @@ func (s *Server) handle(conn net.Conn) error {
 // notifies the pole on its connection.
 func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 	s.alog.add(a)
-	s.withPole(a.PoleID, func(p *PoleStats, _ *poleHist) { p.Alerts++ })
+	s.withPole(a.PoleID, func(p *PoleStats) { p.Alerts++ })
 	switch a.Kind {
 	case wire.AlertCrowding:
 		s.m.crowding.Inc()
@@ -372,25 +348,27 @@ func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 	return wc.Send(wire.MsgAlert, wire.EncodeAlert(a))
 }
 
-// withPole runs f with the pole's aggregate record and history handles
-// under the owning shard's lock, creating them on first sight of the pole.
-func (s *Server) withPole(id uint32, f func(*PoleStats, *poleHist)) {
-	s.reg.withPole(id, s.newPoleHist, f)
+// withPole runs f with the pole's aggregate record under the owning
+// shard's lock, creating it on first sight of the pole, and returns the
+// pole's history handles (nil with history off) for use after the lock.
+func (s *Server) withPole(id uint32, f func(*PoleStats)) *poleHist {
+	return s.reg.withPole(id, s.newPoleHist, f)
 }
 
 func (s *Server) recordCount(r wire.CountReport) {
 	s.m.reports.Inc()
 	s.m.edgeLatency.Observe(float64(r.LatencyUS) / 1e6)
-	s.withPole(r.PoleID, func(p *PoleStats, h *poleHist) {
+	now := time.Now()
+	h := s.withPole(r.PoleID, func(p *PoleStats) {
 		p.Reports++
 		p.LastCount = int(r.Count)
 		p.TotalCount += int64(r.Count)
 		if int(r.Count) > p.PeakCount {
 			p.PeakCount = int(r.Count)
 		}
-		p.LastSeen = time.Now()
-		h.recordCount(r)
+		p.LastSeen = now
 	})
+	h.recordCount(r, now)
 }
 
 // recordTelemetry updates the pole's row and captures both readings to
@@ -399,16 +377,17 @@ func (s *Server) recordCount(r wire.CountReport) {
 // (served there as null): the row — the only other place a temperature
 // lives — keeps its last finite value and stays servable.
 func (s *Server) recordTelemetry(t wire.Telemetry) {
-	s.withPole(t.PoleID, func(p *PoleStats, h *poleHist) {
+	now := time.Now()
+	h := s.withPole(t.PoleID, func(p *PoleStats) {
 		if finite(t.PoleTemp) {
 			p.LastTemp = t.PoleTemp
 			if t.PoleTemp > p.MaxTemp {
 				p.MaxTemp = t.PoleTemp
 			}
 		}
-		p.LastSeen = time.Now()
-		h.recordTelemetry(t)
+		p.LastSeen = now
 	})
+	h.recordTelemetry(t, now)
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

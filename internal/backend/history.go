@@ -34,11 +34,6 @@ type poleHist struct {
 	latency  *tsdb.Series
 	poleTemp *tsdb.Series
 	ambient  *tsdb.Series
-	// batch is the owning registry shard's append batch: captures are
-	// buffered here (under the shard lock the ingest callback already
-	// holds) and drained into the store by the history loop, so the
-	// report path never pays the store's own locking per message.
-	batch *histShardBatch
 }
 
 // newPoleHist creates the pole's history series; nil without a store.
@@ -52,139 +47,49 @@ func (s *Server) newPoleHist(id uint32) *poleHist {
 		latency:  s.hist.Series(id, "edge_latency_us"),
 		poleTemp: s.hist.Series(id, "pole_temp_c"),
 		ambient:  s.hist.Series(id, "ambient_c"),
-		batch:    &s.histBatches[s.reg.shardIndex(id)],
 	}
 }
 
-// histRec is one deferred store append: the series handle was resolved
-// at capture time, so draining is a straight Series.Append per record.
-type histRec struct {
-	sr *tsdb.Series
-	ts int64
-	v  float64
-}
+// maxHistorySkew is how far ahead of the receive clock a wire timestamp
+// may run and still be stored as sent. Series.Append clamps every earlier
+// timestamp up to the series' latest, so one report stamped tomorrow (a
+// pole clock before its NTP fix) would drag all of that pole's samples to
+// tomorrow until tomorrow came.
+const maxHistorySkew = time.Minute
 
-// histBatchMax caps one shard's buffered records between drains; at the
-// cap the full slice is shelved and a recycled (or fresh) one takes
-// over, so a stalled drain loop degrades to allocation, never loss.
-const histBatchMax = 1 << 16
-
-// histShardBatch buffers one registry shard's pending appends. recs and
-// full are mutated only under the owning shard's mutex; spare is the
-// drain loop's recycled buffer, handed back under the same lock
-// (double-buffering: steady state alternates two slices, no allocation).
-type histShardBatch struct {
-	recs  []histRec
-	full  [][]histRec
-	spare []histRec
-}
-
-// add buffers one append. Caller holds the owning shard's mutex.
-func (b *histShardBatch) add(sr *tsdb.Series, ts int64, v float64) {
-	b.recs = append(b.recs, histRec{sr: sr, ts: ts, v: v})
-	if len(b.recs) >= histBatchMax {
-		b.full = append(b.full, b.recs)
-		b.recs = b.spare[:0]
-		b.spare = nil
-	}
-}
-
-// FlushHistory drains every shard's buffered history appends into the
-// store and returns the records written. Per-series order is preserved
-// (records drain in capture order). The history loop calls this each
-// tick; Close calls it so sealed chunks carry every capture, and tests
-// call it before reading. Returns 0 when history is disabled. Safe for
-// concurrent callers.
-func (s *Server) FlushHistory() int {
-	if s.histBatches == nil {
-		return 0
-	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	n := 0
-	for i := range s.histBatches {
-		b := &s.histBatches[i]
-		sh := &s.reg.shards[i]
-		s.reg.lockAcquisitions.Add(1)
-		sh.mu.Lock()
-		recs, full := b.recs, b.full
-		b.recs, b.full, b.spare = b.spare[:0], nil, nil
-		sh.mu.Unlock()
-		if len(recs) == 0 && full == nil {
-			// Nothing drained: keep the larger buffer as the spare.
-			sh.mu.Lock()
-			if cap(recs) > cap(b.spare) {
-				b.spare = recs[:0]
-			}
-			sh.mu.Unlock()
-			continue
-		}
-		// Append outside the shard lock: the store has its own per-series
-		// locking, and ingest may keep filling the fresh buffer meanwhile.
-		for _, shelf := range full {
-			for _, rec := range shelf {
-				rec.sr.Append(rec.ts, rec.v)
-			}
-			n += len(shelf)
-		}
-		for _, rec := range recs {
-			rec.sr.Append(rec.ts, rec.v)
-		}
-		n += len(recs)
-		// Recycle the drained buffer as the shard's spare.
-		sh.mu.Lock()
-		if cap(recs) > cap(b.spare) {
-			b.spare = recs[:0]
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// historyLoop is the backend-owned capture tick: drain the per-shard
-// report batches. Runs until shutdown, with a final drain so no buffered
-// capture is dropped before Close seals the store.
-func (s *Server) historyLoop(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.loopCtx.Done():
-			s.FlushHistory()
-			return
-		case <-t.C:
-			s.FlushHistory()
-		}
-	}
-}
-
-// histTS picks the history timestamp for a wire message: the pole's own
-// timestamp when it set one, receive time otherwise.
-func histTS(t time.Time) int64 {
-	if t.IsZero() {
-		return time.Now().UnixNano()
+// histTS picks the history timestamp for a wire message received at now:
+// the pole's own timestamp, or now when the pole set none or one more
+// than maxHistorySkew ahead. Past timestamps are kept as sent — telemetry
+// replays old readings on purpose.
+func histTS(t, now time.Time) int64 {
+	if t.IsZero() || t.Sub(now) > maxHistorySkew {
+		return now.UnixNano()
 	}
 	return t.UnixNano()
 }
 
-func (h *poleHist) recordCount(r wire.CountReport) {
+// recordCount and recordTelemetry append straight to the store. Their
+// callers (Server.recordCount / recordTelemetry) run them after the
+// registry shard lock is released and before the ack is sent: a sample is
+// readable when its report is acked, and a seal's chunk encode or segment
+// rotation never runs under a registry lock.
+func (h *poleHist) recordCount(r wire.CountReport, now time.Time) {
 	if h == nil {
 		return
 	}
-	ts := histTS(r.Timestamp)
-	h.batch.add(h.count, ts, float64(r.Count))
-	h.batch.add(h.clusters, ts, float64(r.Clusters))
-	h.batch.add(h.latency, ts, float64(r.LatencyUS))
+	ts := histTS(r.Timestamp, now)
+	h.count.Append(ts, float64(r.Count))
+	h.clusters.Append(ts, float64(r.Clusters))
+	h.latency.Append(ts, float64(r.LatencyUS))
 }
 
-func (h *poleHist) recordTelemetry(t wire.Telemetry) {
+func (h *poleHist) recordTelemetry(t wire.Telemetry, now time.Time) {
 	if h == nil {
 		return
 	}
-	ts := histTS(t.Timestamp)
-	h.batch.add(h.poleTemp, ts, t.PoleTemp)
-	h.batch.add(h.ambient, ts, t.Ambient)
+	ts := histTS(t.Timestamp, now)
+	h.poleTemp.Append(ts, t.PoleTemp)
+	h.ambient.Append(ts, t.Ambient)
 }
 
 // History returns the backing time-series store, or nil when

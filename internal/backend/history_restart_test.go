@@ -19,7 +19,6 @@ func historyDirServer(t *testing.T, dir string) *Server {
 			Dir:          dir,
 			WarmStart:    true,
 		},
-		HistorySampleInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

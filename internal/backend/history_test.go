@@ -13,15 +13,14 @@ import (
 )
 
 // newHistoryTestServer stands up a backend with history capture on and
-// every background loop off, so tests drive capture deterministically.
+// the snapshot loop off, so tests drive rebuilds deterministically.
 func newHistoryTestServer(t *testing.T, reg *obs.Registry) *Server {
 	t.Helper()
 	s, err := Listen(Config{
-		Addr:                  "127.0.0.1:0",
-		SnapshotInterval:      -1,
-		History:               &tsdb.Config{ChunkSamples: 8},
-		HistorySampleInterval: -1,
-		Obs:                   reg,
+		Addr:             "127.0.0.1:0",
+		SnapshotInterval: -1,
+		History:          &tsdb.Config{ChunkSamples: 8},
+		Obs:              reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +56,6 @@ func sendReports(t *testing.T, s *Server, temps []float64) (countTS []int64, cou
 			t.Fatalf("recv: type %d err %v", typ, err)
 		}
 	}
-	// Capture is batched per shard; drain it so the store sees every
-	// message (the background history loop is off in these tests).
-	s.FlushHistory()
 	return countTS, counts
 }
 
@@ -244,9 +240,6 @@ func TestHistoryDisabledReturns404(t *testing.T) {
 	if s.History() != nil {
 		t.Error("History() non-nil without Config.History")
 	}
-	if s.FlushHistory() != 0 {
-		t.Error("FlushHistory wrote records without a store")
-	}
 }
 
 // TestHistoryReadsTakeNoShardLocks extends the read-path contract to the
@@ -265,5 +258,92 @@ func TestHistoryReadsTakeNoShardLocks(t *testing.T) {
 	}
 	if after := s.reg.lockAcquisitions.Load(); after != before {
 		t.Fatalf("history reads acquired %d registry shard locks, want 0", after-before)
+	}
+}
+
+// TestHistoryVisibleWhenAcked pins the one write path: a backend with
+// every loop at its default, one real connection, and the moment a
+// report's ack is read its samples — and the telemetry sent before it —
+// are served by /api/history, bit-identical. No flush, no tick, no seam.
+func TestHistoryVisibleWhenAcked(t *testing.T) {
+	s, err := Listen(Config{Addr: "127.0.0.1:0", History: &tsdb.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := dialBackend(t, s)
+
+	ts := time.Unix(1700000000, 0).UTC()
+	temp := 0.1 + 0.2
+	if err := c.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{PoleID: 1, Location: "walk", Zone: "z"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(wire.MsgTelemetry, wire.EncodeTelemetry(wire.Telemetry{PoleID: 1, Timestamp: ts, PoleTemp: temp, Ambient: 25})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(wire.MsgCountReport, wire.EncodeCountReport(wire.CountReport{PoleID: 1, Seq: 1, Timestamp: ts, Count: 7, Clusters: 9, LatencyUS: 900})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := c.Recv(); err != nil || typ != wire.MsgAck {
+		t.Fatalf("recv: type %d err %v", typ, err)
+	}
+
+	h := s.APIHandler()
+	for series, want := range map[string]float64{"count": 7, "pole_temp_c": temp} {
+		var resp HistoryResponse
+		if code := get(t, h, "/api/history?pole=1&series="+series+"&from=0&to=9223372036854775807", &resp); code != http.StatusOK {
+			t.Fatalf("%s: status %d", series, code)
+		}
+		if resp.Count != 1 || len(resp.Samples) != 1 {
+			t.Fatalf("%s: %d samples readable at the ack, want 1", series, resp.Count)
+		}
+		if got := resp.Samples[0]; got.T != ts.UnixNano() || math.Float64bits(float64(got.V)) != math.Float64bits(want) {
+			t.Errorf("%s: sample (%d, %v), want (%d, %v)", series, got.T, got.V, ts.UnixNano(), want)
+		}
+	}
+	if got := s.History().Stats().Appended; got != 5 {
+		t.Errorf("store holds %d samples at the ack, want 5 (3 per report + 2 per telemetry)", got)
+	}
+}
+
+// TestFutureTimestampDoesNotPoisonHistory: Series.Append clamps earlier
+// timestamps up to the series' latest, so one report stamped a day ahead
+// (a pole clock before its NTP fix) must not drag the honest reports
+// after it to tomorrow, out of every window an operator asks for. It is
+// stored at receive time; the rest keep their own timestamps.
+func TestFutureTimestampDoesNotPoisonHistory(t *testing.T) {
+	s := newHistoryTestServer(t, nil)
+	c := dialBackend(t, s)
+
+	start := time.Now()
+	stamps := []time.Time{start.Add(24 * time.Hour), start, start, start}
+	for i, ts := range stamps {
+		r := wire.CountReport{PoleID: 1, Seq: uint64(i + 1), Timestamp: ts, Count: uint32(i + 1)}
+		if err := c.Send(wire.MsgCountReport, wire.EncodeCountReport(r)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := c.Recv(); err != nil || typ != wire.MsgAck {
+			t.Fatalf("report %d: recv type %d err %v", i+1, typ, err)
+		}
+	}
+
+	var resp HistoryResponse
+	if code := get(t, s.APIHandler(), "/api/history?pole=1&series=count&window=1m", &resp); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if resp.Count != len(stamps) {
+		t.Fatalf("the last minute holds %d samples, want all %d: %+v", resp.Count, len(stamps), resp.Samples)
+	}
+	now := time.Now().UnixNano()
+	for i, smp := range resp.Samples {
+		if float64(smp.V) != float64(i+1) {
+			t.Errorf("sample %d: value %v, want %d", i, smp.V, i+1)
+		}
+		if i > 0 && smp.T < resp.Samples[i-1].T {
+			t.Errorf("sample %d: timestamp %d precedes its predecessor's %d", i, smp.T, resp.Samples[i-1].T)
+		}
+		if ahead := time.Duration(smp.T - now); ahead > maxHistorySkew {
+			t.Errorf("sample %d stored %v ahead of the receive clock", i, ahead)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func TestMetricsCardinalityIndependentOfFleetSize(t *testing.T) {
 	c := dialBackend(t, s)
 
 	// enroll sends hello + telemetry + report for poles from..to and
-	// returns the exposition once every report is acked and flushed.
+	// returns the exposition once every report is acked.
 	enroll := func(from, to uint32) string {
 		t.Helper()
 		now := time.Now()
@@ -43,7 +43,6 @@ func TestMetricsCardinalityIndependentOfFleetSize(t *testing.T) {
 				t.Fatalf("pole %d: recv type %d err %v", id, typ, err)
 			}
 		}
-		s.FlushHistory()
 		var b strings.Builder
 		if err := reg.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
@@ -89,11 +88,10 @@ func TestMetricsCardinalityIndependentOfFleetSize(t *testing.T) {
 // the pole's row keeps its last finite temperature; no overheat alert.
 func TestNonFiniteTelemetryKeepsCampusServable(t *testing.T) {
 	s, err := Listen(Config{
-		Addr:                  "127.0.0.1:0",
-		SnapshotInterval:      -1,
-		OverheatLimit:         50,
-		History:               &tsdb.Config{ChunkSamples: 8},
-		HistorySampleInterval: -1,
+		Addr:             "127.0.0.1:0",
+		SnapshotInterval: -1,
+		OverheatLimit:    50,
+		History:          &tsdb.Config{ChunkSamples: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +123,6 @@ func TestNonFiniteTelemetryKeepsCampusServable(t *testing.T) {
 	if typ, _, err := c.Recv(); err != nil || typ != wire.MsgAck {
 		t.Fatalf("after non-finite telemetry: recv type %d err %v, want the report's ack", typ, err)
 	}
-	s.FlushHistory()
 	s.RebuildSnapshot()
 
 	h := s.APIHandler()

@@ -68,11 +68,13 @@ func mixPoleID(x uint32) uint32 {
 // shardIndex returns the shard an ID hashes to.
 func (r *registry) shardIndex(id uint32) uint32 { return mixPoleID(id) & r.mask }
 
-// withPole runs f with the pole's aggregate record and history handles
-// under the owning shard's lock, creating both on first sight. newHist is
-// only invoked for new poles, inside the critical section, so two racing
-// first reports cannot double-register history series.
-func (r *registry) withPole(id uint32, newHist func(uint32) *poleHist, f func(*PoleStats, *poleHist)) {
+// withPole runs f with the pole's aggregate record under the owning
+// shard's lock, creating the record and its history handles on first
+// sight, and returns the handles so the caller appends to history after
+// the lock is released. newHist is only invoked for new poles, inside the
+// critical section, so two racing first reports cannot double-register
+// history series.
+func (r *registry) withPole(id uint32, newHist func(uint32) *poleHist, f func(*PoleStats)) *poleHist {
 	sh := &r.shards[r.shardIndex(id)]
 	r.lockAcquisitions.Add(1)
 	sh.mu.Lock()
@@ -81,9 +83,10 @@ func (r *registry) withPole(id uint32, newHist func(uint32) *poleHist, f func(*P
 		e = &poleEntry{stats: PoleStats{PoleID: id}, hist: newHist(id)}
 		sh.poles[id] = e
 	}
-	f(&e.stats, e.hist)
+	f(&e.stats)
 	sh.mu.Unlock()
 	r.writes.Add(1)
+	return e.hist
 }
 
 // collect copies every pole's aggregates out of the shards, one shard

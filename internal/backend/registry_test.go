@@ -79,7 +79,7 @@ func TestConcurrentReportsSameAndCrossShard(t *testing.T) {
 			go func(id uint32) {
 				defer wg.Done()
 				for i := 0; i < reportsEach; i++ {
-					r.withPole(id, noHist, func(p *PoleStats, _ *poleHist) {
+					r.withPole(id, noHist, func(p *PoleStats) {
 						p.Reports++
 						p.LastCount = 3
 						p.TotalCount += 3
@@ -188,7 +188,7 @@ func TestNoTornCampusTotals(t *testing.T) {
 		reports = 200
 	)
 	for id := uint32(1); id <= poles; id++ {
-		s.withPole(id, func(p *PoleStats, _ *poleHist) {
+		s.withPole(id, func(p *PoleStats) {
 			p.Zone = map[uint32]string{0: "north", 1: "south"}[id%2]
 		})
 	}

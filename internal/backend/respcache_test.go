@@ -9,7 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"hawccc/internal/obs"
+	"hawccc/internal/tsdb"
 	"hawccc/internal/wire"
 )
 
@@ -160,6 +163,41 @@ func TestCachedServeZeroAllocs(t *testing.T) {
 		handler(w, cond)
 	}); allocs != 0 {
 		t.Errorf("304 revalidation allocated %.2f objects/request, want 0", allocs)
+	}
+}
+
+// TestRecordPathZeroAllocs is the write side's allocation gate: the
+// history append is on the ack path, so recording a count report or a
+// telemetry reading — row update, instruments and the store appends —
+// allocates nothing. The hot buffers are larger than the run, so no chunk
+// seal (which does allocate) falls inside it.
+func TestRecordPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
+	}
+	s, err := Listen(Config{
+		Addr:             "127.0.0.1:0",
+		SnapshotInterval: -1,
+		History:          &tsdb.Config{ChunkSamples: 1 << 14},
+		Obs:              obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	now := time.Now()
+	r := wire.CountReport{PoleID: 1, Seq: 1, Timestamp: now, Count: 3, Clusters: 4, LatencyUS: 900}
+	tm := wire.Telemetry{PoleID: 1, Timestamp: now, PoleTemp: 30, Ambient: 25}
+	s.recordCount(r) // registers the pole and its five series
+	if allocs := testing.AllocsPerRun(1000, func() { s.recordCount(r) }); allocs != 0 {
+		t.Errorf("recordCount allocated %.2f objects/report, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.recordTelemetry(tm) }); allocs != 0 {
+		t.Errorf("recordTelemetry allocated %.2f objects/reading, want 0", allocs)
+	}
+	if got := s.History().Stats().Appended; got < 5*1000 {
+		t.Errorf("store holds %d samples, want at least %d: the gated path must be the one that appends", got, 5*1000)
 	}
 }
 

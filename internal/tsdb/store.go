@@ -15,11 +15,12 @@ import (
 // streams contend only on pole collisions.
 const DefaultShards = 64
 
-// DefaultSampleInterval is the default cadence of the loop that drains a
-// capturer's buffered appends into the store — the FTDC-style "one
-// diagnostic document per second". The store itself runs no loop; the
-// constant lives here because the backend's history loop and
-// bench/binding.go both bind it under this name.
+// DefaultSampleInterval is read by no loop in the tree: the backend
+// appends to the store on the report path and the store runs no loop of
+// its own. It stays only because bench/binding.go binds it under this
+// name, as the settle time awaitHistory waits after registering a fleet,
+// and bench/ may not change outside a benchmark issue; it leaves with
+// the next one.
 const DefaultSampleInterval = time.Second
 
 // Defaults for the zero values of Config.
@@ -32,7 +33,7 @@ const (
 
 // Config parameterizes a Store. The chunk and segment sizes, WarmStart
 // and MaxAge have no deployment that sets them today; they stay fields
-// because they gate the recovery path ROADMAP item 4 rewrites.
+// because they gate the recovery path ROADMAP item 7 rewrites.
 type Config struct {
 	// ChunkSamples is the hot-tier capacity per series: appends fill a
 	// fixed buffer reused in place, and every ChunkSamples samples the
@@ -192,7 +193,7 @@ func (s *Store) shard(pole uint32) *storeShard {
 // Series returns the handle for key, creating the series on first use.
 // Handles are shared and safe for concurrent appenders; callers on a hot
 // path should cache them (the backend caches per-pole handles in its
-// registry entries exactly as it caches instrument sets).
+// registry entries).
 func (s *Store) Series(pole uint32, name string) *Series {
 	key := SeriesKey{Pole: pole, Name: name}
 	sh := s.shard(pole)
