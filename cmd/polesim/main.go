@@ -185,8 +185,9 @@ func runCampus(ctx context.Context, srv *backend.Server, reg *obs.Registry, clf 
 	var wg sync.WaitGroup
 	for id := 1; id <= cfg.poles; id++ {
 		// Each pole owns a seeded generator and streams frames from it on
-		// demand — the streaming scheduler pulls as capacity frees up, so no
-		// pole ever materializes its whole frame set.
+		// demand — the streaming scheduler takes a frame only when a worker
+		// is free to count it, so no pole ever materializes its whole frame
+		// set.
 		src := dataset.NewGenerator(cfg.seed+int64(id)).CrowdSource(cfg.frames, 1, cfg.maxPeople, 2)
 		// All poles share the registry: pipeline stage histograms aggregate
 		// campus-wide, while pole-level series carry a pole="<id>" label.

@@ -36,8 +36,8 @@ func main() {
 	defer stop()
 
 	// 2. Feed frames into a channel as a sensor would produce them. The
-	//    scheduler's bounded queues backpressure this loop when counting
-	//    falls behind, so nothing accumulates unboundedly.
+	//    scheduler takes a frame only when a worker is free, so this loop
+	//    blocks when counting falls behind and nothing accumulates.
 	frames := hawccc.GenerateFrames(99, 40, 1, 6)
 	in := make(chan hawccc.Frame)
 	go func() {
@@ -51,9 +51,9 @@ func main() {
 		}
 	}()
 
-	// 3. Consume ordered results as they complete. Stages of different
-	//    frames run concurrently, so throughput beats a Count loop while
-	//    each frame's counts stay bit-identical to Count's.
+	// 3. Consume ordered results as they complete. Consecutive frames are
+	//    counted at once on different cores, so throughput beats a Count
+	//    loop while each frame's counts stay bit-identical to Count's.
 	fmt.Println("\nstreaming:")
 	var n, people int
 	start := time.Now()

@@ -137,31 +137,26 @@ func (c *Counter) Count(frame Cloud) Result {
 	return Result{Count: r.Count, Clusters: r.Clusters, Latency: r.Timing}
 }
 
-// StreamOptions configures the streaming scheduler behind
-// Counter.StreamWith: the bounded depth of its two queues. The zero
-// value is the deployment configuration; the scheduler's width is the
-// counter's Parallelism.
-type StreamOptions = counting.StreamConfig
-
 // StreamResult is one counted frame from a Counter stream.
 type StreamResult struct {
 	// Seq is the frame's 0-based position on the input channel; results
 	// arrive in Seq order.
 	Seq uint64
-	// E2E is the frame's end-to-end latency through the scheduler,
-	// including queueing (Latency covers only compute).
+	// E2E is the frame's end-to-end latency through the scheduler, from
+	// a worker taking it off the input to its result being emitted in
+	// order (Latency covers only compute).
 	E2E time.Duration
 	Result
 }
 
-// Stream counts frames continuously: a feeder queues the input channel's
-// frames for a pool of workers, each worker takes one frame from ROI crop
-// to count, and a reorderer delivers one Result per frame, in input
+// Stream counts frames continuously: a pool of workers takes frames
+// straight off the input channel, each worker carries one frame from ROI
+// crop to count, and a reorderer delivers one Result per frame, in input
 // order, on the returned channel. Unlike a Count loop, consecutive
 // frames are counted at once on different cores, so a pole node sustains
-// a higher frame rate at the same core count while memory stays bounded
-// by the two queue depths plus the workers — a slow consumer
-// backpressures the stream instead of growing a backlog.
+// a higher frame rate at the same core count. Nothing queues: a frame
+// leaves the input only when a worker is free, so a slow consumer
+// backpressures the sender instead of growing a backlog.
 //
 // The stream ends when the input channel closes (every accepted frame's
 // result is flushed, then the returned channel closes) or when ctx is
@@ -169,11 +164,6 @@ type StreamResult struct {
 // per-frame counts are bit-identical to Count's: a worker runs the
 // function Count runs.
 func (c *Counter) Stream(ctx context.Context, frames <-chan Frame) <-chan StreamResult {
-	return c.StreamWith(ctx, frames, StreamOptions{})
-}
-
-// StreamWith is Stream with an explicit scheduler configuration.
-func (c *Counter) StreamWith(ctx context.Context, frames <-chan Frame, opts StreamOptions) <-chan StreamResult {
 	clouds := make(chan Cloud)
 	go func() {
 		defer close(clouds)
@@ -193,7 +183,7 @@ func (c *Counter) StreamWith(ctx context.Context, frames <-chan Frame, opts Stre
 			}
 		}
 	}()
-	inner := c.pipeline.StreamWith(ctx, clouds, opts)
+	inner := c.pipeline.Stream(ctx, clouds)
 	out := make(chan StreamResult)
 	go func() {
 		defer close(out)

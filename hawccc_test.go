@@ -255,7 +255,7 @@ func TestStreamCancel(t *testing.T) {
 	c, _ := trainSmall(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan Frame) // never closed; cancelation must end the stream
-	out := c.StreamWith(ctx, in, StreamOptions{QueueDepth: 1})
+	out := c.Stream(ctx, in)
 	in <- GenerateFrames(6, 1, 2, 3)[0]
 	if _, ok := <-out; !ok {
 		t.Fatal("no result before cancel")

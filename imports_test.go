@@ -75,7 +75,7 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want string
 	}{
-		{counting.StreamConfig{}, "QueueDepth"},
+		{counting.StreamConfig{}, ""},
 		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
 		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History Obs Logf"},
 		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},

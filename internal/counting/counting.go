@@ -128,11 +128,11 @@ type Timing struct {
 	Ingest   time.Duration
 	Cluster  time.Duration
 	Classify time.Duration
-	// QueueWait is contention for workers, which Total excludes. From
-	// Count it is the longest time any cluster batch waited between the
+	// QueueWait is contention for Count's intra-frame workers, which Total
+	// excludes: the longest time any cluster batch waited between the
 	// start of the classify stage and a worker picking it up (it overlaps
-	// Classify); from Stream it is the frame's wait in the scheduler's
-	// input queue.
+	// Classify). Stream classifies each frame on one goroutine and leaves
+	// it zero.
 	QueueWait time.Duration
 }
 
@@ -174,8 +174,8 @@ type Pipeline struct {
 	// pipeline pays only dead nil-receiver calls on the hot path.
 	m pipelineObs
 	// reg remembers the Instrument call so the streaming scheduler can
-	// register its queue-depth gauges and backpressure counters in the
-	// same registry; nil on an uninstrumented pipeline.
+	// register its end-to-end histogram in the same registry; nil on an
+	// uninstrumented pipeline.
 	reg *obs.Registry
 }
 
@@ -223,7 +223,7 @@ func (p *Pipeline) Instrument(reg *obs.Registry) *Pipeline {
 		total: reg.Histogram("hawc_frame_seconds",
 			"end-to-end per-frame counting latency", obs.LatencyBuckets()),
 		queueWait: reg.Histogram("hawc_classify_queue_wait_seconds",
-			"time a cluster batch (Count) or a frame (Stream) waits for a worker", obs.LatencyBuckets()),
+			"time a cluster batch waits for a worker", obs.LatencyBuckets()),
 	}
 	return p
 }
@@ -256,14 +256,13 @@ func (p *Pipeline) Name() string { return p.Classifier.Name() + "-CC" }
 // headers) are recycled, so both the one-shot Count path and
 // steady-state streaming stay allocation-flat outside the clustering
 // kernels. A job is owned by exactly one goroutine at a time — under
-// streaming, ownership transfers with the job from feeder to worker to
-// reorderer.
+// streaming, ownership transfers with the job from worker to reorderer.
 type streamJob struct {
 	// seq is the frame's position on the stream input (0 for one-shot).
 	seq uint64
-	// enqueued is when the scheduler dequeued the frame: the base of the
-	// queue-wait and end-to-end measurements under streaming.
-	enqueued time.Time
+	// taken is when a streaming worker took the frame off the input: the
+	// base of the end-to-end measurement under streaming.
+	taken time.Time
 	// frame is the caller's raw cloud (never mutated, never retained).
 	frame geom.Cloud
 	// cropped and ingested are the pooled ingest buffers.
@@ -298,7 +297,7 @@ func acquireJob() *streamJob { return jobPool.Get().(*streamJob) }
 // data but keeping the scratch buffers.
 func releaseJob(j *streamJob) {
 	j.seq = 0
-	j.enqueued = time.Time{}
+	j.taken = time.Time{}
 	j.frame = nil
 	j.res = Result{}
 	jobPool.Put(j)
@@ -310,7 +309,7 @@ func releaseJob(j *streamJob) {
 // reporting an empty walkway instead of crashing its capture loop.
 //
 // Count is a one-shot synchronous call of countJob, the function every
-// worker of the streaming scheduler (Stream/StreamWith) runs, so the
+// worker of the streaming scheduler (Stream) runs, so the
 // frame-at-a-time and streaming paths cannot diverge: a frame produces
 // bit-identical Count/Clusters/Noise either way.
 func (p *Pipeline) Count(frame geom.Cloud) Result {
@@ -409,8 +408,8 @@ func (p *Pipeline) stageKeep(j *streamJob) {
 // survivors onto the classification lattice, see stageKeep) and labels
 // the rest on the given number of goroutines (the intra-frame worker
 // pool; streaming uses 1 here and gets its parallelism from frames in
-// flight). The sequential path leaves Timing.QueueWait untouched so the
-// streaming scheduler can account the wait for a worker there instead.
+// flight). The sequential path has no pool to wait for and leaves
+// Timing.QueueWait zero.
 func (p *Pipeline) stageClassify(j *streamJob, workers int) {
 	t0 := time.Now()
 	p.stageKeep(j)

@@ -94,9 +94,9 @@ type Config struct {
 	// resets. 0 keeps the historical fail-fast behavior.
 	MaxReconnects int
 	// Obs, when non-nil, registers the node's metrics (frames processed,
-	// acked reports, reconnects, alerts received, report RTT, wire bytes)
-	// labeled pole="<id>". The node keeps private instruments either way,
-	// so accessors like Reconnects work without a registry.
+	// capture wait, acked reports, reconnects, alerts received, report RTT,
+	// wire bytes) labeled pole="<id>". The node keeps private instruments
+	// either way, so accessors like Reconnects work without a registry.
 	Obs *obs.Registry
 	// Logf, if non-nil, receives diagnostic output. Calls are serialized
 	// by the node, so a shared sink never sees interleaved writes.
@@ -105,15 +105,16 @@ type Config struct {
 
 // nodeObs is the node's instrument set.
 type nodeObs struct {
-	frames     *obs.Counter
-	acked      *obs.Counter
-	reconnects *obs.Counter
-	alerts     *obs.Counter
-	rtt        *obs.Histogram
-	bytesOut   *obs.Counter
-	bytesIn    *obs.Counter
-	msgsOut    *obs.Counter
-	msgsIn     *obs.Counter
+	frames      *obs.Counter
+	captureWait *obs.Histogram
+	acked       *obs.Counter
+	reconnects  *obs.Counter
+	alerts      *obs.Counter
+	rtt         *obs.Histogram
+	bytesOut    *obs.Counter
+	bytesIn     *obs.Counter
+	msgsOut     *obs.Counter
+	msgsIn      *obs.Counter
 }
 
 // Node is a running pole.
@@ -166,7 +167,8 @@ func (n *Node) initObs() {
 	reg := n.cfg.Obs
 	if reg == nil {
 		n.m = nodeObs{
-			frames: &obs.Counter{}, acked: &obs.Counter{}, reconnects: &obs.Counter{},
+			frames: &obs.Counter{}, captureWait: obs.NewHistogram(obs.LatencyBuckets()),
+			acked: &obs.Counter{}, reconnects: &obs.Counter{},
 			alerts: &obs.Counter{}, rtt: obs.NewHistogram(obs.LatencyBuckets()),
 			bytesOut: &obs.Counter{}, bytesIn: &obs.Counter{},
 			msgsOut: &obs.Counter{}, msgsIn: &obs.Counter{},
@@ -174,15 +176,16 @@ func (n *Node) initObs() {
 		return
 	}
 	n.m = nodeObs{
-		frames:     reg.Counter("pole_frames_processed_total", "LiDAR frames captured and counted on the pole", id),
-		acked:      reg.Counter("pole_reports_acked_total", "count reports acknowledged by the backend", id),
-		reconnects: reg.Counter("pole_reconnects_total", "times the pole re-dialed a broken backend connection", id),
-		alerts:     reg.Counter("pole_alerts_received_total", "alerts delivered to this pole by the backend", id),
-		rtt:        reg.Histogram("pole_report_rtt_seconds", "report send to backend ack round-trip time", obs.LatencyBuckets(), id),
-		bytesOut:   reg.Counter("pole_wire_bytes_sent_total", "framed bytes sent to the backend", id),
-		bytesIn:    reg.Counter("pole_wire_bytes_received_total", "framed bytes received from the backend", id),
-		msgsOut:    reg.Counter("pole_wire_messages_sent_total", "framed messages sent to the backend", id),
-		msgsIn:     reg.Counter("pole_wire_messages_received_total", "framed messages received from the backend", id),
+		frames:      reg.Counter("pole_frames_processed_total", "LiDAR frames captured and counted on the pole", id),
+		captureWait: reg.Histogram("pole_capture_wait_seconds", "time a captured frame waited for a free counting worker", obs.LatencyBuckets(), id),
+		acked:       reg.Counter("pole_reports_acked_total", "count reports acknowledged by the backend", id),
+		reconnects:  reg.Counter("pole_reconnects_total", "times the pole re-dialed a broken backend connection", id),
+		alerts:      reg.Counter("pole_alerts_received_total", "alerts delivered to this pole by the backend", id),
+		rtt:         reg.Histogram("pole_report_rtt_seconds", "report send to backend ack round-trip time", obs.LatencyBuckets(), id),
+		bytesOut:    reg.Counter("pole_wire_bytes_sent_total", "framed bytes sent to the backend", id),
+		bytesIn:     reg.Counter("pole_wire_bytes_received_total", "framed bytes received from the backend", id),
+		msgsOut:     reg.Counter("pole_wire_messages_sent_total", "framed messages sent to the backend", id),
+		msgsIn:      reg.Counter("pole_wire_messages_received_total", "framed messages received from the backend", id),
 	}
 }
 
@@ -240,10 +243,12 @@ func (n *Node) logf(format string, args ...any) {
 // capture goroutine paces the frame source into the stream while Run
 // delivers finished results to the backend, so capture, counting, and
 // report delivery of consecutive frames overlap instead of running
-// lock-step. The scheduler's bounded queues cap the frames in flight —
-// a backend outage backpressures capture rather than growing a backlog
-// — and delivery stays in frame order and at-least-once exactly as the
-// lock-step loop was.
+// lock-step. The scheduler's workers cap the frames in flight: a frame
+// leaves the capture loop only when a worker is free to count it, so a
+// backend outage backpressures capture rather than growing a backlog,
+// and that wait — the only place a frame can wait for a worker — is what
+// pole_capture_wait_seconds records. Delivery stays in frame order and
+// at-least-once exactly as the lock-step loop was.
 func (n *Node) Run(ctx context.Context) (int, error) {
 	defer n.closeConn(true)
 	// Cancel unblocks network I/O by closing the connection and pinning
@@ -274,8 +279,10 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 				srcErr = fmt.Errorf("pole: frame source: %w", err)
 				return
 			}
+			captured := time.Now()
 			select {
 			case frames <- frame.Cloud:
+				n.m.captureWait.ObserveDuration(time.Since(captured))
 			case <-ctx.Done():
 				return
 			}
@@ -297,10 +304,12 @@ func (n *Node) Run(ctx context.Context) (int, error) {
 		n.sent++
 		seq := n.sent
 		n.mu.Unlock()
+		// Stamped when the frame was taken, not when its report is sent:
+		// history keeps a count at the instant it describes.
 		report := wire.CountReport{
 			PoleID:    n.cfg.PoleID,
 			Seq:       seq,
-			Timestamp: time.Now().UTC(),
+			Timestamp: time.Now().Add(-result.E2E).UTC(),
 			Count:     uint32(result.Count),
 			Clusters:  uint32(result.Clusters),
 			LatencyUS: uint32(result.E2E.Microseconds()),

@@ -30,6 +30,35 @@ func (tallStub) PredictHuman(c geom.Cloud) bool {
 	return extent > 1.1 && extent < 2.3
 }
 
+// slowStub is tallStub behind a fixed delay per cluster, so a frame that
+// holds a cluster takes at least that long to count.
+type slowStub struct {
+	tallStub
+	delay time.Duration
+}
+
+func (s slowStub) PredictHuman(c geom.Cloud) bool {
+	time.Sleep(s.delay)
+	return s.tallStub.PredictHuman(c)
+}
+
+// slowConfig is testConfig over frames that each hold a cluster, counted
+// by a one-worker pipeline that spends at least delay on every frame.
+func slowConfig(t *testing.T, addr string, seed int64, frames int, delay time.Duration) Config {
+	t.Helper()
+	fs := dataset.NewGenerator(seed).CrowdFrames(frames, 2, 3, 0)
+	fast := counting.New(tallStub{})
+	for i, f := range fs {
+		if fast.Count(f.Cloud).Clusters == 0 {
+			t.Fatalf("fixture frame %d holds no cluster", i)
+		}
+	}
+	cfg := testConfig(t, addr, fs)
+	cfg.Pipeline = counting.New(slowStub{delay: delay})
+	cfg.Pipeline.Parallelism = 1
+	return cfg
+}
+
 func testConfig(t *testing.T, addr string, frames []dataset.Frame) Config {
 	t.Helper()
 	return Config{
@@ -214,7 +243,8 @@ func TestMultiplePolesOneBackend(t *testing.T) {
 // flakyBackend is a minimal wire-protocol server whose first session
 // drops the TCP connection after acking dropAfter reports; subsequent
 // sessions are stable. It records every report seq it acked, so tests
-// can prove reconnection loses nothing.
+// can prove reconnection loses nothing, and how far behind its receive
+// time each report was stamped.
 type flakyBackend struct {
 	ln        net.Listener
 	dropAfter int
@@ -223,6 +253,7 @@ type flakyBackend struct {
 
 	mu       sync.Mutex
 	seqs     []uint64
+	lags     []time.Duration // receive time minus CountReport.Timestamp
 	sessions int
 }
 
@@ -277,6 +308,7 @@ func (fb *flakyBackend) serve(conn net.Conn, first bool) {
 			}
 			fb.mu.Lock()
 			fb.seqs = append(fb.seqs, r.Seq)
+			fb.lags = append(fb.lags, time.Since(r.Timestamp))
 			fb.mu.Unlock()
 			for a := 1; a <= fb.alerts; a++ {
 				alert := wire.Alert{PoleID: r.PoleID, Kind: wire.AlertCrowding, Message: fmt.Sprintf("report %d alert %d", r.Seq, a)}
@@ -443,18 +475,65 @@ func TestPoleRunStreamsThroughScheduler(t *testing.T) {
 		t.Fatalf("processed %d frames, want %d", n, len(frames))
 	}
 	// Run counts through the streaming scheduler, so the stream series
-	// carry the frames and both queues have drained by clean shutdown.
+	// carry the frames.
 	if s := reg.Histogram("hawc_stream_e2e_seconds", "", obs.LatencyBuckets()).Snapshot(); s.Count != uint64(len(frames)) {
 		t.Errorf("stream e2e histogram observed %d frames, want %d", s.Count, len(frames))
-	}
-	for _, stage := range []string{"ingest", "report"} {
-		if d := reg.Gauge("hawc_stream_queue_depth", "", obs.L("stage", stage)).Value(); d != 0 {
-			t.Errorf("stage %q queue depth = %g after shutdown, want 0", stage, d)
-		}
 	}
 	// Reports stay in frame order with at-least-once delivery intact.
 	if got := node.Acked(); got != uint64(len(frames)) {
 		t.Errorf("acked seq = %d, want %d", got, len(frames))
+	}
+}
+
+// TestCaptureWaitRecordsBackpressure pins where a saturated pole's
+// backpressure shows: the capture loop's wait for a free worker. Five
+// unpaced frames at 20 ms or more each through one worker: every frame is
+// timed, and frames 2-5 each wait out their predecessor. One-sided, so a
+// slow runner cannot fail it.
+func TestCaptureWaitRecordsBackpressure(t *testing.T) {
+	fb := newFlakyBackend(t, 0, false, 0)
+	reg := obs.NewRegistry()
+	cfg := slowConfig(t, fb.Addr(), 15, 5, 20*time.Millisecond)
+	cfg.Obs = reg
+	node, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := node.Run(context.Background()); err != nil || n != 5 {
+		t.Fatalf("Run = %d, %v; want 5 frames", n, err)
+	}
+	s := reg.Histogram("pole_capture_wait_seconds", "", nil, obs.L("pole", "1")).Snapshot()
+	if s.Count != 5 {
+		t.Errorf("capture wait observed %d frames, want 5", s.Count)
+	}
+	if s.Sum < 0.060 {
+		t.Errorf("capture waits sum to %.3fs, want at least 0.060s", s.Sum)
+	}
+}
+
+// TestReportStampedWhenFrameTaken pins that a report carries the time its
+// frame was taken, not the time it was sent: every frame spends at least
+// 30 ms being counted, so every report is stamped at least that far
+// behind the moment the backend receives it. One-sided, so a slow runner
+// cannot fail it.
+func TestReportStampedWhenFrameTaken(t *testing.T) {
+	fb := newFlakyBackend(t, 0, false, 0)
+	node, err := Dial(slowConfig(t, fb.Addr(), 16, 3, 30*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := node.Run(context.Background()); err != nil || n != 3 {
+		t.Fatalf("Run = %d, %v; want 3 frames", n, err)
+	}
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if len(fb.lags) != 3 {
+		t.Fatalf("backend received %d reports, want 3", len(fb.lags))
+	}
+	for i, lag := range fb.lags {
+		if lag < 30*time.Millisecond {
+			t.Errorf("report %d stamped %v before it was received, want at least the 30ms its frame took to count", i+1, lag)
+		}
 	}
 }
 
