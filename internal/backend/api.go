@@ -34,7 +34,7 @@ type apiObs struct {
 	// Response-cache outcome counters, over the cacheable endpoints
 	// only: hit = served a pre-serialized body, notModified = answered
 	// 304 from the ETag check, miss = fell through to the encoder path
-	// (uncommon parameter or cache disabled).
+	// (a /api/top k the cache does not hold).
 	cacheHit, cacheMiss, cacheNotModified *obs.Counter
 }
 
@@ -224,7 +224,6 @@ type apiEncoder struct {
 var encPool = sync.Pool{New: func() any {
 	e := &apiEncoder{}
 	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
 	return e
 }}
 

@@ -7,8 +7,8 @@
 // State is held in a sharded pole registry (registry.go): pole IDs hash
 // to one of N independently locked shards, so report streams from a
 // 10k-pole fleet contend only when two poles collide on a shard. Reads
-// never touch the shards — a background loop periodically collects the
-// registry into an immutable campus Snapshot (snapshot.go) published
+// never touch the shards — when rows change, a publisher patches them
+// into the next immutable campus Snapshot (snapshot.go), published
 // through one atomic pointer, and the HTTP/JSON query API (api.go)
 // answers every dashboard request from that snapshot alone.
 package backend
@@ -38,11 +38,13 @@ type Config struct {
 	// this address (see APIHandler for the endpoints). Empty leaves the
 	// API unbound; APIHandler can still be mounted on an external mux.
 	APIAddr string
-	// SnapshotInterval is the cadence of the background snapshot rebuild
-	// serving the query API. 0 selects DefaultSnapshotInterval; negative
-	// disables the background loop entirely (snapshots then rebuild only
-	// through RebuildSnapshot): a determinism seam kept for tests and for
-	// the benchmark's solo-ingest ledger, which no deployment sets.
+	// SnapshotInterval is the longest a written row waits for the
+	// snapshot that publishes it to the query API; the publisher builds
+	// as soon as rows change and as often as its pacing allows
+	// (publishLoop). 0 selects DefaultSnapshotInterval; negative disables
+	// the publisher entirely (snapshots then build only through
+	// RebuildSnapshot): a determinism seam kept for tests and for the
+	// benchmark's solo-ingest ledger, which no deployment sets.
 	SnapshotInterval time.Duration
 	// CrowdingLimit raises AlertCrowding when a single report's count
 	// meets or exceeds it (0 disables).
@@ -61,7 +63,7 @@ type Config struct {
 	History *tsdb.Config
 	// Obs, when non-nil, registers the backend's metrics, all of them
 	// process-wide: reports and alerts received, connection counts, wire
-	// traffic, the edge latency each report carries, snapshot rebuild
+	// traffic, the edge latency each report carries, snapshot build
 	// counters, and query API counters. No series is labelled by pole: a
 	// pole's present is its PoleStats row (/api/poles/{id}), its past the
 	// History store (/api/history).
@@ -107,6 +109,11 @@ type backendObs struct {
 	snapshotBuilds *obs.Counter
 	snapshotPoles  *obs.Gauge
 	snapshotBuilt  *obs.Gauge
+	// What publishing costs and whether it patches: builds that had to
+	// derive the index again, rows encoded, time per build.
+	snapshotFullBuilds  *obs.Counter
+	snapshotRowsEncoded *obs.Counter
+	snapshotBuildTime   *obs.Histogram
 }
 
 // Server is the campus backend.
@@ -121,10 +128,14 @@ type Server struct {
 	// reg is the sharded write-path state; snap the read-path view.
 	reg  *registry
 	snap atomic.Pointer[Snapshot]
-	// buildMu serializes snapshot builders; buildSeq is owned by it.
-	buildMu         sync.Mutex
-	buildSeq        uint64
-	lastBuildWrites atomic.Uint64
+	// buildMu serializes snapshot builders; buildSeq and dirtyRows (the
+	// builder's scratch for collected rows) are owned by it.
+	buildMu   sync.Mutex
+	buildSeq  uint64
+	dirtyRows []PoleStats
+	// wake tells the publisher rows changed: a write fills its one slot
+	// without blocking, so any number of writes is one pending build.
+	wake chan struct{}
 
 	alog alertLog
 
@@ -155,6 +166,7 @@ func Listen(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ln:       ln,
 		reg:      newRegistry(),
+		wake:     make(chan struct{}, 1),
 		loopCtx:  ctx,
 		shutdown: cancel,
 		done:     make(chan struct{}),
@@ -182,9 +194,13 @@ func Listen(cfg Config) (*Server, error) {
 		crowding:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "crowding")),
 		overheat:       reg.Counter("backend_alerts_total", "alerts raised, by kind", obs.L("kind", "overheat")),
 		edgeLatency:    reg.Histogram("backend_report_edge_latency_seconds", "per-frame edge processing latency carried by count reports", obs.LatencyBuckets()),
-		snapshotBuilds: reg.Counter("backend_snapshot_builds_total", "campus snapshots rebuilt from the sharded registry"),
+		snapshotBuilds: reg.Counter("backend_snapshot_builds_total", "campus snapshots published"),
 		snapshotPoles:  reg.Gauge("backend_snapshot_poles", "poles in the current campus snapshot"),
 		snapshotBuilt:  reg.Gauge("backend_snapshot_built_timestamp_seconds", "unix time the current campus snapshot was built"),
+
+		snapshotFullBuilds:  reg.Counter("backend_snapshot_full_builds_total", "campus snapshots that re-derived the index and encoded every row (a pole was new or changed zone)"),
+		snapshotRowsEncoded: reg.Counter("backend_snapshot_rows_encoded_total", "pole rows encoded into campus snapshots"),
+		snapshotBuildTime:   reg.Histogram("backend_snapshot_build_seconds", "time to collect the written rows and build one campus snapshot", obs.LatencyBuckets()),
 	}
 	s.apiM = newAPIObs(cfg.Obs)
 	interval := cfg.SnapshotInterval
@@ -193,7 +209,7 @@ func Listen(cfg Config) (*Server, error) {
 	}
 	if interval > 0 {
 		s.wg.Add(1)
-		go s.snapshotLoop(interval)
+		go s.publishLoop(interval, func() { s.publish(false) })
 	}
 	if cfg.APIAddr != "" {
 		if err := s.serveAPI(cfg.APIAddr); err != nil {
@@ -349,10 +365,16 @@ func (s *Server) alert(wc *wire.Conn, a wire.Alert) error {
 }
 
 // withPole runs f with the pole's aggregate record under the owning
-// shard's lock, creating it on first sight of the pole, and returns the
-// pole's history handles (nil with history off) for use after the lock.
+// shard's lock, creating it on first sight of the pole, wakes the
+// publisher, and returns the pole's history handles (nil with history
+// off) for use after the lock.
 func (s *Server) withPole(id uint32, f func(*PoleStats)) *poleHist {
-	return s.reg.withPole(id, s.newPoleHist, f)
+	h := s.reg.withPole(id, s.newPoleHist, f)
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	return h
 }
 
 func (s *Server) recordCount(r wire.CountReport) {
@@ -393,7 +415,7 @@ func (s *Server) recordTelemetry(t wire.Telemetry) {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Snapshot returns fresh per-pole aggregates sorted by pole id: it
-// forces a rebuild and returns the new snapshot's rows. Scrape-style
+// forces a build and returns the new snapshot's rows. Scrape-style
 // consumers that must never touch shard locks should read Current()
 // instead and accept the configured staleness bound.
 func (s *Server) Snapshot() []PoleStats {
@@ -409,7 +431,7 @@ func (s *Server) Alerts() []wire.Alert {
 }
 
 // CampusCount returns the most recent total count across all poles
-// (forcing a snapshot rebuild, like Snapshot).
+// (forcing a snapshot build, like Snapshot).
 func (s *Server) CampusCount() int {
 	return s.RebuildSnapshot().Campus.Count
 }

@@ -7,24 +7,20 @@ import (
 
 // DefaultShards is the registry shard count. 64 shards keep the
 // probability of two concurrently reporting poles colliding on one lock
-// low even at 10k-pole fleets, while the snapshot builder still walks the
-// whole registry in microseconds. A power of two, so shard selection is
-// a mask, not a modulo.
+// low even at 10k-pole fleets, while a collect still takes only 64 locks
+// to reach every row written since the last one. A power of two, so
+// shard selection is a mask, not a modulo.
 const DefaultShards = 64
 
 // registry is the sharded pole-state store behind the backend: pole IDs
 // hash to one of N shards, each with its own lock, so concurrent report
 // streams from different poles almost never contend. Reads for dashboards
 // never touch these locks at all — they are served from the immutable
-// snapshots the Server rebuilds periodically (snapshot.go).
+// snapshots the Server publishes when rows change (snapshot.go).
 type registry struct {
 	shards []shard
 	mask   uint32
 
-	// writes counts mutations; the snapshot loop rebuilds only when it
-	// has advanced, so an idle campus burns no CPU republishing
-	// identical snapshots.
-	writes atomic.Uint64
 	// lockAcquisitions counts every shard-lock acquisition. The query
 	// API's contract is that it acquires none; the test suite asserts a
 	// zero delta across a read burst.
@@ -35,6 +31,10 @@ type registry struct {
 type shard struct {
 	mu    sync.Mutex
 	poles map[uint32]*poleEntry
+	// dirty lists the entries written since the last collect, each once
+	// (poleEntry.dirty says whether an entry is on it). collect empties
+	// it in place, so at steady state a write appends within capacity.
+	dirty []*poleEntry
 }
 
 // poleEntry pairs a pole's aggregates with its cached history-series
@@ -42,6 +42,7 @@ type shard struct {
 type poleEntry struct {
 	stats PoleStats
 	hist  *poleHist
+	dirty bool // on the shard's dirty list
 }
 
 // newRegistry builds a registry with DefaultShards shards.
@@ -84,25 +85,33 @@ func (r *registry) withPole(id uint32, newHist func(uint32) *poleHist, f func(*P
 		sh.poles[id] = e
 	}
 	f(&e.stats)
+	if !e.dirty {
+		e.dirty = true
+		sh.dirty = append(sh.dirty, e)
+	}
 	sh.mu.Unlock()
-	r.writes.Add(1)
 	return e.hist
 }
 
-// collect copies every pole's aggregates out of the shards, one shard
-// lock at a time. The result is per-pole consistent (each PoleStats is
-// copied atomically under its shard lock); cross-shard skew is bounded
-// by the walk itself and absorbed by the snapshot model: campus totals
-// are then derived from this copy, never from live shard state, so a
-// snapshot can lag but can never be torn.
+// collect appends to out the aggregates of every pole written since the
+// last collect and marks them clean, one shard lock at a time: the cost
+// is the rows that changed plus one lock per shard, not the fleet. The
+// result is per-pole consistent (each PoleStats is copied atomically
+// under its shard lock); cross-shard skew is bounded by the walk itself
+// and absorbed by the snapshot model: campus totals are derived from the
+// snapshot's own rows, never from live shard state, so a snapshot can
+// lag but can never be torn. A row written after its shard was visited
+// is on the dirty list again for the next collect.
 func (r *registry) collect(out []PoleStats) []PoleStats {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		r.lockAcquisitions.Add(1)
 		sh.mu.Lock()
-		for _, e := range sh.poles {
+		for _, e := range sh.dirty {
 			out = append(out, e.stats)
+			e.dirty = false
 		}
+		sh.dirty = sh.dirty[:0]
 		sh.mu.Unlock()
 	}
 	return out

@@ -1,12 +1,12 @@
 // The response cache: pre-serialized bodies for the hot, parameterless
-// query endpoints, built once per snapshot rebuild and published WITH
+// query endpoints, built once per snapshot and published WITH
 // the snapshot behind the same atomic pointer. A cached request costs
 // three header-map assignments of shared precomputed values plus one
 // Write of an immutable byte slice — zero allocations, pinned by test —
 // instead of a full JSON marshal of up to 10k poles. Because the cache
 // rides inside the Snapshot struct, one atomic load yields a body and
 // its ETag from the same build: readers can never observe a new body
-// with a stale ETag or vice versa, no matter how rebuilds interleave.
+// with a stale ETag or vice versa, no matter how builds interleave.
 package backend
 
 import (
@@ -45,12 +45,11 @@ type respCache struct {
 }
 
 // encodeBody marshals v exactly as the pooled fall-through path does —
-// two-space indent, trailing newline — so cached and per-request bodies
-// are bit-identical by construction (pinned by test).
+// compact, trailing newline — so cached and per-request bodies are
+// bit-identical by construction (pinned by test).
 func encodeBody(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		// Response structs contain only marshalable fields; an error here
 		// is a programming bug, surfaced as an empty (non-cached) body.
@@ -59,21 +58,61 @@ func encodeBody(v any) []byte {
 	return buf.Bytes()
 }
 
-func newCacheEntry(v any) cacheEntry {
-	b := encodeBody(v)
-	return cacheEntry{body: b, clen: []string{strconv.Itoa(len(b))}}
+func newCacheEntry(body []byte) cacheEntry {
+	return cacheEntry{body: body, clen: []string{strconv.Itoa(len(body))}}
+}
+
+// encodeRow is the one place a pole's row becomes bytes: what the
+// encoder writes for it inside any response body (both escape HTML, and
+// neither indents), so a listing spliced from rows is the listing the
+// encoder would have produced. The result is never written again.
+func encodeRow(p *PoleStats) []byte {
+	b, err := json.Marshal(p)
+	if err != nil {
+		// Unreachable for the same reason as in encodeBody; null keeps the
+		// listing well-formed.
+		return []byte("null")
+	}
+	return b
+}
+
+// spliceListing builds the /api/poles body from the snapshot's row
+// encodings: encodeBody(polesResponse{m, snap.Poles}) byte for byte
+// (pinned by test) without encoding a row. The head — everything up to
+// the rows — is what the encoder writes for a listing of no rows, less
+// its closing `null}` and newline.
+func spliceListing(m snapshotMeta, rows [][]byte) []byte {
+	head := encodeBody(polesResponse{snapshotMeta: m})
+	if len(rows) == 0 {
+		return head
+	}
+	head = head[:len(head)-len("null}\n")]
+	n := len(head) + len("[]}\n") + len(rows) - 1
+	for _, r := range rows {
+		n += len(r)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, head...)
+	b = append(b, '[')
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, r...)
+	}
+	return append(b, "]}\n"...)
 }
 
 // buildRespCache pre-serializes the hot endpoint bodies for snap. Called
-// once per rebuild, before the snapshot is published.
+// once per build, before the snapshot is published.
 func buildRespCache(snap *Snapshot) *respCache {
 	m := meta(snap)
 	c := &respCache{etag: `"` + strconv.FormatUint(snap.Seq, 10) + `"`}
 	c.etagHdr = []string{c.etag}
-	c.campus = newCacheEntry(campusResponse{m, snap.Campus})
-	c.poles = newCacheEntry(polesResponse{m, snap.Poles})
-	c.zones = newCacheEntry(zonesResponse{m, snap.Zones})
-	c.top = newCacheEntry(topResponse{m, CachedTopK, snap.TopK(CachedTopK)})
+	c.campus = newCacheEntry(encodeBody(campusResponse{m, snap.Campus}))
+	c.poles = newCacheEntry(spliceListing(m, snap.rowJSON))
+	c.zones = newCacheEntry(encodeBody(zonesResponse{m, snap.Zones}))
+	c.top = newCacheEntry(encodeBody(topResponse{m, CachedTopK, snap.TopK(CachedTopK)}))
 	return c
 }
 
