@@ -6,7 +6,8 @@
 // ingest path on nothing at all: zero shard-lock acquisitions on the
 // read path, pinned by test. The hot parameterless endpoints serve
 // pre-serialized bodies straight from the snapshot's response cache
-// (respcache.go) with zero per-request allocations; parameterized
+// (respcache.go) with zero per-request allocations; a zone's body is cut
+// from the row bytes already in the listing; other parameterized
 // requests fall through to a pooled-encoder path that reuses
 // buffer+encoder pairs instead of building a fresh json.Encoder per
 // request.
@@ -84,7 +85,7 @@ type campusResponse struct {
 
 type polesResponse struct {
 	snapshotMeta
-	Poles []PoleStats `json:"poles"`
+	Poles []*PoleStats `json:"poles"`
 }
 
 type poleResponse struct {
@@ -176,11 +177,11 @@ func (s *Server) handleZones(w http.ResponseWriter, r *http.Request, snap *Snaps
 
 func (s *Server) handleZone(w http.ResponseWriter, r *http.Request, snap *Snapshot) (int, any) {
 	name := r.PathValue("zone")
-	z, ok := snap.Zone(name)
+	body, ok := snap.zoneBody(name)
 	if !ok {
 		return http.StatusNotFound, apiError{Error: fmt.Sprintf("zone %q not in snapshot", name)}
 	}
-	return http.StatusOK, zoneResponse{meta(snap), z, snap.ZonePoles(name)}
+	return http.StatusOK, body
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request, snap *Snapshot) (int, any) {
@@ -227,24 +228,31 @@ var encPool = sync.Pool{New: func() any {
 	return e
 }}
 
+// encodedBody is a response body already serialized as writeJSON would
+// serialize its value (zoneBody cuts one from the listing).
+type encodedBody []byte
+
 // writeJSON serializes body through a pooled encoder, then writes it
-// with an explicit Content-Length. The encoder configuration matches
-// encodeBody exactly, keeping fall-through bodies bit-identical to
-// their cached counterparts.
+// with an explicit Content-Length; an encodedBody is written as it is.
+// The encoder configuration matches encodeBody exactly, keeping
+// fall-through bodies bit-identical to their cached counterparts.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	e := encPool.Get().(*apiEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(body); err != nil {
-		encPool.Put(e)
-		http.Error(w, `{"error":"response serialization failed"}`, http.StatusInternalServerError)
-		return
+	b, ok := body.(encodedBody)
+	if !ok {
+		e := encPool.Get().(*apiEncoder)
+		defer encPool.Put(e)
+		e.buf.Reset()
+		if err := e.enc.Encode(body); err != nil {
+			http.Error(w, `{"error":"response serialization failed"}`, http.StatusInternalServerError)
+			return
+		}
+		b = e.buf.Bytes()
 	}
 	h := w.Header()
 	h["Content-Type"] = headerContentType
-	h.Set("Content-Length", strconv.Itoa(e.buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_, _ = w.Write(e.buf.Bytes())
-	encPool.Put(e)
+	_, _ = w.Write(b)
 }
 
 // api wraps an endpoint with snapshot resolution, response-cache

@@ -1,10 +1,14 @@
 package backend
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"hawccc/internal/wire"
@@ -216,5 +220,52 @@ func TestAPIReadPathAcquiresNoShardLocks(t *testing.T) {
 	}
 	if delta := s.reg.lockAcquisitions.Load() - before; delta != 0 {
 		t.Fatalf("query API read path acquired %d shard locks across 1000 requests, want 0", delta)
+	}
+}
+
+// TestZoneServedFromListing: /api/zones/{zone} is cut from the row bytes
+// already in the listing, and is byte for byte what the encoder writes for
+// the zone's rollup and its rows, on a full build and on the patches after
+// it; ZonePoles still returns the zone's rows in ID order.
+func TestZoneServedFromListing(t *testing.T) {
+	s, err := Listen(Config{Addr: "127.0.0.1:0", SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	zones := []string{"quad", "stadium & field", "library <west>"}
+	for id := uint32(1); id <= 30; id++ {
+		s.withPole(id, func(p *PoleStats) {
+			p.Location = fmt.Sprintf("walk %d <\"gate\">", id)
+			p.Zone = zones[id%3]
+		})
+		s.recordCount(wire.CountReport{PoleID: id, Seq: 1, Count: id})
+	}
+	h := s.APIHandler()
+	for round := 0; round < 3; round++ {
+		snap := s.RebuildSnapshot()
+		for _, name := range zones {
+			var byScan []PoleStats
+			for _, p := range snap.Poles {
+				if p.Zone == name {
+					byScan = append(byScan, *p)
+				}
+			}
+			if got := snap.ZonePoles(name); !reflect.DeepEqual(got, byScan) {
+				t.Errorf("round %d: ZonePoles(%q) returned %d rows, a scan of the rows finds %d", round, name, len(got), len(byScan))
+			}
+			z, _ := snap.Zone(name)
+			want := encodeBody(zoneResponse{meta(snap), z, byScan})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/zones/"+url.PathEscape(name), nil))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("round %d: zone %q: status %d\nserved:  %q\nencoder: %q", round, name, rec.Code, rec.Body.Bytes(), want)
+			}
+			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+				t.Errorf("round %d: zone %q: Content-Length %q, body is %d bytes", round, name, got, rec.Body.Len())
+			}
+		}
+		s.recordCount(wire.CountReport{PoleID: uint32(7*round + 1), Seq: 2, Count: 40})
+		s.recordTelemetry(wire.Telemetry{PoleID: uint32(7*round + 2), PoleTemp: 41.25})
 	}
 }

@@ -419,7 +419,12 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // consumers that must never touch shard locks should read Current()
 // instead and accept the configured staleness bound.
 func (s *Server) Snapshot() []PoleStats {
-	return append([]PoleStats(nil), s.RebuildSnapshot().Poles...)
+	snap := s.RebuildSnapshot()
+	out := make([]PoleStats, len(snap.Poles))
+	for i, p := range snap.Poles {
+		out[i] = *p
+	}
+	return out
 }
 
 // Alerts returns a copy of the retained alerts in raise order. The log

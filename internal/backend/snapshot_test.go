@@ -2,11 +2,13 @@ package backend
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,11 +36,12 @@ func allRows(r *registry) []PoleStats {
 }
 
 // checkSnapshotAgainstEncoder checks a snapshot against what does not go
-// through the patcher: the cached bodies against the encoder over the
-// rows and rollups, every row's bytes against the row, the indexes and
-// the busiest order against their definitions (the rollups against the
-// rows is checkSnapshotConsistent). It reads everything successive
-// snapshots share, and only reports with Error: readers call it.
+// through the patcher: the cached bodies and every zone's body against the
+// encoder over the rows and rollups, every row's bytes in the listing
+// against json.Marshal of the row, the indexes and the busiest rows
+// against their definitions (the rollups against the rows is
+// checkSnapshotConsistent). It reads everything successive snapshots
+// share, and only reports with Error: readers call it.
 func checkSnapshotAgainstEncoder(t *testing.T, snap *Snapshot) {
 	t.Helper()
 	m := meta(snap)
@@ -52,13 +55,19 @@ func checkSnapshotAgainstEncoder(t *testing.T, snap *Snapshot) {
 			t.Errorf("snapshot %d: cached %s body is not what the encoder writes\ncached:  %.300q\nencoder: %.300q", snap.Seq, name, pair[0], pair[1])
 		}
 	}
-	if len(snap.rowJSON) != len(snap.Poles) || len(snap.zoneOf) != len(snap.Poles) || len(snap.busiest) != len(snap.Poles) || len(snap.byID) != len(snap.Poles) {
-		t.Errorf("snapshot %d: %d rows but %d encodings, %d zone entries, %d ranked, %d indexed",
-			snap.Seq, len(snap.Poles), len(snap.rowJSON), len(snap.zoneOf), len(snap.busiest), len(snap.byID))
+	for _, z := range snap.Zones {
+		got, _ := snap.zoneBody(z.Zone)
+		if want := encodeBody(zoneResponse{m, z, snap.ZonePoles(z.Zone)}); !bytes.Equal(got, want) {
+			t.Errorf("snapshot %d: zone %q body is not what the encoder writes\ncut:     %.300q\nencoder: %.300q", snap.Seq, z.Zone, got, want)
+		}
+	}
+	if (len(snap.Poles) > 0 && len(snap.off) != len(snap.Poles)+1) || len(snap.zoneOf) != len(snap.Poles) || len(snap.byID) != len(snap.Poles) {
+		t.Errorf("snapshot %d: %d rows but %d offsets, %d zone entries, %d indexed",
+			snap.Seq, len(snap.Poles), len(snap.off), len(snap.zoneOf), len(snap.byID))
 		return
 	}
-	for i := range snap.Poles {
-		p := &snap.Poles[i]
+	listing := snap.cache.poles.body
+	for i, p := range snap.Poles {
 		if i > 0 && snap.Poles[i-1].PoleID >= p.PoleID {
 			t.Errorf("snapshot %d: rows %d and %d out of ID order", snap.Seq, i-1, i)
 		}
@@ -68,18 +77,37 @@ func checkSnapshotAgainstEncoder(t *testing.T, snap *Snapshot) {
 		if z := snap.Zones[snap.zoneOf[i]].Zone; z != p.Zone {
 			t.Errorf("snapshot %d: row %d is in zone %q, its zone index says %q", snap.Seq, i, p.Zone, z)
 		}
-		if !bytes.Equal(snap.rowJSON[i], encodeRow(p)) {
-			t.Errorf("snapshot %d: row %d encoding is stale: %s", snap.Seq, i, snap.rowJSON[i])
+		if want, _ := json.Marshal(p); !bytes.Equal(listing[snap.off[i]:snap.off[i+1]-1], want) {
+			t.Errorf("snapshot %d: row %d in the listing is stale: %s", snap.Seq, i, listing[snap.off[i]:snap.off[i+1]-1])
 		}
 	}
-	if !sort.SliceIsSorted(snap.busiest, func(i, j int) bool {
-		a, b := &snap.Poles[snap.busiest[i]], &snap.Poles[snap.busiest[j]]
+	ranked := make([]*PoleStats, len(snap.Poles))
+	copy(ranked, snap.Poles)
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
 		if a.LastCount != b.LastCount {
 			return a.LastCount > b.LastCount
 		}
 		return a.PoleID < b.PoleID
-	}) {
-		t.Errorf("snapshot %d: busiest is not by count desc, ID asc", snap.Seq)
+	})
+	if all := snap.TopK(len(ranked) + 1); len(all) != len(ranked) {
+		t.Errorf("snapshot %d: TopK over every row returned %d of %d rows", snap.Seq, len(all), len(ranked))
+	} else {
+		for k := range all {
+			if all[k] != *ranked[k] {
+				t.Errorf("snapshot %d: TopK over every row has pole %d at %d, want %d", snap.Seq, all[k].PoleID, k, ranked[k].PoleID)
+				break
+			}
+		}
+	}
+	if len(snap.top) != min(CachedTopK, len(ranked)) {
+		t.Errorf("snapshot %d: %d busiest rows kept of %d", snap.Seq, len(snap.top), len(ranked))
+	} else {
+		for k, i := range snap.top {
+			if snap.Poles[i] != ranked[k] {
+				t.Errorf("snapshot %d: busiest row %d is pole %d, want %d", snap.Seq, k, snap.Poles[i].PoleID, ranked[k].PoleID)
+			}
+		}
 	}
 	for name, i := range snap.byZone {
 		if snap.Zones[i].Zone != name {
@@ -189,8 +217,8 @@ func TestPatchedSnapshotEqualsFromScratch(t *testing.T) {
 		if !reflect.DeepEqual(snap.Zones, want.Zones) || snap.Campus != want.Campus {
 			t.Errorf("round %d: patched rollups %+v %+v, from scratch %+v %+v", round, snap.Campus, snap.Zones, want.Campus, want.Zones)
 		}
-		if !reflect.DeepEqual(snap.busiest, want.busiest) {
-			t.Errorf("round %d: patched busiest order differs from a from-scratch build", round)
+		if !reflect.DeepEqual(snap.top, want.top) {
+			t.Errorf("round %d: patched busiest rows differ from a from-scratch build", round)
 		}
 		for name, pair := range map[string][2]cacheEntry{
 			"campus": {snap.cache.campus, want.cache.campus}, "poles": {snap.cache.poles, want.cache.poles},
@@ -205,7 +233,7 @@ func TestPatchedSnapshotEqualsFromScratch(t *testing.T) {
 			var byScan []PoleStats
 			for _, p := range snap.Poles {
 				if p.Zone == z.Zone {
-					byScan = append(byScan, p)
+					byScan = append(byScan, *p)
 				}
 			}
 			if !reflect.DeepEqual(got, byScan) {
@@ -371,5 +399,106 @@ func TestPublisherPacing(t *testing.T) {
 	}
 	if got := s.Current().Seq; got == 0 || got > uint64(n) {
 		t.Errorf("%d builds published %d snapshots", n, got)
+	}
+}
+
+// TestPublisherPacesByListingBytes runs the publisher over a campus whose
+// listing is large and whose patches are cheap, beside a writer that
+// never stops: builds start no more often than the listing can be copied
+// at listingBytesPerSecond, though four build times would allow more.
+func TestPublisherPacesByListingBytes(t *testing.T) {
+	s, err := Listen(Config{Addr: "127.0.0.1:0", SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		poles  = 10000
+		runFor = 300 * time.Millisecond
+	)
+	for id := uint32(1); id <= poles; id++ {
+		s.withPole(id, func(p *PoleStats) {
+			p.Location = fmt.Sprintf("campus walkway %d", id)
+			p.Zone = fmt.Sprintf("zone-%02d", id%64)
+		})
+	}
+	gap := time.Duration(float64(len(s.RebuildSnapshot().cache.poles.body)) / listingBytesPerSecond * float64(time.Second))
+	var builds atomic.Int32
+	t0 := time.Now()
+	s.wg.Add(1)
+	go s.publishLoop(time.Second, func() {
+		s.publish(false)
+		builds.Add(1)
+	})
+	for i := 0; time.Since(t0) < runFor; i++ {
+		s.recordCount(wire.CountReport{PoleID: uint32(1 + i%poles), Seq: uint64(i), Count: 1})
+		time.Sleep(20 * time.Microsecond)
+	}
+	s.Close()
+	elapsed := time.Since(t0)
+
+	n := int(builds.Load())
+	if n < 2 {
+		t.Fatalf("a sustained writer got %d builds in %v", n, elapsed)
+	}
+	if most := int(elapsed/gap) + 1; n > most {
+		t.Errorf("%d builds in %v: more often than every %v, the time to copy the listing at %.0f MB/s", n, elapsed, gap, listingBytesPerSecond/1e6)
+	}
+}
+
+// TestPatchAllocatesAboutTheListing is the patch's allocation gate: at
+// 10,000 poles with 100 rows written, a build allocates about one
+// listing — the new /api/poles body, beside which the row pointers, the
+// offset table and the written rows are small — and about one object per
+// written row. A patch that copied the rows, encoded a row into a slice
+// of its own or assembled the listing twice would fail it.
+func TestPatchAllocatesAboutTheListing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
+	}
+	s, err := Listen(Config{Addr: "127.0.0.1:0", SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const (
+		poles  = 10000
+		dirty  = 100
+		rounds = 20
+	)
+	now := time.Now()
+	for id := uint32(1); id <= poles; id++ {
+		s.withPole(id, func(p *PoleStats) {
+			p.Location = fmt.Sprintf("campus walkway %d", id)
+			p.Zone = fmt.Sprintf("zone-%02d", id%64)
+		})
+		s.recordCount(wire.CountReport{PoleID: id, Seq: 1, Timestamp: now, Count: id % 40})
+		s.recordTelemetry(wire.Telemetry{PoleID: id, Timestamp: now, PoleTemp: 30 + float64(id%200)/10, Ambient: 25})
+	}
+	s.RebuildSnapshot()
+
+	rng := rand.New(rand.NewSource(26))
+	var bytesAlloc, objects uint64
+	var listing int
+	var before, after runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		for _, k := range rng.Perm(poles)[:dirty] {
+			s.recordCount(wire.CountReport{PoleID: uint32(k + 1), Seq: uint64(r + 2), Timestamp: now, Count: uint32(rng.Intn(40))})
+		}
+		runtime.ReadMemStats(&before)
+		snap := s.RebuildSnapshot()
+		runtime.ReadMemStats(&after)
+		bytesAlloc += after.TotalAlloc - before.TotalAlloc
+		objects += after.Mallocs - before.Mallocs
+		listing = len(snap.cache.poles.body)
+	}
+	perListing := float64(bytesAlloc) / rounds / float64(listing)
+	perBuild := float64(objects) / rounds
+	t.Logf("a %d-dirty patch of %d poles allocates %.2f× its %d-byte listing in %.0f objects", dirty, poles, perListing, listing, perBuild)
+	if perListing > 1.25 {
+		t.Errorf("a patch allocates %.2f× the listing, want at most 1.25×", perListing)
+	}
+	if perBuild > dirty+100 {
+		t.Errorf("a patch allocates %.0f objects, want at most %d (written rows + 100)", perBuild, dirty+100)
 	}
 }

@@ -226,6 +226,10 @@ func ReadSegment(path string) ([]SegmentSeries, error) {
 		return nil, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: segment stat: %w", err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(segmentMagic)+1)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -242,6 +246,7 @@ func ReadSegment(path string) ([]SegmentSeries, error) {
 	index := make(map[uint32]int)
 	var out []SegmentSeries
 	var rec [5]byte
+	left := info.Size() - int64(len(hdr)) // bytes of the file not yet read
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			if err == io.EOF {
@@ -249,7 +254,14 @@ func ReadSegment(path string) ([]SegmentSeries, error) {
 			}
 			return out, fmt.Errorf("tsdb: segment record header: %w", err)
 		}
+		left -= int64(len(rec))
+		// The length is read from disk: a record cannot be longer than
+		// the file, so a corrupt one fails here, not in a 4 GiB make.
 		size := binary.BigEndian.Uint32(rec[1:])
+		if int64(size) > left {
+			return out, fmt.Errorf("tsdb: segment record of %d bytes with %d left in the file", size, left)
+		}
+		left -= int64(size)
 		payload := make([]byte, size)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return out, fmt.Errorf("tsdb: segment record body: %w", err)

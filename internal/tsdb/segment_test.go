@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -165,5 +166,28 @@ func TestReadSegmentRejectsCorruptHeader(t *testing.T) {
 	}
 	if _, err := ReadSegment(path); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestReadSegmentRejectsOversizedRecord: a record header read from disk
+// that claims more bytes than the file holds fails the read before
+// anything that size is allocated — one corrupt length must not make a
+// warm start ask for 4 GiB.
+func TestReadSegmentRejectsOversizedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg-000001.htsd")
+	data := append([]byte(segmentMagic), segmentVersion, recSchema, 0xFF, 0xFF, 0xFF, 0xFF)
+	data = append(data, make([]byte, 64)...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSegment(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a record claiming 0xFFFFFFFF bytes in a 74-byte file was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("reading the corrupt segment allocated %d bytes, want under 1 MB", got)
 	}
 }
