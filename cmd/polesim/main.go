@@ -8,7 +8,8 @@
 // With -history every count report and telemetry reading is also
 // captured into the FTDC-style time-series store (internal/tsdb) and
 // served back through /api/history; -history-dir streams sealed chunks
-// to rotated segment files (and implies -history).
+// to rotated segment files (and implies -history), and a later run on the
+// same directory starts with the history of the runs before it.
 //
 // Poles are assigned round-robin to -zones campus zones; the backend's
 // query API (served on -api-addr, and mounted at /api/ on the metrics
@@ -76,7 +77,7 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
 	metricsDump := flag.String("metrics-dump", "", "after the run, scrape /metrics and write the exposition text to this file (implies -metrics-addr 127.0.0.1:0 if unset)")
 	history := flag.Bool("history", false, "capture per-pole history in the FTDC-style time-series store and serve /api/history")
-	historyDir := flag.String("history-dir", "", "stream sealed history chunks to segment files in this directory (implies -history)")
+	historyDir := flag.String("history-dir", "", "stream sealed history chunks to segment files in this directory (implies -history); a later run on the same directory starts with its history")
 	flag.Parse()
 
 	// One mutex serializes every diagnostic line the simulator itself
@@ -263,15 +264,16 @@ func printSnapshot(srv *backend.Server) {
 		snap.Campus.Poles, snap.Campus.Count, snap.Campus.Reports, snap.Campus.Alerts, snap.Seq)
 }
 
-// printHistory summarizes the history store when -history enabled it.
+// printHistory summarizes the history store when -history enabled it:
+// what this run captured, and what it read back from -history-dir.
 func printHistory(srv *backend.Server) {
 	st := srv.History()
 	if st == nil {
 		return
 	}
 	stats := st.Stats()
-	fmt.Printf("history: %d series, %d samples captured, %.2f bytes/sample sealed (%.1fx vs 16-byte rows)\n",
-		stats.Series, stats.Appended, stats.BytesPerSample, stats.CompressionVs16)
+	fmt.Printf("history: %d series, %d samples captured, %d loaded from disk, %.2f bytes/sample sealed (%.1fx vs 16-byte rows)\n",
+		stats.Series, stats.Appended, stats.Loaded, stats.BytesPerSample, stats.CompressionVs16)
 }
 
 // dumpMetrics scrapes the simulator's own /metrics endpoint and writes the

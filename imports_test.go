@@ -78,7 +78,7 @@ func TestConfigSurface(t *testing.T) {
 		{counting.StreamConfig{}, ""},
 		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
 		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History Obs Logf"},
-		{tsdb.Config{}, "ChunkSamples MaxChunks Dir SegmentBytes MaxSegments WarmStart MaxAge"},
+		{tsdb.Config{}, "Dir"},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		var got []string

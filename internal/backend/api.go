@@ -299,6 +299,15 @@ func (s *Server) recentAlerts(limit int) (int, []wire.Alert) {
 	return s.alog.recent(limit)
 }
 
+// The query API server's deadlines: a client has apiReadHeaderTimeout to
+// send a request header, and a keep-alive connection with no request for
+// apiIdleTimeout is closed, so a client that stalls mid-header or parks
+// connections cannot hold a goroutine and a socket for ever.
+const (
+	apiReadHeaderTimeout = 10 * time.Second
+	apiIdleTimeout       = 2 * time.Minute
+)
+
 // serveAPI binds addr and serves the query API on it until Close.
 func (s *Server) serveAPI(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -306,7 +315,11 @@ func (s *Server) serveAPI(addr string) error {
 		return fmt.Errorf("backend: api listener: %w", err)
 	}
 	s.apiLn = ln
-	s.apiSrv = &http.Server{Handler: s.APIHandler()}
+	s.apiSrv = &http.Server{
+		Handler:           s.APIHandler(),
+		ReadHeaderTimeout: apiReadHeaderTimeout,
+		IdleTimeout:       apiIdleTimeout,
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

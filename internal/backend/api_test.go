@@ -269,3 +269,17 @@ func TestZoneServedFromListing(t *testing.T) {
 		s.recordTelemetry(wire.Telemetry{PoleID: uint32(7*round + 2), PoleTemp: 41.25})
 	}
 }
+
+// TestAPIServerSetsDeadlines: the query API server Listen starts bounds
+// how long a client may take over a request header and how long an idle
+// keep-alive connection is kept.
+func TestAPIServerSetsDeadlines(t *testing.T) {
+	s, err := Listen(Config{Addr: "127.0.0.1:0", APIAddr: "127.0.0.1:0", SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if h := s.apiSrv; h.ReadHeaderTimeout <= 0 || h.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want both set", h.ReadHeaderTimeout, h.IdleTimeout)
+	}
+}

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -8,17 +10,13 @@ import (
 )
 
 // historyDirServer starts a backend whose history store persists to dir
-// and warm-starts from it.
+// and reads it back on open.
 func historyDirServer(t *testing.T, dir string) *Server {
 	t.Helper()
 	s, err := Listen(Config{
 		Addr:             "127.0.0.1:0",
 		SnapshotInterval: -1,
-		History: &tsdb.Config{
-			ChunkSamples: 8,
-			Dir:          dir,
-			WarmStart:    true,
-		},
+		History:          &tsdb.Config{Dir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,13 +26,30 @@ func historyDirServer(t *testing.T, dir string) *Server {
 
 // TestHistorySurvivesBackendRestart is the warm-start acceptance test:
 // reports captured before a restart are served by /api/history after
-// it, and post-restart reports extend the same series.
+// it, in the same bodies byte for byte, and post-restart reports extend
+// the same series.
 func TestHistorySurvivesBackendRestart(t *testing.T) {
 	dir := t.TempDir()
+	queries := []string{
+		"/api/history?pole=1&series=count&from=0&to=9223372036854775807",
+		"/api/history?pole=1&series=pole_temp_c&series=ambient_c&from=0&to=9223372036854775807",
+		"/api/history?pole=1&series=edge_latency_us&from=0&to=9223372036854775807&res=3s",
+		"/api/history/series?pole=1",
+	}
+	bodies := func(s *Server) []json.RawMessage {
+		out := make([]json.RawMessage, len(queries))
+		for i, q := range queries {
+			if code := get(t, s.APIHandler(), q, &out[i]); code != http.StatusOK {
+				t.Fatalf("%s: status %d", q, code)
+			}
+		}
+		return out
+	}
 
 	s1 := historyDirServer(t, dir)
 	temps := []float64{20, 21, 22, 23, 24, 25, 26, 27, 28, 29}
 	countTS, counts := sendReports(t, s1, temps)
+	before := bodies(s1)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +58,11 @@ func TestHistorySurvivesBackendRestart(t *testing.T) {
 	defer s2.Close()
 	if loaded := s2.History().Stats().Loaded; loaded == 0 {
 		t.Fatal("restarted store loaded nothing from disk")
+	}
+	for i, body := range bodies(s2) {
+		if !bytes.Equal(body, before[i]) {
+			t.Errorf("%s after restart:\n got  %s\n want %s", queries[i], body, before[i])
+		}
 	}
 	var resp HistoryResponse
 	if code := get(t, s2.APIHandler(), "/api/history?pole=1&series=count&from=0&to=9223372036854775807", &resp); code != http.StatusOK {

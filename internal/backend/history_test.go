@@ -19,7 +19,7 @@ func newHistoryTestServer(t *testing.T, reg *obs.Registry) *Server {
 	s, err := Listen(Config{
 		Addr:             "127.0.0.1:0",
 		SnapshotInterval: -1,
-		History:          &tsdb.Config{ChunkSamples: 8},
+		History:          &tsdb.Config{},
 		Obs:              reg,
 	})
 	if err != nil {
@@ -77,6 +77,7 @@ func TestHistoryRawBitIdentical(t *testing.T) {
 		42,
 	}
 	countTS, counts := sendReports(t, s, temps)
+	s.History().SealAll()
 	h := s.APIHandler()
 
 	var raw HistoryResponse

@@ -91,7 +91,7 @@ func TestNonFiniteTelemetryKeepsCampusServable(t *testing.T) {
 		Addr:             "127.0.0.1:0",
 		SnapshotInterval: -1,
 		OverheatLimit:    50,
-		History:          &tsdb.Config{ChunkSamples: 8},
+		History:          &tsdb.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)

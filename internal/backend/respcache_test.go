@@ -171,8 +171,9 @@ func TestCachedServeZeroAllocs(t *testing.T) {
 // TestRecordPathZeroAllocs is the write side's allocation gate: the
 // history append is on the ack path, so recording a count report or a
 // telemetry reading — row update, instruments and the store appends —
-// allocates nothing. The hot buffers are larger than the run, so no chunk
-// seal (which does allocate) falls inside it.
+// allocates nothing. The window starts on sealed, empty hot buffers and
+// makes fewer calls than a chunk holds (512 samples), so no chunk seal
+// (which does allocate) falls inside it.
 func TestRecordPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
@@ -180,7 +181,7 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	s, err := Listen(Config{
 		Addr:             "127.0.0.1:0",
 		SnapshotInterval: -1,
-		History:          &tsdb.Config{ChunkSamples: 1 << 14},
+		History:          &tsdb.Config{},
 		Obs:              obs.NewRegistry(),
 	})
 	if err != nil {
@@ -191,15 +192,17 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	now := time.Now()
 	r := wire.CountReport{PoleID: 1, Seq: 1, Timestamp: now, Count: 3, Clusters: 4, LatencyUS: 900}
 	tm := wire.Telemetry{PoleID: 1, Timestamp: now, PoleTemp: 30, Ambient: 25}
-	s.recordCount(r) // registers the pole and its five series
-	if allocs := testing.AllocsPerRun(1000, func() { s.recordCount(r) }); allocs != 0 {
+	const calls = 500 // AllocsPerRun adds one warm-up call: 501 appends per series
+	s.recordCount(r)  // registers the pole and its five series
+	s.History().SealAll()
+	if allocs := testing.AllocsPerRun(calls, func() { s.recordCount(r) }); allocs != 0 {
 		t.Errorf("recordCount allocated %.2f objects/report, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { s.recordTelemetry(tm) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(calls, func() { s.recordTelemetry(tm) }); allocs != 0 {
 		t.Errorf("recordTelemetry allocated %.2f objects/reading, want 0", allocs)
 	}
-	if got := s.History().Stats().Appended; got < 5*1000 {
-		t.Errorf("store holds %d samples, want at least %d: the gated path must be the one that appends", got, 5*1000)
+	if got := s.History().Stats().Appended; got < 5*calls {
+		t.Errorf("store holds %d samples, want at least %d: the gated path must be the one that appends", got, 5*calls)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"time"
 )
 
 // WritePrometheus renders every family in registration order using the
@@ -125,6 +126,15 @@ func NewMux(r *Registry) *http.ServeMux {
 	return mux
 }
 
+// The metrics server's deadlines: a client has readHeaderTimeout to send a
+// request header, and a keep-alive connection with no request for
+// idleTimeout is closed. There is no write deadline, because
+// /debug/pprof/profile?seconds=N streams for N seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // MetricsServer is a running metrics/pprof listener.
 type MetricsServer struct {
 	ln  net.Listener
@@ -151,7 +161,7 @@ func ServeMounts(addr string, r *Registry, mounts map[string]http.Handler) (*Met
 	for pattern, h := range mounts {
 		mux.Handle(pattern, h)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return &MetricsServer{ln: ln, srv: srv}, nil
 }

@@ -131,3 +131,19 @@ func TestServeMountsExtraHandlers(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSetsDeadlines: the server Serve starts bounds how long a client
+// may take over a request header and how long an idle keep-alive
+// connection is kept, and sets no write deadline, which would cut a
+// /debug/pprof/profile stream short.
+func TestServeSetsDeadlines(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if h := srv.srv; h.ReadHeaderTimeout <= 0 || h.IdleTimeout <= 0 || h.WriteTimeout != 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v, WriteTimeout %v; want the first two set and no write deadline",
+			h.ReadHeaderTimeout, h.IdleTimeout, h.WriteTimeout)
+	}
+}

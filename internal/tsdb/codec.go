@@ -18,12 +18,13 @@
 //     rounds, scales, or truncates.
 //   - store.go — the concurrent store: series handles hash to shards,
 //     appends go to a fixed-size hot buffer reused in place, and every
-//     ChunkSamples appends the buffer seals into an immutable chunk
+//     chunkSamples appends the buffer seals into an immutable chunk
 //     published through an atomic pointer, so historical reads never
 //     block the append path.
 //   - segment.go — optional persistence: sealed chunks stream to
 //     size-rotated segment files; each file re-emits the schema records
-//     for the series it contains before their first chunk.
+//     for the series it contains before their first chunk, and a store
+//     opened on the directory reads the files back.
 package tsdb
 
 import (

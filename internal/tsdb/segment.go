@@ -3,13 +3,13 @@ package tsdb
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Segment file format. A segment is a self-contained run of sealed
@@ -24,8 +24,16 @@ import (
 //	chunk   := kind 2: u32(series id) chunk payload (codec.go format)
 //
 // Files are named seg-NNNNNN.htsd with a monotonically increasing
-// sequence number; the writer rotates once a file exceeds SegmentBytes
-// and deletes the oldest files beyond MaxSegments.
+// sequence number; the writer rotates once a file exceeds segmentBytes
+// and deletes the oldest files beyond maxSegments.
+//
+// A crash can interrupt a write, so a file may end inside a record (a
+// torn tail). Reading the directory back keeps every complete record
+// before the cut and truncates the file to the last of them; a file cut
+// inside its header holds no record and is removed. Every other
+// malformation — bad magic or version, an unknown record kind, a chunk
+// for a series the file has not announced, a corrupt chunk payload —
+// fails the read.
 const (
 	segmentMagic   = "HTSD"
 	segmentVersion = 1
@@ -41,9 +49,8 @@ const (
 type segmentWriter struct {
 	mu          sync.Mutex
 	dir         string
-	maxBytes    int
+	maxBytes    int // segmentBytes; tests shrink it to rotate in a few chunks
 	maxSegments int
-	maxAge      time.Duration
 
 	f         *os.File
 	bw        *bufio.Writer
@@ -53,11 +60,11 @@ type segmentWriter struct {
 	err       error
 }
 
-func newSegmentWriter(dir string, maxBytes, maxSegments int, maxAge time.Duration) (*segmentWriter, error) {
+func newSegmentWriter(dir string) (*segmentWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: segment dir: %w", err)
 	}
-	w := &segmentWriter{dir: dir, maxBytes: maxBytes, maxSegments: maxSegments, maxAge: maxAge}
+	w := &segmentWriter{dir: dir, maxBytes: segmentBytes, maxSegments: maxSegments}
 	// Resume the sequence after any existing segments so restarts never
 	// clobber retained history.
 	existing, err := listSegments(dir)
@@ -116,35 +123,16 @@ func (w *segmentWriter) rotate() error {
 	return nil
 }
 
-// prune deletes old segments past either retention bound: the count cap
-// (oldest beyond MaxSegments) and the age cap (modification time older
-// than MaxAge). The just-opened active file is never pruned. Age checks
-// run only at rotation, so an idle store keeps its last files — age
-// expiry of in-memory chunks (store.go) is what bounds what queries see.
+// prune deletes the oldest segments beyond maxSegments. The just-opened
+// active file is the newest, so it is never pruned.
 func (w *segmentWriter) prune() {
-	if w.maxSegments <= 0 && w.maxAge <= 0 {
-		return
-	}
 	files, err := listSegments(w.dir)
 	if err != nil {
 		return
 	}
-	if w.maxSegments > 0 {
-		for len(files) > w.maxSegments {
-			os.Remove(files[0])
-			files = files[1:]
-		}
-	}
-	if w.maxAge > 0 {
-		cutoff := time.Now().Add(-w.maxAge)
-		for _, path := range files {
-			if filepath.Base(path) == fmt.Sprintf("seg-%06d.htsd", w.seq) {
-				continue
-			}
-			if info, err := os.Stat(path); err == nil && info.ModTime().Before(cutoff) {
-				os.Remove(path)
-			}
-		}
+	for len(files) > w.maxSegments {
+		os.Remove(files[0])
+		files = files[1:]
 	}
 }
 
@@ -210,123 +198,147 @@ func (w *segmentWriter) close() error {
 	return w.err
 }
 
-// SegmentSeries is one series' content within one segment file.
-type SegmentSeries struct {
+// segmentSeries is one series' content within one segment file.
+type segmentSeries struct {
 	Key     SeriesKey
 	Samples []Sample
 }
 
-// ReadSegment decodes one segment file into its per-series samples, in
+// readSegment decodes one segment file into its per-series samples, in
 // order of first appearance. It needs nothing beyond the file itself:
 // the schema records a segment carries are, by construction, exactly the
-// ones its chunks reference.
-func ReadSegment(path string) ([]SegmentSeries, error) {
+// ones its chunks reference. On any error it still returns the records
+// before it and good, the offset where the last complete one ends (0 when
+// the header is not whole); a file that ends inside a record fails with
+// io.ErrUnexpectedEOF, or io.EOF when it is empty.
+func readSegment(path string) (out []segmentSeries, good int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("tsdb: segment stat: %w", err)
+		return nil, 0, fmt.Errorf("tsdb: segment stat: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(segmentMagic)+1)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("tsdb: segment header: %w", err)
+		return nil, 0, fmt.Errorf("tsdb: segment header: %w", err)
 	}
 	if string(hdr[:len(segmentMagic)]) != segmentMagic {
-		return nil, fmt.Errorf("tsdb: bad segment magic %q", hdr[:len(segmentMagic)])
+		return nil, 0, fmt.Errorf("tsdb: bad segment magic %q", hdr[:len(segmentMagic)])
 	}
 	if hdr[len(segmentMagic)] != segmentVersion {
-		return nil, fmt.Errorf("tsdb: unsupported segment version %d", hdr[len(segmentMagic)])
+		return nil, 0, fmt.Errorf("tsdb: unsupported segment version %d", hdr[len(segmentMagic)])
 	}
 
 	keys := make(map[uint32]SeriesKey)
 	index := make(map[uint32]int)
-	var out []SegmentSeries
 	var rec [5]byte
-	left := info.Size() - int64(len(hdr)) // bytes of the file not yet read
+	good = int64(len(hdr))
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			if err == io.EOF {
-				return out, nil
+				return out, good, nil
 			}
-			return out, fmt.Errorf("tsdb: segment record header: %w", err)
+			return out, good, fmt.Errorf("tsdb: segment record header: %w", err)
 		}
-		left -= int64(len(rec))
 		// The length is read from disk: a record cannot be longer than
 		// the file, so a corrupt one fails here, not in a 4 GiB make.
 		size := binary.BigEndian.Uint32(rec[1:])
-		if int64(size) > left {
-			return out, fmt.Errorf("tsdb: segment record of %d bytes with %d left in the file", size, left)
+		if left := info.Size() - good - int64(len(rec)); int64(size) > left {
+			return out, good, fmt.Errorf("tsdb: segment record of %d bytes with %d left in the file: %w", size, left, io.ErrUnexpectedEOF)
 		}
-		left -= int64(size)
 		payload := make([]byte, size)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return out, fmt.Errorf("tsdb: segment record body: %w", err)
+			return out, good, fmt.Errorf("tsdb: segment record body: %w", err)
 		}
 		switch rec[0] {
 		case recSchema:
 			if len(payload) < 10 {
-				return out, fmt.Errorf("tsdb: short schema record")
+				return out, good, fmt.Errorf("tsdb: short schema record")
 			}
 			id := binary.BigEndian.Uint32(payload)
 			pole := binary.BigEndian.Uint32(payload[4:])
 			nameLen := int(binary.BigEndian.Uint16(payload[8:]))
 			if len(payload) < 10+nameLen {
-				return out, fmt.Errorf("tsdb: truncated schema name")
+				return out, good, fmt.Errorf("tsdb: truncated schema name")
 			}
 			keys[id] = SeriesKey{Pole: pole, Name: string(payload[10 : 10+nameLen])}
 		case recChunk:
 			if len(payload) < 4 {
-				return out, fmt.Errorf("tsdb: short chunk record")
+				return out, good, fmt.Errorf("tsdb: short chunk record")
 			}
 			id := binary.BigEndian.Uint32(payload)
 			key, ok := keys[id]
 			if !ok {
-				return out, fmt.Errorf("tsdb: chunk for unannounced series %d", id)
+				return out, good, fmt.Errorf("tsdb: chunk for unannounced series %d", id)
 			}
 			i, ok := index[id]
 			if !ok {
 				i = len(out)
 				index[id] = i
-				out = append(out, SegmentSeries{Key: key})
+				out = append(out, segmentSeries{Key: key})
 			}
 			samples, err := DecodeChunkData(payload[4:], out[i].Samples)
 			if err != nil {
-				return out, err
+				return out, good, err
 			}
 			out[i].Samples = samples
 		default:
-			return out, fmt.Errorf("tsdb: unknown record kind %d", rec[0])
+			return out, good, fmt.Errorf("tsdb: unknown record kind %d", rec[0])
 		}
+		good += int64(len(rec)) + int64(size)
 	}
 }
 
-// ReadDir reads every segment in the directory in sequence order and
-// merges the per-series samples across files.
-func ReadDir(dir string) ([]SegmentSeries, error) {
+// readDir reads every segment in the directory back in sequence order and
+// merges the per-series samples across files. It recovers torn tails as
+// the format comment above describes, and cut counts the bytes dropped.
+func readDir(dir string) (out []segmentSeries, cut int64, err error) {
 	files, err := listSegments(dir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	index := make(map[SeriesKey]int)
-	var out []SegmentSeries
 	for _, path := range files {
-		segs, err := ReadSegment(path)
+		segs, good, err := readSegment(path)
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			var n int64
+			n, err = truncateSegment(path, good)
+			cut += n
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+			return nil, 0, fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
 		for _, ss := range segs {
 			i, ok := index[ss.Key]
 			if !ok {
 				i = len(out)
 				index[ss.Key] = i
-				out = append(out, SegmentSeries{Key: ss.Key})
+				out = append(out, segmentSeries{Key: ss.Key})
 			}
 			out[i].Samples = append(out[i].Samples, ss.Samples...)
 		}
 	}
-	return out, nil
+	return out, cut, nil
+}
+
+// truncateSegment cuts a torn segment back to its first good bytes,
+// removing it when good is 0, and returns how many bytes it dropped.
+func truncateSegment(path string, good int64) (int64, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	if good == 0 {
+		err = os.Remove(path)
+	} else {
+		err = os.Truncate(path, good)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return info.Size() - good, nil
 }

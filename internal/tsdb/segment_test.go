@@ -10,13 +10,13 @@ import (
 
 func TestSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(Config{Dir: dir, ChunkSamples: 8})
+	st, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[SeriesKey][]Sample{}
 	for pole := uint32(1); pole <= 3; pole++ {
-		sr := st.Series(pole, "count")
+		sr := small(st.Series(pole, "count"), 8)
 		for i := 0; i < 50; i++ {
 			ts := int64(i) * 1_000_000_000
 			v := float64(pole*100) + float64(i)
@@ -30,7 +30,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadDir(dir)
+	got, _, err := readDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +46,18 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentRotationAndSchemaReEmission forces tiny segments so chunks
-// spread across many files, then checks (a) every file decodes on its
-// own — the per-segment schema re-emission contract — and (b) the
-// merged read equals what was appended.
+// TestSegmentRotationAndSchemaReEmission forces tiny segments, and keeps
+// every file, so chunks spread across many files, then checks (a) every
+// file decodes on its own — the per-segment schema re-emission contract —
+// and (b) the merged read equals what was appended.
 func TestSegmentRotationAndSchemaReEmission(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(Config{Dir: dir, ChunkSamples: 4, SegmentBytes: 256, MaxSegments: -1})
+	st, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := st.Series(42, "pole_temp_c")
+	st.disk.maxBytes, st.disk.maxSegments = 256, 1<<30
+	sr := small(st.Series(42, "pole_temp_c"), 4)
 	var want []Sample
 	for i := 0; i < 400; i++ {
 		ts := int64(i) * 102_000_000_000
@@ -77,7 +78,7 @@ func TestSegmentRotationAndSchemaReEmission(t *testing.T) {
 		t.Fatalf("%d segment files, want rotation to produce several", len(files))
 	}
 	for _, f := range files {
-		segs, err := ReadSegment(f)
+		segs, _, err := readSegment(f)
 		if err != nil {
 			t.Fatalf("%s: standalone read failed: %v", filepath.Base(f), err)
 		}
@@ -87,7 +88,7 @@ func TestSegmentRotationAndSchemaReEmission(t *testing.T) {
 			}
 		}
 	}
-	got, err := ReadDir(dir)
+	got, _, err := readDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +98,16 @@ func TestSegmentRotationAndSchemaReEmission(t *testing.T) {
 	sameSamples(t, got[0].Samples, want)
 }
 
+// TestSegmentRetentionPrunesOldFiles rotates tiny segments far past
+// maxSegments and requires the directory to keep at most that many.
 func TestSegmentRetentionPrunesOldFiles(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(Config{Dir: dir, ChunkSamples: 4, SegmentBytes: 128, MaxSegments: 3})
+	st, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := st.Series(1, "count")
+	st.disk.maxBytes = 128
+	sr := small(st.Series(1, "count"), 4)
 	for i := 0; i < 1000; i++ {
 		sr.Append(int64(i)*1_000_000_000, float64(i*i)) // growing deltas defeat RLE
 	}
@@ -112,17 +116,17 @@ func TestSegmentRetentionPrunesOldFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "seg-*.htsd"))
-	if len(files) > 3 {
-		t.Fatalf("%d segment files retained, want <= 3", len(files))
+	if len(files) > maxSegments {
+		t.Fatalf("%d segment files retained, want <= %d", len(files), maxSegments)
 	}
-	if _, err := ReadDir(dir); err != nil {
+	if _, _, err := readDir(dir); err != nil {
 		t.Fatalf("pruned directory no longer reads: %v", err)
 	}
 }
 
 func TestSegmentSequenceResumesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(Config{Dir: dir, ChunkSamples: 2})
+	st, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func TestSegmentSequenceResumesAcrossRestart(t *testing.T) {
 	}
 	before, _ := filepath.Glob(filepath.Join(dir, "seg-*.htsd"))
 
-	st2, err := New(Config{Dir: dir, ChunkSamples: 2})
+	st2, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func TestSegmentSequenceResumesAcrossRestart(t *testing.T) {
 	if len(after) <= len(before) {
 		t.Fatalf("restart reused a segment file: %d files before, %d after", len(before), len(after))
 	}
-	merged, err := ReadDir(dir)
+	merged, _, err := readDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +168,15 @@ func TestReadSegmentRejectsCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOPE\x01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSegment(path); err == nil {
+	if _, _, err := readSegment(path); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
 
 // TestReadSegmentRejectsOversizedRecord: a record header read from disk
 // that claims more bytes than the file holds fails the read before
-// anything that size is allocated — one corrupt length must not make a
-// warm start ask for 4 GiB.
+// anything that size is allocated — one corrupt length must not make
+// opening a directory ask for 4 GiB.
 func TestReadSegmentRejectsOversizedRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-000001.htsd")
 	data := append([]byte(segmentMagic), segmentVersion, recSchema, 0xFF, 0xFF, 0xFF, 0xFF)
@@ -182,7 +186,7 @@ func TestReadSegmentRejectsOversizedRecord(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadSegment(path)
+	_, _, err := readSegment(path)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("a record claiming 0xFFFFFFFF bytes in a 74-byte file was accepted")

@@ -23,71 +23,29 @@ const DefaultShards = 64
 // the next one.
 const DefaultSampleInterval = time.Second
 
-// Defaults for the zero values of Config.
+// The store's sizes. A series' hot buffer holds chunkSamples samples and
+// seals into an immutable chunk on the append after it fills; memory
+// keeps each series' newest maxChunks sealed chunks (a ring, so a series
+// holds at most (maxChunks+1)·chunkSamples samples). With a Dir, the
+// active segment file rotates once it passes segmentBytes and the
+// directory keeps the newest maxSegments files.
 const (
-	DefaultChunkSamples = 512
-	DefaultMaxChunks    = 256
-	DefaultSegmentBytes = 1 << 20
-	DefaultMaxSegments  = 8
+	chunkSamples = 512
+	maxChunks    = 256
+	segmentBytes = 1 << 20
+	maxSegments  = 8
 )
 
-// Config parameterizes a Store. The chunk and segment sizes, WarmStart
-// and MaxAge have no deployment that sets them today; they stay fields
-// because they gate the recovery path ROADMAP item 7 rewrites.
+// Config parameterizes a Store. Every size is one of the constants above;
+// where history persists is the one setting.
 type Config struct {
-	// ChunkSamples is the hot-tier capacity per series: appends fill a
-	// fixed buffer reused in place, and every ChunkSamples samples the
-	// buffer seals into an immutable compressed chunk. 0 selects
-	// DefaultChunkSamples; values above MaxChunkSamples are clamped.
-	ChunkSamples int
-	// MaxChunks bounds the sealed chunks retained in memory per series
-	// (a ring: sealing past the cap evicts the oldest chunk). 0 selects
-	// DefaultMaxChunks; negative means unbounded.
-	MaxChunks int
-	// Dir, when non-empty, streams sealed chunks to size-rotated segment
-	// files in this directory (see segment.go for the format). Empty
-	// keeps the store memory-only.
+	// Dir, when non-empty, makes the store persistent. New reads the
+	// directory's segment files back first, so a restarted process serves
+	// the history it had before (Stats.Loaded); sealed chunks then stream
+	// to size-rotated segment files in it (see segment.go for the format
+	// and for what New does with a torn file). Empty keeps the store
+	// memory-only.
 	Dir string
-	// SegmentBytes rotates the active segment file once it exceeds this
-	// size (0 selects DefaultSegmentBytes).
-	SegmentBytes int
-	// MaxSegments bounds the retained segment files; rotation deletes
-	// the oldest beyond the cap (0 selects DefaultMaxSegments; negative
-	// means unbounded).
-	MaxSegments int
-	// WarmStart, with Dir set, reads the directory's sealed segment
-	// files back into memory before the writer opens its first file, so
-	// a restarted process serves pre-restart history immediately. Loaded
-	// samples install as sealed chunks (never re-written to disk) and
-	// are accounted separately in Stats.Loaded.
-	WarmStart bool
-	// MaxAge, when positive, expires sealed data by time alongside the
-	// MaxChunks ring: at every seal (and at warm-start load) a series
-	// drops sealed chunks whose newest sample is more than MaxAge older
-	// than the series' latest timestamp, and segment rotation deletes
-	// files whose modification time has aged out. Sample timestamps are
-	// unix nanoseconds (the backend's convention), so a time.Duration
-	// compares directly.
-	MaxAge time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.ChunkSamples <= 0 {
-		c.ChunkSamples = DefaultChunkSamples
-	}
-	if c.ChunkSamples > MaxChunkSamples {
-		c.ChunkSamples = MaxChunkSamples
-	}
-	if c.MaxChunks == 0 {
-		c.MaxChunks = DefaultMaxChunks
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = DefaultSegmentBytes
-	}
-	if c.MaxSegments == 0 {
-		c.MaxSegments = DefaultMaxSegments
-	}
-	return c
 }
 
 // SeriesKey identifies one series: a pole and a short name like "count"
@@ -103,20 +61,20 @@ type SeriesKey struct {
 // brief copy of the hot tail, so a slow historical query never blocks an
 // append for more than the tail copy.
 type Store struct {
-	cfg    Config
 	shards []storeShard
 	mask   uint32
 
 	seriesN   atomic.Int64
 	appended  atomic.Uint64 // lifetime samples appended
-	loadedN   atomic.Uint64 // samples warm-started from disk segments
+	loadedN   atomic.Uint64 // samples New read back from Dir
 	sealedN   atomic.Uint64 // lifetime samples sealed into chunks
 	sealedB   atomic.Uint64 // lifetime encoded bytes sealed
-	droppedN  atomic.Uint64 // samples evicted by the ring or MaxAge
+	droppedN  atomic.Uint64 // samples evicted by the ring
 	intChunks atomic.Uint64 // sealed chunks that chose int-delta encoding
 	nextID    atomic.Uint32
 
-	disk *segmentWriter
+	truncated uint64 // torn-tail bytes New cut from Dir's segments
+	disk      *segmentWriter
 }
 
 type storeShard struct {
@@ -124,34 +82,30 @@ type storeShard struct {
 	series map[SeriesKey]*Series
 }
 
-// New builds a store; an error is only possible when Config.Dir cannot
-// be created or written.
+// New builds a store. With a Dir it reads the directory back before the
+// writer opens its first file: rotation both creates a fresh (buffered,
+// unflushed) file that a reader must not see mid-write and prunes old
+// files that should still contribute to the restart's memory view. The
+// error is the directory's: it cannot be created or written, or a
+// segment in it is malformed beyond a torn tail.
 func New(cfg Config) (*Store, error) {
-	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, shards: make([]storeShard, DefaultShards), mask: DefaultShards - 1}
+	s := &Store{shards: make([]storeShard, DefaultShards), mask: DefaultShards - 1}
 	for i := range s.shards {
 		s.shards[i].series = make(map[SeriesKey]*Series)
 	}
-	if cfg.Dir != "" {
-		// Warm-start reads the sealed segments back BEFORE the writer
-		// opens: rotation both creates a fresh (buffered, unflushed)
-		// file that a reader must not see mid-write and prunes old
-		// files that should still contribute to the restart's memory
-		// view.
-		if cfg.WarmStart {
-			segs, err := ReadDir(cfg.Dir)
-			if err != nil {
-				return nil, fmt.Errorf("tsdb: warm start: %w", err)
-			}
-			for _, ss := range segs {
-				s.Series(ss.Key.Pole, ss.Key.Name).load(ss.Samples)
-			}
-		}
-		w, err := newSegmentWriter(cfg.Dir, cfg.SegmentBytes, cfg.MaxSegments, cfg.MaxAge)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = w
+	if cfg.Dir == "" {
+		return s, nil
+	}
+	segs, cut, err := readDir(cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: read %s back: %w", cfg.Dir, err)
+	}
+	for _, ss := range segs {
+		s.Series(ss.Key.Pole, ss.Key.Name).load(ss.Samples)
+	}
+	s.truncated = uint64(cut)
+	if s.disk, err = newSegmentWriter(cfg.Dir); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -212,8 +166,8 @@ func (s *Store) Series(pole uint32, name string) *Series {
 		st:   s,
 		Key:  key,
 		id:   s.nextID.Add(1),
-		ts:   make([]int64, s.cfg.ChunkSamples),
-		vals: make([]float64, s.cfg.ChunkSamples),
+		ts:   make([]int64, chunkSamples),
+		vals: make([]float64, chunkSamples),
 	}
 	sh.series[key] = sr
 	s.seriesN.Add(1)
@@ -272,12 +226,13 @@ func (s *Store) PoleSeries(pole uint32) []SeriesMeta {
 // Stats summarizes the store for benchmarks and diagnostics.
 type Stats struct {
 	Series          int     `json:"series"`
-	Appended        uint64  `json:"appended"` // lifetime samples appended
-	Loaded          uint64  `json:"loaded"`   // samples warm-started from disk segments
-	Retained        uint64  `json:"retained"` // decodable right now: sealed in memory + hot
+	Appended        uint64  `json:"appended"`        // lifetime samples appended
+	Loaded          uint64  `json:"loaded"`          // samples New read back from Dir
+	TruncatedBytes  uint64  `json:"truncated_bytes"` // torn-tail bytes New cut from Dir's segments
+	Retained        uint64  `json:"retained"`        // decodable right now: sealed in memory + hot
 	SealedSamples   uint64  `json:"sealed_samples"`
 	SealedBytes     uint64  `json:"sealed_bytes"`
-	DroppedSamples  uint64  `json:"dropped_samples"` // evicted by the per-series ring or MaxAge
+	DroppedSamples  uint64  `json:"dropped_samples"` // evicted by the per-series ring
 	IntChunks       uint64  `json:"int_chunks"`
 	BytesPerSample  float64 `json:"bytes_per_sample"` // sealed bytes / sealed samples
 	NaiveBytes      uint64  `json:"naive_bytes"`      // 16-byte (ts,value) rows
@@ -292,6 +247,7 @@ func (s *Store) Stats() Stats {
 		Series:         int(s.seriesN.Load()),
 		Appended:       s.appended.Load(),
 		Loaded:         s.loadedN.Load(),
+		TruncatedBytes: s.truncated,
 		SealedSamples:  s.sealedN.Load(),
 		SealedBytes:    s.sealedB.Load(),
 		DroppedSamples: s.droppedN.Load(),
@@ -330,7 +286,7 @@ type chunkList struct {
 }
 
 // Series is one append stream. Appends lock the series mutex, write two
-// array slots, and return; sealing (every ChunkSamples appends) encodes
+// array slots, and return; sealing (every chunkSamples appends) encodes
 // the buffer and publishes a fresh immutable chunk list, so the hot path
 // allocates only when it seals — bounded amortized cost, pinned by test.
 type Series struct {
@@ -399,26 +355,15 @@ func (sr *Series) seal() {
 	sr.n = 0
 }
 
-// retain applies the series' retention policy to a prospective sealed
-// list — MaxAge expiry first (chunks whose newest sample trails the
-// series' latest timestamp by more than MaxAge; the newest chunk is
-// never expired), then the MaxChunks ring — accounting every evicted
-// sample in droppedN. Caller holds sr.mu and owns the slice.
+// retain applies the maxChunks ring to a prospective sealed list,
+// accounting every evicted sample in droppedN. Caller holds sr.mu and
+// owns the slice.
 func (sr *Series) retain(chunks []*Chunk) []*Chunk {
-	if maxAge := sr.st.cfg.MaxAge; maxAge > 0 {
-		cutoff := sr.lastTS - int64(maxAge)
-		drop := 0
-		for drop < len(chunks)-1 && chunks[drop].MaxTS < cutoff {
-			sr.st.droppedN.Add(uint64(chunks[drop].Count))
-			drop++
-		}
-		chunks = chunks[drop:]
-	}
-	if max := sr.st.cfg.MaxChunks; max > 0 && len(chunks) > max {
-		for _, evicted := range chunks[:len(chunks)-max] {
+	if len(chunks) > maxChunks {
+		for _, evicted := range chunks[:len(chunks)-maxChunks] {
 			sr.st.droppedN.Add(uint64(evicted.Count))
 		}
-		chunks = chunks[len(chunks)-max:]
+		chunks = chunks[len(chunks)-maxChunks:]
 	}
 	return chunks
 }

@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// small makes sr seal every n samples instead of every chunkSamples, so
+// a test reaches seals and chunk boundaries in a few appends. Call it
+// before the series' first append.
+func small(sr *Series, n int) *Series {
+	sr.ts, sr.vals = sr.ts[:n], sr.vals[:n]
+	return sr
+}
+
 func sameSamples(t *testing.T, got, want []Sample) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -24,8 +32,7 @@ func sameSamples(t *testing.T, got, want []Sample) {
 // a hot tail and demands QueryRaw return every sample bit-identically —
 // the acceptance contract behind /api/history?res=raw.
 func TestQueryRawBitExact(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 16})
-	sr := st.Series(7, "count")
+	sr := small(MustNew(Config{}).Series(7, "count"), 16)
 	rng := rand.New(rand.NewSource(11))
 	var want []Sample
 	ts := int64(0)
@@ -111,8 +118,7 @@ func bruteBuckets(samples []Sample, origin, step int64) []Bucket {
 }
 
 func TestQueryBucketsMatchesBruteForce(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 32})
-	sr := st.Series(9, "pole_temp_c")
+	sr := small(MustNew(Config{}).Series(9, "pole_temp_c"), 32)
 	rng := rand.New(rand.NewSource(5))
 	ts := int64(1_000_000)
 	var raw []Sample
@@ -151,9 +157,9 @@ func TestQueryBucketsMatchesBruteForce(t *testing.T) {
 }
 
 func TestStatsConservation(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 8})
+	st := MustNew(Config{})
 	for pole := uint32(1); pole <= 5; pole++ {
-		sr := st.Series(pole, "count")
+		sr := small(st.Series(pole, "count"), 8)
 		for i := 0; i < 100; i++ {
 			sr.Append(int64(i)*1_000_000_000, float64(i))
 		}
@@ -175,7 +181,7 @@ func TestStatsConservation(t *testing.T) {
 		t.Errorf("sealed = %d, want 480", stats.SealedSamples)
 	}
 	// 8-sample chunks amortize the 19-byte chunk header poorly — the
-	// production default of 512 is what TestStatsConservationSeriesMix
+	// production chunkSamples of 512 is what TestStatsConservationSeriesMix
 	// holds to ≥8x — but even these tiny chunks must beat 16-byte rows.
 	if stats.BytesPerSample <= 0 || stats.CompressionVs16 < 3 {
 		t.Errorf("bytes/sample %.2f, compression %.1fx — regular integral series should compress well",
@@ -189,13 +195,13 @@ func TestStatsConservation(t *testing.T) {
 // size and requires every sample conserved and the mix to seal at ≥8x
 // under naive 16-byte (int64, float64) rows.
 func TestStatsConservationSeriesMix(t *testing.T) {
-	const poles, rounds = 8, 2 * DefaultChunkSamples
+	const poles, rounds = 8, 2 * chunkSamples
 	count := func(pole uint32, round int) float64 {
 		wave := 3 * math.Sin(2*math.Pi*float64(round)/16+float64(pole%16)/16*2*math.Pi)
 		c := 2 + float64(pole%7) + wave + float64((int(pole)*31+round*17)%3)
 		return math.Floor(math.Max(c, 0))
 	}
-	st := MustNew(Config{MaxChunks: -1})
+	st := MustNew(Config{})
 	for pole := uint32(1); pole <= poles; pole++ {
 		cnt, cl := st.Series(pole, "count"), st.Series(pole, "clusters")
 		lat, temp := st.Series(pole, "edge_latency_us"), st.Series(pole, "pole_temp_c")
@@ -223,29 +229,32 @@ func TestStatsConservationSeriesMix(t *testing.T) {
 	}
 }
 
+// TestRingEvictionAccounting appends past the ring at the production
+// sizes: two chunks more than maxChunks, plus a hot tail of 4.
 func TestRingEvictionAccounting(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 4, MaxChunks: 2})
+	st := MustNew(Config{})
 	sr := st.Series(1, "count")
-	for i := 0; i < 20; i++ {
+	n := (maxChunks+2)*chunkSamples + 4
+	for i := 0; i < n; i++ {
 		sr.Append(int64(i), float64(i))
 	}
-	// Seals fire on the append after each fill: 4 sealed chunks (samples
-	// 0–15), 4 hot (16–19). The ring keeps the newest 2 sealed chunks, so
-	// chunks 0–3 and 4–7 were evicted.
+	// Seals fire on the append after each fill, so maxChunks+2 chunks are
+	// sealed and 4 samples are hot. The ring keeps the newest maxChunks,
+	// so the first two chunks were evicted.
 	stats := st.Stats()
-	if stats.DroppedSamples != 8 {
-		t.Errorf("dropped = %d, want 8", stats.DroppedSamples)
+	if want := uint64(2 * chunkSamples); stats.DroppedSamples != want {
+		t.Errorf("dropped = %d, want %d", stats.DroppedSamples, want)
 	}
-	if stats.Appended != 20 || stats.Retained != 12 {
-		t.Errorf("appended/retained = %d/%d, want 20/12", stats.Appended, stats.Retained)
+	if stats.Appended != uint64(n) || stats.Retained != uint64(n-2*chunkSamples) {
+		t.Errorf("appended/retained = %d/%d, want %d/%d", stats.Appended, stats.Retained, n, n-2*chunkSamples)
 	}
-	got, err := sr.QueryRaw(0, 100)
+	got, err := sr.QueryRaw(0, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]Sample, 0, 12)
-	for i := int64(8); i < 20; i++ {
-		want = append(want, Sample{TS: i, V: float64(i)})
+	want := make([]Sample, 0, n-2*chunkSamples)
+	for i := 2 * chunkSamples; i < n; i++ {
+		want = append(want, Sample{TS: int64(i), V: float64(i)})
 	}
 	sameSamples(t, got, want)
 }
@@ -272,11 +281,14 @@ func TestPoleSeriesListing(t *testing.T) {
 // readers and the stats walk; under -race this is the memory-model proof
 // that historical reads never tear the append path.
 func TestConcurrentAppendQuery(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 32})
+	st := MustNew(Config{})
 	const (
 		writers = 4
 		perPole = 2000
 	)
+	for w := 0; w < writers; w++ {
+		small(st.Series(uint32(w+1), "count"), 32)
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -337,18 +349,18 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
 	}
-	st := MustNew(Config{ChunkSamples: 1 << 16})
-	sr := st.Series(1, "count")
+	sr := MustNew(Config{}).Series(1, "count")
 	ts := int64(0)
-	if allocs := testing.AllocsPerRun(10_000, func() {
+	// AllocsPerRun adds a warm-up call: chunkSamples appends fill the
+	// buffer without sealing it.
+	if allocs := testing.AllocsPerRun(chunkSamples-1, func() {
 		ts += 1_000_000
 		sr.Append(ts, 5)
 	}); allocs != 0 {
 		t.Errorf("in-buffer append allocated %.2f objects/op, want 0", allocs)
 	}
 
-	sealed := MustNew(Config{ChunkSamples: 256})
-	sr2 := sealed.Series(1, "count")
+	sr2 := MustNew(Config{}).Series(1, "count")
 	ts = 0
 	if allocs := testing.AllocsPerRun(100_000, func() {
 		ts += 1_000_000
@@ -359,7 +371,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSealAllAndForceSeal(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 64})
+	st := MustNew(Config{})
 	sr := st.Series(1, "count")
 	for i := 0; i < 10; i++ {
 		sr.Append(int64(i), float64(i))

@@ -1,24 +1,29 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
-	"time"
 )
 
 // TestWarmStartRoundTrip seals two poles' series to disk, reopens the
-// directory with WarmStart, and requires bit-identical reads plus
-// continued appends that a third generation also restores.
+// directory, and requires bit-identical reads plus continued appends that
+// a third generation also restores.
 func TestWarmStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{ChunkSamples: 8, Dir: dir}
+	cfg := Config{Dir: dir}
 
 	st1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pole := uint32(1); pole <= 2; pole++ {
-		sr := st1.Series(pole, "count")
+		sr := small(st1.Series(pole, "count"), 8)
 		for i := 0; i < 50; i++ {
 			sr.Append(int64(1000*i), float64(pole)*100+float64(i))
 		}
@@ -28,7 +33,6 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.WarmStart = true
 	st2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,174 +88,207 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmStartOffByDefault pins that reopening without the flag starts
-// empty (the pre-existing behavior) while leaving the files alone.
-func TestWarmStartOffByDefault(t *testing.T) {
-	dir := t.TempDir()
-	st1, err := New(Config{ChunkSamples: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := st1.Series(7, "count")
-	for i := 0; i < 12; i++ {
-		sr.Append(int64(i), float64(i))
-	}
-	st1.SealAll()
-	st1.Close()
-
-	st2, err := New(Config{ChunkSamples: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.Stats().Loaded; got != 0 {
-		t.Fatalf("loaded %d without WarmStart, want 0", got)
-	}
-	if _, ok := st2.Lookup(7, "count"); ok {
-		t.Fatal("series exists without WarmStart")
-	}
-}
-
-// TestMaxAgeExpiry drives a series far past a MaxAge horizon and checks
-// that old sealed chunks expire at seal time with eviction accounting
-// identical to the ring's: Retained + Dropped == Appended.
-func TestMaxAgeExpiry(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 4, MaxChunks: -1, MaxAge: 100 * time.Nanosecond})
-	sr := st.Series(1, "count")
-	// 1ns per sample: by the final seal the first chunks are far older
-	// than the 100ns horizon.
-	const n = 400
-	for i := 0; i < n; i++ {
-		sr.Append(int64(i), float64(i))
-	}
-	sr.Seal()
-	stats := st.Stats()
-	if stats.DroppedSamples == 0 {
-		t.Fatal("no samples expired by MaxAge")
-	}
-	if stats.Retained+stats.DroppedSamples != stats.Appended {
-		t.Fatalf("conservation broken: retained %d + dropped %d != appended %d",
-			stats.Retained, stats.DroppedSamples, stats.Appended)
-	}
-	got, err := sr.QueryRaw(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whole chunks expire, so the oldest surviving sample is within
-	// MaxAge + one chunk span of the newest.
-	if first := got[0].TS; first < n-1-100-4 || first > n-1 {
-		t.Fatalf("oldest surviving ts = %d", first)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].TS != got[i-1].TS+1 {
-			t.Fatalf("gap in surviving samples at %d", i)
+// segmentRecords walks a segment's framing — the 5-byte header, then
+// kind, length and payload per record — without decoding a chunk. It
+// returns where each record ends and, for a chunk record, the pole its
+// series was announced with (0 for a schema record).
+func segmentRecords(t *testing.T, data []byte) (ends []int, poles []uint32) {
+	t.Helper()
+	pole := map[uint32]uint32{}
+	for off := 5; off < len(data); {
+		kind, size := data[off], int(binary.BigEndian.Uint32(data[off+1:]))
+		payload := data[off+5 : off+5+size]
+		id := binary.BigEndian.Uint32(payload)
+		switch kind {
+		case recSchema:
+			pole[id] = binary.BigEndian.Uint32(payload[4:])
+			poles = append(poles, 0)
+		case recChunk:
+			poles = append(poles, pole[id])
+		default:
+			t.Fatalf("record kind %d at offset %d", kind, off)
 		}
+		off += 5 + size
+		ends = append(ends, off)
 	}
+	return ends, poles
 }
 
-// TestMaxAgeNeverExpiresNewestChunk pins the guard: even when every
-// sealed chunk is past the horizon, the newest survives.
-func TestMaxAgeNeverExpiresNewestChunk(t *testing.T) {
-	st := MustNew(Config{ChunkSamples: 4, MaxChunks: -1, MaxAge: 1 * time.Nanosecond})
-	sr := st.Series(1, "count")
-	for i := 0; i < 16; i++ {
-		sr.Append(int64(1000*i), float64(i))
-	}
-	sr.Seal()
-	got, err := sr.QueryRaw(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("%d samples survive, want the newest chunk's 4", len(got))
-	}
-	if got[0].TS != 12000 {
-		t.Fatalf("surviving chunk starts at %d, want 12000", got[0].TS)
-	}
-}
-
-// TestMaxAgeAppliesAtWarmStart expires aged history during load: a
-// restart with MaxAge only restores the still-live window, with the
-// expired samples accounted as dropped.
-func TestMaxAgeAppliesAtWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	st1, err := New(Config{ChunkSamples: 4, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := st1.Series(1, "count")
-	for i := 0; i < 40; i++ {
-		sr.Append(int64(i), float64(i))
-	}
-	st1.SealAll()
-	st1.Close()
-
-	st2, err := New(Config{ChunkSamples: 4, Dir: dir, WarmStart: true, MaxAge: 10 * time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	stats := st2.Stats()
-	if stats.Loaded != 40 {
-		t.Fatalf("loaded %d, want 40 (expiry is accounted separately)", stats.Loaded)
-	}
-	if stats.Retained+stats.DroppedSamples != stats.Loaded {
-		t.Fatalf("load conservation broken: retained %d + dropped %d != loaded %d",
-			stats.Retained, stats.DroppedSamples, stats.Loaded)
-	}
-	sr2, _ := st2.Lookup(1, "count")
-	got, err := sr2.QueryRaw(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 40 || len(got) == 0 {
-		t.Fatalf("%d samples survive load expiry, want a strict subset", len(got))
-	}
-	if got[len(got)-1].TS != 39 {
-		t.Fatalf("newest sample %d, want 39", got[len(got)-1].TS)
-	}
-}
-
-// TestSegmentAgePrune ages segment files on disk (mtime) and checks
-// rotation deletes them while sparing the active file.
-func TestSegmentAgePrune(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments so every few seals rotates.
-	st1, err := New(Config{ChunkSamples: 4, Dir: dir, SegmentBytes: 64, MaxSegments: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := st1.Series(1, "count")
-	for i := 0; i < 200; i++ {
-		sr.Append(int64(i), float64(i))
-	}
-	st1.SealAll()
-	st1.Close()
-	files, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 3 {
-		t.Fatalf("only %d segments; the fixture needs several", len(files))
-	}
-	old := time.Now().Add(-48 * time.Hour)
-	for _, f := range files {
-		if err := os.Chtimes(f, old, old); err != nil {
+// TestTornTailAtEveryOffset is the crash test. A directory holds two
+// generations of two series, and the newest segment is cut at every byte
+// offset, as a crash in the middle of a write would leave it. Opening the
+// directory must succeed and load exactly the samples of the complete
+// records before the cut, bit for bit; Stats must count the bytes after
+// them, and a second open must find nothing left to cut.
+func TestTornTailAtEveryOffset(t *testing.T) {
+	const chunk = 8
+	src := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	older, newer := map[uint32][]Sample{}, map[uint32][]Sample{}
+	ts := int64(0)
+	// generation appends chunks×chunk samples to each series on a store
+	// opened on src: pole 1 takes arbitrary bit patterns (NaN payloads
+	// included), pole 2 integral counts.
+	generation := func(chunks int, into map[uint32][]Sample) {
+		st, err := New(Config{Dir: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := small(st.Series(1, "v"), chunk), small(st.Series(2, "v"), chunk)
+		for i := 0; i < chunks*chunk; i++ {
+			ts += 1_000_000_000
+			va, vb := math.Float64frombits(rng.Uint64()), float64(rng.Intn(40))
+			a.Append(ts, va)
+			b.Append(ts, vb)
+			into[1] = append(into[1], Sample{ts, va})
+			into[2] = append(into[2], Sample{ts, vb})
+		}
+		st.SealAll()
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	generation(2, older)
+	generation(3, newer)
 
-	// Opening a writer rotates once, which prunes aged files.
-	st2, err := New(Config{ChunkSamples: 4, Dir: dir, SegmentBytes: 64, MaxSegments: -1, MaxAge: time.Hour})
+	files, err := listSegments(src)
+	if err != nil || len(files) != 2 {
+		t.Fatalf("%d segment files (%v), want one per generation", len(files), err)
+	}
+	first, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	after, err := listSegments(dir)
+	data, err := os.ReadFile(files[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != 1 {
-		t.Fatalf("%d segments survive age prune, want only the active file", len(after))
+	ends, poles := segmentRecords(t, data)
+
+	base := t.TempDir()
+	for cut := 0; cut <= len(data); cut++ {
+		dir := filepath.Join(base, fmt.Sprint(cut))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(files[0])), first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(files[1])), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The complete records before the cut: none while the header is
+		// incomplete, and the file is then removed whole.
+		good, chunks := 0, map[uint32]int{}
+		if cut >= 5 {
+			good = 5
+			for i, end := range ends {
+				if end > cut {
+					break
+				}
+				good = end
+				if poles[i] != 0 {
+					chunks[poles[i]]++
+				}
+			}
+		}
+		for open, wantCut := range []int{cut - good, 0} {
+			st, err := New(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("cut at %d, open %d: %v", cut, open+1, err)
+			}
+			stats := st.Stats()
+			if stats.TruncatedBytes != uint64(wantCut) {
+				t.Fatalf("cut at %d, open %d: %d bytes truncated, want %d", cut, open+1, stats.TruncatedBytes, wantCut)
+			}
+			loaded := 0
+			for pole := uint32(1); pole <= 2; pole++ {
+				want := append(older[pole][:len(older[pole]):len(older[pole])], newer[pole][:chunks[pole]*chunk]...)
+				loaded += len(want)
+				sr, ok := st.Lookup(pole, "v")
+				if !ok {
+					t.Fatalf("cut at %d: pole %d missing", cut, pole)
+				}
+				got, err := sr.QueryRaw(math.MinInt64, math.MaxInt64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("cut at %d, open %d: pole %d has %d samples, want %d", cut, open+1, pole, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].TS != want[i].TS || math.Float64bits(got[i].V) != math.Float64bits(want[i].V) {
+						t.Fatalf("cut at %d: pole %d sample %d = (%d, %016x), want (%d, %016x)", cut, pole, i,
+							got[i].TS, math.Float64bits(got[i].V), want[i].TS, math.Float64bits(want[i].V))
+					}
+				}
+			}
+			if stats.Loaded != uint64(loaded) {
+				t.Fatalf("cut at %d, open %d: loaded %d, want %d", cut, open+1, stats.Loaded, loaded)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Both segments stay and each open adds its writer's file, unless
+		// the cut fell inside the header: the first open removed that file.
+		want := 4
+		if cut < 5 {
+			want = 3
+		}
+		if files, err := listSegments(dir); len(files) != want {
+			t.Fatalf("cut at %d: %d segment files after two opens, want %d (%v)", cut, len(files), want, err)
+		}
+	}
+}
+
+// TestMalformedSegmentFailsNew: only a torn tail is recovered. A segment
+// that is whole but wrong fails New, and the file is left as it was.
+func TestMalformedSegmentFailsNew(t *testing.T) {
+	src := t.TempDir()
+	st, err := New(Config{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := small(st.Series(1, "count"), 4)
+	for i := 0; i < 8; i++ {
+		sr.Append(int64(i), float64(i))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := listSegments(src)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%d segment files (%v), want 1", len(files), err)
+	}
+	valid, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The layout is header, schema record, then the first chunk record,
+	// whose payload is the series id and the chunk's own bytes.
+	ends, _ := segmentRecords(t, valid)
+	chunkAt := ends[0]
+	for name, corrupt := range map[string]func(b []byte){
+		"bad magic":          func(b []byte) { b[0] = 'X' },
+		"bad version":        func(b []byte) { b[4] = 9 },
+		"unknown kind":       func(b []byte) { b[chunkAt] = 7 },
+		"unannounced series": func(b []byte) { binary.BigEndian.PutUint32(b[chunkAt+5:], 999) },
+		"corrupt chunk":      func(b []byte) { b[chunkAt+9] ^= 0xFF },
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, filepath.Base(files[0]))
+		data := bytes.Clone(valid)
+		corrupt(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := New(Config{Dir: dir}); err == nil {
+			st.Close()
+			t.Errorf("%s: New accepted the segment", name)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Errorf("%s: the failed open changed the file (%v)", name, err)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -223,4 +226,82 @@ func TestConnInstrumentSharesRegistryCounters(t *testing.T) {
 	if recvd.Value() != 0 {
 		t.Errorf("received counter = %d before any successful Recv", recvd.Value())
 	}
+}
+
+// wireSeeds are a body of every message type, an empty body, a Hello
+// whose location claims 4 GiB, and an Ack with a trailing byte.
+func wireSeeds() [][]byte {
+	hello := EncodeHello(Hello{PoleID: 7, Location: "Palm Walk", Zone: "north", ModelVersion: 3})
+	huge := bytes.Clone(hello)
+	binary.BigEndian.PutUint32(huge[4:], math.MaxUint32)
+	return [][]byte{
+		hello,
+		EncodeCountReport(CountReport{PoleID: 7, Seq: 9, Timestamp: time.Unix(1700000000, 5), Count: 14, Clusters: 20, LatencyUS: 17420}),
+		EncodeTelemetry(Telemetry{PoleID: 7, Timestamp: time.Unix(1700000000, 0), PoleTemp: 57.81, Ambient: math.NaN()}),
+		EncodeAck(Ack{Seq: 9}),
+		EncodeAlert(Alert{PoleID: 7, Kind: AlertOverheat, Message: "compartment at 58 C"}),
+		{},
+		huge,
+		append(EncodeAck(Ack{Seq: 1}), 0),
+	}
+}
+
+// FuzzReadFrame: no input makes ReadFrame panic or allocate more than
+// one MaxFrameSize body, and a frame it reads re-encodes with WriteFrame
+// to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	for i, body := range wireSeeds() {
+		var b bytes.Buffer
+		if err := WriteFrame(&b, MsgType(i%5+1), body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgHello)}) // a 4 GiB frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		typ, body, err := ReadFrame(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxFrameSize+1<<16 {
+			t.Fatalf("ReadFrame allocated %d bytes on a %d-byte input", grew, len(data))
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, typ, body); err != nil {
+			t.Fatalf("a frame ReadFrame accepted does not write: %v", err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("frame %x re-encodes to %x", consumed, out.Bytes())
+		}
+	})
+}
+
+// FuzzDecodeMessages: whatever a decoder accepts, its encoder writes back
+// to the same bytes, so a body has one meaning and nothing in it is
+// skipped.
+func FuzzDecodeMessages(f *testing.F) {
+	for _, body := range wireSeeds() {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check := func(msg string, enc []byte, err error) {
+			if err == nil && !bytes.Equal(enc, b) {
+				t.Errorf("%s decoded from %x re-encodes to %x", msg, b, enc)
+			}
+		}
+		h, err := DecodeHello(b)
+		check("Hello", EncodeHello(h), err)
+		r, err := DecodeCountReport(b)
+		check("CountReport", EncodeCountReport(r), err)
+		tm, err := DecodeTelemetry(b)
+		check("Telemetry", EncodeTelemetry(tm), err)
+		a, err := DecodeAck(b)
+		check("Ack", EncodeAck(a), err)
+		al, err := DecodeAlert(b)
+		check("Alert", EncodeAlert(al), err)
+	})
 }
