@@ -70,12 +70,11 @@ func DefaultTrainOptions() TrainOptions {
 // of goroutines may share one Counter — the fan-out pattern for a pole
 // node serving several sensors.
 //
-// A frame is counted one of three ways, all producing bit-identical
-// counts: Count (one synchronous pass), Evaluate (a loop over Count), and
-// Stream (a pool of workers, one frame each). All three use the
-// pipeline's Parallelism cores — runtime.NumCPU() for every Counter built
-// here: Count, and so Evaluate, spreads one frame's clusters over them;
-// Stream spreads frames.
+// A frame is counted one of two ways, both producing bit-identical
+// counts: Count, one synchronous pass on the calling goroutine, and
+// Stream, a pool of workers that counts as many frames at once as the
+// pipeline's Parallelism — runtime.NumCPU() for every Counter built here.
+// Evaluate is Stream plus scoring.
 type Counter struct {
 	pipeline   *counting.Pipeline
 	classifier *models.HAWC
@@ -128,10 +127,10 @@ func Train(samples []Sample, opts TrainOptions) (*Counter, error) {
 	return &Counter{pipeline: counting.New(h), classifier: h}, nil
 }
 
-// Count processes one raw LiDAR frame: ingestion, adaptive clustering,
-// and per-cluster classification on the counter's worker width (see
-// Counter). A Counter is safe for concurrent use: many goroutines may call
-// Count on one shared Counter.
+// Count processes one raw LiDAR frame on the calling goroutine:
+// ingestion, adaptive clustering, and per-cluster classification. A
+// Counter is safe for concurrent use: many goroutines may call Count on
+// one shared Counter.
 func (c *Counter) Count(frame Cloud) Result {
 	r := c.pipeline.Count(frame)
 	return Result{Count: r.Count, Clusters: r.Clusters, Latency: r.Timing}
@@ -264,7 +263,9 @@ type Evaluation struct {
 	Accuracy float64
 }
 
-// Evaluate runs the counter over labeled frames one frame at a time.
+// Evaluate streams labeled frames through the counter (see Stream), so
+// as many frames are counted at once as the counter has workers, and
+// scores the counts in input order.
 func (c *Counter) Evaluate(frames []Frame) (Evaluation, error) {
 	ev, err := counting.Evaluate(c.pipeline, frames)
 	if err != nil {

@@ -179,7 +179,7 @@ func TestCountDeterministicAcrossWorkers(t *testing.T) {
 // state.
 func TestConcurrentSharedCounter(t *testing.T) {
 	c, _ := trainSmall(t)
-	c.pipeline.Parallelism = 2 // exercise the intra-frame pool on any host
+	c.pipeline.Parallelism = 2 // two stream workers on any host
 	frames := GenerateFrames(6, 4, 1, 3)
 	want := make([]int, len(frames))
 	for i, f := range frames {

@@ -8,11 +8,11 @@
 package counting
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hawccc/internal/cluster"
@@ -121,23 +121,15 @@ func (h HierarchicalClusterer) Cluster(cloud geom.Cloud) cluster.Result {
 // span, with one segment per pipeline stage.
 type Timing struct {
 	// ROI and Ground split the ingest stage: region-of-interest crop,
-	// then ground segmentation. Ingest is their sum (kept so existing
-	// consumers of the three-stage breakdown keep working).
+	// then ground segmentation.
 	ROI      time.Duration
 	Ground   time.Duration
-	Ingest   time.Duration
 	Cluster  time.Duration
 	Classify time.Duration
-	// QueueWait is contention for Count's intra-frame workers, which Total
-	// excludes: the longest time any cluster batch waited between the
-	// start of the classify stage and a worker picking it up (it overlaps
-	// Classify). Stream classifies each frame on one goroutine and leaves
-	// it zero.
-	QueueWait time.Duration
 }
 
 // Total returns the end-to-end frame latency.
-func (t Timing) Total() time.Duration { return t.Ingest + t.Cluster + t.Classify }
+func (t Timing) Total() time.Duration { return t.ROI + t.Ground + t.Cluster + t.Classify }
 
 // Result describes one counted frame.
 type Result struct {
@@ -159,15 +151,15 @@ type Pipeline struct {
 	Clusterer Clusterer
 	// Classifier labels each cluster (HAWC for HAWC-CC, etc.).
 	Classifier models.Classifier
-	// Parallelism is the number of cores the pipeline may use: goroutines
-	// classifying one frame's clusters inside a Count call, frames counted
-	// at once inside a Stream call. 1 or less runs on one goroutine; New
-	// sets runtime.NumCPU(), matching pole hardware where every core
-	// counts toward the frame budget. Counts are identical at every value —
-	// classification is deterministic per cluster and aggregation is
-	// order-independent. Values above 1 require a Classifier that is safe
-	// for concurrent PredictHuman calls — every classifier in
-	// internal/models is, once trained.
+	// Parallelism is the number of frames counted at once inside a Stream
+	// (and so an Evaluate) call, each on its own goroutine; Count runs on
+	// the caller's goroutine and does not read it. 1 or less counts one
+	// frame at a time; New sets runtime.NumCPU(), matching pole hardware
+	// where every core counts toward the frame budget. Counts are
+	// identical at every value — a frame is counted the same way on any
+	// worker. Values above 1 require a Classifier that is safe for
+	// concurrent PredictHuman calls — every classifier in internal/models
+	// is, once trained.
 	Parallelism int
 	// m holds the pipeline's observability instruments. All fields are
 	// nil (no-op) until Instrument is called, so an uninstrumented
@@ -184,20 +176,19 @@ type Pipeline struct {
 // same registry (e.g. every pole in a campus) aggregate into one set of
 // campus-wide series.
 type pipelineObs struct {
-	frames    *obs.Counter
-	humans    *obs.Counter
-	objects   *obs.Counter
-	noise     *obs.Counter
-	roi       *obs.Histogram
-	ground    *obs.Histogram
-	cluster   *obs.Histogram
-	classify  *obs.Histogram
-	total     *obs.Histogram
-	queueWait *obs.Histogram
+	frames   *obs.Counter
+	humans   *obs.Counter
+	objects  *obs.Counter
+	noise    *obs.Counter
+	roi      *obs.Histogram
+	ground   *obs.Histogram
+	cluster  *obs.Histogram
+	classify *obs.Histogram
+	total    *obs.Histogram
 }
 
 // Instrument registers the pipeline's metrics in reg and starts recording
-// per-frame stage spans, cluster label counts, and waits for a worker.
+// per-frame stage spans and cluster label counts.
 // It returns p for chaining; a nil registry hands out nil (no-op)
 // instruments, leaving the pipeline uninstrumented.
 func (p *Pipeline) Instrument(reg *obs.Registry) *Pipeline {
@@ -222,19 +213,16 @@ func (p *Pipeline) Instrument(reg *obs.Registry) *Pipeline {
 		classify: stage("classify"),
 		total: reg.Histogram("hawc_frame_seconds",
 			"end-to-end per-frame counting latency", obs.LatencyBuckets()),
-		queueWait: reg.Histogram("hawc_classify_queue_wait_seconds",
-			"time a cluster batch waits for a worker", obs.LatencyBuckets()),
 	}
 	return p
 }
 
 // DefaultBatchSize is how many clusters go into one forward pass when
-// the Classifier implements models.BatchClassifier: workers take a batch
-// at a time, so one frame's clusters become ⌈N/16⌉ stacked [B, H, W, C]
-// passes instead of N batch-1 passes. Large enough to amortize weight
-// packing across the GEMM batch, small enough that a crowded frame still
-// splits into several batches for the worker pool. Batched
-// classification is bit-equal per cluster, so counts do not depend on it.
+// the Classifier implements models.BatchClassifier: one frame's clusters
+// become ⌈N/16⌉ stacked [B, H, W, C] passes instead of N batch-1 passes.
+// Large enough to amortize weight packing across the GEMM batch, small
+// enough to bound the batch's scratch. Batched classification is
+// bit-equal per cluster, so counts do not depend on it.
 const DefaultBatchSize = 16
 
 // New builds a pipeline with deployment defaults around the classifier.
@@ -303,10 +291,11 @@ func releaseJob(j *streamJob) {
 	jobPool.Put(j)
 }
 
-// Count processes one raw LiDAR frame end to end, classifying clusters on
-// Parallelism goroutines. A pipeline without a classifier returns a zero
-// Result rather than panicking, so a misconfigured pole node degrades to
-// reporting an empty walkway instead of crashing its capture loop.
+// Count processes one raw LiDAR frame end to end on the calling
+// goroutine; it starts no goroutine and does not read Parallelism. A
+// pipeline without a classifier returns a zero Result rather than
+// panicking, so a misconfigured pole node degrades to reporting an empty
+// walkway instead of crashing its capture loop.
 //
 // Count is a one-shot synchronous call of countJob, the function every
 // worker of the streaming scheduler (Stream) runs, so the
@@ -315,23 +304,22 @@ func releaseJob(j *streamJob) {
 func (p *Pipeline) Count(frame geom.Cloud) Result {
 	j := acquireJob()
 	j.frame = frame
-	p.countJob(j, p.Parallelism)
+	p.countJob(j)
 	res := j.res
 	releaseJob(j)
 	return res
 }
 
-// countJob takes one job from ROI crop to count on the calling goroutine,
-// classifying on the given number of goroutines, and records the frame
-// into the pipeline's instruments. Without a classifier it leaves the
-// job's zero Result.
-func (p *Pipeline) countJob(j *streamJob, workers int) {
+// countJob takes one job from ROI crop to count on the calling goroutine
+// and records the frame into the pipeline's instruments. Without a
+// classifier it leaves the job's zero Result.
+func (p *Pipeline) countJob(j *streamJob) {
 	if p.Classifier == nil {
 		return
 	}
 	p.stageIngest(j)
 	p.stageCluster(j)
-	p.stageClassify(j, workers)
+	p.stageClassify(j)
 	p.observeFrame(j.res)
 }
 
@@ -346,7 +334,6 @@ func (p *Pipeline) stageIngest(j *streamJob) {
 	t2 := time.Now()
 	j.res.Timing.ROI = t1.Sub(t0)
 	j.res.Timing.Ground = t2.Sub(t1)
-	j.res.Timing.Ingest = j.res.Timing.ROI + j.res.Timing.Ground
 }
 
 // stageCluster partitions the ingested cloud and materializes the cluster
@@ -406,26 +393,16 @@ func (p *Pipeline) stageKeep(j *streamJob) {
 
 // stageClassify filters out the small clusters (snapping the
 // survivors onto the classification lattice, see stageKeep) and labels
-// the rest on the given number of goroutines (the intra-frame worker
-// pool; streaming uses 1 here and gets its parallelism from frames in
-// flight). The sequential path has no pool to wait for and leaves
-// Timing.QueueWait zero.
-func (p *Pipeline) stageClassify(j *streamJob, workers int) {
+// the rest one batch of DefaultBatchSize after another.
+func (p *Pipeline) stageClassify(j *streamJob) {
 	t0 := time.Now()
 	p.stageKeep(j)
 	kept := j.kept
-	if workers > len(kept) {
-		workers = len(kept)
+	n := 0
+	for start := 0; start < len(kept); start += DefaultBatchSize {
+		n += p.classifyBatch(kept[start:min(start+DefaultBatchSize, len(kept))])
 	}
-	if workers <= 1 {
-		n := 0
-		for start := 0; start < len(kept); start += DefaultBatchSize {
-			n += p.classifyBatch(kept, start, min(start+DefaultBatchSize, len(kept)))
-		}
-		j.res.Count = n
-	} else {
-		j.res.Count, j.res.Timing.QueueWait = p.classifyParallel(kept, workers)
-	}
+	j.res.Count = n
 	j.res.Timing.Classify = time.Since(t0)
 }
 
@@ -443,78 +420,27 @@ func (p *Pipeline) observeFrame(res Result) {
 	p.m.total.ObserveDuration(res.Timing.Total())
 }
 
-// classifyBatch classifies kept[start:end] and returns the number of
-// Human labels, batching through models.BatchClassifier when the
-// classifier supports it. Every classify path routes through here so
-// batching behavior cannot diverge between them.
-func (p *Pipeline) classifyBatch(kept []geom.Cloud, start, end int) int {
+// classifyBatch classifies one batch of clusters and returns the number
+// of Human labels, in one forward pass when the classifier implements
+// models.BatchClassifier.
+func (p *Pipeline) classifyBatch(batch []geom.Cloud) int {
 	n := 0
 	if bc, ok := p.Classifier.(models.BatchClassifier); ok {
-		for _, human := range bc.PredictHumans(kept[start:end]) {
+		for _, human := range bc.PredictHumans(batch) {
 			if human {
 				n++
 			}
 		}
 	} else {
-		for _, c := range kept[start:end] {
+		for _, c := range batch {
 			if p.Classifier.PredictHuman(c) {
 				n++
 			}
 		}
 	}
 	p.m.humans.Add(uint64(n))
-	p.m.objects.Add(uint64(end - start - n))
+	p.m.objects.Add(uint64(len(batch) - n))
 	return n
-}
-
-// classifyParallel fans kept clusters out to a worker pool and returns
-// the number classified Human plus the longest queue wait any batch saw.
-// Workers take whole batches — one stacked forward pass each — via an
-// atomic cursor, so stragglers don't serialize behind a static partition
-// and each worker amortizes weight packing across its batch. The queue
-// wait of a batch is the time from the start of the classify stage until
-// a worker picks it up; its maximum is the frame's straggler penalty and
-// every batch's wait feeds the queue-wait histogram.
-func (p *Pipeline) classifyParallel(kept []geom.Cloud, workers int) (int, time.Duration) {
-	const bs = DefaultBatchSize
-	chunks := (len(kept) + bs - 1) / bs
-	if workers > chunks {
-		workers = chunks
-	}
-	classifyStart := time.Now()
-	var next atomic.Int64
-	var humans atomic.Int64
-	var maxWaitNS atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var local, localMax int64
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= chunks {
-					break
-				}
-				wait := time.Since(classifyStart)
-				p.m.queueWait.ObserveDuration(wait)
-				if ns := wait.Nanoseconds(); ns > localMax {
-					localMax = ns
-				}
-				start := ci * bs
-				local += int64(p.classifyBatch(kept, start, min(start+bs, len(kept))))
-			}
-			humans.Add(local)
-			for {
-				cur := maxWaitNS.Load()
-				if localMax <= cur || maxWaitNS.CompareAndSwap(cur, localMax) {
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return int(humans.Load()), time.Duration(maxWaitNS.Load())
 }
 
 // Evaluation aggregates counting accuracy over a frame set.
@@ -531,8 +457,10 @@ func (e Evaluation) Accuracy() float64 {
 	return metrics.CountingAccuracy(e.Predicted, e.Truth)
 }
 
-// Evaluate runs the pipeline over labeled frames one at a time (each frame
-// still classifies its clusters on p.Parallelism workers).
+// Evaluate streams labeled frames through p.Stream, counting
+// p.Parallelism of them at once, and scores the counts in input order.
+// MeanLatency and StdLatency summarize each frame's compute time
+// (Timing.Total), not its wait for a worker.
 func Evaluate(p *Pipeline, frames []dataset.Frame) (Evaluation, error) {
 	if len(frames) == 0 {
 		return Evaluation{}, errors.New("counting: no frames")
@@ -542,11 +470,17 @@ func Evaluate(p *Pipeline, frames []dataset.Frame) (Evaluation, error) {
 		Truth:     make([]float64, len(frames)),
 	}
 	lat := make([]float64, len(frames))
-	for i := range frames {
-		r := p.Count(frames[i].Cloud)
-		ev.Predicted[i] = float64(r.Count)
-		ev.Truth[i] = float64(frames[i].Count)
-		lat[i] = float64(r.Timing.Total())
+	in := make(chan geom.Cloud)
+	go func() {
+		defer close(in)
+		for _, f := range frames {
+			in <- f.Cloud
+		}
+	}()
+	for r := range p.Stream(context.Background(), in) {
+		ev.Predicted[r.Seq] = float64(r.Count)
+		ev.Truth[r.Seq] = float64(frames[r.Seq].Count)
+		lat[r.Seq] = float64(r.Timing.Total())
 	}
 	ev.MAE = metrics.MAE(ev.Predicted, ev.Truth)
 	ev.MSE = metrics.MSE(ev.Predicted, ev.Truth)

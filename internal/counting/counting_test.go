@@ -2,11 +2,15 @@ package counting
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
+	"hawccc/internal/metrics"
 	"hawccc/internal/models"
 	"hawccc/internal/obs"
 )
@@ -171,19 +175,23 @@ func TestSmallClustersAreFiltered(t *testing.T) {
 	}
 }
 
+// TestCountDeterministicAcrossWorkerCounts pins that a frame counts the
+// same however the pooled jobs were used before it: the frames are
+// counted forward, then backward, so every second pass runs on buffers
+// another frame shape grew. Count has one width; stream widths are
+// TestStreamMatchesGoldenInOrder's and TestEvaluateStreamsInOrder's.
 func TestCountDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := dataset.NewGenerator(7)
 	frames := g.CrowdFrames(4, 2, 5, 2)
 	p := New(heightStub{})
+	want := make([]Result, len(frames))
 	for i, f := range frames {
-		p.Parallelism = 1
-		want := p.Count(f.Cloud)
-		for _, workers := range []int{2, 8, 0} { // 0 = sequential, like 1
-			p.Parallelism = workers
-			got := p.Count(f.Cloud)
-			if got.Count != want.Count || got.Clusters != want.Clusters || got.Noise != want.Noise {
-				t.Errorf("frame %d at %d workers: %+v, sequential %+v", i, workers, got, want)
-			}
+		want[i] = p.Count(f.Cloud)
+	}
+	for i := len(frames) - 1; i >= 0; i-- {
+		got := p.Count(frames[i].Cloud)
+		if got.Count != want[i].Count || got.Clusters != want[i].Clusters || got.Noise != want[i].Noise {
+			t.Errorf("frame %d recounted: %+v, first pass %+v", i, got, want[i])
 		}
 	}
 }
@@ -233,37 +241,31 @@ func (b *batchStub) PredictHumans(clouds []geom.Cloud) []bool {
 }
 
 // TestBatchedCountMatchesSequential pins the batched path against the
-// per-cluster path at several worker counts, on sparse frames (one
-// batch) and crowd frames (several); run under -race this also proves
-// batch handout shares no unsynchronized state.
+// per-cluster path on sparse frames (one batch) and crowd frames
+// (several).
 func TestBatchedCountMatchesSequential(t *testing.T) {
 	g := dataset.NewGenerator(10)
 	frames := append(g.CrowdFrames(2, 2, 6, 2), g.CrowdFrames(2, 20, 24, 3)...)
 	plain := New(heightStub{})
-	plain.Parallelism = 1
 	split := false
 	for i, f := range frames {
 		want := plain.Count(f.Cloud)
-		for _, workers := range []int{1, 2, 8} {
-			stub := &batchStub{}
-			p := New(stub)
-			p.Parallelism = workers
-			got := p.Count(f.Cloud)
-			if got.Count != want.Count || got.Clusters != want.Clusters {
-				t.Errorf("frame %d workers=%d: %+v, per-cluster %+v", i, workers, got, want)
-			}
-			total := 0
-			for _, n := range stub.batches {
-				if n > DefaultBatchSize {
-					t.Errorf("frame %d workers=%d: batch of %d exceeds DefaultBatchSize", i, workers, n)
-				}
-				total += n
-			}
-			if total != got.Clusters {
-				t.Errorf("frame %d workers=%d: batches covered %d clusters, want %d", i, workers, total, got.Clusters)
-			}
-			split = split || len(stub.batches) > 1
+		stub := &batchStub{}
+		got := New(stub).Count(f.Cloud)
+		if got.Count != want.Count || got.Clusters != want.Clusters {
+			t.Errorf("frame %d: %+v, per-cluster %+v", i, got, want)
 		}
+		total := 0
+		for _, n := range stub.batches {
+			if n > DefaultBatchSize {
+				t.Errorf("frame %d: batch of %d exceeds DefaultBatchSize", i, n)
+			}
+			total += n
+		}
+		if total != got.Clusters {
+			t.Errorf("frame %d: batches covered %d clusters, want %d", i, total, got.Clusters)
+		}
+		split = split || len(stub.batches) > 1
 	}
 	if !split {
 		t.Error("no frame split into several batches; the crowd frames must exceed DefaultBatchSize clusters")
@@ -284,10 +286,6 @@ func TestInstrumentedPipelineRecordsSpans(t *testing.T) {
 		got := p.Count(f.Cloud)
 		if got.Count != want.Count || got.Clusters != want.Clusters {
 			t.Errorf("frame %d: instrumented %+v differs from plain %+v", i, got, want)
-		}
-		if got.Timing.ROI+got.Timing.Ground != got.Timing.Ingest {
-			t.Errorf("frame %d: ROI %v + Ground %v != Ingest %v",
-				i, got.Timing.ROI, got.Timing.Ground, got.Timing.Ingest)
 		}
 		totalClusters += got.Clusters
 	}
@@ -327,39 +325,76 @@ func TestUninstrumentedPipelineHasNilStageHistograms(t *testing.T) {
 	}
 }
 
-func TestQueueWaitRecordedOnParallelClassify(t *testing.T) {
-	g := dataset.NewGenerator(13)
-	// A crowd frame with more clusters than one batch holds, so the
-	// parallel path hands out several.
-	f := g.CrowdFrames(1, 20, 24, 3)[0]
-	reg := obs.NewRegistry()
-	p := New(heightStub{}).Instrument(reg)
+// peakStub is a batch classifier that sleeps in every PredictHumans call
+// and records the most calls it ever saw running at once.
+type peakStub struct {
+	heightStub
+	running, peak atomic.Int32
+}
+
+var _ models.BatchClassifier = (*peakStub)(nil)
+
+func (s *peakStub) PredictHumans(clouds []geom.Cloud) []bool {
+	n := s.running.Add(1)
+	defer s.running.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	time.Sleep(2 * time.Millisecond)
+	out := make([]bool, len(clouds))
+	for i, c := range clouds {
+		out[i] = s.PredictHuman(c)
+	}
+	return out
+}
+
+// TestCountClassifiesOnOneGoroutine pins that Count classifies a frame's
+// batches one after another whatever Parallelism says: a frame of several
+// batches never has two forward passes running at once.
+func TestCountClassifiesOnOneGoroutine(t *testing.T) {
+	f := dataset.NewGenerator(13).CrowdFrames(1, 20, 24, 3)[0]
+	stub := &peakStub{}
+	p := New(stub)
 	p.Parallelism = 4
 	r := p.Count(f.Cloud)
-	batches := (r.Clusters + DefaultBatchSize - 1) / DefaultBatchSize
-	if batches < 2 {
+	if r.Clusters <= DefaultBatchSize {
 		t.Fatalf("frame produced %d clusters; need > %d for several batches", r.Clusters, DefaultBatchSize)
 	}
-	qw := p.m.queueWait.Snapshot()
-	if qw.Count != uint64(batches) {
-		t.Errorf("queue-wait observations = %d, want one per batch = %d", qw.Count, batches)
+	if peak := stub.peak.Load(); peak != 1 {
+		t.Errorf("Count ran %d forward passes at once, want 1", peak)
 	}
-	if r.Timing.QueueWait <= 0 {
-		t.Error("frame span missing queue wait")
+}
+
+// TestEvaluateStreamsInOrder pins Evaluate, which counts through Stream,
+// against a Count loop at several widths. Crowded and sparse frames
+// alternate, so at widths above 1 a sparse frame finishes before the
+// crowded one taken ahead of it and the scores must still line up.
+func TestEvaluateStreamsInOrder(t *testing.T) {
+	g := dataset.NewGenerator(14)
+	crowded, sparse := g.CrowdFrames(4, 20, 24, 3), g.CrowdFrames(4, 2, 6, 2)
+	var frames []dataset.Frame
+	for i := range crowded {
+		frames = append(frames, crowded[i], sparse[i])
 	}
-	if r.Timing.QueueWait > r.Timing.Classify {
-		t.Errorf("queue wait %v exceeds classify stage %v", r.Timing.QueueWait, r.Timing.Classify)
+	p := New(heightStub{})
+	pred := make([]float64, len(frames))
+	truth := make([]float64, len(frames))
+	for i, f := range frames {
+		pred[i] = float64(p.Count(f.Cloud).Count)
+		truth[i] = float64(f.Count)
 	}
-	// Sequential classification — Parallelism 1 and the zero value alike —
-	// records no queue wait.
-	for _, workers := range []int{1, 0} {
+	for _, workers := range []int{1, 2, 8} {
 		p.Parallelism = workers
-		seq := p.Count(f.Cloud)
-		if seq.Timing.QueueWait != 0 {
-			t.Errorf("Parallelism=%d recorded queue wait %v", workers, seq.Timing.QueueWait)
+		ev, err := Evaluate(p, frames)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := p.m.queueWait.Snapshot().Count; got != qw.Count {
-			t.Errorf("Parallelism=%d added %d queue-wait observations", workers, got-qw.Count)
+		if !slices.Equal(ev.Predicted, pred) || !slices.Equal(ev.Truth, truth) {
+			t.Errorf("workers=%d: predicted %v truth %v, Count loop %v %v",
+				workers, ev.Predicted, ev.Truth, pred, truth)
+		}
+		if ev.MAE != metrics.MAE(pred, truth) || ev.MSE != metrics.MSE(pred, truth) {
+			t.Errorf("workers=%d: MAE %v MSE %v, Count loop %v %v",
+				workers, ev.MAE, ev.MSE, metrics.MAE(pred, truth), metrics.MSE(pred, truth))
 		}
 	}
 }

@@ -123,13 +123,13 @@ func (s *scheduler) take() *streamJob {
 	}
 }
 
-// work is one worker: it takes a frame, counts it single-threaded
-// (streaming parallelism is across frames, so results stay deterministic
-// at any width), and hands it to the reorderer. A handoff refused by
+// work is one worker: it takes a frame, counts it on this goroutine
+// (parallelism is across frames, so results stay deterministic at any
+// width), and hands it to the reorderer. A handoff refused by
 // cancelation drops the frame, the documented cancel semantics.
 func (s *scheduler) work() {
 	for j := s.take(); j != nil; j = s.take() {
-		s.p.countJob(j, 1)
+		s.p.countJob(j)
 		select {
 		case s.done <- j:
 		case <-s.ctx.Done():

@@ -14,8 +14,8 @@ import (
 
 // goldenFrames pins the deterministic outputs of the counting path for
 // seed-20 traffic. These values were produced by the pre-scheduler
-// sequential implementation; every execution mode (sequential, parallel
-// classify, streaming) must keep reproducing them bit-for-bit.
+// sequential implementation; Count and the stream at every width must
+// keep reproducing them bit-for-bit.
 var goldenFrames = []struct{ count, clusters, noise int }{
 	{2, 4, 0}, {2, 6, 10}, {1, 6, 6}, {2, 5, 0},
 	{4, 6, 3}, {3, 3, 7}, {5, 7, 1}, {1, 4, 5},

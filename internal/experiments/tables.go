@@ -328,26 +328,26 @@ func TableVI(l *Lab) []TableVIRow {
 		}
 	}
 
+	p := counting.New(classifier)
+	p.ROI = scalabilityROI()
 	var rows []TableVIRow
 	for _, n := range []int{20, 30, 40, 50, 60, 70, 80, 90, 100, 150, 200, 250} {
 		l.logf("Table VI: %d pedestrians...", n)
 		var maes, mses, totals []float64
 		for run := 0; run < l.Cfg.ScalabilityRuns; run++ {
 			rng := rand.New(rand.NewSource(l.Cfg.Seed + int64(1000*n+run)))
-			preds := make([]float64, l.Cfg.ScalabilityFrames)
-			truth := make([]float64, l.Cfg.ScalabilityFrames)
-			var total float64
-			for f := 0; f < l.Cfg.ScalabilityFrames; f++ {
-				frame := dataset.HighDensityFrame(rng, humanPool, objectPool, n)
-				p := counting.New(classifier)
-				p.ROI = scalabilityROI()
-				res := p.Count(frame.Cloud)
-				preds[f] = float64(res.Count)
-				truth[f] = float64(frame.Count)
-				total += preds[f]
+			frames := make([]dataset.Frame, l.Cfg.ScalabilityFrames)
+			for f := range frames {
+				frames[f] = dataset.HighDensityFrame(rng, humanPool, objectPool, n)
 			}
-			maes = append(maes, metrics.MAE(preds, truth))
-			mses = append(mses, metrics.MeanSquaredError(preds, truth))
+			ev, err := counting.Evaluate(p, frames)
+			mustTrain(err)
+			var total float64
+			for _, pred := range ev.Predicted {
+				total += pred
+			}
+			maes = append(maes, ev.MAE)
+			mses = append(mses, metrics.MeanSquaredError(ev.Predicted, ev.Truth))
 			totals = append(totals, total/1000)
 		}
 		maeM, maeS := metrics.MeanStd(maes)

@@ -85,35 +85,22 @@ func (s *Scratch) tensor(shape ...int) *tensor.Tensor {
 // scratchPool recycles arenas across Infer calls and goroutines.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Inferencer is a layer whose inference pass reads only parameters and
-// running statistics — no per-call layer state — making it safe for
-// concurrent use. Every layer in this package implements it.
-type Inferencer interface {
-	Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor
-}
-
 // Infer runs the inference pass (equivalent to Forward(x, false)) without
 // touching layer state, so one trained model may serve many goroutines at
 // once. Intermediate tensors come from a pooled scratch arena; the result
-// is detached from the arena before it is returned. Layers that do not
-// implement Inferencer fall back to Forward and forfeit the concurrency
-// guarantee for the whole model.
+// is detached from the arena before it is returned.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
 	for _, l := range s.Layers {
-		if inf, ok := l.(Inferencer); ok {
-			x = inf.Infer(x, sc)
-		} else {
-			x = l.Forward(x, false)
-		}
+		x = l.Infer(x, sc)
 	}
 	out := x.Clone()
 	scratchPool.Put(sc)
 	return out
 }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (c *Conv2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(3) != c.Cin {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N, H, W, %d]", x.Shape, c.Cin))
@@ -123,7 +110,7 @@ func (c *Conv2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (d *Dense) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	n := x.Dim(0)
 	if x.NumElems() != n*d.In {
@@ -134,7 +121,7 @@ func (d *Dense) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer. It normalizes with the running statistics,
+// Infer implements Layer. It normalizes with the running statistics,
 // exactly as Forward does at inference, without touching them.
 func (b *BatchNorm) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Dim(x.Rank()-1) != b.C {
@@ -157,7 +144,7 @@ func (b *BatchNorm) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer. It writes both branches so the output
+// Infer implements Layer. It writes both branches so the output
 // needs no pre-zeroing.
 func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	out := s.uninit(x.Shape...)
@@ -171,10 +158,10 @@ func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer. Dropout is the identity at inference.
+// Infer implements Layer. Dropout is the identity at inference.
 func (d *Dropout) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor { return x }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (m *MaxPool2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v, want rank 4", x.Shape))
@@ -208,7 +195,7 @@ func (m *MaxPool2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (m *MaxOverPoints) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: MaxOverPoints input %v, want [N, P, F]", x.Shape))
@@ -229,7 +216,7 @@ func (m *MaxOverPoints) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferencer. The view shares x's storage, which is safe:
+// Infer implements Layer. The view shares x's storage, which is safe:
 // arena buffers are only reclaimed when the whole pass finishes.
 func (r *Reshape) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
 	n := x.Dim(0)
@@ -240,7 +227,7 @@ func (r *Reshape) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
 	return x.Reshape(shape...)
 }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (g *Group) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
 	b, f := x.Dim(0), x.Dim(1)
 	if b%g.P != 0 {
@@ -249,7 +236,7 @@ func (g *Group) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
 	return x.Reshape(b/g.P, g.P, f)
 }
 
-// Infer implements Inferencer.
+// Infer implements Layer.
 func (u *Ungroup) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: Ungroup input %v, want rank 3", x.Shape))

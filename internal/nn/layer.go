@@ -37,6 +37,10 @@ type Layer interface {
 	// Forward computes the layer output. train selects training behavior
 	// (batch statistics, dropout).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Infer is Forward(x, false) reading only parameters and running
+	// statistics — no per-call layer state — so it is safe for concurrent
+	// use; intermediate tensors come from s.
+	Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor
 	// Backward receives ∂L/∂output and returns ∂L/∂input, accumulating
 	// parameter gradients. It must be called after Forward.
 	Backward(grad *tensor.Tensor) *tensor.Tensor

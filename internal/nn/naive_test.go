@@ -84,7 +84,7 @@ func inferNaive(m *Sequential, x *tensor.Tensor) *tensor.Tensor {
 			l.applyNaive(x, out)
 			x = out
 		default:
-			x = l.(Inferencer).Infer(x, s)
+			x = l.Infer(x, s)
 		}
 	}
 	return x.Clone()

@@ -18,8 +18,8 @@ import (
 
 // indexPool recycles the spatial indexes behind the neighborhood
 // channels (HAP's σz, DA's density). Projection runs per candidate
-// cluster on the classify stage's worker pool, so the pool hands each
-// worker a warm index whose buffers are already grown. The equivalence
+// cluster on every goroutine that counts a frame, so the pool hands
+// each a warm index whose buffers are already grown. The equivalence
 // tests hold the channels to the k-d tree oracle (internal/kdtree) bit
 // for bit.
 var indexPool = sync.Pool{New: func() any { return new(spatial.FrameIndex) }}

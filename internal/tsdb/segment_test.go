@@ -1,10 +1,14 @@
 package tsdb
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -194,4 +198,100 @@ func TestReadSegmentRejectsOversizedRecord(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("reading the corrupt segment allocated %d bytes, want under 1 MB", got)
 	}
+}
+
+// fuzzSegment writes a real segment through segmentWriter: two series,
+// three chunks each, interleaved, with NaN and -0 among the values.
+func fuzzSegment(tb testing.TB) []byte {
+	dir := tb.TempDir()
+	w, err := newSegmentWriter(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	keys := []SeriesKey{{Pole: 1, Name: "count"}, {Pole: 2, Name: "pole_temp_c"}}
+	for c := 0; c < 3; c++ {
+		for id, key := range keys {
+			ts := []int64{int64(c) * 3_000_000_000, int64(c)*3_000_000_000 + 1_000_000_000}
+			vals := []float64{float64(c), math.NaN()}
+			if id == 1 {
+				vals = []float64{21.5 + float64(c), math.Copysign(0, -1)}
+			}
+			chunk, err := EncodeChunk(ts, vals)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			w.writeChunk(uint32(id+1), key, chunk.Data())
+		}
+	}
+	if err := w.close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "seg-000001.htsd"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// readSegmentBytes writes data to a fresh segment file and reads it back.
+func readSegmentBytes(t *testing.T, data []byte) ([]segmentSeries, int64, error) {
+	path := filepath.Join(t.TempDir(), "seg-000001.htsd")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return readSegment(path)
+}
+
+// FuzzReadSegment feeds arbitrary bytes to the segment reader. It must
+// not panic and must report a good prefix inside the file — all of it on
+// success. When the file reads cleanly or ends early, the good prefix is
+// what readDir truncates a torn file to, so re-read on its own it must
+// decode without error to the same series, samples equal bit for bit.
+func FuzzReadSegment(f *testing.F) {
+	seg := fuzzSegment(f)
+	head := seg[:len(segmentMagic)+1]
+	record := func(kind byte, length uint32, payload ...byte) []byte {
+		out := append(slices.Clone(head), kind)
+		out = binary.BigEndian.AppendUint32(out, length)
+		return append(out, payload...)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3])                                   // cut mid-record
+	f.Add(append([]byte("HTSX"), seg[len(segmentMagic):]...)) // bad magic
+	f.Add(record(9, 0))                                       // unknown record kind
+	f.Add(record(recSchema, 0xFFFFFFFF, make([]byte, 16)...)) // length past the file
+	f.Add(record(recChunk, 4, 0, 0, 0, 7))                    // unannounced series
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, good, err := readSegmentBytes(t, data)
+		if good < 0 || good > int64(len(data)) {
+			t.Fatalf("good = %d outside a %d-byte file", good, len(data))
+		}
+		if err == nil && good != int64(len(data)) {
+			t.Fatalf("clean read of %d bytes reports good = %d", len(data), good)
+		}
+		torn := errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
+		if (err != nil && !torn) || good < int64(len(head)) {
+			return
+		}
+		again, _, err := readSegmentBytes(t, data[:good])
+		if err != nil {
+			t.Fatalf("good prefix of %d bytes does not re-read: %v", good, err)
+		}
+		if len(again) != len(out) {
+			t.Fatalf("good prefix re-reads to %d series, want %d", len(again), len(out))
+		}
+		for i := range out {
+			if again[i].Key != out[i].Key || len(again[i].Samples) != len(out[i].Samples) {
+				t.Fatalf("series %d re-reads as %+v with %d samples, want %+v with %d",
+					i, again[i].Key, len(again[i].Samples), out[i].Key, len(out[i].Samples))
+			}
+			for k, s := range out[i].Samples {
+				g := again[i].Samples[k]
+				if g.TS != s.TS || math.Float64bits(g.V) != math.Float64bits(s.V) {
+					t.Fatalf("series %d sample %d re-reads as %+v, want %+v", i, k, g, s)
+				}
+			}
+		}
+	})
 }
