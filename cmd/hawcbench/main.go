@@ -7,8 +7,7 @@
 //	hawcbench -exp all -preset quick
 //
 // Experiments: the ids in experimentIDs below (hawcbench -h prints them),
-// or "all"; an id outside that list exits 1. fig8 is the combined 8a+8b;
-// fig8a/fig8b run the individual variants and only when named.
+// or "all"; an id outside that list exits 1.
 // Presets: quick, standard, full.
 //
 // That is all it does: nothing here loads a backend or reports a rate
@@ -35,7 +34,7 @@ import (
 // experimentIDs is every id -exp accepts besides "all", in run order.
 var experimentIDs = []string{
 	"table1", "table2", "table3", "table4", "table5", "table6",
-	"fig4", "fig6", "fig8", "fig8a", "fig8b", "fig9", "fig10", "fig11",
+	"fig4", "fig6", "fig8", "fig9", "fig10", "fig11",
 }
 
 func main() {
@@ -140,10 +139,8 @@ func run() error {
 	}
 	if runIt("fig8") {
 		header("Figure 8 — training curves (a) and data efficiency (b)")
-		fractions := []float64{1.0, 0.1, 0.01, 0.001}
-		r := experiments.Figure8(lab, fractions)
 		fmt.Println("(a) test accuracy per epoch:")
-		for _, c := range r.Curves {
+		for _, c := range experiments.Figure8a(lab) {
 			fmt.Printf("%-12s", c.Model)
 			for _, a := range c.Acc {
 				fmt.Printf(" %.3f", a)
@@ -151,31 +148,6 @@ func run() error {
 			fmt.Println()
 		}
 		fmt.Println("(b) accuracy vs training fraction:")
-		fmt.Printf("%-12s", "fraction")
-		for _, f := range fractions {
-			fmt.Printf(" %8.3f%%", f*100)
-		}
-		fmt.Println()
-		for _, fr := range r.Fractions {
-			fmt.Printf("%-12s", fr.Model)
-			for _, a := range fr.Acc {
-				fmt.Printf(" %9.3f", a)
-			}
-			fmt.Println()
-		}
-	}
-	if ctx.Err() == nil && wanted["fig8a"] { // explicit only; "all" runs the combined fig8
-		header("Figure 8a — test accuracy per training epoch")
-		for _, r := range experiments.Figure8a(lab) {
-			fmt.Printf("%-12s", r.Model)
-			for _, a := range r.Acc {
-				fmt.Printf(" %.3f", a)
-			}
-			fmt.Println()
-		}
-	}
-	if ctx.Err() == nil && wanted["fig8b"] { // explicit only; "all" runs the combined fig8
-		header("Figure 8b — accuracy vs training-data fraction")
 		fmt.Printf("%-12s", "fraction")
 		for _, f := range experiments.Figure8bFractions {
 			fmt.Printf(" %8.3f%%", f*100)

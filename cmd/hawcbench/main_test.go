@@ -6,17 +6,17 @@ import (
 )
 
 func TestParseExperiments(t *testing.T) {
-	wanted, err := parseExperiments("Table5, fig8a,all")
+	wanted, err := parseExperiments("Table5, fig8,all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"table5", "fig8a", "all"} {
+	for _, id := range []string{"table5", "fig8", "all"} {
 		if !wanted[id] {
 			t.Errorf("%q not selected: %v", id, wanted)
 		}
 	}
 	// Retired and misspelled ids fail the run and name themselves.
-	for _, bad := range []string{"parallel", "stream", "kernels", "fleet", "history", "offload", "thermal", "table5,tabel1", ""} {
+	for _, bad := range []string{"parallel", "stream", "kernels", "fleet", "history", "offload", "thermal", "fig8a", "fig8b", "table5,tabel1", ""} {
 		_, err := parseExperiments(bad)
 		if err == nil {
 			t.Errorf("-exp %q accepted", bad)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,6 +355,56 @@ func TestCurveRecordingLeavesTrainingUntouched(t *testing.T) {
 		}
 		if got, want := c.Acc[len(c.Acc)-1], models.Evaluate(tc.clf, subset).Accuracy(); got != want {
 			t.Errorf("%s curve ends at %v, the finished model scores %v", c.Model, got, want)
+		}
+	}
+}
+
+// TestFigure8bReusesTheLabModels pins Figure 8b's 100% column to the lab's
+// own models: each row's first accuracy is Table I's FP32 accuracy, and
+// the sweep retrains only below 100%, never the lab's models.
+func TestFigure8bReusesTheLabModels(t *testing.T) {
+	l := NewLab(Config{
+		Seed: 42, SamplesPerClass: 40,
+		HAWCEpochs: 2, PointNetEpochs: 1, AEEpochs: 2,
+		CurveEvalSamples: 10,
+	})
+	version := l.HAWC().ModelVersion()
+	rs := Figure8b(l)
+	if got := l.HAWC().ModelVersion(); got != version {
+		t.Errorf("lab HAWC version moved from %08x to %08x during Figure 8b", version, got)
+	}
+
+	test := l.Split().Test
+	want := []struct {
+		model string
+		clf   models.Classifier
+	}{
+		{"HAWC", l.HAWC()},
+		{"PointNet", l.PointNet()},
+		{"AutoEncoder", l.AutoEncoder()},
+	}
+	if len(rs) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rs), len(want))
+	}
+	for i, w := range want {
+		r := rs[i]
+		if r.Model != w.model {
+			t.Errorf("row %d is %q, want %q", i, r.Model, w.model)
+		}
+		if !slices.Equal(r.Fractions, Figure8bFractions) {
+			t.Errorf("%s fractions %v, want %v", r.Model, r.Fractions, Figure8bFractions)
+		}
+		if len(r.Acc) != len(Figure8bFractions) {
+			t.Errorf("%s has %d accuracies, want one per fraction (%d)", r.Model, len(r.Acc), len(Figure8bFractions))
+			continue
+		}
+		for _, a := range r.Acc {
+			if a < 0 || a > 1 {
+				t.Errorf("%s accuracy %v out of range", r.Model, a)
+			}
+		}
+		if got, want := r.Acc[0], models.Evaluate(w.clf, test).Accuracy(); got != want {
+			t.Errorf("%s at 100%% scores %v, the lab's model %v", r.Model, got, want)
 		}
 	}
 }

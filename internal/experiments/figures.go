@@ -12,7 +12,6 @@ import (
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/ground"
-	"hawccc/internal/metrics"
 	"hawccc/internal/models"
 	"hawccc/internal/projection"
 	"hawccc/internal/spatial"
@@ -147,46 +146,47 @@ type Figure8bResult struct {
 var Figure8bFractions = []float64{1.0, 0.1, 0.01, 0.001}
 
 // Figure8b measures robustness to limited training data: each model is
-// retrained on shrinking class-balanced subsets.
+// retrained on shrinking class-balanced subsets. The 100% fraction is the
+// lab's own model (same data, seed and budget), so that column is Table
+// I's FP32 accuracy and nothing trains twice.
 func Figure8b(l *Lab) []Figure8bResult {
 	split := l.Split()
 	rng := rand.New(rand.NewSource(l.Cfg.Seed + 7))
-
-	train := func(model string, frac float64, sub []dataset.Sample) float64 {
-		// The 100% fraction is exactly the lab's cached training run (same
-		// data, seed, and budget), so reuse it instead of retraining.
-		switch model {
-		case "HAWC":
-			if frac >= 1 {
-				return models.Evaluate(l.HAWC(), split.Test).Accuracy()
-			}
-			h := models.NewHAWC()
-			mustTrain(h.Train(sub, models.TrainConfig{Epochs: l.Cfg.HAWCEpochs, Seed: l.Cfg.Seed + 3}))
-			return models.Evaluate(h, split.Test).Accuracy()
-		case "PointNet":
-			if frac >= 1 {
-				return models.Evaluate(l.PointNet(), split.Test).Accuracy()
-			}
-			p := models.NewPointNet()
-			mustTrain(p.Train(sub, models.TrainConfig{Epochs: l.Cfg.PointNetEpochs, Seed: l.Cfg.Seed + 4}))
-			return models.Evaluate(p, split.Test).Accuracy()
-		default:
-			if frac >= 1 {
-				return models.Evaluate(l.AutoEncoder(), split.Test).Accuracy()
-			}
-			a := models.NewAutoEncoder()
-			mustTrain(a.Train(sub, models.TrainConfig{Epochs: l.Cfg.AEEpochs, Seed: l.Cfg.Seed + 5}))
-			return models.Evaluate(a, split.Test).Accuracy()
-		}
+	type trainable interface {
+		models.Classifier
+		Train([]dataset.Sample, models.TrainConfig) error
+	}
+	specs := []struct {
+		model  string
+		lab    func() models.Classifier
+		fresh  func() trainable
+		epochs int
+		seed   int64
+	}{
+		{"HAWC", func() models.Classifier { return l.HAWC() },
+			func() trainable { return models.NewHAWC() }, l.Cfg.HAWCEpochs, l.Cfg.Seed + 3},
+		{"PointNet", func() models.Classifier { return l.PointNet() },
+			func() trainable { return models.NewPointNet() }, l.Cfg.PointNetEpochs, l.Cfg.Seed + 4},
+		{"AutoEncoder", func() models.Classifier { return l.AutoEncoder() },
+			func() trainable { return models.NewAutoEncoder() }, l.Cfg.AEEpochs, l.Cfg.Seed + 5},
 	}
 
 	var out []Figure8bResult
-	for _, model := range []string{"HAWC", "PointNet", "AutoEncoder"} {
-		r := Figure8bResult{Model: model, Fractions: Figure8bFractions}
+	for _, sp := range specs {
+		r := Figure8bResult{Model: sp.model, Fractions: Figure8bFractions}
 		for _, frac := range Figure8bFractions {
-			l.logf("Figure 8b: %s at %.1f%% of training data...", model, frac*100)
+			l.logf("Figure 8b: %s at %.1f%% of training data...", sp.model, frac*100)
+			// Subset draws nothing from rng at 100%.
 			sub := dataset.Subset(rng, split.Train, frac)
-			r.Acc = append(r.Acc, train(model, frac, sub))
+			var clf models.Classifier
+			if frac >= 1 {
+				clf = sp.lab()
+			} else {
+				m := sp.fresh()
+				mustTrain(m.Train(sub, models.TrainConfig{Epochs: sp.epochs, Seed: sp.seed}))
+				clf = m
+			}
+			r.Acc = append(r.Acc, models.Evaluate(clf, split.Test).Accuracy())
 		}
 		out = append(out, r)
 	}
@@ -263,15 +263,7 @@ type Figure11Result struct {
 // scalability study: cloud sizes and offset distributions for 20, 100,
 // and 250 pedestrians.
 func Figure11(l *Lab) []Figure11Result {
-	split := l.Split()
-	var humanPool, objectPool []dataset.Sample
-	for _, s := range split.Train {
-		if s.Human {
-			humanPool = append(humanPool, s)
-		} else {
-			objectPool = append(objectPool, s)
-		}
-	}
+	humanPool, objectPool := l.pools()
 	rng := rand.New(rand.NewSource(l.Cfg.Seed + 8))
 	var out []Figure11Result
 	for _, n := range []int{20, 100, 250} {
@@ -313,11 +305,6 @@ func FormatHistogramASCII(h geom.Histogram, width int) string {
 	return b.String()
 }
 
-// CountingAccuracy re-exports the metric for report rendering.
-func CountingAccuracy(pred, truth []float64) float64 {
-	return metrics.CountingAccuracy(pred, truth)
-}
-
 func ingest(cloud geom.Cloud) geom.Cloud {
 	return ground.Ingest(cloud, ground.DefaultROI())
 }
@@ -327,70 +314,4 @@ func sqrt(x float64) float64 {
 		return 0
 	}
 	return math.Sqrt(x)
-}
-
-// Figure8Result bundles Figure 8a and 8b from a single training sweep:
-// the 100%-fraction training run doubles as the source of the per-epoch
-// accuracy curve, so each model trains len(fractions) times instead of
-// len(fractions)+1.
-type Figure8Result struct {
-	Curves    []Figure8aResult
-	Fractions []Figure8bResult
-}
-
-// Figure8 runs the combined training-curve and data-efficiency experiment
-// with the given training fractions (the paper sweeps 100% → 0.1%).
-func Figure8(l *Lab, fractions []float64) Figure8Result {
-	split := l.Split()
-	test := l.curveTest()
-	rng := rand.New(rand.NewSource(l.Cfg.Seed + 7))
-
-	var res Figure8Result
-	type spec struct {
-		name   string
-		epochs int
-		build  func() interface {
-			Train([]dataset.Sample, models.TrainConfig) error
-		}
-	}
-	specs := []spec{
-		{"HAWC", l.Cfg.HAWCEpochs, func() interface {
-			Train([]dataset.Sample, models.TrainConfig) error
-		} {
-			return models.NewHAWC()
-		}},
-		{"PointNet", l.Cfg.PointNetEpochs, func() interface {
-			Train([]dataset.Sample, models.TrainConfig) error
-		} {
-			return models.NewPointNet()
-		}},
-		{"AutoEncoder", l.Cfg.AEEpochs, func() interface {
-			Train([]dataset.Sample, models.TrainConfig) error
-		} {
-			return models.NewAutoEncoder()
-		}},
-	}
-
-	for _, sp := range specs {
-		curve := Figure8aResult{Model: sp.name}
-		frac := Figure8bResult{Model: sp.name, Fractions: fractions}
-		for _, f := range fractions {
-			l.logf("Figure 8: %s at %.1f%% of training data...", sp.name, f*100)
-			sub := dataset.Subset(rng, split.Train, f)
-			m := sp.build()
-			cfg := models.TrainConfig{Epochs: sp.epochs, Seed: l.Cfg.Seed + 3}
-			if f >= 1 {
-				// The full-fraction run records the Figure 8a curve.
-				clf := m.(models.Classifier)
-				cfg.Progress = func(int) {
-					curve.Acc = append(curve.Acc, models.Evaluate(clf, test).Accuracy())
-				}
-			}
-			mustTrain(m.Train(sub, cfg))
-			frac.Acc = append(frac.Acc, models.Evaluate(m.(models.Classifier), split.Test).Accuracy())
-		}
-		res.Curves = append(res.Curves, curve)
-		res.Fractions = append(res.Fractions, frac)
-	}
-	return res
 }

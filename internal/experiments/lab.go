@@ -92,6 +92,9 @@ type Lab struct {
 	}
 	split  dataset.Split
 	frames []dataset.Frame
+	// humanPool and objectPool are the training split's humans and
+	// objects, the sources of Table VI's and Figure 11's synthetic crowds.
+	humanPool, objectPool []dataset.Sample
 
 	hawc  *models.HAWC
 	hawcQ *models.HAWC
@@ -134,6 +137,21 @@ func (l *Lab) Frames() []dataset.Frame {
 		l.frames = g.CrowdFrames(l.Cfg.CrowdFrames, 1, l.Cfg.MaxPeoplePerFrame, 2)
 	})
 	return l.frames
+}
+
+// pools returns the training split's human and object samples, each in
+// split order.
+func (l *Lab) pools() (human, object []dataset.Sample) {
+	l.once.pools.Do(func() {
+		for _, s := range l.Split().Train {
+			if s.Human {
+				l.humanPool = append(l.humanPool, s)
+			} else {
+				l.objectPool = append(l.objectPool, s)
+			}
+		}
+	})
+	return l.humanPool, l.objectPool
 }
 
 // Calib returns the quantization calibration subset (paper: 100 random

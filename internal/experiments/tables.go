@@ -306,15 +306,7 @@ type TableVIRow struct {
 // counted by HAWC-CC, for 20 → 250 pedestrians, averaged over runs.
 func TableVI(l *Lab) []TableVIRow {
 	classifier := l.HAWC()
-	split := l.Split()
-	var humanPool, objectPool []dataset.Sample
-	for _, s := range split.Train {
-		if s.Human {
-			humanPool = append(humanPool, s)
-		} else {
-			objectPool = append(objectPool, s)
-		}
-	}
+	humanPool, objectPool := l.pools()
 
 	densityOf := func(n int) string {
 		// Fruin levels over the simulated 100 m² area.
