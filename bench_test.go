@@ -303,7 +303,7 @@ func BenchmarkHAWCInferenceBatched(b *testing.B) {
 		{"int8", l.HAWCInt8()},
 	}
 	for _, v := range variants {
-		for _, batch := range []int{1, 8, 32} {
+		for _, batch := range []int{1, 5, 8, 32} {
 			clouds := make([]Cloud, batch)
 			for i := range clouds {
 				clouds[i] = test[i%len(test)].Cloud

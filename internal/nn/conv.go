@@ -70,10 +70,11 @@ func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
 	m := h * w
 	bp := kernels.PackB(k, c.Cout, c.W.Value.Data, s.slice(kernels.PackedLen(k, c.Cout)))
 	col := s.slice(m * k)
+	tail := s.slice(kernels.TailLen(k))
 	bd := c.B.Value.Data
 	for ni := 0; ni < n; ni++ {
 		kernels.Im2col(h, w, c.Cin, c.KH, c.KW, x.Data[ni*m*c.Cin:(ni+1)*m*c.Cin], col)
-		kernels.GemmPacked(m, c.Cout, k, col, bp, bd, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout])
+		kernels.GemmPacked(m, c.Cout, k, col, bp, bd, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout], tail)
 	}
 }
 

@@ -60,11 +60,12 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // it is safe to call concurrently (with distinct scratches).
 func (d *Dense) apply(x, out *tensor.Tensor, s *Scratch) {
 	n := x.Dim(0)
-	var pack []float32
+	var pack, tail []float32
 	if n >= kernels.PackMinRows {
 		pack = s.slice(kernels.PackedLen(d.In, d.Out))
+		tail = s.slice(kernels.TailLen(d.In))
 	}
-	kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, pack)
+	kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, pack, tail)
 }
 
 // Backward implements Layer.

@@ -88,12 +88,21 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // Infer runs the inference pass (equivalent to Forward(x, false)) without
 // touching layer state, so one trained model may serve many goroutines at
 // once. Intermediate tensors come from a pooled scratch arena; the result
-// is detached from the arena before it is returned.
+// is detached from the arena before it is returned. A BatchNorm followed
+// by a ReLU runs as one pass over the activations, each element taking
+// the two layers' expressions in order.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
-	for _, l := range s.Layers {
-		x = l.Infer(x, sc)
+	for i := 0; i < len(s.Layers); i++ {
+		if bn, ok := s.Layers[i].(*BatchNorm); ok && i+1 < len(s.Layers) {
+			if _, ok := s.Layers[i+1].(*ReLU); ok {
+				x = bn.infer(x, sc, true)
+				i++
+				continue
+			}
+		}
+		x = s.Layers[i].Infer(x, sc)
 	}
 	out := x.Clone()
 	scratchPool.Put(sc)
@@ -124,38 +133,56 @@ func (d *Dense) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 // Infer implements Layer. It normalizes with the running statistics,
 // exactly as Forward does at inference, without touching them.
 func (b *BatchNorm) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	return b.infer(x, s, false)
+}
+
+// infer is Infer, followed by ReLU.Infer's rectify of each output
+// element when relu is set.
+func (b *BatchNorm) infer(x *tensor.Tensor, s *Scratch, relu bool) *tensor.Tensor {
 	if x.Dim(x.Rank()-1) != b.C {
 		panic(fmt.Sprintf("nn: BatchNorm input %v, want last dim %d", x.Shape, b.C))
 	}
-	total := x.NumElems()
+	total, n := x.NumElems(), b.C
 	out := s.uninit(x.Shape...)
-	invStd := s.uninit(b.C).Data
-	mean, variance := b.RunningMean.Data, b.RunningVar.Data
+	invStd := s.uninit(n).Data[:n]
+	mean, variance := b.RunningMean.Data[:n], b.RunningVar.Data[:n]
 	for c := range invStd {
 		invStd[c] = float32(1 / math.Sqrt(float64(variance[c])+b.Eps))
 	}
-	g, bt := b.Gamma.Value.Data, b.Beta.Value.Data
-	for i := 0; i < total; i += b.C {
-		for c := 0; c < b.C; c++ {
-			xh := (x.Data[i+c] - mean[c]) * invStd[c]
-			out.Data[i+c] = g[c]*xh + bt[c]
+	g, bt := b.Gamma.Value.Data[:n], b.Beta.Value.Data[:n]
+	for i := 0; i < total; i += n {
+		xi, yi := x.Data[i:i+n], out.Data[i:i+n]
+		for c, v := range xi {
+			xh := (v - mean[c]) * invStd[c]
+			y := g[c]*xh + bt[c]
+			if relu {
+				y = rectify(y)
+			}
+			yi[c] = y
 		}
 	}
 	return out
 }
 
-// Infer implements Layer. It writes both branches so the output
-// needs no pre-zeroing.
+// Infer implements Layer.
 func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	out := s.uninit(x.Shape...)
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		out.Data[i] = rectify(v)
 	}
 	return out
+}
+
+// rectify is max(0, v) as Forward computes it: v when v > 0, else +0
+// (NaN included). It decides on the bits, without a data-dependent
+// branch: v > 0 exactly when its bits, read unsigned, lie in
+// [1, bits(+Inf)] — sign clear, nonzero, not NaN.
+func rectify(v float32) float32 {
+	u := math.Float32bits(v)
+	if u-1 >= 0x7f800000 {
+		u = 0
+	}
+	return math.Float32frombits(u)
 }
 
 // Infer implements Layer. Dropout is the identity at inference.

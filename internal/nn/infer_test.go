@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -152,5 +153,27 @@ func TestScratchReusesBuffers(t *testing.T) {
 	c := s.tensor(10) // larger than slot capacity: must grow
 	if len(c.Data) != 10 {
 		t.Fatalf("grown buffer len %d", len(c.Data))
+	}
+}
+
+// TestRectifyMatchesReLU pins rectify, the branch-free element rule of
+// ReLU.Infer and the fused BatchNorm+ReLU pass, to Forward's v > 0
+// test bit for bit on the values where a bit trick could slip: both
+// zeros, both infinities, NaNs of either sign, subnormals, and the
+// largest finite values.
+func TestRectifyMatchesReLU(t *testing.T) {
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), -float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32}
+	for _, v := range vals {
+		var want float32
+		if v > 0 {
+			want = v
+		}
+		if got := rectify(v); math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("rectify(%v) = %v (%#x), want %v (%#x)", v, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
 	}
 }

@@ -8,11 +8,17 @@
 // path is bit-identical to the naive reference for float32 (and exactly
 // equal, trivially, for the integer kernels). Register blocking tiles the
 // i and j dimensions only; it never reorders the k accumulation of a
-// single output element.
+// single output element. With AVX the float kernel runs every full panel
+// on its 8×8 vector tile, the M mod 8 remainder rows included: they run
+// zero-padded to eight rows against a copied C tile, and since rows and
+// lanes accumulate independently the padding changes no value. So a
+// frame's batch of a handful of clusters, and the 225th row of every
+// 15×15 conv image, are vector work too.
 //
-// Buffers (packed weight panels, im2col matrices) are caller-provided so
-// the hot path stays allocation-free: internal/nn draws them from its
-// Scratch arena and internal/quant from a pooled scratch.
+// Buffers (packed weight panels, im2col matrices, the remainder tile) are
+// caller-provided so the hot path stays allocation-free: internal/nn
+// draws them from its Scratch arena and internal/quant from a pooled
+// scratch.
 package kernels
 
 // Micro-tile dimensions. MR rows of A are streamed against an NR-wide
@@ -25,11 +31,14 @@ const (
 	NR = 8
 )
 
-// PackMinRows is the M below which packing B cannot pay for itself: with
-// fewer rows than one micro-tile there is no cross-row reuse of a packed
-// panel, and the O(K·N) pack cost rivals the O(M·K·N) multiply. Gemm and
-// GemmInt8 fall back to the direct unpacked loop under this bound.
-const PackMinRows = MR
+// PackMinRows is the M below which Gemm does not pack B. With AVX every
+// row of a full panel runs on the 8×8 vector tile (the remainder rows
+// padded, see GemmPacked), which repays the O(K·N) pack from two rows up:
+// measured on HAWC's 784→128 Dense layer (2-vCPU Xeon), packing loses at
+// M = 1 (~155 vs ~100 µs) and wins from M = 2 (~140 vs ~285 µs). Without
+// AVX rows below one MR-row micro-tile run row by row on the packed
+// panel, so Gemm keeps them on the direct loop.
+const PackMinRows = 2
 
 // PackedLen returns the buffer length PackB needs for a K×N matrix: K
 // rows of ceil(N/NR) zero-padded NR-wide panels.
@@ -63,15 +72,23 @@ func PackB(k, n int, b, dst []float32) []float32 {
 	return dst
 }
 
+// TailLen returns the scratch length GemmPacked needs at depth k: a
+// zero-padded 8-row copy of A's remainder rows and an 8×8 C tile, so the
+// rows past the last full tile run on the vector tile too.
+func TailLen(k int) int {
+	return 2*MR*k + 2*MR*NR
+}
+
 // Gemm computes C = A·B + bias for tight row-major A (M×K), B (K×N), and
 // C (M×N); bias has length N (nil means zero). When M is large enough for
 // packing to pay off and pack (of at least PackedLen(k, n) elements) is
-// provided, B is packed and the register-blocked path runs; otherwise the
-// direct loop runs. Both paths share the accumulation contract, so the
-// choice never changes the result.
-func Gemm(m, n, k int, a, b, bias, c []float32, pack []float32) {
-	if m >= PackMinRows && pack != nil {
-		GemmPacked(m, n, k, a, PackB(k, n, b, pack), bias, c)
+// provided, B is packed and the register-blocked path runs, with tail
+// (TailLen(k) elements) as its remainder scratch; otherwise the direct
+// loop runs. Both paths share the accumulation contract, so the choice
+// never changes the result.
+func Gemm(m, n, k int, a, b, bias, c []float32, pack, tail []float32) {
+	if m >= PackMinRows && (useAVX || m >= MR) && pack != nil {
+		GemmPacked(m, n, k, a, PackB(k, n, b, pack), bias, c, tail)
 		return
 	}
 	gemmDirect(m, n, k, a, b, bias, c)
@@ -101,9 +118,25 @@ func gemmDirect(m, n, k int, a, b, bias, c []float32) {
 // GemmPacked computes C = A·B + bias with B pre-packed by PackB. A is
 // row-major M×K, C row-major M×N. The same packed B may be reused across
 // many calls (the convolution path packs once per layer and runs one GEMM
-// per image).
-func GemmPacked(m, n, k int, a, bp, bias, c []float32) {
+// per image). tail is caller scratch of TailLen(k) elements.
+//
+// With AVX, full panels run on the 8×8 vector tile, including the
+// M mod 8 rows past the last full tile: they are copied once into a
+// zero-padded 8-row A and run against an 8×8 C tile seeded from their
+// bias. Each lane and each row of the tile accumulates independently, so
+// the padding rows change no value.
+func GemmPacked(m, n, k int, a, bp, bias, c, tail []float32) {
 	panels := (n + NR - 1) / NR
+	full := m
+	var ta, tc []float32
+	if useAVX && k > 0 {
+		full = m &^ (2*MR - 1)
+		if r := m - full; r > 0 {
+			ta, tc = tail[:2*MR*k], tail[2*MR*k:TailLen(k)]
+			copy(ta, a[full*k:m*k])
+			clear(ta[r*k:])
+		}
+	}
 	for p := 0; p < panels; p++ {
 		j := p * NR
 		w := n - j
@@ -126,8 +159,12 @@ func GemmPacked(m, n, k int, a, bp, bias, c []float32) {
 		i := 0
 		if w == NR {
 			if useAVX && k > 0 {
-				for ; i+2*MR <= m; i += 2 * MR {
+				for ; i < full; i += 2 * MR {
 					micro8x8avx(k, &a[i*k], k, &panel[0], &c[i*n+j], n)
+				}
+				if ta != nil {
+					microTail(k, m-full, ta, panel, tc, c[full*n+j:], n)
+					i = m
 				}
 			}
 			for ; i+MR <= m; i += MR {
@@ -140,6 +177,21 @@ func GemmPacked(m, n, k int, a, bp, bias, c []float32) {
 		for ; i < m; i++ {
 			microRow(k, w, a[i*k:i*k+k], panel, c[i*n+j:i*n+j+w])
 		}
+	}
+}
+
+// microTail runs the r < 8 remainder rows of one full panel on the AVX
+// tile: ta holds them zero-padded to 8 rows, tc is the 8×8 C tile, and
+// c (stride ldc) holds their bias-seeded outputs on entry and the
+// results on return.
+func microTail(k, r int, ta, panel, tc, c []float32, ldc int) {
+	for t := 0; t < r; t++ {
+		copy(tc[t*NR:t*NR+NR], c[t*ldc:t*ldc+NR])
+	}
+	clear(tc[r*NR:])
+	micro8x8avx(k, &ta[0], k, &panel[0], &tc[0], NR)
+	for t := 0; t < r; t++ {
+		copy(c[t*ldc:t*ldc+NR], tc[t*NR:t*NR+NR])
 	}
 }
 

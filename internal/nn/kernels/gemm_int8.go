@@ -31,13 +31,19 @@ func PackBInt8(k, n int, b, dst []int8) []int8 {
 	return dst
 }
 
+// PackMinRowsInt8 is the M below which GemmInt8 does not pack B: the
+// int8 kernel has no remainder tile, so with fewer rows than one MR-row
+// micro-tile there is no cross-row reuse of a packed panel and the pack
+// cost rivals the multiply (784→128: ~420 vs ~290 µs at M = 2).
+const PackMinRowsInt8 = MR
+
 // GemmInt8 computes C[i][j] = bias[j] + Σ_k (A[i][k]−aZero)·B[k][j] with
 // int32 accumulation, for tight row-major A (M×K), B (K×N), C (M×N).
 // When M is large enough and pack is provided, B is packed and the
 // register-blocked path runs; otherwise the direct loop runs. bias may be
 // nil for zero.
 func GemmInt8(m, n, k int, a []int8, aZero int32, b []int8, bias, c []int32, pack []int8) {
-	if m >= PackMinRows && pack != nil {
+	if m >= PackMinRowsInt8 && pack != nil {
 		GemmInt8Packed(m, n, k, a, aZero, PackBInt8(k, n, b, pack), bias, c)
 		return
 	}

@@ -62,7 +62,7 @@ func TestGemmPackedMatchesReference(t *testing.T) {
 		want := make([]float32, m*n)
 		got := make([]float32, m*n)
 		refGemm(m, n, k, a, b, bias, want)
-		GemmPacked(m, n, k, a, PackB(k, n, b, make([]float32, PackedLen(k, n))), bias, got)
+		GemmPacked(m, n, k, a, PackB(k, n, b, make([]float32, PackedLen(k, n))), bias, got, make([]float32, TailLen(k)))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Logf("m=%d n=%d k=%d: got[%d]=%v want %v", m, n, k, i, got[i], want[i])
@@ -86,7 +86,7 @@ func TestGemmAutoMatchesReferenceBothPaths(t *testing.T) {
 		want := make([]float32, m*n)
 		got := make([]float32, m*n)
 		refGemm(m, n, k, a, b, bias, want)
-		Gemm(m, n, k, a, b, bias, got, make([]float32, PackedLen(k, n)))
+		Gemm(m, n, k, a, b, bias, got, make([]float32, PackedLen(k, n)), make([]float32, TailLen(k)))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("m=%d: got[%d]=%v want %v", m, i, got[i], want[i])
@@ -96,10 +96,43 @@ func TestGemmAutoMatchesReferenceBothPaths(t *testing.T) {
 		for i := range got {
 			got[i] = -1
 		}
-		Gemm(m, n, k, a, b, bias, got, nil)
+		Gemm(m, n, k, a, b, bias, got, nil, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("m=%d direct: got[%d]=%v want %v", m, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGemmPackedRemainderZeroAllocs pins the walkway regime: batches
+// below one 8-row tile, and a conv image one row past a tile multiple
+// (15×15 = 225), run their remainder rows on the vector tile from caller
+// scratch — no allocation — and still match the reference bit for bit.
+// CI's alloc-gate runs it.
+func TestGemmPackedRemainderZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const k = 63
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 225} {
+		for _, n := range []int{8, 16, 128} {
+			a := randSlice(rng, m*k)
+			b := randSlice(rng, k*n)
+			bias := randSlice(rng, n)
+			want := make([]float32, m*n)
+			refGemm(m, n, k, a, b, bias, want)
+			bp := PackB(k, n, b, make([]float32, PackedLen(k, n)))
+			tail := make([]float32, TailLen(k))
+			got := make([]float32, m*n)
+			allocs := testing.AllocsPerRun(20, func() {
+				GemmPacked(m, n, k, a, bp, bias, got, tail)
+			})
+			if allocs != 0 {
+				t.Errorf("m=%d n=%d: GemmPacked allocates %.1f times per call, want 0", m, n, allocs)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("m=%d n=%d: got[%d]=%v want %v", m, n, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -116,7 +149,7 @@ func TestGemmNilBiasZeroInitializes(t *testing.T) {
 	for i := range got {
 		got[i] = 99 // stale output must be overwritten, not accumulated
 	}
-	Gemm(m, n, k, a, b, nil, got, make([]float32, PackedLen(k, n)))
+	Gemm(m, n, k, a, b, nil, got, make([]float32, PackedLen(k, n)), make([]float32, TailLen(k)))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got[%d]=%v want %v", i, got[i], want[i])
@@ -260,9 +293,10 @@ func BenchmarkGemmPacked(b *testing.B) {
 	bias := randSlice(rng, n)
 	c := make([]float32, m*n)
 	bp := PackB(k, n, w, make([]float32, PackedLen(k, n)))
+	tail := make([]float32, TailLen(k))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmPacked(m, n, k, a, bp, bias, c)
+		GemmPacked(m, n, k, a, bp, bias, c, tail)
 	}
 }
 

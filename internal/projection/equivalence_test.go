@@ -34,19 +34,32 @@ func refHeightVariation(cloud geom.Cloud, k int) []float64 {
 
 // viewportCloud approximates one classifier input: a person-shaped blob
 // in the ±ViewportWindow frame, with duplicated points mixed in so
-// distance ties exercise the cross-engine ordering contract.
+// distance ties exercise the cross-engine ordering contract, and padding
+// noise clamped to the window the way Viewport clamps it, so points lie
+// exactly on the x = ±ViewportWindow and y = ±ViewportWindow sheets and
+// on their corner lines, where most of the σz neighbor search happens.
 func viewportCloud(rng *rand.Rand, n int) geom.Cloud {
+	clamp := func(v float64) float64 {
+		return math.Max(-ViewportWindow, math.Min(ViewportWindow, v))
+	}
 	cloud := make(geom.Cloud, 0, n)
 	for len(cloud) < n {
-		if len(cloud) > 0 && rng.Intn(6) == 0 {
+		switch {
+		case len(cloud) > 0 && rng.Intn(6) == 0:
 			cloud = append(cloud, cloud[rng.Intn(len(cloud))])
-			continue
+		case rng.Intn(3) == 0:
+			cloud = append(cloud, geom.Point3{
+				X: clamp(rng.NormFloat64() * 3),
+				Y: clamp(rng.NormFloat64() * 3),
+				Z: rng.Float64() * 2,
+			})
+		default:
+			cloud = append(cloud, geom.Point3{
+				X: rng.NormFloat64() * 0.25,
+				Y: rng.NormFloat64() * 0.25,
+				Z: 3 + rng.Float64()*1.7,
+			})
 		}
-		cloud = append(cloud, geom.Point3{
-			X: rng.NormFloat64() * 0.25,
-			Y: rng.NormFloat64() * 0.25,
-			Z: 3 + rng.Float64()*1.7,
-		})
 	}
 	return cloud
 }

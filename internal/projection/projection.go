@@ -9,7 +9,7 @@ package projection
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"hawccc/internal/geom"
@@ -60,18 +60,34 @@ const KNeighbors = 8
 // beams sweep constant-elevation rings.) Height-major order makes each
 // image row a height band, aligning the reshape with the height semantics
 // HAWC keys on.
+//
+// Points whose keys compare equal are the same point, so the order the
+// sort leaves them in cannot change any channel.
 func canonical(cloud geom.Cloud) geom.Cloud {
 	c := cloud.Clone()
-	sort.Slice(c, func(i, j int) bool {
-		if c[i].Z != c[j].Z {
-			return c[i].Z < c[j].Z
-		}
-		if c[i].X != c[j].X {
-			return c[i].X < c[j].X
-		}
-		return c[i].Y < c[j].Y
-	})
+	slices.SortFunc(c, compareZXY)
 	return c
+}
+
+// compareZXY orders points lexicographically by (z, x, y).
+func compareZXY(a, b geom.Point3) int {
+	switch {
+	case a.Z != b.Z:
+		if a.Z < b.Z {
+			return -1
+		}
+		return 1
+	case a.X != b.X:
+		if a.X < b.X {
+			return -1
+		}
+		return 1
+	case a.Y < b.Y:
+		return -1
+	case a.Y > b.Y:
+		return 1
+	}
+	return 0
 }
 
 // ViewportWindow is the half-width (meters) of the classifier's viewport
@@ -107,14 +123,15 @@ func Viewport(padded geom.Cloud, center geom.Point3, window float64) geom.Cloud 
 }
 
 // heightVariation computes σ_z per point: the standard deviation of the
-// z-coordinates of the point's K nearest neighbors (Section V).
+// z-coordinates of the point's K nearest neighbors (Section V). Every
+// point's neighborhood comes from one Grid.KNNAll pass, which shares
+// each cell's candidate block among the cell's points.
 func heightVariation(cloud geom.Cloud, k int) []float64 {
 	fi := indexPool.Get().(*spatial.FrameIndex)
 	defer indexPool.Put(fi)
 	fi.Build(cloud, 0)
 	out := make([]float64, len(cloud))
-	for i, p := range cloud {
-		nn := fi.KNN(p, k)
+	fi.Grid.KNNAll(k, func(i int, nn []spatial.Neighbor) {
 		var mean float64
 		for _, n := range nn {
 			mean += cloud[n.Index].Z
@@ -126,7 +143,7 @@ func heightVariation(cloud geom.Cloud, k int) []float64 {
 			v += d * d
 		}
 		out[i] = math.Sqrt(v / float64(len(nn)))
-	}
+	})
 	return out
 }
 

@@ -146,7 +146,7 @@ func (d *QDense) Apply(x *QTensor) *QTensor {
 	}
 	g := gemmPool.Get().(*gemmScratch)
 	var pack []int8
-	if n >= kernels.PackMinRows {
+	if n >= kernels.PackMinRowsInt8 {
 		pack = g.i8(&g.pack, kernels.PackedLen(d.In, d.Out))
 	}
 	acc := g.i32(n * d.Out)

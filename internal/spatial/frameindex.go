@@ -9,14 +9,14 @@ import (
 // adaptive-ε kNN curve, the structure-gap coarse pass, DBSCAN expansion,
 // and the projection height-variance neighborhoods. Build it once per
 // frame (Build reuses all internal arrays) and query it from a single
-// goroutine — Radius and KNN return views into the internal buffers,
-// valid only until the next query. Callers that need concurrent queries
+// goroutine — Radius returns a view into the internal buffer, valid only
+// until the next query. The projection neighborhoods take every point's
+// kNN in one Grid.KNNAll pass. Callers that need concurrent queries
 // or longer-lived results use the Grid's Into variants with their own
 // buffers.
 type FrameIndex struct {
 	Grid Grid
 	nbuf []int
-	knnb []Neighbor
 }
 
 // Build (re)indexes cloud with the given cell edge; cell <= 0 selects
@@ -39,11 +39,4 @@ func (f *FrameIndex) Radius(q geom.Point3, r float64) []int {
 // RadiusCount returns the number of points within r of q.
 func (f *FrameIndex) RadiusCount(q geom.Point3, r float64) int {
 	return f.Grid.RadiusCount(q, r)
-}
-
-// KNN returns the k nearest neighbors of q in ascending (Dist2, Index)
-// order, in a buffer owned by the index: valid until the next KNN call.
-func (f *FrameIndex) KNN(q geom.Point3, k int) []Neighbor {
-	f.knnb = f.Grid.KNNInto(f.knnb[:0], q, k)
-	return f.knnb
 }

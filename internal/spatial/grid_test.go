@@ -384,21 +384,15 @@ func TestFrameIndex(t *testing.T) {
 		if c := fi.RadiusCount(q, 0.5); c != len(want) {
 			t.Fatalf("FrameIndex RadiusCount = %d, want %d", c, len(want))
 		}
-		wantK := bruteKNN(cloud, q, 6)
-		if got := fi.KNN(q, 6); !equalNeighbors(got, wantK) {
-			t.Fatalf("FrameIndex kNN mismatch: got %v want %v", got, wantK)
-		}
 	}
 
 	// Rebuild + query in steady state is allocation-free.
 	fi.Build(cloud, 0.3)
 	q := cloud[0]
 	_ = fi.Radius(q, 0.5)
-	_ = fi.KNN(q, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		fi.Build(cloud, 0.3)
 		_ = fi.Radius(q, 0.5)
-		_ = fi.KNN(q, 8)
 		_ = fi.RadiusCount(q, 0.5)
 	})
 	if allocs != 0 {
