@@ -108,7 +108,26 @@ type Sensor struct {
 
 	// Precomputed beam directions: dirs[ch][az].
 	dirs [][]geom.Point3
+
+	// wholeSector is set when some ray's azimuth does not bound what it
+	// can reach (see azimuthRange), so every box goes in every bucket.
+	wholeSector bool
+
+	// Broad-phase scratch, rebuilt by every scan and kept so a recycled
+	// scan does not allocate (the RNG already confines a Sensor to one
+	// goroutine). bounds holds the scene's boxes, humans then objects,
+	// and spans each box's azimuth-index interval. Bucket az lists the
+	// boxes a ray at azimuth index az can reach, in bounds order:
+	// bucketBoxes[bucketStart[az]:bucketStart[az+1]].
+	bounds      []geom.Box
+	spans       [][2]int
+	bucketStart []int
+	bucketBoxes []int
 }
+
+// nanoradian widens every azimuth interval beyond its one-step pad, so
+// rounding stays covered even when a step is finer than float precision.
+const nanoradian = 1e-9
 
 // NewSensor builds a sensor with the given configuration; rng drives all
 // stochastic effects (noise, dropout) and should be seeded per experiment
@@ -116,12 +135,18 @@ type Sensor struct {
 func NewSensor(cfg SensorConfig, rng *rand.Rand) *Sensor {
 	s := &Sensor{cfg: cfg, rng: rng}
 	s.dirs = make([][]geom.Point3, cfg.Channels)
+	s.bucketStart = make([]int, cfg.AzimuthSteps+1)
+	lo, hi := min(cfg.AzimuthMinDeg, cfg.AzimuthMaxDeg), max(cfg.AzimuthMinDeg, cfg.AzimuthMaxDeg)
+	s.wholeSector = cfg.AzimuthSteps < 2 || !(lo < hi) || lo < -180 || hi > 180
 	for ch := 0; ch < cfg.Channels; ch++ {
 		elev := cfg.ElevationMinDeg
 		if cfg.Channels > 1 {
 			elev += (cfg.ElevationMaxDeg - cfg.ElevationMinDeg) * float64(ch) / float64(cfg.Channels-1)
 		}
 		elevRad := elev * math.Pi / 180
+		if !(math.Cos(elevRad) > 0) {
+			s.wholeSector = true
+		}
 		row := make([]geom.Point3, cfg.AzimuthSteps)
 		for az := 0; az < cfg.AzimuthSteps; az++ {
 			azDeg := cfg.AzimuthMinDeg
@@ -154,41 +179,34 @@ func (s *Sensor) Scan(scene *Scene) []Return {
 // fresh slice per sweep. The stochastic draws (noise, dropout) consume
 // the sensor's RNG identically to Scan, so a given seed produces the
 // same returns through either entry point.
+//
+// Each ray is cast only at the boxes in its azimuth bucket (see
+// bucketScene). A box left out of a ray's bucket is one the ray's slab
+// test would have rejected, so the returns, their tie-breaks and the RNG
+// draws are those of casting every ray at every box.
 func (s *Sensor) ScanInto(scene *Scene, buf []Return) []Return {
 	out := buf[:0]
 	origin := geom.Point3{}
 	cfg := s.cfg
-
-	// Broad phase: cached bounds per object.
-	humanBounds := make([]geom.Box, len(scene.Humans))
-	for i, h := range scene.Humans {
-		humanBounds[i] = h.Bounds()
-	}
-	objectBounds := make([]geom.Box, len(scene.Objects))
-	for i, o := range scene.Objects {
-		objectBounds[i] = o.Bounds()
-	}
+	s.bucketScene(scene)
+	nh := len(scene.Humans)
 
 	for ch := range s.dirs {
-		for _, dir := range s.dirs[ch] {
+		for az, dir := range s.dirs[ch] {
 			bestT := math.Inf(1)
 			bestKind := HitGround
 			bestID := -1
 
-			for i, h := range scene.Humans {
-				if !rayHitsBox(origin, dir, humanBounds[i]) {
+			for _, k := range s.bucketBoxes[s.bucketStart[az]:s.bucketStart[az+1]] {
+				if !rayHitsBox(origin, dir, s.bounds[k]) {
 					continue
 				}
-				if t, ok := h.IntersectRay(origin, dir); ok && t < bestT {
-					bestT, bestKind, bestID = t, HitHuman, i
-				}
-			}
-			for i, o := range scene.Objects {
-				if !rayHitsBox(origin, dir, objectBounds[i]) {
-					continue
-				}
-				if t, ok := o.IntersectRay(origin, dir); ok && t < bestT {
-					bestT, bestKind, bestID = t, HitObject, i
+				if k < nh {
+					if t, ok := scene.Humans[k].IntersectRay(origin, dir); ok && t < bestT {
+						bestT, bestKind, bestID = t, HitHuman, k
+					}
+				} else if t, ok := scene.Objects[k-nh].IntersectRay(origin, dir); ok && t < bestT {
+					bestT, bestKind, bestID = t, HitObject, k-nh
 				}
 			}
 
@@ -227,6 +245,86 @@ func (s *Sensor) ScanInto(scene *Scene, buf []Return) []Return {
 		}
 	}
 	return out
+}
+
+// bucketScene rebuilds the broad phase for one scan: every box, humans
+// then objects, goes into the bucket of each azimuth index in its
+// azimuthRange, so a bucket lists its boxes in the order the all-boxes
+// loop would visit them and ties on t break the same way.
+func (s *Sensor) bucketScene(scene *Scene) {
+	s.bounds = s.bounds[:0]
+	for _, h := range scene.Humans {
+		s.bounds = append(s.bounds, h.Bounds())
+	}
+	for _, o := range scene.Objects {
+		s.bounds = append(s.bounds, o.Bounds())
+	}
+
+	start := s.bucketStart
+	clear(start)
+	s.spans = s.spans[:0]
+	for _, b := range s.bounds {
+		lo, hi := s.azimuthRange(b)
+		s.spans = append(s.spans, [2]int{lo, hi})
+		for az := lo; az <= hi; az++ {
+			start[az+1]++
+		}
+	}
+	for az := 1; az < len(start); az++ {
+		start[az] += start[az-1]
+	}
+	total := start[len(start)-1]
+	if cap(s.bucketBoxes) < total {
+		s.bucketBoxes = make([]int, total)
+	}
+	s.bucketBoxes = s.bucketBoxes[:total]
+	// Fill using start[az] as bucket az's cursor. That leaves start[az]
+	// where bucket az+1 begins, so shift the offsets back one place.
+	for k, sp := range s.spans {
+		for az := sp[0]; az <= sp[1]; az++ {
+			s.bucketBoxes[start[az]] = k
+			start[az]++
+		}
+	}
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
+}
+
+// azimuthRange returns the azimuth-index interval [lo, hi] of the rays
+// that can reach box b; lo > hi when none can. The sensor is the origin,
+// so when every beam has cos(elevation) > 0 and b's xy footprint lies in
+// x > 0, a ray meets the footprint only along its own azimuth, which
+// then lies between the azimuths of the footprint's corners. Those map
+// to indices through NewSensor's index↔angle relation, padded by one
+// step and a nanoradian against rounding. Where that geometry does not
+// hold (a footprint reaching x ≤ 0, a beam at or past vertical, fewer
+// than two steps, a zero-width sector, a sector wrapping past ±180°) it
+// is the whole sector.
+func (s *Sensor) azimuthRange(b geom.Box) (lo, hi int) {
+	cfg := s.cfg
+	last := cfg.AzimuthSteps - 1
+	if s.wholeSector || !(min(b.Min.X, b.Max.X) > 0) {
+		return 0, last
+	}
+	aLo, aHi := math.Inf(1), math.Inf(-1)
+	for _, x := range [2]float64{b.Min.X, b.Max.X} {
+		for _, y := range [2]float64{b.Min.Y, b.Max.Y} {
+			a := math.Atan2(y, x)
+			aLo, aHi = min(aLo, a), max(aHi, a)
+		}
+	}
+	if math.IsNaN(aLo) || math.IsNaN(aHi) {
+		return 0, last
+	}
+	// Invert azDeg = AzimuthMinDeg + (AzimuthMaxDeg−AzimuthMinDeg)·az/last;
+	// a sector given max-first maps decreasingly, hence the sort.
+	scale := float64(last) / (cfg.AzimuthMaxDeg - cfg.AzimuthMinDeg)
+	fLo := ((aLo-nanoradian)*180/math.Pi - cfg.AzimuthMinDeg) * scale
+	fHi := ((aHi+nanoradian)*180/math.Pi - cfg.AzimuthMinDeg) * scale
+	fLo, fHi = min(fLo, fHi), max(fLo, fHi)
+	lo = int(min(max(math.Floor(fLo)-1, 0), float64(last+1)))
+	hi = int(max(min(math.Ceil(fHi)+1, float64(last)), -1))
+	return lo, hi
 }
 
 // CloudOf extracts the bare point cloud from labeled returns.
