@@ -221,7 +221,7 @@ func (a *AutoEncoder) PredictHuman(cloud geom.Cloud) bool {
 	if a.net == nil {
 		panic("models: AutoEncoder not trained")
 	}
-	v := toF32(a.applyNorm(a.extract(inferRNG(cloud), cloud)))
+	v := toF32(a.applyNorm(seeded(cloud, a.extract)))
 	return a.reconError(v) <= a.threshold
 }
 
@@ -245,7 +245,7 @@ func (a *AutoEncoder) Quantize(calib []dataset.Sample) (*AutoEncoder, error) {
 	}
 	tensors := make([]*tensor.Tensor, 0, len(calib))
 	for _, s := range calib {
-		v := toF32(a.applyNorm(a.extract(inferRNG(s.Cloud), s.Cloud)))
+		v := toF32(a.applyNorm(seeded(s.Cloud, a.extract)))
 		tensors = append(tensors, tensor.FromSlice(v, 1, features.VectorLen))
 	}
 	qm, err := quant.Quantize(a.net, tensors)

@@ -24,10 +24,11 @@ type Classifier interface {
 
 // BatchClassifier is implemented by classifiers that can label many
 // clusters in one forward pass — one [N, H, W, C] tensor instead of N
-// batch-1 passes — which is what lets the GEMM kernels amortize weight
-// packing and run wide. The counting pipeline classifies a frame's
-// clusters a batch at a time when the classifier supports it. PredictHumans(clouds)[i] must equal
-// PredictHuman(clouds[i]) for every i regardless of batch composition.
+// batch-1 passes — which is what lets the GEMM kernels run wide across
+// the batch. The counting pipeline classifies a frame's clusters a batch
+// at a time when the classifier supports it. PredictHumans(clouds)[i]
+// must equal PredictHuman(clouds[i]) for every i regardless of batch
+// composition.
 type BatchClassifier interface {
 	Classifier
 	// PredictHumans classifies each cluster; the result has one entry

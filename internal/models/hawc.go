@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
@@ -88,7 +89,7 @@ func buildHAWCNet(d, c int, rng *rand.Rand) *nn.Sequential {
 // (cluster-centered, ±ViewportWindow), project. The rng drives the
 // up-sampling noise: training passes the model's stream (fresh noise every
 // epoch, a natural augmentation), inference passes a content-seeded stream
-// (see inferRNG) so predictions are deterministic and order-independent.
+// (see seeded) so predictions are deterministic and order-independent.
 func (h *HAWC) prepare(rng *rand.Rand, cloud geom.Cloud) []float32 {
 	var up geom.Cloud
 	if h.GaussianSigma > 0 || h.pool == nil || h.pool.Len() == 0 {
@@ -104,12 +105,22 @@ func (h *HAWC) prepare(rng *rand.Rand, cloud geom.Cloud) []float32 {
 	return h.Projector.Project(framed).Data
 }
 
-// inferRNG returns the padding-noise stream for one inference call, seeded
-// from the cluster content. Same cluster → same noise → same prediction,
-// at any worker count and in any order; distinct calls share no state, so
-// PredictHuman is safe for concurrent use.
-func inferRNG(cloud geom.Cloud) *rand.Rand {
-	return rand.New(rand.NewSource(upsample.ContentSeed(cloud)))
+// rngPool recycles the padding-noise streams of inference calls.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns prepare(rng, cloud), with rng the padding-noise stream
+// for one inference call, seeded from the cluster content. Same cluster →
+// same noise → same prediction, at any worker count and in any order;
+// distinct calls share no state, so PredictHuman is safe for concurrent
+// use. The stream is a pooled rand.Rand re-seeded with
+// upsample.ContentSeed, which draws what a fresh one would without
+// allocating its ~4.9 KB source per cluster. It goes back to the pool
+// when prepare returns, so prepare must not keep it.
+func seeded[T any](cloud geom.Cloud, prepare func(*rand.Rand, geom.Cloud) T) T {
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(upsample.ContentSeed(cloud))
+	return prepare(rng, cloud)
 }
 
 // Train fits HAWC on cluster samples. Defaults follow Section VII-A:
@@ -198,7 +209,7 @@ func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
 	if h.net == nil {
 		panic("models: HAWC not trained")
 	}
-	img := h.prepare(inferRNG(cloud), cloud)
+	img := seeded(cloud, h.prepare)
 	x := tensor.FromSlice(img, 1, h.d, h.d, h.Projector.Channels())
 	var out *tensor.Tensor
 	if h.qnet != nil {
@@ -211,10 +222,12 @@ func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
 
 // PredictHumans implements BatchClassifier: all clusters are prepared
 // into one [N, d, d, C] tensor and classified in a single forward pass,
-// letting the GEMM kernels pack weights once and run across the whole
-// batch. Per-cluster padding noise stays content-seeded, and Infer is
-// bit-identical across batch sizes, so the results match PredictHuman
-// cluster for cluster regardless of how a frame is batched.
+// so the GEMM kernels run across the whole batch. The float network
+// packs its weights once per model, not per batch: its layers keep their
+// GEMM panels until the weights change. Per-cluster padding noise stays
+// content-seeded, and Infer is bit-identical across batch sizes, so the
+// results match PredictHuman cluster for cluster regardless of how a
+// frame is batched.
 func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	if h.net == nil {
 		panic("models: HAWC not trained")
@@ -226,7 +239,7 @@ func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	imgLen := h.d * h.d * c
 	x := tensor.New(len(clouds), h.d, h.d, c)
 	for i, cloud := range clouds {
-		copy(x.Data[i*imgLen:(i+1)*imgLen], h.prepare(inferRNG(cloud), cloud))
+		copy(x.Data[i*imgLen:(i+1)*imgLen], seeded(cloud, h.prepare))
 	}
 	var out *tensor.Tensor
 	if h.qnet != nil {
@@ -253,7 +266,7 @@ func (h *HAWC) Quantize(calib []dataset.Sample) (*HAWC, error) {
 	c := h.Projector.Channels()
 	tensors := make([]*tensor.Tensor, 0, len(calib))
 	for _, s := range calib {
-		img := h.prepare(inferRNG(s.Cloud), s.Cloud)
+		img := seeded(s.Cloud, h.prepare)
 		tensors = append(tensors, tensor.FromSlice(img, 1, h.d, h.d, c))
 	}
 	qm, err := quant.Quantize(h.net, tensors)

@@ -127,7 +127,7 @@ func (o *OCSVM) PredictHuman(cloud geom.Cloud) bool {
 	if o.model == nil {
 		panic("models: OC-SVM not trained")
 	}
-	return o.model.Predict(o.applyNorm(o.extract(inferRNG(cloud), cloud)))
+	return o.model.Predict(o.applyNorm(seeded(cloud, o.extract)))
 }
 
 func (o *OCSVM) applyNorm(v []float64) []float64 {

@@ -170,7 +170,7 @@ func (p *PointNet) PredictHuman(cloud geom.Cloud) bool {
 	if p.net == nil {
 		panic("models: PointNet not trained")
 	}
-	v := p.preparePoints(inferRNG(cloud), cloud)
+	v := seeded(cloud, p.preparePoints)
 	x := tensor.FromSlice(v, p.target, 3)
 	var out *tensor.Tensor
 	if p.qnet != nil {
@@ -191,7 +191,7 @@ func (p *PointNet) Quantize(calib []dataset.Sample) (*PointNet, error) {
 	}
 	tensors := make([]*tensor.Tensor, 0, len(calib))
 	for _, s := range calib {
-		v := p.preparePoints(inferRNG(s.Cloud), s.Cloud)
+		v := seeded(s.Cloud, p.preparePoints)
 		tensors = append(tensors, tensor.FromSlice(v, p.target, 3))
 	}
 	qm, err := quant.Quantize(p.net, tensors)

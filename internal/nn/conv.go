@@ -48,27 +48,34 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	c.x = x
 	out := tensor.New(x.Dim(0), x.Dim(1), x.Dim(2), c.Cout)
+	// Training moves the weights every step, so Forward packs them into
+	// the scratch arena per call rather than keeping them.
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
-	c.apply(x, out, sc)
+	k := c.KH * c.KW * c.Cin
+	c.conv(x, out, sc, kernels.PackB(k, c.Cout, c.W.Value.Data, sc.slice(kernels.PackedLen(k, c.Cout))))
 	scratchPool.Put(sc)
 	return out
 }
 
 // apply computes the convolution of x into out ([N, H, W, Cout], fully
-// overwritten) via im2col + packed GEMM: the kernel weights [KH·KW·Cin,
-// Cout] are packed once per call, then each image is lowered to its patch
-// matrix and multiplied. The im2col tap order matches the accumulation
-// order of the scalar reference (applyNaive in naive_test.go) and the GEMM
-// accumulates k ascending, so the output is bit-identical to it. Workspace
-// comes from the scratch arena; apply reads only the layer parameters, so
-// it is safe to call concurrently from multiple goroutines (with distinct
-// scratches).
+// overwritten) on the weight panels the layer keeps for the life of its
+// weights (Param.packedB). apply writes no layer state, so it is safe to
+// call concurrently from multiple goroutines (with distinct scratches).
 func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
+	c.conv(x, out, s, c.W.packedB(c.KH*c.KW*c.Cin, c.Cout))
+}
+
+// conv computes the convolution via im2col + packed GEMM, with the
+// kernel weights [KH·KW·Cin, Cout] in kernels.PackB panels bp: each image
+// is lowered to its patch matrix and multiplied. The im2col tap order
+// matches the accumulation order of the scalar reference (applyNaive in
+// naive_test.go) and the GEMM accumulates k ascending, so the output is
+// bit-identical to it. Workspace comes from the scratch arena.
+func (c *Conv2D) conv(x, out *tensor.Tensor, s *Scratch, bp []float32) {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	k := c.KH * c.KW * c.Cin
 	m := h * w
-	bp := kernels.PackB(k, c.Cout, c.W.Value.Data, s.slice(kernels.PackedLen(k, c.Cout)))
 	col := s.slice(m * k)
 	tail := s.slice(kernels.TailLen(k))
 	bd := c.B.Value.Data

@@ -44,28 +44,31 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	d.x = x
 	out := tensor.New(n, d.Out)
+	// Training moves the weights every step, so Forward packs them into
+	// the scratch arena per call rather than keeping them.
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
-	d.apply(x, out, sc)
+	kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data,
+		sc.slice(kernels.PackedLen(d.In, d.Out)), sc.slice(kernels.TailLen(d.In)))
 	scratchPool.Put(sc)
 	return out
 }
 
 // apply computes xW + b into out ([N, Out], fully overwritten) as one
-// GEMM. Below kernels.PackMinRows the kernel runs its direct loop —
-// packing the weights cannot pay off at batch 1 — so no pack buffer is
-// drawn in that case. Both kernel paths accumulate bias-first, k
-// ascending, making the result bit-identical to the scalar reference
-// (applyNaive in naive_test.go). apply reads only the layer parameters, so
-// it is safe to call concurrently (with distinct scratches).
+// GEMM, on the weight panels the layer keeps for the life of its weights
+// (Param.packedB). Below kernels.Packs the kernel runs its direct loop on
+// W. Both kernel paths accumulate bias-first, k ascending, making the
+// result bit-identical to the scalar reference (applyNaive in
+// naive_test.go) and to Forward. apply writes no layer state, so it is
+// safe to call concurrently (with distinct scratches).
 func (d *Dense) apply(x, out *tensor.Tensor, s *Scratch) {
 	n := x.Dim(0)
-	var pack, tail []float32
-	if n >= kernels.PackMinRows {
-		pack = s.slice(kernels.PackedLen(d.In, d.Out))
-		tail = s.slice(kernels.TailLen(d.In))
+	if !kernels.Packs(n) {
+		kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, nil, nil)
+		return
 	}
-	kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, pack, tail)
+	kernels.GemmPacked(n, d.Out, d.In, x.Data, d.W.packedB(d.In, d.Out), d.B.Value.Data, out.Data,
+		s.slice(kernels.TailLen(d.In)))
 }
 
 // Backward implements Layer.

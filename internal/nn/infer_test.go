@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -134,6 +135,47 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 	_ = m.Infer(x) // must not clobber cached activations
 	_, grad := SoftmaxCrossEntropy(out, labels)
 	m.Backward(grad) // panics or races if Infer wrote layer state
+}
+
+// TestInferAfterStepMatchesFreshModel pins that the weight panels Dense
+// and Conv2D keep for inference never go stale: Infer at batch 1 (the
+// Dense direct loop) and batch 5 (packed), then an Adam step, then Infer
+// again, each time equal to a freshly built model holding copies of the
+// current weights.
+func TestInferAfterStepMatchesFreshModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	m := inferTestCNN(rng)
+	x1 := tensor.New(1, 4, 4, 2)
+	x1.RandNormal(rng, 1)
+	x5 := tensor.New(5, 4, 4, 2)
+	x5.RandNormal(rng, 1)
+	labels := []int{0, 2, 1, 1, 0}
+	opt := NewAdam(0.01)
+	for step := 0; step < 3; step++ {
+		got1, got5 := m.Infer(x1), m.Infer(x5)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh := inferTestCNN(rand.New(rand.NewSource(int64(step))))
+		if err := fresh.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ got, want *tensor.Tensor }{
+			{got1, fresh.Infer(x1)}, {got5, fresh.Infer(x5)},
+		} {
+			for i := range c.want.Data {
+				if c.got.Data[i] != c.want.Data[i] {
+					t.Fatalf("after %d steps, batch %d: Infer[%d] = %v, fresh model %v",
+						step, c.got.Dim(0), i, c.got.Data[i], c.want.Data[i])
+				}
+			}
+		}
+		out := m.Forward(x5, true)
+		_, grad := SoftmaxCrossEntropy(out, labels)
+		m.Backward(grad)
+		opt.Step(m.Params())
+	}
 }
 
 func TestScratchReusesBuffers(t *testing.T) {

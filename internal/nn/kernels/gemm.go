@@ -79,15 +79,22 @@ func TailLen(k int) int {
 	return 2*MR*k + 2*MR*NR
 }
 
+// Packs reports whether an M-row A is large enough for the packed
+// kernel to pay off: from PackMinRows rows with AVX, from one MR-row
+// micro-tile without. Below that Gemm runs its direct loop.
+func Packs(m int) bool {
+	return m >= PackMinRows && (useAVX || m >= MR)
+}
+
 // Gemm computes C = A·B + bias for tight row-major A (M×K), B (K×N), and
 // C (M×N); bias has length N (nil means zero). When M is large enough for
-// packing to pay off and pack (of at least PackedLen(k, n) elements) is
-// provided, B is packed and the register-blocked path runs, with tail
-// (TailLen(k) elements) as its remainder scratch; otherwise the direct
-// loop runs. Both paths share the accumulation contract, so the choice
-// never changes the result.
+// packing to pay off (Packs) and pack (of at least PackedLen(k, n)
+// elements) is provided, B is packed and the register-blocked path runs,
+// with tail (TailLen(k) elements) as its remainder scratch; otherwise the
+// direct loop runs. Both paths share the accumulation contract, so the
+// choice never changes the result.
 func Gemm(m, n, k int, a, b, bias, c []float32, pack, tail []float32) {
-	if m >= PackMinRows && (useAVX || m >= MR) && pack != nil {
+	if Packs(m) && pack != nil {
 		GemmPacked(m, n, k, a, PackB(k, n, b, pack), bias, c, tail)
 		return
 	}

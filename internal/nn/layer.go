@@ -12,14 +12,42 @@
 // many goroutines at once (see infer.go).
 package nn
 
-import "hawccc/internal/tensor"
+import (
+	"sync/atomic"
+
+	"hawccc/internal/nn/kernels"
+	"hawccc/internal/tensor"
+)
 
 // Param is one trainable tensor with its gradient accumulator.
+//
+// A weight matrix also keeps its GEMM panels for inference (packedB),
+// built on first use and dropped whenever Value changes: the optimizers'
+// Step and Sequential.Load call changed after they write it. A layer
+// built from copied weights (a load, a fold) has fresh Params, so it
+// packs its own.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	packed atomic.Pointer[[]float32]
 }
+
+// packedB returns Value, read as a row-major k×n matrix, in
+// kernels.PackB panels, packing it on first use after a change.
+// Concurrent first callers may each pack; the panels are identical.
+func (p *Param) packedB(k, n int) []float32 {
+	if bp := p.packed.Load(); bp != nil {
+		return *bp
+	}
+	bp := kernels.PackB(k, n, p.Value.Data, make([]float32, kernels.PackedLen(k, n)))
+	p.packed.Store(&bp)
+	return bp
+}
+
+// changed drops the packed panels after a write to Value.
+func (p *Param) changed() { p.packed.Store(nil) }
 
 // newParam allocates a parameter and its gradient with the given shape.
 func newParam(name string, shape ...int) *Param {

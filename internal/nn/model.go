@@ -137,6 +137,9 @@ func (s *Sequential) Load(r io.Reader) error {
 			t.Data[j] = math.Float32frombits(bits)
 		}
 	}
+	for _, p := range s.Params() {
+		p.changed()
+	}
 	return nil
 }
 

@@ -45,6 +45,7 @@ func (s *SGD) Step(params []*Param) {
 				p.Value.Data[i] += v.Data[i]
 			}
 		}
+		p.changed()
 		p.Grad.Zero()
 	}
 }
@@ -93,6 +94,7 @@ func (a *Adam) Step(params []*Param) {
 			vHat := float64(v.Data[i]) / b2c
 			p.Value.Data[i] -= float32(a.LR * mHat / (math.Sqrt(vHat) + a.Eps))
 		}
+		p.changed()
 		p.Grad.Zero()
 	}
 }

@@ -1,0 +1,28 @@
+package projection
+
+import (
+	"math/rand"
+	"testing"
+
+	"hawccc/internal/geom"
+)
+
+// BenchmarkHeightVariation prices HAP's σz channel for one classifier
+// input: a canonical (height-major) 225-point viewport cloud, the
+// 15×15 image a cluster is projected into. It cycles through a set of
+// clouds so no one cloud's layout stays in the branch predictor.
+func BenchmarkHeightVariation(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	clouds := make([]geom.Cloud, 64)
+	for i := range clouds {
+		clouds[i] = canonical(viewportCloud(rng, 225))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sigmaSink = heightVariation(clouds[i%len(clouds)], KNeighbors)
+	}
+}
+
+// sigmaSink keeps the benchmarked σz from being optimized away.
+var sigmaSink []float64

@@ -16,11 +16,11 @@ import (
 	"hawccc/internal/spatial"
 )
 
-// indexPool recycles the spatial indexes behind the neighborhood
-// channels (HAP's σz, DA's density). Projection runs per candidate
-// cluster on every goroutine that counts a frame, so the pool hands
-// each a warm index whose buffers are already grown. The equivalence
-// tests hold the channels to the k-d tree oracle (internal/kdtree) bit
+// indexPool recycles the spatial index behind DA's density channel.
+// Projection runs per candidate cluster on every goroutine that counts
+// a frame, so the pool hands each a warm index whose buffers are
+// already grown. The equivalence tests hold the neighborhood channels
+// (DA's density, HAP's σz) to the k-d tree oracle (internal/kdtree) bit
 // for bit.
 var indexPool = sync.Pool{New: func() any { return new(spatial.FrameIndex) }}
 
@@ -124,14 +124,10 @@ func Viewport(padded geom.Cloud, center geom.Point3, window float64) geom.Cloud 
 
 // heightVariation computes σ_z per point: the standard deviation of the
 // z-coordinates of the point's K nearest neighbors (Section V). Every
-// point's neighborhood comes from one Grid.KNNAll pass, which shares
-// each cell's candidate block among the cell's points.
+// point's neighborhood comes from one spatial.KNNAll pass.
 func heightVariation(cloud geom.Cloud, k int) []float64 {
-	fi := indexPool.Get().(*spatial.FrameIndex)
-	defer indexPool.Put(fi)
-	fi.Build(cloud, 0)
 	out := make([]float64, len(cloud))
-	fi.Grid.KNNAll(k, func(i int, nn []spatial.Neighbor) {
+	spatial.KNNAll(cloud, k, func(i int, nn []spatial.Neighbor) {
 		var mean float64
 		for _, n := range nn {
 			mean += cloud[n.Index].Z

@@ -7,13 +7,11 @@ import (
 // FrameIndex bundles a Grid with reusable query buffers: the
 // one-build-per-frame index the geometry stage shares across the
 // adaptive-ε kNN curve, the structure-gap coarse pass, DBSCAN expansion,
-// and the projection height-variance neighborhoods. Build it once per
-// frame (Build reuses all internal arrays) and query it from a single
-// goroutine — Radius returns a view into the internal buffer, valid only
-// until the next query. The projection neighborhoods take every point's
-// kNN in one Grid.KNNAll pass. Callers that need concurrent queries
-// or longer-lived results use the Grid's Into variants with their own
-// buffers.
+// and the projection's density channel. Build it once per frame (Build
+// reuses all internal arrays) and query it from a single goroutine —
+// Radius returns a view into the internal buffer, valid only until the
+// next query. Callers that need concurrent queries or longer-lived
+// results use the Grid's Into variants with their own buffers.
 type FrameIndex struct {
 	Grid Grid
 	nbuf []int

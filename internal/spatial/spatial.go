@@ -10,8 +10,10 @@
 // 3×3×3 cell scan — no tree descent, no log factor, and with the Into
 // query variants no per-query allocation. The index is built once per
 // frame (see FrameIndex) and shared by the adaptive-ε kNN curve, the
-// structure-gap coarse pass, DBSCAN expansion, and the projection
-// neighborhoods.
+// structure-gap coarse pass, DBSCAN expansion, and the projection's
+// density channel. The projection's σz neighborhoods — every point's k
+// nearest in a classifier input — come from KNNAll, which keeps its own
+// column index and holds to KNNInto's answers.
 //
 // One neighbor-ordering contract holds throughout: k-nearest-neighbor
 // sets are the k smallest candidates under ascending (Dist2, Index), ties
