@@ -227,13 +227,34 @@ func BenchmarkAdaptiveClustering(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimalEpsilon prices one frame's ε search — k-distance
+// curve, elbow and structure-gap pass — on a reused Scratch, over
+// ground-ingested scenes built like the ledger's pole rings
+// (bench/pole.go): seed 11, one frame per people count.
 func BenchmarkOptimalEpsilon(b *testing.B) {
-	f := benchFrame(b)
-	cloud := ground.Ingest(f.Cloud, ground.DefaultROI())
-	cfg := cluster.DefaultAdaptiveConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cluster.OptimalEpsilon(cloud, cfg)
+	for _, w := range []struct {
+		name                 string
+		minPeople, maxPeople int
+		objects              int
+	}{
+		{"walkway", 1, 6, 2},
+		{"crowd", 16, 32, 6},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			g := dataset.NewGenerator(11)
+			var clouds []Cloud
+			for k := w.minPeople; k <= w.maxPeople; k++ {
+				f := g.CrowdFrames(1, k, k, w.objects)[0]
+				clouds = append(clouds, ground.Ingest(f.Cloud, ground.DefaultROI()))
+			}
+			cfg := cluster.DefaultAdaptiveConfig()
+			var s cluster.Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = s.OptimalEpsilon(clouds[i%len(clouds)], cfg)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hawccc/internal/geom"
 )
@@ -295,5 +297,58 @@ func TestAdaptiveDegenerateClouds(t *testing.T) {
 	}
 	if res := Adaptive(grid, cfg); res.NumClusters == 0 {
 		t.Error("uniform grid produced no cluster at the band-clamped ε")
+	}
+}
+
+// TestAdaptiveNonFinite clusters 200-point clouds with one non-finite
+// point — a NaN or infinite coordinate, which only a direct caller can
+// pass (the pipeline's ROI crop drops such points). Adaptive must return
+// in bounded time, without panicking, with a finite ε in the physical
+// band and one label per point. Each case runs on its own goroutine
+// under a deadline, so a hang fails the test instead of stalling it.
+func TestAdaptiveNonFinite(t *testing.T) {
+	cfg := DefaultAdaptiveConfig()
+	bad := []struct {
+		name string
+		set  func(p *geom.Point3)
+	}{
+		{"nan-x", func(p *geom.Point3) { p.X = math.NaN() }},
+		{"nan-z", func(p *geom.Point3) { p.Z = math.NaN() }},
+		{"-inf-z", func(p *geom.Point3) { p.Z = math.Inf(-1) }},
+		{"+inf-x", func(p *geom.Point3) { p.X = math.Inf(1) }},
+	}
+	for i, b := range bad {
+		rng := rand.New(rand.NewSource(int64(106 + i)))
+		cloud, _, _ := twoBlobScene(rng)
+		cloud = append(cloud, blob(rng, geom.P(2, 3, 1), 0.1, 200-len(cloud))...)
+		b.set(&cloud[rng.Intn(len(cloud))])
+
+		type outcome struct {
+			res   Result
+			panic any
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- outcome{panic: p}
+				}
+			}()
+			done <- outcome{res: Adaptive(cloud, cfg)}
+		}()
+		select {
+		case o := <-done:
+			if o.panic != nil {
+				t.Fatalf("%s: Adaptive panicked: %v", b.name, o.panic)
+			}
+			if eps := o.res.Epsilon; math.IsNaN(eps) || eps < cfg.MinEps || eps > cfg.MaxEps {
+				t.Fatalf("%s: ε = %v, want finite in [%v, %v]", b.name, eps, cfg.MinEps, cfg.MaxEps)
+			}
+			if len(o.res.Labels) != len(cloud) {
+				t.Fatalf("%s: %d labels for %d points", b.name, len(o.res.Labels), len(cloud))
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("%s: Adaptive did not return within 15 s", b.name)
+		}
 	}
 }

@@ -4,12 +4,14 @@
 // elbow), and single-linkage hierarchical clustering. HAWC-CC uses
 // adaptive DBSCAN; the rest are the baselines of Table IV.
 //
-// The density-based algorithms run against internal/spatial's voxel
-// grid, built once per frame and shared by the adaptive-ε kNN curve, the
-// structure-gap coarse pass, and DBSCAN expansion (Scratch). The
-// expansion and the ε search take the index as a spatial.NeighborIndex,
-// which is where the property tests in this package substitute the k-d
-// tree oracle (internal/kdtree) and pin identical labels.
+// The density-based algorithms run their radius queries against
+// internal/spatial's voxel grid, built once per frame and shared by the
+// structure-gap coarse pass and DBSCAN expansion (Scratch); the
+// adaptive-ε curve reads every point's k-th distance from
+// spatial.KNNAll (KDistanceCurve). The expansion and the ε search take
+// the grid as a spatial.NeighborIndex, which is where the property tests
+// in this package substitute the k-d tree oracle (internal/kdtree) and
+// pin identical labels; the same tree is the curve's oracle.
 package cluster
 
 import (
@@ -109,15 +111,6 @@ func (r Result) NoiseCount() int {
 	return n
 }
 
-// kthDister is the optional index fast path for the ε curve: the exact
-// squared distance to a point's k-th neighbor, without materializing
-// the neighbors. spatial.Grid implements it; KthFast reports whether
-// the direct answer actually beats a scratch-buffered kNN query here.
-type kthDister interface {
-	KthFast(k int) bool
-	KthDist2All(dst []float64, k int)
-}
-
 // Scratch holds the reusable state of the density-based clustering path:
 // the per-frame spatial index plus every working buffer DBSCAN and the
 // adaptive-ε search need. A zero Scratch is ready to use. Reusing one
@@ -134,7 +127,6 @@ type Scratch struct {
 
 	// Query and expansion buffers.
 	nbuf    []int
-	knnb    []spatial.Neighbor
 	queue   []int
 	visited []bool
 	labels  []int
@@ -323,8 +315,7 @@ func OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
 }
 
 // OptimalEpsilon is the Scratch-backed form of the package-level
-// OptimalEpsilon; the kNN curve and the structure-gap pass share one
-// grid build.
+// OptimalEpsilon.
 func (s *Scratch) OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return cfg.FallbackEps
@@ -332,32 +323,11 @@ func (s *Scratch) OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
 	return s.optimalEpsilon(s.index(cloud, cfg.FallbackEps), cloud, cfg)
 }
 
-// optimalEpsilon runs the elbow search and structural refinement against
-// an already-built index.
+// optimalEpsilon runs the elbow search over the k-distance curve, then
+// the structural refinement against an already-built index.
 func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg AdaptiveConfig) float64 {
-	n := len(pts)
-	dists := growFloats(s.dists, n)
-	// The curve only needs each point's k-th neighbor distance, never the
-	// neighbor identities; an index that can answer that value directly
-	// (the vectorized grid) skips materializing and sorting neighbors.
-	// The k-th smallest distance is a property of the point multiset, so
-	// both branches produce identical float64 values.
-	if kd, ok := idx.(kthDister); ok && kd.KthFast(cfg.K+1) {
-		// k+1 because the query point itself sits at distance 0.
-		kd.KthDist2All(dists, cfg.K+1)
-		for i := 0; i < n; i++ {
-			dists[i] = math.Sqrt(dists[i])
-		}
-	} else {
-		knnb := s.knnb
-		for i := 0; i < n; i++ {
-			knnb = idx.KNNInto(knnb[:0], pts[i], cfg.K+1)
-			dists[i] = math.Sqrt(knnb[len(knnb)-1].Dist2)
-		}
-		s.knnb = knnb
-	}
+	dists := KDistanceCurve(s.dists, pts, cfg.K)
 	s.dists = dists
-	sort.Float64s(dists)
 	// Restrict the elbow search to the physical band.
 	lo := sort.SearchFloat64s(dists, cfg.MinEps)
 	hi := len(dists)
@@ -395,6 +365,21 @@ func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg 
 		}
 	}
 	return eps
+}
+
+// KDistanceCurve returns the sorted k-distance curve of cloud (Figure
+// 4a) in dst's backing array: every point's distance to its k-th nearest
+// other point, ascending. k must be at least 1; a point with fewer than
+// k others reads its farthest. A non-finite coordinate yields NaN or +Inf
+// distances, which sort to the two ends of the curve.
+func KDistanceCurve(dst []float64, cloud geom.Cloud, k int) []float64 {
+	dst = growFloats(dst, len(cloud))
+	// k+1 because the query point itself sits at distance 0.
+	spatial.KNNAll(cloud, k+1, func(i int, nn []spatial.Neighbor) {
+		dst[i] = math.Sqrt(nn[len(nn)-1].Dist2)
+	})
+	sort.Float64s(dst)
+	return dst
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -502,10 +487,10 @@ func Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
 // the geometry stage's per-frame entry point. The frame's grid is built
 // exactly once (cell edge = the fallback ε, which sits inside the
 // [MinEps, MaxEps] band, so one grid serves every ε the elbow can land
-// on) and shared by the kNN curve, the coarse structure pass, and the
-// final expansion — and when the elbow lands on the fallback ε, the
-// coarse pass *is* the final result and no second expansion runs. The
-// result aliases the Scratch's buffers (see Scratch).
+// on) and shared by the coarse structure pass and the final expansion —
+// and when the elbow lands on the fallback ε, the coarse pass *is* the
+// final result and no second expansion runs. The result aliases the
+// Scratch's buffers (see Scratch).
 func (s *Scratch) Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return s.DBSCAN(cloud, cfg.FallbackEps, cfg.MinPts)

@@ -1,12 +1,13 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hawccc/internal/geom"
 	"hawccc/internal/kdtree"
-	"hawccc/internal/spatial"
 )
 
 // sceneSpec names one generated point layout for the cross-engine
@@ -129,16 +130,36 @@ func checkResult(t *testing.T, scene string, r Result) {
 }
 
 // treeIndex adapts the k-d tree oracle to spatial.NeighborIndex: Len,
-// RadiusInto, and RadiusCount are the tree's own, KNNInto converts the
-// neighbor type.
+// RadiusInto, and RadiusCount are the tree's own.
 type treeIndex struct{ *kdtree.Tree }
 
-func (t treeIndex) KNNInto(dst []spatial.Neighbor, q geom.Point3, k int) []spatial.Neighbor {
-	dst = dst[:0]
-	for _, n := range t.Tree.KNN(q, k) {
-		dst = append(dst, spatial.Neighbor(n))
+// TestKDistanceCurveMatchesKDTree pins the adaptive-ε curve to the k-d
+// tree oracle bit for bit: on every scene and for several k, the shared
+// curve equals the sorted square roots of each point's (k+1)-th tree
+// distance (the point itself is its own nearest).
+func TestKDistanceCurveMatchesKDTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	var curve []float64
+	for _, scene := range propertyScenes(rng) {
+		tree := kdtree.New(scene.cloud)
+		for _, k := range []int{1, DefaultAdaptiveConfig().K, 9} {
+			want := make([]float64, len(scene.cloud))
+			for i, p := range scene.cloud {
+				nn := tree.KNN(p, k+1)
+				want[i] = math.Sqrt(nn[len(nn)-1].Dist2)
+			}
+			sort.Float64s(want)
+			curve = KDistanceCurve(curve, scene.cloud, k)
+			if len(curve) != len(want) {
+				t.Fatalf("%s k=%d: curve has %d values for %d points", scene.name, k, len(curve), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(curve[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s k=%d: curve[%d] = %v, tree %v", scene.name, k, i, curve[i], want[i])
+				}
+			}
+		}
 	}
-	return dst
 }
 
 // TestDBSCANGridMatchesKDTree is the cross-engine property test: on
@@ -242,10 +263,13 @@ func TestAdaptiveCoarseReuse(t *testing.T) {
 }
 
 // TestAdaptiveSteadyStateAllocs pins the zero-alloc guarantee of the
-// grid-backed geometry stage: after warm-up, a full Adaptive pass —
-// grid build, kNN curve, coarse pass, final expansion — performs no
-// heap allocation.
+// geometry stage: after warm-up, a full Adaptive pass — grid build,
+// k-distance curve, coarse pass, final expansion — performs no heap
+// allocation.
 func TestAdaptiveSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops the k-distance curve's pooled scratch at random")
+	}
 	rng := rand.New(rand.NewSource(105))
 	scenes := propertyScenes(rng)
 	cfg := DefaultAdaptiveConfig()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"hawccc/internal/ground"
 	"hawccc/internal/models"
 	"hawccc/internal/projection"
-	"hawccc/internal/spatial"
 	"hawccc/internal/telemetry"
 )
 
@@ -50,7 +48,7 @@ func Figure4(l *Lab) Figure4Result {
 		eps := cluster.OptimalEpsilon(cloud, cfg)
 		allEps = append(allEps, eps)
 		if i == 0 {
-			res.Curve = knnCurve(cloud, cfg.K)
+			res.Curve = cluster.KDistanceCurve(nil, cloud, cfg.K)
 			res.ElbowEps = eps
 			for j, d := range res.Curve {
 				if d >= eps {
@@ -74,17 +72,6 @@ func Figure4(l *Lab) Figure4Result {
 		res.EpsMode = res.EpsHistogram.Min + (float64(best)+0.5)*res.EpsHistogram.BinWidth()
 	}
 	return res
-}
-
-func knnCurve(cloud geom.Cloud, k int) []float64 {
-	grid := spatial.NewGrid(cloud, 0)
-	out := make([]float64, 0, len(cloud))
-	for _, p := range cloud {
-		// k+1 because the query point itself sits at distance 0.
-		out = append(out, sqrt(grid.KthDist2(p, k+1)))
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // Figure6Result reproduces Figure 6: per-axis coordinate histograms of the
@@ -307,11 +294,4 @@ func FormatHistogramASCII(h geom.Histogram, width int) string {
 
 func ingest(cloud geom.Cloud) geom.Cloud {
 	return ground.Ingest(cloud, ground.DefaultROI())
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

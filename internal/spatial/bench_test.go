@@ -14,10 +14,7 @@ func benchCloud(n int) geom.Cloud {
 	return randomCloud(rng, n)
 }
 
-const (
-	benchRadius = 0.3 // DefaultAdaptiveConfig's FallbackEps
-	benchK      = 5   // adaptive-ε curve asks for K+1
-)
+const benchRadius = 0.3 // DefaultAdaptiveConfig's FallbackEps
 
 func BenchmarkGridBuild(b *testing.B) {
 	cloud := benchCloud(2000)
@@ -37,16 +34,5 @@ func BenchmarkGridRadius(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.RadiusInto(buf[:0], cloud[i%len(cloud)], benchRadius)
-	}
-}
-
-func BenchmarkGridKNN(b *testing.B) {
-	cloud := benchCloud(2000)
-	g := NewGrid(cloud, benchRadius)
-	var buf []Neighbor
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.KNNInto(buf[:0], cloud[i%len(cloud)], benchK)
 	}
 }

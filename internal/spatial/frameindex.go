@@ -5,9 +5,9 @@ import (
 )
 
 // FrameIndex bundles a Grid with reusable query buffers: the
-// one-build-per-frame index the geometry stage shares across the
-// adaptive-ε kNN curve, the structure-gap coarse pass, DBSCAN expansion,
-// and the projection's density channel. Build it once per frame (Build
+// one-build-per-frame radius index the geometry stage shares across the
+// structure-gap coarse pass, DBSCAN expansion, and the projection's
+// density channel. Build it once per frame (Build
 // reuses all internal arrays) and query it from a single goroutine —
 // Radius returns a view into the internal buffer, valid only until the
 // next query. Callers that need concurrent queries or longer-lived

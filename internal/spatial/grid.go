@@ -1,8 +1,6 @@
 package spatial
 
 import (
-	"math"
-
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
 )
@@ -17,12 +15,13 @@ const maxGridCells = 1 << 18
 
 // Grid is a uniform voxel grid over a point cloud, tuned for the
 // fixed-radius region queries DBSCAN issues: with cell edge ≈ ε a radius
-// query visits at most 27 cells. The zero value is an empty grid for
+// query visits at most 27 cells. It answers radius queries only; every
+// k-nearest list comes from KNNAll. The zero value is an empty grid for
 // which every query returns no results; use NewGrid, or Reset to rebuild
 // in place reusing the internal arrays (the one-build-per-frame path).
 //
 // On hardware with usable AVX the grid also keeps a float32 mirror of
-// the coordinates in CSR order and runs radius and kNN scans through the
+// the coordinates in CSR order and runs radius scans through the
 // internal/geom/kernels vector primitives. The float32 lanes are only a
 // prefilter: candidates whose float32 squared distance falls inside an
 // analytically bounded uncertainty band around the decision threshold
@@ -54,7 +53,7 @@ type Grid struct {
 }
 
 // NewGrid builds a grid over cloud with the given cell edge length.
-// cell <= 0 selects AutoCell's kNN-oriented default.
+// cell <= 0 selects AutoCell's default.
 func NewGrid(cloud geom.Cloud, cell float64) *Grid {
 	g := &Grid{}
 	g.Reset(cloud, cell)
@@ -314,254 +313,4 @@ func (g *Grid) RadiusCount(q geom.Point3, r float64) int {
 		}
 	}
 	return count
-}
-
-// KNN returns the k nearest neighbors of q in ascending (Dist2, Index)
-// order; see NeighborIndex for the exact contract.
-func (g *Grid) KNN(q geom.Point3, k int) []Neighbor {
-	if g.Len() == 0 || k <= 0 {
-		return nil
-	}
-	return g.KNNInto(nil, q, k)
-}
-
-// KNNInto is KNN reusing dst's backing array (the Into convention). The
-// search expands Chebyshev rings of cells around the query's cell,
-// stopping once the retained k-th distance beats the next ring's lower
-// bound, with an exact cell-box distance prune inside each ring.
-func (g *Grid) KNNInto(dst []Neighbor, q geom.Point3, k int) []Neighbor {
-	dst = dst[:0]
-	n := g.Len()
-	if n == 0 || k <= 0 {
-		return dst
-	}
-	if k > n {
-		k = n
-	}
-	// The query's (virtual) cell coordinates — intentionally unclamped,
-	// so rings stay centered on q even when q lies outside the bounds.
-	qx := ifloor((q.X - g.min.X) * g.inv)
-	qy := ifloor((q.Y - g.min.Y) * g.inv)
-	qz := ifloor((q.Z - g.min.Z) * g.inv)
-	maxRing := maxInt6(qx, g.nx-1-qx, qy, g.ny-1-qy, qz, g.nz-1-qz)
-
-	s := knnScan{g: g, q: q, k: k, items: dst, topCache: math.NaN()}
-	for d := 0; d <= maxRing; d++ {
-		if len(s.items) >= k {
-			// Any point in a cell at Chebyshev ring d lies at least
-			// (d-1)·cell from q (q sits somewhere inside its own cell).
-			lb := float64(d-1) * g.cell
-			if lb > 0 && lb*lb > s.items[0].Dist2 {
-				break
-			}
-		}
-		s.ring(qx, qy, qz, d)
-	}
-	sortNeighbors(s.items)
-	return s.items
-}
-
-// maxInt6 returns the maximum of six ints (and at least 0).
-func maxInt6(a, b, c, d, e, f int) int {
-	m := 0
-	for _, v := range [6]int{a, b, c, d, e, f} {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// knnScan carries one KNNInto search: the bounded max-heap of retained
-// neighbors (ordered by less, so ties resolve to the lower index)
-// plus the query geometry. It lives on the caller's stack.
-type knnScan struct {
-	g     *Grid
-	q     geom.Point3
-	k     int
-	items []Neighbor
-	// topCache/hiFCache memoize filterBounds for the current heap-top
-	// distance: the top only changes when an offer lands, so most cells
-	// reuse the previous prefilter threshold. topCache starts NaN so the
-	// first full-heap cell always computes (a real top can be 0.0 on
-	// duplicate points).
-	topCache float64
-	hiFCache float32
-	// dbuf holds one chunk of float32 squared distances for the
-	// vectorized cell prefilter; declared here (not in cellVec) so it is
-	// zeroed once per search, not once per cell.
-	dbuf [vecChunk]float32
-}
-
-// ring scans every in-bounds cell at exactly Chebyshev distance d from
-// the (possibly virtual) center cell, decomposed into the six faces of
-// the shell cube so each cell is visited once.
-func (s *knnScan) ring(qx, qy, qz, d int) {
-	g := s.g
-	if d == 0 {
-		if qx >= 0 && qx < g.nx && qy >= 0 && qy < g.ny && qz >= 0 && qz < g.nz {
-			s.cell(qx, qy, qz)
-		}
-		return
-	}
-	y0, y1 := clampLo(qy-d), clampHi(qy+d, g.ny)
-	z0, z1 := clampLo(qz-d), clampHi(qz+d, g.nz)
-	// x faces: full y,z square.
-	for _, ix := range [2]int{qx - d, qx + d} {
-		if ix < 0 || ix >= g.nx {
-			continue
-		}
-		for iy := y0; iy <= y1; iy++ {
-			for iz := z0; iz <= z1; iz++ {
-				s.cell(ix, iy, iz)
-			}
-		}
-	}
-	xi0, xi1 := clampLo(qx-d+1), clampHi(qx+d-1, g.nx)
-	// y faces: x interior, full z range.
-	for _, iy := range [2]int{qy - d, qy + d} {
-		if iy < 0 || iy >= g.ny {
-			continue
-		}
-		for ix := xi0; ix <= xi1; ix++ {
-			for iz := z0; iz <= z1; iz++ {
-				s.cell(ix, iy, iz)
-			}
-		}
-	}
-	yi0, yi1 := clampLo(qy-d+1), clampHi(qy+d-1, g.ny)
-	// z faces: x and y interior.
-	for _, iz := range [2]int{qz - d, qz + d} {
-		if iz < 0 || iz >= g.nz {
-			continue
-		}
-		for ix := xi0; ix <= xi1; ix++ {
-			for iy := yi0; iy <= yi1; iy++ {
-				s.cell(ix, iy, iz)
-			}
-		}
-	}
-}
-
-func clampLo(i int) int {
-	if i < 0 {
-		return 0
-	}
-	return i
-}
-
-func clampHi(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// cell offers every point of cell (ix, iy, iz) to the heap, after an
-// exact box-distance prune once the heap is full. Once the heap is full
-// a vectorized grid prefilters the cell against the retained k-th
-// distance (see knnScan.cellVec); before that every candidate needs its
-// exact distance anyway, so the scan stays scalar.
-func (s *knnScan) cell(ix, iy, iz int) {
-	g := s.g
-	c := (ix*g.ny+iy)*g.nz + iz
-	lo, hi := g.start[c], g.start[c+1]
-	if lo == hi {
-		return
-	}
-	if len(s.items) >= s.k {
-		if g.cellDist2(s.q, ix, iy, iz) > s.items[0].Dist2 {
-			return
-		}
-		if g.vec {
-			s.cellVec(int(lo), int(hi))
-			return
-		}
-	} else if g.vec {
-		// Fill the heap scalar, handing the rest of the cell to the
-		// vector prefilter the moment it fills: a dense seed cell (the
-		// common first cell of an ε-curve query) would otherwise pay an
-		// exact distance and heap offer for every candidate.
-		for o := int(lo); o < int(hi); o++ {
-			if len(s.items) >= s.k {
-				s.cellVec(o, int(hi))
-				return
-			}
-			id := g.ids[o]
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
-		}
-		return
-	}
-	for _, id := range g.ids[lo:hi] {
-		s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
-	}
-}
-
-// cellDist2 returns the squared distance from q to the nearest point of
-// the cell box (zero when q is inside it).
-func (g *Grid) cellDist2(q geom.Point3, ix, iy, iz int) float64 {
-	var d2 float64
-	if d := axisDist(q.X-g.min.X, ix, g.cell); d > 0 {
-		d2 += d * d
-	}
-	if d := axisDist(q.Y-g.min.Y, iy, g.cell); d > 0 {
-		d2 += d * d
-	}
-	if d := axisDist(q.Z-g.min.Z, iz, g.cell); d > 0 {
-		d2 += d * d
-	}
-	return d2
-}
-
-// axisDist is the 1D distance from coordinate rel to the interval
-// [i·cell, (i+1)·cell], or ≤ 0 when rel is inside it.
-func axisDist(rel float64, i int, cell float64) float64 {
-	lo := float64(i) * cell
-	if rel < lo {
-		return lo - rel
-	}
-	if hi := lo + cell; rel > hi {
-		return rel - hi
-	}
-	return 0
-}
-
-// offer pushes a candidate into the bounded max-heap (ordered by
-// less over (Dist2, Index)), keeping the k smallest.
-func (s *knnScan) offer(n Neighbor) {
-	items := s.items
-	if len(items) < s.k {
-		items = append(items, n)
-		i := len(items) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !less(items[parent], items[i]) {
-				break
-			}
-			items[parent], items[i] = items[i], items[parent]
-			i = parent
-		}
-		s.items = items
-		return
-	}
-	if !less(n, items[0]) {
-		return
-	}
-	items[0] = n
-	i, size := 0, len(items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < size && less(items[largest], items[l]) {
-			largest = l
-		}
-		if r < size && less(items[largest], items[r]) {
-			largest = r
-		}
-		if largest == i {
-			break
-		}
-		items[i], items[largest] = items[largest], items[i]
-		i = largest
-	}
 }

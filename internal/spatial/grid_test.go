@@ -56,25 +56,6 @@ func bruteRadius(cloud geom.Cloud, q geom.Point3, r float64) []int {
 	return out
 }
 
-// bruteKNN is the reference kNN: full sort under the (Dist2, Index)
-// contract, first k taken.
-func bruteKNN(cloud geom.Cloud, q geom.Point3, k int) []Neighbor {
-	ns := make([]Neighbor, len(cloud))
-	for i, p := range cloud {
-		ns[i] = Neighbor{Index: i, Dist2: q.Dist2(p)}
-	}
-	// The order is spelled out here, not borrowed from the grid's less, so
-	// the reference stays independent of the code it checks.
-	sort.Slice(ns, func(i, j int) bool {
-		a, b := ns[i], ns[j]
-		return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
-	})
-	if k > len(ns) {
-		k = len(ns)
-	}
-	return ns[:k]
-}
-
 func sortedCopy(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)
@@ -166,38 +147,15 @@ func TestGridRadiusMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGridKNNMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 7, 64, 400} {
-		cloud := randomCloud(rng, n)
-		for _, cell := range []float64{0.15, 0.5, 2.0} {
-			g := NewGrid(cloud, cell)
-			var buf []Neighbor
-			for _, q := range queryPoints(rng, cloud, 30) {
-				for _, k := range []int{1, 4, 9, n + 3} {
-					want := bruteKNN(cloud, q, k)
-					buf = g.KNNInto(buf[:0], q, k)
-					if !equalNeighbors(buf, want) {
-						t.Fatalf("n=%d cell=%g q=%v k=%d: kNN mismatch\ngot  %v\nwant %v",
-							n, cell, q, k, buf, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGridMatchesKDTree pins the cross-engine contract the cluster
-// package relies on: the grid and the k-d tree return bit-identical
-// results for every query type.
+// package relies on: the grid and the k-d tree return identical radius
+// sets and counts.
 func TestGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cloud := randomCloud(rng, 500)
 	g := NewGrid(cloud, 0.3)
 	tr := kdtree.New(cloud)
 	var gids, tids []int
-	var gn []Neighbor
-	var tn []kdtree.Neighbor
 	for _, q := range queryPoints(rng, cloud, 60) {
 		for _, r := range []float64{0.1, 0.3, 1.5} {
 			gids = g.RadiusInto(gids[:0], q, r)
@@ -207,13 +165,6 @@ func TestGridMatchesKDTree(t *testing.T) {
 			}
 			if gc, tc := g.RadiusCount(q, r), tr.RadiusCount(q, r); gc != tc {
 				t.Fatalf("q=%v r=%g: grid count %d != kdtree %d", q, r, gc, tc)
-			}
-		}
-		for _, k := range []int{1, 5, 12} {
-			gn = g.KNNInto(gn[:0], q, k)
-			tn = tr.KNNInto(tn[:0], q, k)
-			if !equalNeighbors(gn, fromTree(tn)) {
-				t.Fatalf("q=%v k=%d: grid kNN %v != kdtree %v", q, k, gn, tn)
 			}
 		}
 	}
@@ -253,9 +204,6 @@ func TestGridDegenerateClouds(t *testing.T) {
 	if got := empty.Radius(q, 1); got != nil {
 		t.Fatalf("nil grid Radius = %v, want nil", got)
 	}
-	if got := empty.KNN(q, 3); got != nil {
-		t.Fatalf("nil grid KNN = %v, want nil", got)
-	}
 	if empty.Len() != 0 {
 		t.Fatalf("nil grid Len = %d", empty.Len())
 	}
@@ -264,18 +212,10 @@ func TestGridDegenerateClouds(t *testing.T) {
 	if got := g.RadiusInto(nil, q, 1); len(got) != 0 {
 		t.Fatalf("empty grid radius = %v", got)
 	}
-	if got := g.KNNInto(nil, q, 2); len(got) != 0 {
-		t.Fatalf("empty grid kNN = %v", got)
-	}
 
 	// All points coincident.
 	dup := geom.Cloud{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}}
 	g = NewGrid(dup, 0) // AutoCell path on zero-extent cloud
-	got := g.KNN(geom.Point3{X: 1, Y: 1, Z: 1}, 2)
-	want := []Neighbor{{Index: 0, Dist2: 0}, {Index: 1, Dist2: 0}}
-	if !equalNeighbors(got, want) {
-		t.Fatalf("coincident kNN = %v, want %v", got, want)
-	}
 	if c := g.RadiusCount(geom.Point3{X: 1, Y: 1, Z: 1}, 0); c != 3 {
 		t.Fatalf("coincident RadiusCount = %d, want 3", c)
 	}
@@ -328,10 +268,6 @@ func TestGridCellBudget(t *testing.T) {
 		if got := sortedCopy(g.Radius(q, 500)); !equalInts(got, want) {
 			t.Fatalf("capped grid radius mismatch: got %v want %v", got, want)
 		}
-		wantK := bruteKNN(cloud, q, 5)
-		if got := g.KNN(q, 5); !equalNeighbors(got, wantK) {
-			t.Fatalf("capped grid kNN mismatch: got %v want %v", got, wantK)
-		}
 	}
 }
 
@@ -357,11 +293,9 @@ func TestGridResetReuse(t *testing.T) {
 	g.Reset(cloud, 0.4)
 	q := cloud[0]
 	nbuf := make([]int, 0, 64)
-	kbuf := make([]Neighbor, 0, 16)
 	allocs := testing.AllocsPerRun(100, func() {
 		g.Reset(cloud, 0.4)
 		nbuf = g.RadiusInto(nbuf[:0], q, 0.6)
-		kbuf = g.KNNInto(kbuf[:0], q, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Reset+query allocates: %.1f allocs/op", allocs)

@@ -1,7 +1,7 @@
 package spatial
 
-// Vectorized grid scans: the fast path behind RadiusInto, RadiusCount,
-// and KNNInto.
+// Vectorized grid scans: the fast path behind RadiusInto and
+// RadiusCount.
 //
 // The grid keeps a float32 mirror of the coordinates in CSR (ids) order,
 // so every cell — and every contiguous run of z-cells a radius query
@@ -18,14 +18,12 @@ package spatial
 //   - only band candidates are re-checked exactly, in float64, against
 //     the source coordinates.
 //
-// Cell membership, scan ranges, ring geometry, and box prunes all come
-// from the float64 source coordinates exactly as in the scalar path, so
-// the vector path returns exact results — the same index set with the
-// same float64 distances, differing at most in the (documented as
-// unspecified) Radius output order, because vectorized builds bin
-// coarser (vecCellScale) and CSR order follows the lattice. Counts,
-// sorted kNN lists, and the k-th-distance values behind the adaptive ε
-// curve are bit-identical, so every grid-vs-kdtree and loop-vs-stream
+// Cell membership and scan ranges come from the float64 source
+// coordinates exactly as in the scalar path, so the vector path returns
+// exact results — the same index set, differing at most in the
+// (documented as unspecified) Radius output order, because vectorized
+// builds bin coarser (vecCellScale) and CSR order follows the lattice.
+// Counts are bit-identical, so every grid-vs-kdtree and loop-vs-stream
 // equality property in the test suite holds verbatim. Toggling
 // kernels.SetVectorized therefore changes speed, never results; the
 // scalar scan is what runs on hardware without AVX and what
@@ -255,35 +253,4 @@ func (g *Grid) radiusCountVec(q geom.Point3, r2 float64, ix0, ix1, iy0, iy1, iz0
 		}
 	}
 	return count
-}
-
-// cellVec offers one cell's candidates with the heap already full:
-// candidates whose float32 distance provably exceeds the retained k-th
-// distance are skipped, the rest get exact float64 offers. The skip
-// threshold is fixed at each chunk start; the heap top only shrinks as
-// offers land, so the stale threshold is conservative and the heap
-// evolves exactly as in the scalar scan.
-func (s *knnScan) cellVec(lo, hi int) {
-	g := s.g
-	qx, qy, qz := float32(s.q.X), float32(s.q.Y), float32(s.q.Z)
-	for lo < hi {
-		m := hi - lo
-		if m > vecChunk {
-			m = vecChunk
-		}
-		if top := s.items[0].Dist2; top != s.topCache {
-			_, s.hiFCache = g.filterBounds(s.q, top)
-			s.topCache = top
-		}
-		hiF := s.hiFCache
-		kernels.Dist2(s.dbuf[:m], g.gx[lo:lo+m], g.gy[lo:lo+m], g.gz[lo:lo+m], qx, qy, qz)
-		for j := 0; j < m; j++ {
-			if s.dbuf[j] > hiF {
-				continue
-			}
-			id := g.ids[lo+j]
-			s.offer(Neighbor{Index: int(id), Dist2: s.q.Dist2(g.pts[id])})
-		}
-		lo += m
-	}
 }

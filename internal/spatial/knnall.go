@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -9,13 +10,14 @@ import (
 	"hawccc/internal/geom"
 )
 
-// KNNAll calls fn(i, nn) once for every point i of cloud, with nn its k
-// nearest neighbors in cloud — element for element what a Grid over
-// cloud returns from KNNInto(dst, cloud[i], k), for any input order and
-// any k. nn is valid only during the call, and the order of the calls is
-// unspecified. It is the whole-cloud kNN behind the projection's σz
-// channel. Scratch comes from a pool, so steady-state calls do not
-// allocate.
+// KNNAll calls fn(i, nn) once for every point i of cloud, with nn its
+// min(k, n) nearest neighbors in cloud, ascending under (Dist2, Index) —
+// element for element what internal/kdtree's KNNInto returns for
+// cloud[i], for any input order and any k. nn is valid only during the
+// call, and the order of the calls is unspecified. It is the one
+// k-nearest search of the running system: the adaptive-ε curve and the
+// projection's σz channel. Scratch comes from a pool, so steady-state
+// calls do not allocate.
 //
 // The points are binned into xy columns, each column's run ascending in
 // (z, index); a height-major cloud arrives in that order, so the sort is
@@ -25,7 +27,7 @@ import (
 // search skips a column, stops a sweep or stops at a ring only on a
 // lower bound that the candidate's computed squared distance cannot
 // undercut, and it prunes against an upper bound on the k-th distance,
-// so it never drops a point KNNInto would return.
+// so it never drops one of the exact k nearest.
 func KNNAll(cloud geom.Cloud, k int, fn func(i int, nn []Neighbor)) {
 	knnAll(cloud, k, fn)
 }
@@ -160,7 +162,8 @@ func (s *allScratch) build(cloud geom.Cloud, k int) {
 	for c := 0; c < ncol; c++ {
 		run := s.pts[s.start[c]:s.start[c+1]]
 		for i := 1; i < len(run); i++ {
-			if run[i].Z < run[i-1].Z {
+			// Descending, or a NaN on either side.
+			if !(run[i].Z >= run[i-1].Z) {
 				slices.SortFunc(run, compareZIndex)
 				break
 			}
@@ -182,13 +185,10 @@ func (s *allScratch) column(p geom.Point3) int {
 	return cy*s.nx + cx
 }
 
-// compareZIndex orders a column's run by (z, index).
+// compareZIndex orders a column's run by (z, index), a NaN z first.
 func compareZIndex(a, b colPoint) int {
-	switch {
-	case a.Z < b.Z:
-		return -1
-	case a.Z > b.Z:
-		return 1
+	if c := cmp.Compare(a.Z, b.Z); c != 0 {
+		return c
 	}
 	return int(a.id - b.id)
 }
@@ -325,11 +325,12 @@ func (s *allScratch) lowerBound(gx, gy float64) float64 {
 }
 
 // zStart returns the first position in [lo, hi) whose z is ≥ z, or hi:
-// where a sweep of that column starts.
+// where a sweep of that column starts. A NaN z, first in the run, counts
+// as below every z; a NaN query starts at hi.
 func (s *allScratch) zStart(lo, hi int, z float64) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if s.pts[m].Z < z {
+		if !(s.pts[m].Z >= z) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -343,7 +344,8 @@ func (s *allScratch) zStart(lo, hi int, z float64) int {
 // has z ≥ q.z and every point below has z ≤ q.z. So |dz| never shrinks
 // along a walk, and a walk stops at the first dz² beyond the bound.
 // That is exact: Dist2 adds dz² to a non-negative sum, and rounding is
-// monotone, so a computed distance is never below its own dz².
+// monotone, so a computed distance is never below its own dz². A NaN z
+// sits at the bottom of its run, and its NaN dz² stops no walk.
 //
 // The bound is the largest distance sharing the k-th key's prefix, or
 // the seeded bound if that is smaller (while top holds fewer than k

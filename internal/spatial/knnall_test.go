@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hawccc/internal/geom"
+	"hawccc/internal/kdtree"
 )
 
 // viewportShaped mimics one classifier input: a person-sized blob with
@@ -46,12 +47,12 @@ func viewportShaped(rng *rand.Rand, n int) geom.Cloud {
 	return cloud
 }
 
-// checkKNNAll holds KNNAll to KNNInto on a grid over cloud with the
-// given cell edge, for every point, and returns how many points took
-// KNNAll's exact pass over their candidates.
-func checkKNNAll(t *testing.T, name string, cloud geom.Cloud, cell float64, k int) int {
+// checkKNNAll holds KNNAll to the k-d tree oracle's KNNInto over cloud,
+// for every point, and returns how many points took KNNAll's exact pass
+// over their candidates.
+func checkKNNAll(t *testing.T, name string, cloud geom.Cloud, k int) int {
 	t.Helper()
-	g := NewGrid(cloud, cell)
+	tr := kdtree.New(cloud)
 	got := make([][]Neighbor, len(cloud))
 	calls := 0
 	ties := knnAll(cloud, k, func(i int, nn []Neighbor) {
@@ -65,14 +66,14 @@ func checkKNNAll(t *testing.T, name string, cloud geom.Cloud, cell float64, k in
 		t.Fatalf("%s k=%d: %d calls for %d points", name, k, calls, len(cloud))
 	}
 	for i, p := range cloud {
-		want := g.KNNInto(nil, p, k)
+		want := fromTree(tr.KNNInto(nil, p, k))
 		if len(got[i]) != len(want) {
-			t.Fatalf("%s k=%d point %d: %d neighbors, KNNInto has %d", name, k, i, len(got[i]), len(want))
+			t.Fatalf("%s k=%d point %d: %d neighbors, the tree has %d", name, k, i, len(got[i]), len(want))
 		}
 		for j := range want {
 			// Neighbor equality compares Index and the Dist2 bits.
 			if got[i][j] != want[j] {
-				t.Fatalf("%s k=%d point %d: KNNAll %v != KNNInto %v", name, k, i, got[i], want)
+				t.Fatalf("%s k=%d point %d: KNNAll %v != tree %v", name, k, i, got[i], want)
 			}
 		}
 	}
@@ -197,16 +198,15 @@ func boundaryTies(rng *rand.Rand, groups int) geom.Cloud {
 	return cloud
 }
 
-// TestKNNAllMatchesKNNInto pins KNNAll to KNNInto element for element —
-// indices and distance bits — on the cloud shapes the classifier and
-// the tests meet: unsorted and height-major input, duplicates and
-// mirror-symmetric equal distances, sizes on either side of a key's
-// index-bit widths (255, 256, 257, 1100 points), a single column, one
-// height, and clouds built to meet the pruning bounds exactly. The
-// oracle runs with the vector kernels on and off (they change its cell
-// edge). Clouds with equal distances at the k-th neighbor must take the
-// exact pass.
-func TestKNNAllMatchesKNNInto(t *testing.T) {
+// TestKNNAllMatchesKDTree pins KNNAll to the k-d tree oracle element for
+// element — indices and distance bits — on the cloud shapes the
+// classifier, the adaptive-ε curve and the tests meet: unsorted and
+// height-major input, duplicates and mirror-symmetric equal distances,
+// sizes on either side of a key's index-bit widths (255, 256, 257, 1100
+// points), a single column, one height, a sparse cloud, and clouds built
+// to meet the pruning bounds exactly. Clouds with equal distances at the
+// k-th neighbor must take the exact pass.
+func TestKNNAllMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	line := make(geom.Cloud, 60)
 	flat := make(geom.Cloud, 150)
@@ -233,58 +233,157 @@ func TestKNNAllMatchesKNNInto(t *testing.T) {
 	clouds := []struct {
 		name  string
 		cloud geom.Cloud
-		cell  float64
 		ties  bool // equal distances at the k-th neighbor somewhere
 	}{
-		{"random9", randomCloud(rng, 9), 0, false},
-		{"random120", randomCloud(rng, 120), 0, false},
-		{"random300", randomCloud(rng, 300), 0, false},
-		{"random400-cell0.4", randomCloud(rng, 400), 0.4, false},
-		{"coincident", geom.Cloud{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}}, 0, true},
-		{"duplicates", dups, 0, true},
-		{"collinear", line, 0, false},
-		{"flat", flat, 0, false},
-		{"one", geom.Cloud{{X: 0.5, Y: -2, Z: 3}}, 0, false},
-		{"viewport225", viewportShaped(rng, 225), 0, true},
-		{"viewport400", viewportShaped(rng, 400), 0, true},
-		{"height-major225", heightMajor(viewportShaped(rng, 225)), 0, true},
-		{"descending225", descending, 0, true},
-		{"viewport255", heightMajor(viewportShaped(rng, 255)), 0, true},
-		{"viewport256", heightMajor(viewportShaped(rng, 256)), 0, true},
-		{"viewport257", heightMajor(viewportShaped(rng, 257)), 0, true},
-		{"viewport1100", viewportShaped(rng, 1100), 0, true},
-		{"one-column", column, 0, false},
-		{"one-height", oneZ, 0, true},
-		{"lattice", latticeCloud(5, 4, 3), 0, true},
-		{"near-ties", nearTies(rng, 40), 0, true},
-		{"boundary-ties", boundaryTies(rng, 100), 0, true},
+		{"random9", randomCloud(rng, 9), false},
+		{"random120", randomCloud(rng, 120), false},
+		{"random300", randomCloud(rng, 300), false},
+		{"random400", randomCloud(rng, 400), false},
+		{"coincident", geom.Cloud{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}}, true},
+		{"duplicates", dups, true},
+		{"collinear", line, false},
+		{"flat", flat, false},
+		{"one", geom.Cloud{{X: 0.5, Y: -2, Z: 3}}, false},
+		{"viewport225", viewportShaped(rng, 225), true},
+		{"viewport400", viewportShaped(rng, 400), true},
+		{"height-major225", heightMajor(viewportShaped(rng, 225)), true},
+		{"descending225", descending, true},
+		{"viewport255", heightMajor(viewportShaped(rng, 255)), true},
+		{"viewport256", heightMajor(viewportShaped(rng, 256)), true},
+		{"viewport257", heightMajor(viewportShaped(rng, 257)), true},
+		{"viewport1100", viewportShaped(rng, 1100), true},
+		{"one-column", column, false},
+		{"one-height", oneZ, true},
+		{"lattice", latticeCloud(5, 4, 3), true},
+		{"near-ties", nearTies(rng, 40), true},
+		{"boundary-ties", boundaryTies(rng, 100), true},
 	}
-	withVectorized(t, func(vec bool) {
-		for _, c := range clouds {
-			n := len(c.cloud)
-			ks := []int{1, 2, 8, n - 1, n, n + 3}
-			if n > 600 {
-				ks = ks[:3] // a k near n costs O(n³) at this size
-			}
-			ties := 0
-			for _, k := range ks {
-				ties += checkKNNAll(t, c.name, c.cloud, c.cell, k)
-			}
-			if c.ties && ties == 0 {
-				t.Fatalf("vec=%v %s: no point took the exact pass", vec, c.name)
-			}
+	for _, c := range clouds {
+		n := len(c.cloud)
+		ks := []int{1, 2, 8, n - 1, n, n + 3}
+		if n > 600 {
+			ks = ks[:3] // a k near n costs O(n³) at this size
 		}
+		ties := 0
+		for _, k := range ks {
+			ties += checkKNNAll(t, c.name, c.cloud, k)
+		}
+		if c.ties && ties == 0 {
+			t.Fatalf("%s: no point took the exact pass", c.name)
+		}
+	}
 
-		// A sparse cloud: most columns hold one point or none, so most
-		// searches cross several rings.
-		sparse := make(geom.Cloud, 80)
-		for i := range sparse {
-			sparse[i] = geom.Point3{X: rng.Float64() * 20, Y: rng.Float64() * 20, Z: rng.Float64() * 5}
+	// A sparse cloud: most columns hold one point or none, so most
+	// searches cross several rings.
+	sparse := make(geom.Cloud, 80)
+	for i := range sparse {
+		sparse[i] = geom.Point3{X: rng.Float64() * 20, Y: rng.Float64() * 20, Z: rng.Float64() * 5}
+	}
+	for _, k := range []int{1, 8, len(sparse), len(sparse) + 3} {
+		checkKNNAll(t, "sparse", sparse, k)
+	}
+}
+
+// TestKNNAllNonFinite feeds KNNAll clouds with non-finite points — NaN
+// or infinite coordinates, which only a direct caller can pass (the
+// pipeline's ROI crop drops such points). fn must be called once per
+// point, with min(k, n) neighbors, and nothing may panic. A bad point is
+// farther than any other from every finite point, so a finite point's
+// list, while k is below the finite count, is the tree's over the finite
+// points alone; a bad point's own list has no order to pin.
+func TestKNNAllNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	bad := []struct {
+		name string
+		set  func(p *geom.Point3)
+	}{
+		{"nan-x", func(p *geom.Point3) { p.X = math.NaN() }},
+		{"nan-z", func(p *geom.Point3) { p.Z = math.NaN() }},
+		{"-inf-z", func(p *geom.Point3) { p.Z = math.Inf(-1) }},
+		{"+inf-x", func(p *geom.Point3) { p.X = math.Inf(1) }},
+	}
+	// One column: every point shares its xy, so a bad point sits in a
+	// long run of the column layout that the sweeps walk.
+	column := make(geom.Cloud, 70)
+	for i := range column {
+		column[i] = geom.Point3{X: 0.25, Y: -1, Z: rng.Float64() * 2}
+	}
+	// The same column z-sorted but for one descent, across the point
+	// that goes bad: only a NaN-aware check sees that it needs a sort.
+	sorted := heightMajor(column)
+	sorted[29], sorted[31] = sorted[31], sorted[29]
+	// Two stacks 1 cm apart, each its own column, most of the second
+	// going bad: a sweep into a run that is mostly NaN must still start
+	// at its query's height.
+	stacks := make(geom.Cloud, 60)
+	var mostly []int
+	for i := range stacks {
+		stacks[i] = geom.Point3{X: 0.01 * float64(i%2), Z: rng.Float64() * 2}
+		if i%2 == 1 && i < 45 {
+			mostly = append(mostly, i)
 		}
-		for _, k := range []int{1, 8, len(sparse), len(sparse) + 3} {
-			checkKNNAll(t, "sparse", sparse, 0.5, k)
+	}
+	for _, b := range bad {
+		for _, c := range []struct {
+			cloud geom.Cloud
+			at    []int
+		}{
+			{randomCloud(rng, 200), []int{rng.Intn(200)}},
+			{column.Clone(), []int{rng.Intn(70)}},
+			{sorted.Clone(), []int{30}},
+			{column.Clone(), []int{3, 17, 40, 41, 62}},
+			{stacks.Clone(), mostly},
+		} {
+			for _, i := range c.at {
+				b.set(&c.cloud[i])
+			}
+			checkNonFinite(t, b.name, c.cloud, c.at)
 		}
-	})
+	}
+}
+
+// checkNonFinite holds KNNAll's answers on cloud, whose points at
+// (ascending) are its non-finite ones, as TestKNNAllNonFinite describes.
+func checkNonFinite(t *testing.T, name string, cloud geom.Cloud, at []int) {
+	t.Helper()
+	var finite geom.Cloud
+	var orig []int // finite[j] is cloud[orig[j]]
+	for i, p := range cloud {
+		if !slices.Contains(at, i) {
+			finite = append(finite, p)
+			orig = append(orig, i)
+		}
+	}
+	tr := kdtree.New(finite)
+	for _, k := range []int{1, 5, 8, len(cloud) + 3} {
+		calls := make([]int, len(cloud))
+		KNNAll(cloud, k, func(i int, nn []Neighbor) {
+			calls[i]++
+			if len(nn) != min(k, len(cloud)) {
+				t.Fatalf("%s n=%d k=%d point %d: %d neighbors", name, len(cloud), k, i, len(nn))
+			}
+			for _, m := range nn {
+				if m.Index < 0 || m.Index >= len(cloud) {
+					t.Fatalf("%s n=%d k=%d point %d: neighbor index %d", name, len(cloud), k, i, m.Index)
+				}
+			}
+			if slices.Contains(at, i) || k >= len(finite) {
+				return
+			}
+			want := fromTree(tr.KNNInto(nil, cloud[i], k))
+			for j := range want {
+				want[j].Index = orig[want[j].Index]
+			}
+			if !equalNeighbors(nn, want) {
+				t.Fatalf("%s n=%d k=%d point %d: KNNAll %v != tree %v", name, len(cloud), k, i, nn, want)
+			}
+		})
+		for i, c := range calls {
+			if c != 1 {
+				t.Fatalf("%s n=%d k=%d: point %d reported %d times", name, len(cloud), k, i, c)
+			}
+		}
+	}
 }
 
 // TestKNNAllZeroAllocs holds the σz pass of one classifier input — a

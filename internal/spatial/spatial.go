@@ -1,26 +1,27 @@
-// Package spatial provides the fixed-radius neighbor index behind the
-// geometry stage of the counting pipeline: a uniform voxel grid tuned for
-// DBSCAN-style ε-range queries, and the NeighborIndex interface the
-// clustering and projection code query it through (which is also where
-// the equivalence tests substitute the k-d tree oracle, internal/kdtree).
+// Package spatial provides the neighbor searches behind the geometry
+// stage of the counting pipeline: a uniform voxel grid tuned for
+// DBSCAN-style ε-range queries, the NeighborIndex interface the
+// clustering code queries it through (which is also where the
+// equivalence tests substitute the k-d tree oracle, internal/kdtree),
+// and KNNAll, the one k-nearest search.
 //
 // The grid follows the classic observation of the DBSCAN literature
 // (Ester et al. 1996): when the query radius ε is known up front,
 // bucketing points into ε-sized voxels turns every region query into a
 // 3×3×3 cell scan — no tree descent, no log factor, and with the Into
 // query variants no per-query allocation. The index is built once per
-// frame (see FrameIndex) and shared by the adaptive-ε kNN curve, the
-// structure-gap coarse pass, DBSCAN expansion, and the projection's
-// density channel. The projection's σz neighborhoods — every point's k
-// nearest in a classifier input — come from KNNAll, which keeps its own
-// column index and holds to KNNInto's answers.
+// frame (see FrameIndex) and shared by the structure-gap coarse pass,
+// DBSCAN expansion, and the projection's density channel. Every
+// k-nearest list — each point's k-th distance on the adaptive-ε curve
+// and the projection's σz neighborhoods — comes from KNNAll, which keeps
+// its own column index.
 //
 // One neighbor-ordering contract holds throughout: k-nearest-neighbor
 // sets are the k smallest candidates under ascending (Dist2, Index), ties
 // broken by the lower cloud index, and radius queries include points at
-// exactly radius r. internal/kdtree honors the same contract, so the grid
-// and the tree return bit-identical results, which is what the
-// grid-vs-tree property tests here and in the cluster package pin.
+// exactly radius r. internal/kdtree honors the same contract, so the grid,
+// KNNAll and the tree return bit-identical results, which is what the
+// property tests against the tree, here and in the cluster package, pin.
 package spatial
 
 import (
@@ -38,9 +39,19 @@ type Neighbor struct {
 
 // less is the total order on neighbors: ascending distance, ties broken
 // by the lower cloud index. A total order makes the k-nearest set a pure
-// function of the cloud and query, independent of traversal order.
+// function of the cloud and query, independent of traversal order. A NaN
+// distance — from a non-finite coordinate — ranks after every other,
+// NaNs by index, so the order stays total on any input.
 func less(a, b Neighbor) bool {
-	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
+	switch {
+	case a.Dist2 < b.Dist2:
+		return true
+	case a.Dist2 == b.Dist2:
+		return a.Index < b.Index
+	case a.Dist2 != a.Dist2:
+		return b.Dist2 != b.Dist2 && a.Index < b.Index
+	}
+	return b.Dist2 != b.Dist2
 }
 
 // sortNeighbors orders ns ascending under less. Insertion sort: k is
@@ -54,13 +65,13 @@ func sortNeighbors(ns []Neighbor) {
 	}
 }
 
-// NeighborIndex is the small query surface the geometry stage needs from
-// a spatial index. *Grid implements it.
+// NeighborIndex is the small radius-query surface the geometry stage
+// needs from a spatial index. *Grid implements it.
 //
-// The Into variants append into dst (callers typically pass dst[:0]) and
-// are allocation-free once dst has grown to the result size; RadiusInto's
-// result order is implementation-defined, KNNInto's is ascending
-// (Dist2, Index). Radius results include points at exactly distance r.
+// RadiusInto appends into dst (callers typically pass dst[:0]) and is
+// allocation-free once dst has grown to the result size; its result
+// order is implementation-defined. Radius results include points at
+// exactly distance r.
 type NeighborIndex interface {
 	// Len returns the number of indexed points.
 	Len() int
@@ -70,18 +81,13 @@ type NeighborIndex interface {
 	// RadiusCount returns the number of points within r of q without
 	// materializing them.
 	RadiusCount(q geom.Point3, r float64) int
-	// KNNInto appends the k nearest neighbors of q in ascending
-	// (Dist2, Index) order to dst[:0] and returns the result. If the
-	// index holds fewer than k points, all points are returned.
-	KNNInto(dst []Neighbor, q geom.Point3, k int) []Neighbor
 }
 
 var _ NeighborIndex = (*Grid)(nil)
 
-// AutoCell picks a voxel edge length for kNN-style workloads over cloud:
-// under a uniform-density assumption it targets about k points per 3×3×3
-// cell neighborhood, so an expanding-ring k-nearest search usually
-// terminates within its first shell. Degenerate clouds (flat, collinear,
+// AutoCell picks a default voxel edge length over cloud: under a
+// uniform-density assumption it targets about k points per 3×3×3 cell
+// neighborhood. Degenerate clouds (flat, collinear,
 // or all-duplicate) fall back to extent- and count-based estimates; the
 // result is always positive for a non-empty cloud.
 func AutoCell(cloud geom.Cloud, k int) float64 {
