@@ -380,7 +380,7 @@ func BenchmarkClustererAblation(b *testing.B) {
 	l := lab(b)
 	clf := l.HAWC()
 	frames := l.Frames()
-	for _, c := range []counting.Clusterer{
+	for _, c := range []counting.ScratchClusterer{
 		counting.NewAdaptiveClusterer(),
 		counting.FixedEpsClusterer{Eps: 0.3},
 		counting.FixedEpsClusterer{Eps: 0.5},

@@ -8,6 +8,7 @@ import (
 
 	"hawccc/internal/backend"
 	"hawccc/internal/counting"
+	"hawccc/internal/models"
 	"hawccc/internal/pole"
 	"hawccc/internal/tsdb"
 )
@@ -68,8 +69,9 @@ func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
 }
 
 // TestConfigSurface pins the exported fields of the system's config
-// structs. Every field is a setting tests and the benchmark would have
-// to cover, so adding one is a reviewed line here, not a drive-by.
+// structs, trainers and clusterers. Every field is a setting tests and
+// the benchmark would have to cover, so adding one is a reviewed line
+// here, not a drive-by.
 func TestConfigSurface(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  any
@@ -79,6 +81,13 @@ func TestConfigSurface(t *testing.T) {
 		{pole.Config{}, "PoleID Location Zone BackendAddr Pipeline Source FrameInterval Telemetry ModelVersion MaxReconnects Obs Logf"},
 		{backend.Config{}, "Addr APIAddr SnapshotInterval CrowdingLimit OverheatLimit History Obs Logf"},
 		{tsdb.Config{}, "Dir"},
+		{models.TrainConfig{}, "Epochs Seed Progress"},
+		{models.AutoEncoder{}, ""},
+		{models.OCSVM{}, ""},
+		{models.HAWC{}, "Projector GaussianSigma"},
+		{counting.AdaptiveClusterer{}, ""},
+		{counting.FixedEpsClusterer{}, "Eps"},
+		{counting.HierarchicalClusterer{}, ""},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		var got []string

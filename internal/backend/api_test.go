@@ -254,7 +254,7 @@ func TestZoneServedFromListing(t *testing.T) {
 			if got := snap.ZonePoles(name); !reflect.DeepEqual(got, byScan) {
 				t.Errorf("round %d: ZonePoles(%q) returned %d rows, a scan of the rows finds %d", round, name, len(got), len(byScan))
 			}
-			z, _ := snap.Zone(name)
+			z, _ := snapZone(snap, name)
 			want := encodeBody(zoneResponse{meta(snap), z, byScan})
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/zones/"+url.PathEscape(name), nil))

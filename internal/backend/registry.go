@@ -116,16 +116,3 @@ func (r *registry) collect(out []PoleStats) []PoleStats {
 	}
 	return out
 }
-
-// size returns the registered pole count (takes every shard lock).
-func (r *registry) size() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		r.lockAcquisitions.Add(1)
-		sh.mu.Lock()
-		n += len(sh.poles)
-		sh.mu.Unlock()
-	}
-	return n
-}

@@ -263,15 +263,6 @@ func (s *Snapshot) Pole(id uint32) (PoleStats, bool) {
 	return *s.Poles[i], true
 }
 
-// Zone returns one zone's rollup from the snapshot.
-func (s *Snapshot) Zone(name string) (ZoneStats, bool) {
-	i, ok := s.byZone[name]
-	if !ok {
-		return ZoneStats{}, false
-	}
-	return s.Zones[i], true
-}
-
 // ZonePoles returns the snapshot's poles belonging to the zone, by ID.
 func (s *Snapshot) ZonePoles(name string) []PoleStats {
 	zi, ok := s.byZone[name]

@@ -120,7 +120,7 @@ func TestDBSCANLabelsPartitionProperty(t *testing.T) {
 func TestClustersMaterialization(t *testing.T) {
 	cloud := geom.Cloud{geom.P(0, 0, 0), geom.P(0.1, 0, 0), geom.P(9, 9, 9)}
 	res := DBSCAN(cloud, 0.5, 2)
-	clusters := res.Clusters(cloud)
+	clusters := res.ClustersInto(cloud, nil)
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %d, want 1", len(clusters))
 	}
@@ -135,7 +135,7 @@ func TestClustersPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Result{Labels: []int{0}}.Clusters(geom.Cloud{})
+	Result{Labels: []int{0}}.ClustersInto(geom.Cloud{}, nil)
 }
 
 func TestOptimalEpsilonSeparatesScales(t *testing.T) {
@@ -232,13 +232,20 @@ func TestClustersIntoMatchesClusters(t *testing.T) {
 		t.Fatalf("setup: expected ≥2 clusters, got %d", res.NumClusters)
 	}
 
-	want := res.Clusters(cloud)
+	// The reference: each labeled point appended to its cluster, in
+	// cloud order.
+	want := make([]geom.Cloud, res.NumClusters)
+	for i, lbl := range res.Labels {
+		if lbl != Noise {
+			want[lbl] = append(want[lbl], cloud[i])
+		}
+	}
 	// Undersized dst with stale contents: must grow and be overwritten.
 	dst := make([]geom.Cloud, 1, 1)
 	dst[0] = geom.Cloud{geom.P(9, 9, 9)}
 	got := res.ClustersInto(cloud, dst)
 	if len(got) != len(want) {
-		t.Fatalf("ClustersInto produced %d clusters, Clusters %d", len(got), len(want))
+		t.Fatalf("ClustersInto produced %d clusters, want %d", len(got), len(want))
 	}
 	for ci := range want {
 		if len(got[ci]) != len(want[ci]) {

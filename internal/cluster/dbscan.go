@@ -43,37 +43,16 @@ type Result struct {
 	Sizes []int
 }
 
-// Clusters materializes the clustered sub-clouds, dropping noise points.
-// Cluster i of the result holds the points labeled i.
-func (r Result) Clusters(cloud geom.Cloud) []geom.Cloud {
-	if len(r.Labels) != len(cloud) {
-		panic(fmt.Sprintf("cluster: labels/cloud length mismatch %d vs %d", len(r.Labels), len(cloud)))
-	}
-	out := make([]geom.Cloud, r.NumClusters)
-	if r.Sizes != nil {
-		for c := range out {
-			out[c] = make(geom.Cloud, 0, r.Sizes[c])
-		}
-	}
-	for i, lbl := range r.Labels {
-		if lbl == Noise {
-			continue
-		}
-		out[lbl] = append(out[lbl], cloud[i])
-	}
-	return out
-}
-
-// ClustersInto materializes the clustered sub-clouds like Clusters, but
+// ClustersInto materializes the clustered sub-clouds, dropping noise
+// points: cluster i holds the points labeled i, in cloud order. It
 // reuses dst: the returned slice recycles dst's header and, where
 // capacity allows, the backing arrays of its cloud entries. Streaming
 // callers pass each frame's buffer back in, so steady-state cluster
 // materialization stops allocating once the buffers have grown to
 // match the traffic. When the result carries precounted Sizes, an entry
 // that must grow is allocated at exact capacity up front instead of
-// through append's doubling. Points and their order are exactly
-// Clusters'; the returned clouds alias dst's storage, so the caller must
-// not reuse dst until it is done with them.
+// through append's doubling. The returned clouds alias dst's storage, so
+// the caller must not reuse dst until it is done with them.
 func (r Result) ClustersInto(cloud geom.Cloud, dst []geom.Cloud) []geom.Cloud {
 	if len(r.Labels) != len(cloud) {
 		panic(fmt.Sprintf("cluster: labels/cloud length mismatch %d vs %d", len(r.Labels), len(cloud)))

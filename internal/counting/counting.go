@@ -25,96 +25,67 @@ import (
 	"hawccc/internal/wire"
 )
 
-// Clusterer partitions an ingested frame into candidate clusters.
-type Clusterer interface {
-	Name() string
-	Cluster(cloud geom.Cloud) cluster.Result
-}
-
-// ScratchClusterer is the optional Clusterer extension the streaming
-// pipeline prefers: clustering against a caller-owned cluster.Scratch,
-// so the spatial index and every working buffer are recycled with the
-// pooled frame job and the steady-state geometry stage performs no heap
-// allocation. The returned result may alias the Scratch's buffers; the
-// pipeline materializes clusters out of it before the next frame reuses
-// the job.
+// ScratchClusterer partitions an ingested frame into candidate clusters
+// against a caller-owned cluster.Scratch, so the spatial index and every
+// working buffer are recycled with the pooled frame job and the
+// steady-state geometry stage performs no heap allocation. The returned
+// result may alias the Scratch's buffers; the pipeline materializes
+// clusters out of it before the next frame reuses the job.
 type ScratchClusterer interface {
-	Clusterer
+	Name() string
 	ClusterScratch(s *cluster.Scratch, cloud geom.Cloud) cluster.Result
 }
 
-// AdaptiveClusterer is the paper's adaptive-ε DBSCAN (Section IV).
-type AdaptiveClusterer struct {
-	Config cluster.AdaptiveConfig
-}
+// AdaptiveClusterer is the paper's adaptive-ε DBSCAN (Section IV) at
+// cluster.DefaultAdaptiveConfig.
+type AdaptiveClusterer struct{}
 
 var _ ScratchClusterer = AdaptiveClusterer{}
 
-// NewAdaptiveClusterer returns the deployment configuration.
-func NewAdaptiveClusterer() AdaptiveClusterer {
-	return AdaptiveClusterer{Config: cluster.DefaultAdaptiveConfig()}
-}
+// NewAdaptiveClusterer returns the deployment clusterer.
+func NewAdaptiveClusterer() AdaptiveClusterer { return AdaptiveClusterer{} }
 
-// Name implements Clusterer.
+// Name implements ScratchClusterer.
 func (AdaptiveClusterer) Name() string { return "adaptive" }
 
-// Cluster implements Clusterer.
-func (a AdaptiveClusterer) Cluster(cloud geom.Cloud) cluster.Result {
-	return cluster.Adaptive(cloud, a.Config)
-}
-
 // ClusterScratch implements ScratchClusterer.
-func (a AdaptiveClusterer) ClusterScratch(s *cluster.Scratch, cloud geom.Cloud) cluster.Result {
-	return s.Adaptive(cloud, a.Config)
+func (AdaptiveClusterer) ClusterScratch(s *cluster.Scratch, cloud geom.Cloud) cluster.Result {
+	return s.Adaptive(cloud, cluster.DefaultAdaptiveConfig())
 }
 
-// FixedEpsClusterer is DBSCAN with a fixed ε (Table IV baseline).
+// FixedEpsClusterer is DBSCAN with a fixed ε and the adaptive
+// configuration's minPts (Table IV baseline).
 type FixedEpsClusterer struct {
-	Eps    float64
-	MinPts int
+	Eps float64
 }
 
 var _ ScratchClusterer = FixedEpsClusterer{}
 
-// Name implements Clusterer.
+// Name implements ScratchClusterer.
 func (f FixedEpsClusterer) Name() string { return fmt.Sprintf("fixed-eps(%.1f)", f.Eps) }
-
-// Cluster implements Clusterer.
-func (f FixedEpsClusterer) Cluster(cloud geom.Cloud) cluster.Result {
-	minPts := f.MinPts
-	if minPts == 0 {
-		minPts = cluster.DefaultAdaptiveConfig().MinPts
-	}
-	return cluster.DBSCAN(cloud, f.Eps, minPts)
-}
 
 // ClusterScratch implements ScratchClusterer.
 func (f FixedEpsClusterer) ClusterScratch(s *cluster.Scratch, cloud geom.Cloud) cluster.Result {
-	minPts := f.MinPts
-	if minPts == 0 {
-		minPts = cluster.DefaultAdaptiveConfig().MinPts
-	}
-	return s.DBSCAN(cloud, f.Eps, minPts)
+	return s.DBSCAN(cloud, f.Eps, cluster.DefaultAdaptiveConfig().MinPts)
 }
 
-// HierarchicalClusterer is single-linkage clustering cut at a distance
-// threshold (Table IV baseline; drastically over-counts).
-type HierarchicalClusterer struct {
-	CutDistance float64
-}
+// hierarchicalCut is the single-linkage cut distance (m): sub-body-scale
+// linkage, the failure mode Table IV shows.
+const hierarchicalCut = 0.12
 
-var _ Clusterer = HierarchicalClusterer{}
+// HierarchicalClusterer is single-linkage clustering cut at
+// hierarchicalCut (Table IV baseline; drastically over-counts).
+type HierarchicalClusterer struct{}
 
-// Name implements Clusterer.
-func (h HierarchicalClusterer) Name() string { return "hierarchical" }
+var _ ScratchClusterer = HierarchicalClusterer{}
 
-// Cluster implements Clusterer.
-func (h HierarchicalClusterer) Cluster(cloud geom.Cloud) cluster.Result {
-	cut := h.CutDistance
-	if cut == 0 {
-		cut = 0.12 // sub-body-scale linkage: the failure mode Table IV shows
-	}
-	return cluster.Hierarchical(cloud, cut)
+// Name implements ScratchClusterer.
+func (HierarchicalClusterer) Name() string { return "hierarchical" }
+
+// ClusterScratch implements ScratchClusterer. Single linkage allocates
+// its own working set; the scratch is unused.
+func (HierarchicalClusterer) ClusterScratch(_ *cluster.Scratch, cloud geom.Cloud) cluster.Result {
+	return cluster.Hierarchical(cloud, hierarchicalCut)
 }
 
 // Timing is the per-stage latency breakdown of one frame — the frame's
@@ -148,7 +119,7 @@ type Pipeline struct {
 	// ROI and ground segmentation applied at ingest.
 	ROI ground.ROI
 	// Clusterer partitions the frame (default: adaptive DBSCAN).
-	Clusterer Clusterer
+	Clusterer ScratchClusterer
 	// Classifier labels each cluster (HAWC for HAWC-CC, etc.).
 	Classifier models.Classifier
 	// Parallelism is the number of frames counted at once inside a Stream
@@ -235,9 +206,6 @@ func New(classifier models.Classifier) *Pipeline {
 	}
 }
 
-// Name identifies the framework, e.g. "HAWC-CC".
-func (p *Pipeline) Name() string { return p.Classifier.Name() + "-CC" }
-
 // streamJob is the unit of work of both counting modes: one frame plus
 // every buffer its processing needs. Jobs are pooled and their buffers
 // (crop/segment scratch, materialized cluster clouds, kept-cluster
@@ -262,7 +230,7 @@ type streamJob struct {
 	kept     []geom.Cloud
 	// scratch carries the geometry stage's per-frame spatial index and
 	// working buffers; recycled with the job so steady-state clustering
-	// (ScratchClusterer path) allocates nothing.
+	// allocates nothing.
 	scratch cluster.Scratch
 	// batch is the frame's kept clusters quantized on the classification
 	// lattice (rebuilt in place each frame); canonPts is the backing
@@ -336,18 +304,12 @@ func (p *Pipeline) stageIngest(j *streamJob) {
 	j.res.Timing.Ground = t2.Sub(t1)
 }
 
-// stageCluster partitions the ingested cloud and materializes the cluster
-// clouds into the job's recycled buffers. Clusterers that support the
-// Scratch path run against the job's recycled spatial index and buffers;
-// the rest fall back to their allocating Cluster method.
+// stageCluster partitions the ingested cloud against the job's recycled
+// spatial index and buffers, and materializes the cluster clouds into the
+// job's recycled buffers.
 func (p *Pipeline) stageCluster(j *streamJob) {
 	t0 := time.Now()
-	var cr cluster.Result
-	if sc, ok := p.Clusterer.(ScratchClusterer); ok {
-		cr = sc.ClusterScratch(&j.scratch, j.ingested)
-	} else {
-		cr = p.Clusterer.Cluster(j.ingested)
-	}
+	cr := p.Clusterer.ClusterScratch(&j.scratch, j.ingested)
 	j.clusters = cr.ClustersInto(j.ingested, j.clusters)
 	j.res.Timing.Cluster = time.Since(t0)
 	j.res.Noise = cr.NoiseCount()

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hawccc/internal/cluster"
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/metrics"
@@ -24,7 +26,7 @@ var _ models.Classifier = heightStub{}
 func (heightStub) Name() string { return "HeightStub" }
 
 func (heightStub) PredictHuman(cloud geom.Cloud) bool {
-	extent := cloud.MaxZ() - cloud.MinZ()
+	extent := cloud.Bounds().Size().Z
 	return extent > 1.1 && extent < 2.3
 }
 
@@ -49,9 +51,6 @@ func TestPipelineCountsSimpleFrames(t *testing.T) {
 
 func TestPipelineNamesAndVariants(t *testing.T) {
 	p := New(heightStub{})
-	if p.Name() != "HeightStub-CC" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if p.Clusterer.Name() != "adaptive" {
 		t.Errorf("default clusterer = %q", p.Clusterer.Name())
 	}
@@ -68,12 +67,12 @@ func TestPipelineNamesAndVariants(t *testing.T) {
 func TestClustererVariantsRun(t *testing.T) {
 	g := dataset.NewGenerator(2)
 	frames := g.CrowdFrames(2, 2, 2, 1)
-	clusterers := []Clusterer{
+	clusterers := []ScratchClusterer{
 		NewAdaptiveClusterer(),
 		FixedEpsClusterer{Eps: 0.3},
-		FixedEpsClusterer{Eps: 0.3, MinPts: 4},
+		dbscanAt{eps: 0.3, minPts: 4},
 		HierarchicalClusterer{},
-		HierarchicalClusterer{CutDistance: 0.3},
+		hierarchicalAt(0.3),
 	}
 	for _, c := range clusterers {
 		p := New(heightStub{})
@@ -95,7 +94,7 @@ func TestHierarchicalOvercounts(t *testing.T) {
 
 	adaptive := New(acceptAll{})
 	hier := New(acceptAll{})
-	hier.Clusterer = HierarchicalClusterer{CutDistance: 0.08}
+	hier.Clusterer = hierarchicalAt(0.08)
 
 	var adaptiveTotal, hierTotal int
 	for _, f := range frames {
@@ -105,6 +104,28 @@ func TestHierarchicalOvercounts(t *testing.T) {
 	if hierTotal <= adaptiveTotal {
 		t.Errorf("hierarchical (%d) should over-count vs adaptive (%d)", hierTotal, adaptiveTotal)
 	}
+}
+
+// hierarchicalAt is single linkage cut at a distance other than the
+// deployment's.
+type hierarchicalAt float64
+
+func (h hierarchicalAt) Name() string { return fmt.Sprintf("hierarchical(%.2f)", float64(h)) }
+
+func (h hierarchicalAt) ClusterScratch(_ *cluster.Scratch, cloud geom.Cloud) cluster.Result {
+	return cluster.Hierarchical(cloud, float64(h))
+}
+
+// dbscanAt is fixed-ε DBSCAN at a minPts other than the deployment's.
+type dbscanAt struct {
+	eps    float64
+	minPts int
+}
+
+func (d dbscanAt) Name() string { return fmt.Sprintf("dbscan(%.1f, %d)", d.eps, d.minPts) }
+
+func (d dbscanAt) ClusterScratch(s *cluster.Scratch, cloud geom.Cloud) cluster.Result {
+	return s.DBSCAN(cloud, d.eps, d.minPts)
 }
 
 // acceptAll classifies everything as human, isolating clustering behavior.
@@ -162,7 +183,7 @@ func TestSmallClustersAreFiltered(t *testing.T) {
 		return c
 	}
 	p := New(acceptAll{})
-	p.Clusterer = FixedEpsClusterer{Eps: 0.3, MinPts: 3}
+	p.Clusterer = dbscanAt{eps: 0.3, minPts: 3}
 	for _, tc := range []struct{ small, want int }{
 		{dataset.MinVisiblePoints - 1, 1},
 		{dataset.MinVisiblePoints, 2},

@@ -64,9 +64,6 @@ func NewGenerator(seed int64) *Generator {
 	}
 }
 
-// ROI returns the generator's region of interest.
-func (g *Generator) ROI() ground.ROI { return g.roi }
-
 func (g *Generator) objectKind() lidarsim.ObjectKind {
 	if g.HardObjects {
 		return lidarsim.RandomObjectKindHard(g.rng)

@@ -16,7 +16,7 @@ func TestSinglePersonSamples(t *testing.T) {
 	if len(samples) != 20 {
 		t.Fatalf("got %d samples", len(samples))
 	}
-	roi := g.ROI()
+	roi := g.roi
 	for i, s := range samples {
 		if !s.Human {
 			t.Fatalf("sample %d not labeled human", i)

@@ -48,15 +48,6 @@ type Graph struct {
 	Ops []OpCost
 }
 
-// TotalMACs sums multiply-accumulates over the graph.
-func (g Graph) TotalMACs() int64 {
-	var n int64
-	for _, op := range g.Ops {
-		n += op.MACs
-	}
-	return n
-}
-
 // Profile is an edge device's execution characteristics. Rates are in
 // MACs per second; overheads are per dispatched op and per inference.
 type Profile struct {
@@ -136,13 +127,16 @@ func (p Profile) estimate(g Graph, convRate, fcRate float64, perOp time.Duration
 
 // FromSequential costs a float model's graph for one inference with the
 // given example input (the batch dimension of the example determines
-// whether dense layers are per-point batched, i.e. conv-like).
+// whether dense layers are per-point batched, i.e. conv-like). It runs
+// the inference pass, which writes no layer state, so a shared model may
+// be costed from any number of goroutines.
 func FromSequential(m *nn.Sequential, example *tensor.Tensor) Graph {
 	var g Graph
+	var sc nn.Scratch
 	x := example
 	for _, l := range m.Layers {
 		in := x
-		x = l.Forward(x, false)
+		x = l.Infer(x, &sc)
 		g.Ops = append(g.Ops, costLayer(l, in, x))
 	}
 	return g

@@ -2,6 +2,7 @@ package device
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,13 +72,22 @@ func pointNet(rng *rand.Rand) (*nn.Sequential, *tensor.Tensor) {
 	return m, x
 }
 
+// totalMACs sums multiply-accumulates over the graph.
+func totalMACs(g Graph) int64 {
+	var n int64
+	for _, op := range g.Ops {
+		n += op.MACs
+	}
+	return n
+}
+
 func TestGraphMACCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m, x := smallCNN(rng)
 	g := FromSequential(m, x)
 	want := int64(16*16*9*7*8 + 16*16*9*8*16 + 8*8*9*16*16 + 8*8*16*128 + 128*2)
-	if g.TotalMACs() != want {
-		t.Errorf("TotalMACs = %d, want %d", g.TotalMACs(), want)
+	if totalMACs(g) != want {
+		t.Errorf("MACs = %d, want %d", totalMACs(g), want)
 	}
 	// Conv op classed conv-like; batch-1 dense classed FC.
 	if g.Ops[0].Class != OpConvLike {
@@ -152,7 +162,7 @@ func TestQuantGraphCosting(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := FromQuant(qm, x)
-	if g.TotalMACs() == 0 {
+	if totalMACs(g) == 0 {
 		t.Fatal("quant graph has zero MACs")
 	}
 	// int8 on the Jetson must beat FP32 for this conv net.
@@ -165,8 +175,8 @@ func TestQuantGraphCosting(t *testing.T) {
 
 func TestSVMGraph(t *testing.T) {
 	g := SVMGraph(500, 46)
-	if g.TotalMACs() != 500*47 {
-		t.Errorf("SVM MACs = %d", g.TotalMACs())
+	if totalMACs(g) != 500*47 {
+		t.Errorf("SVM MACs = %d", totalMACs(g))
 	}
 	d := JetsonNano.EstimateFP32(g)
 	if d <= 0 || d > time.Millisecond {
@@ -179,6 +189,30 @@ func TestEstimatesArePositiveAndOverheadBound(t *testing.T) {
 	for _, p := range []Profile{JetsonNano, CoralDevBoard} {
 		if got := p.EstimateFP32(Graph{}); got != p.PerInference {
 			t.Errorf("%s empty graph = %v, want %v", p.Name, got, p.PerInference)
+		}
+	}
+}
+
+// TestFromSequentialConcurrent costs one shared model from two goroutines
+// at once. Costing runs the inference pass, which writes no layer state,
+// so under -race this proves the cost model leaves the model it costs
+// untouched.
+func TestFromSequentialConcurrent(t *testing.T) {
+	m, x := smallCNN(rand.New(rand.NewSource(6)))
+	want := totalMACs(FromSequential(m, x))
+	var wg sync.WaitGroup
+	got := make([]int64, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = totalMACs(FromSequential(m, x))
+		}()
+	}
+	wg.Wait()
+	for i, n := range got {
+		if n != want {
+			t.Errorf("goroutine %d: %d MACs, want %d", i, n, want)
 		}
 	}
 }

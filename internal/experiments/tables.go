@@ -198,7 +198,7 @@ type TableIVRow struct {
 func TableIV(l *Lab) []TableIVRow {
 	frames := l.Frames()
 	classifier := l.HAWC()
-	run := func(name string, c counting.Clusterer) TableIVRow {
+	run := func(name string, c counting.ScratchClusterer) TableIVRow {
 		l.logf("Table IV: %s...", name)
 		p := counting.New(classifier)
 		p.Clusterer = c

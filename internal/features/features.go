@@ -141,58 +141,3 @@ func circularity(cloud geom.Cloud) float64 {
 	}
 	return l2 / l1
 }
-
-// Normalizer rescales feature vectors to zero mean and unit variance using
-// statistics fit on a training set — required by OC-SVM's RBF kernel and
-// helpful for the AutoEncoder.
-type Normalizer struct {
-	Mean, Std []float64
-}
-
-// FitNormalizer computes per-dimension statistics over vectors.
-func FitNormalizer(vectors [][]float64) *Normalizer {
-	if len(vectors) == 0 {
-		return &Normalizer{Mean: make([]float64, VectorLen), Std: ones(VectorLen)}
-	}
-	dim := len(vectors[0])
-	mean := make([]float64, dim)
-	for _, v := range vectors {
-		for i, x := range v {
-			mean[i] += x
-		}
-	}
-	for i := range mean {
-		mean[i] /= float64(len(vectors))
-	}
-	std := make([]float64, dim)
-	for _, v := range vectors {
-		for i, x := range v {
-			d := x - mean[i]
-			std[i] += d * d
-		}
-	}
-	for i := range std {
-		std[i] = math.Sqrt(std[i] / float64(len(vectors)))
-		if std[i] < 1e-9 {
-			std[i] = 1
-		}
-	}
-	return &Normalizer{Mean: mean, Std: std}
-}
-
-// Apply returns the normalized copy of v.
-func (n *Normalizer) Apply(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = (x - n.Mean[i]) / n.Std[i]
-	}
-	return out
-}
-
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}

@@ -137,29 +137,3 @@ func TestBoundaryRegularity(t *testing.T) {
 		t.Errorf("irregular shape regularity = %v, want > 0", got)
 	}
 }
-
-func TestNormalizer(t *testing.T) {
-	vectors := [][]float64{
-		{1, 10, 0},
-		{3, 20, 0},
-		{5, 30, 0},
-	}
-	n := FitNormalizer(vectors)
-	out := n.Apply([]float64{3, 20, 0})
-	for i, x := range out {
-		if math.Abs(x) > 1e-9 {
-			t.Errorf("mean vector dim %d normalized to %v, want 0", i, x)
-		}
-	}
-	// Constant dimensions get unit std (no division blow-up).
-	out2 := n.Apply([]float64{1, 10, 100})
-	if math.IsInf(out2[2], 0) || math.IsNaN(out2[2]) {
-		t.Error("constant dimension produced non-finite value")
-	}
-	// Empty fit yields identity-ish normalizer.
-	e := FitNormalizer(nil)
-	v := e.Apply(make([]float64, VectorLen))
-	if len(v) != VectorLen {
-		t.Error("empty normalizer wrong length")
-	}
-}

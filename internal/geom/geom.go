@@ -83,17 +83,8 @@ func (c Cloud) Centroid() Point3 {
 	return sum.Scale(1 / float64(len(c)))
 }
 
-// Translate shifts every point in the cloud by d, in place, and returns c.
-func (c Cloud) Translate(d Point3) Cloud {
-	for i := range c {
-		c[i] = c[i].Add(d)
-	}
-	return c
-}
-
 // AppendTranslated appends src shifted by d onto dst and returns the
-// extended slice. It replaces the Clone-then-Translate-then-append
-// pattern on scene assembly paths with a single pass and no temporary.
+// extended slice, in a single pass and with no temporary.
 func AppendTranslated(dst, src Cloud, d Point3) Cloud {
 	if need := len(dst) + len(src); cap(dst) < need {
 		grown := make(Cloud, len(dst), need)
@@ -134,24 +125,6 @@ func (c Cloud) Filter(keep func(Point3) bool) Cloud {
 		}
 	}
 	return out
-}
-
-// MinZ returns the smallest z coordinate, or +Inf for an empty cloud.
-func (c Cloud) MinZ() float64 {
-	minZ := math.Inf(1)
-	for _, p := range c {
-		minZ = math.Min(minZ, p.Z)
-	}
-	return minZ
-}
-
-// MaxZ returns the largest z coordinate, or -Inf for an empty cloud.
-func (c Cloud) MaxZ() float64 {
-	maxZ := math.Inf(-1)
-	for _, p := range c {
-		maxZ = math.Max(maxZ, p.Z)
-	}
-	return maxZ
 }
 
 // Box is an axis-aligned bounding box.
@@ -196,40 +169,10 @@ func (b Box) Union(o Box) Box {
 	return b.Extend(o.Min).Extend(o.Max)
 }
 
-// Contains reports whether p lies inside the box (inclusive).
-func (b Box) Contains(p Point3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
 // Size returns the box extents on each axis. Empty boxes report zero size.
 func (b Box) Size() Point3 {
 	if b.IsEmpty() {
 		return Point3{}
 	}
 	return b.Max.Sub(b.Min)
-}
-
-// Center returns the geometric center of the box.
-func (b Box) Center() Point3 {
-	return b.Min.Add(b.Max).Scale(0.5)
-}
-
-// Dist2ToPoint returns the squared distance from p to the nearest point of
-// the box (zero when p is inside). Used by k-d tree pruning.
-func (b Box) Dist2ToPoint(p Point3) float64 {
-	var d2 float64
-	for axis := 0; axis < 3; axis++ {
-		v := p.Coord(axis)
-		lo, hi := b.Min.Coord(axis), b.Max.Coord(axis)
-		if v < lo {
-			d := lo - v
-			d2 += d * d
-		} else if v > hi {
-			d := v - hi
-			d2 += d * d
-		}
-	}
-	return d2
 }

@@ -1,10 +1,5 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
-
 // AxisValues extracts the axis-th coordinate of every point in the cloud.
 func AxisValues(c Cloud, axis int) []float64 {
 	out := make([]float64, len(c))
@@ -58,54 +53,4 @@ func NewHistogram(values []float64, min, max float64, bins int) Histogram {
 		h.Counts[i]++
 	}
 	return h
-}
-
-// Mean returns the arithmetic mean of values (0 for an empty slice).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
-// StdDev returns the population standard deviation of values.
-func StdDev(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := Mean(values)
-	var s float64
-	for _, v := range values {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(values)))
-}
-
-// Percentile returns the p-th percentile (0..100) of values using linear
-// interpolation between order statistics. It copies and sorts internally.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestAxisValues(t *testing.T) {
 	c := Cloud{{1, 2, 3}, {4, 5, 6}}
@@ -41,40 +38,5 @@ func TestHistogramDegenerate(t *testing.T) {
 	h2 := NewHistogram([]float64{1}, 0, 1, 0)
 	if h2.BinWidth() != 0 {
 		t.Error("zero bins should have zero width")
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(vals); got != 5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := StdDev(vals); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty input should give 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{3, 1, 2, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {-5, 1}, {150, 5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(vals, tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-	// Interpolation between order statistics.
-	if got := Percentile([]float64{0, 10}, 25); got != 2.5 {
-		t.Errorf("interpolated percentile = %v, want 2.5", got)
 	}
 }

@@ -165,9 +165,6 @@ func NewSensor(cfg SensorConfig, rng *rand.Rand) *Sensor {
 	return s
 }
 
-// Config returns the sensor configuration.
-func (s *Sensor) Config() SensorConfig { return s.cfg }
-
 // Scan casts the full beam fan over the scene and returns the labeled
 // returns. The origin is the sensor position (0,0,0).
 func (s *Sensor) Scan(scene *Scene) []Return {

@@ -25,22 +25,11 @@ import (
 // below a threshold fit on the training distribution. Extracting features
 // from the padded cloud blurs the class manifolds — the structural reason
 // this baseline lands far below HAWC in Table I.
+//
+// The slice features go to the autoencoder raw, as in the paper's
+// baseline (77.94% accuracy): their uneven scales let a few large
+// dimensions dominate the reconstruction loss.
 type AutoEncoder struct {
-	// Normalize standardizes features before the autoencoder. The paper's
-	// baseline (77.94% accuracy) feeds raw slice features, whose uneven
-	// scales let a few large dimensions dominate the reconstruction loss;
-	// that is the behavior reproduced by default. Normalizing is an
-	// extension beyond the paper.
-	Normalize bool
-
-	// FeatureWindow gates feature extraction to points within this xy
-	// distance (meters) of the cluster centroid after up-sampling; 0
-	// disables the gate. Leigh et al.'s person features are local, so the
-	// extraction ignores far-field padding while nearby padding still
-	// contaminates the slices — the mid-tier accuracy Table I shows.
-	FeatureWindow float64
-
-	norm      *features.Normalizer
 	net       *nn.Sequential
 	qnet      *quant.Model
 	threshold float64
@@ -50,8 +39,19 @@ type AutoEncoder struct {
 
 var _ Classifier = (*AutoEncoder)(nil)
 
+// featureWindow gates feature extraction to points within this xy
+// distance (meters) of the cluster centroid after up-sampling. Leigh et
+// al.'s person features are local, so the extraction ignores far-field
+// padding while nearby padding still contaminates the slices — the
+// mid-tier accuracy Table I shows.
+const featureWindow = 0.95
+
+// autoEncoderBatch is the AutoEncoder's training minibatch (Section
+// VII-A).
+const autoEncoderBatch = 512
+
 // NewAutoEncoder builds an untrained AutoEncoder classifier.
-func NewAutoEncoder() *AutoEncoder { return &AutoEncoder{FeatureWindow: 0.95} }
+func NewAutoEncoder() *AutoEncoder { return &AutoEncoder{} }
 
 // Name implements Classifier.
 func (a *AutoEncoder) Name() string {
@@ -66,9 +66,6 @@ func (a *AutoEncoder) Network() *nn.Sequential { return a.net }
 
 // QuantNetwork exposes the int8 graph (nil unless quantized).
 func (a *AutoEncoder) QuantNetwork() *quant.Model { return a.qnet }
-
-// Threshold returns the fitted reconstruction-error threshold.
-func (a *AutoEncoder) Threshold() float64 { return a.threshold }
 
 // thresholdPercentile: human training errors below this percentile are
 // "inside" the learned manifold.
@@ -98,7 +95,7 @@ func (a *AutoEncoder) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	if len(samples) == 0 {
 		return errors.New("models: no training samples")
 	}
-	cfg = cfg.withDefaults(60, 512, 0.001)
+	cfg = cfg.withDefaults(60)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a.target = upsample.TargetSize(dataset.MaxPoints(samples))
 	var objectClouds []geom.Cloud
@@ -109,56 +106,46 @@ func (a *AutoEncoder) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	}
 	a.pool = upsample.NewPool(objectClouds)
 
-	var humanVecs [][]float64
-	var allVecs [][]float64
+	var humanVecs [][]float32
 	for _, s := range samples {
 		v := a.extract(rng, s.Cloud)
-		allVecs = append(allVecs, v)
 		if s.Human {
-			humanVecs = append(humanVecs, v)
+			humanVecs = append(humanVecs, toF32(v))
 		}
 	}
 	if len(humanVecs) == 0 {
 		return errors.New("models: AutoEncoder needs at least one human sample")
 	}
-	if a.Normalize {
-		a.norm = features.FitNormalizer(allVecs)
-	}
 
 	dim := features.VectorLen
 	a.net = buildAutoEncoder(dim, rng)
 
-	normalized := make([][]float32, len(humanVecs))
-	for i, v := range humanVecs {
-		normalized[i] = toF32(a.applyNorm(v))
-	}
-
-	opt := nn.NewAdam(cfg.LearningRate)
-	n := len(normalized)
+	opt := nn.NewAdam(learningRate)
+	n := len(humanVecs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := shuffledIndices(rng, n)
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < n; start += autoEncoderBatch {
+			end := start + autoEncoderBatch
 			if end > n {
 				end = n
 			}
 			b := end - start
 			x := tensor.New(b, dim)
 			for bi := 0; bi < b; bi++ {
-				copy(x.Data[bi*dim:(bi+1)*dim], normalized[perm[start+bi]])
+				copy(x.Data[bi*dim:(bi+1)*dim], humanVecs[perm[start+bi]])
 			}
-			out := a.net.Forward(x, true)
+			out := a.net.Forward(x)
 			_, grad := nn.MSELoss(out, x)
 			a.net.Backward(grad)
 			opt.Step(a.net.Params())
 		}
 		if cfg.Progress != nil {
 			// Threshold must exist for mid-training evaluation.
-			a.fitThreshold(normalized)
+			a.fitThreshold(humanVecs)
 			cfg.Progress(epoch)
 		}
 	}
-	a.fitThreshold(normalized)
+	a.fitThreshold(humanVecs)
 	return nil
 }
 
@@ -177,8 +164,8 @@ func (a *AutoEncoder) fitThreshold(humanVecs [][]float32) {
 	}
 }
 
-// reconError is the mean squared reconstruction error of one normalized
-// feature vector.
+// reconError is the mean squared reconstruction error of one feature
+// vector.
 func (a *AutoEncoder) reconError(v []float32) float64 {
 	dim := len(v)
 	x := tensor.FromSlice(append([]float32(nil), v...), 1, dim)
@@ -204,13 +191,11 @@ func (a *AutoEncoder) extract(rng *rand.Rand, cloud geom.Cloud) []float64 {
 	if a.pool != nil && a.pool.Len() > 0 && a.target > 0 {
 		up = upsample.FromPool(rng, cloud, a.pool, a.target)
 	}
-	if a.FeatureWindow > 0 {
-		c := cloud.Centroid()
-		w := a.FeatureWindow
-		up = up.Filter(func(p geom.Point3) bool {
-			return p.X >= c.X-w && p.X <= c.X+w && p.Y >= c.Y-w && p.Y <= c.Y+w
-		})
-	}
+	c := cloud.Centroid()
+	const w = featureWindow
+	up = up.Filter(func(p geom.Point3) bool {
+		return p.X >= c.X-w && p.X <= c.X+w && p.Y >= c.Y-w && p.Y <= c.Y+w
+	})
 	return features.Extract(up)
 }
 
@@ -221,15 +206,8 @@ func (a *AutoEncoder) PredictHuman(cloud geom.Cloud) bool {
 	if a.net == nil {
 		panic("models: AutoEncoder not trained")
 	}
-	v := toF32(a.applyNorm(seeded(cloud, a.extract)))
+	v := toF32(seeded(cloud, a.extract))
 	return a.reconError(v) <= a.threshold
-}
-
-func (a *AutoEncoder) applyNorm(v []float64) []float64 {
-	if a.norm == nil {
-		return v
-	}
-	return a.norm.Apply(v)
 }
 
 // Quantize returns an int8-inference copy calibrated on the given samples.
@@ -245,7 +223,7 @@ func (a *AutoEncoder) Quantize(calib []dataset.Sample) (*AutoEncoder, error) {
 	}
 	tensors := make([]*tensor.Tensor, 0, len(calib))
 	for _, s := range calib {
-		v := toF32(a.applyNorm(seeded(s.Cloud, a.extract)))
+		v := toF32(seeded(s.Cloud, a.extract))
 		tensors = append(tensors, tensor.FromSlice(v, 1, features.VectorLen))
 	}
 	qm, err := quant.Quantize(a.net, tensors)

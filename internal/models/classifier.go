@@ -37,15 +37,11 @@ type BatchClassifier interface {
 }
 
 // TrainConfig parameterizes model training. Zero values select each
-// model's paper defaults.
+// model's paper defaults. Minibatch sizes and the learning rate are each
+// model's paper constants.
 type TrainConfig struct {
 	// Epochs is the number of passes over the training set.
 	Epochs int
-	// BatchSize is the minibatch size (paper: HAWC 32, PointNet 64,
-	// AutoEncoder 512).
-	BatchSize int
-	// LearningRate for Adam (paper: 0.001 for all CNN models).
-	LearningRate float64
 	// Seed drives weight init, shuffling, and up-sampling noise.
 	Seed int64
 	// Progress, if non-nil, is called after each epoch; callers close
@@ -53,15 +49,13 @@ type TrainConfig struct {
 	Progress func(epoch int)
 }
 
-func (c TrainConfig) withDefaults(epochs, batch int, lr float64) TrainConfig {
+// learningRate is Adam's initial step for every network the paper
+// trains (Section VII-A).
+const learningRate = 0.001
+
+func (c TrainConfig) withDefaults(epochs int) TrainConfig {
 	if c.Epochs == 0 {
 		c.Epochs = epochs
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = batch
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = lr
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -123,13 +123,16 @@ func seeded[T any](cloud geom.Cloud, prepare func(*rand.Rand, geom.Cloud) T) T {
 	return prepare(rng, cloud)
 }
 
+// hawcBatch is HAWC's training minibatch (Section VII-A).
+const hawcBatch = 32
+
 // Train fits HAWC on cluster samples. Defaults follow Section VII-A:
 // Adam, lr 0.001, batch 32.
 func (h *HAWC) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	if len(samples) == 0 {
 		return errors.New("models: no training samples")
 	}
-	cfg = cfg.withDefaults(30, 32, 0.001)
+	cfg = cfg.withDefaults(30)
 	h.rng = rand.New(rand.NewSource(cfg.Seed))
 	if h.Projector == nil {
 		h.Projector = projection.HAP{}
@@ -159,7 +162,7 @@ func (h *HAWC) Train(samples []dataset.Sample, cfg TrainConfig) error {
 		return images
 	}
 
-	opt := nn.NewAdam(cfg.LearningRate)
+	opt := nn.NewAdam(learningRate)
 	trainImages(h.net, opt, prepareAll, labels, h.d, c, cfg, h.rng)
 	return nil
 }
@@ -176,8 +179,8 @@ func trainImages(net *nn.Sequential, opt *nn.Adam, prepareAll func() [][]float32
 		}
 		images := prepareAll()
 		perm := shuffledIndices(rng, n)
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < n; start += hawcBatch {
+			end := start + hawcBatch
 			if end > n {
 				end = n
 			}
@@ -189,7 +192,7 @@ func trainImages(net *nn.Sequential, opt *nn.Adam, prepareAll func() [][]float32
 				copy(x.Data[bi*imgLen:(bi+1)*imgLen], images[idx])
 				y[bi] = labels[idx]
 			}
-			out := net.Forward(x, true)
+			out := net.Forward(x)
 			_, grad := nn.SoftmaxCrossEntropy(out, y)
 			net.Backward(grad)
 			opt.Step(net.Params())

@@ -166,7 +166,7 @@ func TestAutoEncoderTrainPredict(t *testing.T) {
 	if err := a.Train(split.Train, TrainConfig{Epochs: 20, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if a.Threshold() <= 0 {
+	if a.threshold <= 0 {
 		t.Error("threshold not fitted")
 	}
 	conf := Evaluate(a, split.Test)
@@ -183,16 +183,6 @@ func TestAutoEncoderTrainPredict(t *testing.T) {
 		t.Errorf("name %q", aq.Name())
 	}
 	_ = aq.PredictHuman(split.Test[0].Cloud)
-}
-
-func TestAutoEncoderNormalizedVariant(t *testing.T) {
-	split := smallSplit(t)
-	a := NewAutoEncoder()
-	a.Normalize = true
-	if err := a.Train(split.Train, TrainConfig{Epochs: 10, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_ = a.PredictHuman(split.Test[0].Cloud)
 }
 
 func TestAutoEncoderErrors(t *testing.T) {

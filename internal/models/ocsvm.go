@@ -22,21 +22,13 @@ import (
 // framework's noise-controlled up-sampling and then extracts features from
 // the padded cloud; the padding noise blurs the single-class manifold until
 // the ν = 0.01 support region covers essentially the whole feature space,
-// reproducing Table I's degenerate everything-is-human behavior.
+//
+// Following the cited implementation, raw slice features go to an RBF
+// kernel with γ = 1/numFeatures; at raw meter scale that kernel saturates
+// near 1 for every pair, the decision region swallows the whole space,
+// and the classifier labels every sample "human" — exactly the degenerate
+// 48.6%-accuracy behavior Table I reports.
 type OCSVM struct {
-	// Config overrides the paper's ν/γ defaults when set before Train.
-	Config svm.Config
-	// Normalize standardizes features before the kernel. The paper's
-	// OC-SVM-CC follows the cited implementation and feeds raw slice
-	// features to an RBF kernel with γ = 1/numFeatures; at raw meter
-	// scale that kernel saturates near 1 for every pair, the decision
-	// region swallows the whole space, and the classifier labels every
-	// sample "human" — exactly the degenerate 48.6%-accuracy behavior
-	// Table I reports. Setting Normalize (an extension beyond the paper)
-	// repairs it.
-	Normalize bool
-
-	norm   *features.Normalizer
 	model  *svm.OneClass
 	target int
 	pool   *upsample.Pool
@@ -46,7 +38,7 @@ var _ Classifier = (*OCSVM)(nil)
 
 // NewOCSVM builds an untrained OC-SVM with the paper's settings
 // (ν = 0.01, γ = 1/numFeatures).
-func NewOCSVM() *OCSVM { return &OCSVM{Config: svm.DefaultConfig()} }
+func NewOCSVM() *OCSVM { return &OCSVM{} }
 
 // Name implements Classifier.
 func (o *OCSVM) Name() string { return "OC-SVM" }
@@ -63,13 +55,14 @@ func (o *OCSVM) NumSupportVectors() int {
 // FeatureDim returns the classifier's input dimensionality.
 func (o *OCSVM) FeatureDim() int { return features.VectorLen }
 
-// Train fits the one-class SVM on the human samples. The TrainConfig's
-// neural-network fields are ignored; Seed drives the SMO pair order.
+// Train fits the one-class SVM on the human samples with the paper's
+// ν/γ (svm.DefaultConfig). Epochs is ignored; Seed drives the SMO pair
+// order.
 func (o *OCSVM) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	if len(samples) == 0 {
 		return errors.New("models: no training samples")
 	}
-	cfg = cfg.withDefaults(1, 1, 1)
+	cfg = cfg.withDefaults(1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	o.target = upsample.TargetSize(dataset.MaxPoints(samples))
 	var objectClouds []geom.Cloud
@@ -81,10 +74,8 @@ func (o *OCSVM) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	o.pool = upsample.NewPool(objectClouds)
 
 	var humanVecs [][]float64
-	var allVecs [][]float64
 	for _, s := range samples {
 		v := o.extract(rng, s.Cloud)
-		allVecs = append(allVecs, v)
 		if s.Human {
 			humanVecs = append(humanVecs, v)
 		}
@@ -92,16 +83,9 @@ func (o *OCSVM) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	if len(humanVecs) == 0 {
 		return errors.New("models: OC-SVM needs at least one human sample")
 	}
-	if o.Normalize {
-		o.norm = features.FitNormalizer(allVecs)
-	}
-	normalized := make([][]float64, len(humanVecs))
-	for i, v := range humanVecs {
-		normalized[i] = o.applyNorm(v)
-	}
-	svmCfg := o.Config
+	svmCfg := svm.DefaultConfig()
 	svmCfg.Seed = cfg.Seed
-	m, err := svm.Train(normalized, svmCfg)
+	m, err := svm.Train(humanVecs, svmCfg)
 	if err != nil {
 		return fmt.Errorf("models: OC-SVM train: %w", err)
 	}
@@ -127,12 +111,5 @@ func (o *OCSVM) PredictHuman(cloud geom.Cloud) bool {
 	if o.model == nil {
 		panic("models: OC-SVM not trained")
 	}
-	return o.model.Predict(o.applyNorm(seeded(cloud, o.extract)))
-}
-
-func (o *OCSVM) applyNorm(v []float64) []float64 {
-	if o.norm == nil {
-		return v
-	}
-	return o.norm.Apply(v)
+	return o.model.Predict(seeded(cloud, o.extract))
 }

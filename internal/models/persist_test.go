@@ -37,8 +37,8 @@ func TestHAWCSaveLoadRoundTrip(t *testing.T) {
 	d := upsample.Side(h.Target())
 	x := tensor.New(1, d, d, 7)
 	x.RandNormal(rand.New(rand.NewSource(99)), 1)
-	want := h.Network().Forward(x, false)
-	got := loaded.Network().Forward(x, false)
+	want := h.Network().Infer(x)
+	got := loaded.Network().Infer(x)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("logit %d differs: %v vs %v", i, got.Data[i], want.Data[i])

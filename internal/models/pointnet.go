@@ -104,12 +104,15 @@ func (p *PointNet) preparePoints(rng *rand.Rand, cloud geom.Cloud) []float32 {
 	return out
 }
 
+// pointNetBatch is PointNet's training minibatch (Section VII-A).
+const pointNetBatch = 64
+
 // Train fits PointNet (paper defaults: Adam, lr 0.001, batch 64).
 func (p *PointNet) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	if len(samples) == 0 {
 		return errors.New("models: no training samples")
 	}
-	cfg = cfg.withDefaults(14, 64, 0.001)
+	cfg = cfg.withDefaults(14)
 	p.rng = rand.New(rand.NewSource(cfg.Seed))
 
 	p.target = upsample.TargetSize(dataset.MaxPoints(samples))
@@ -124,7 +127,7 @@ func (p *PointNet) Train(samples []dataset.Sample, cfg TrainConfig) error {
 		}
 	}
 
-	opt := nn.NewAdam(cfg.LearningRate)
+	opt := nn.NewAdam(learningRate)
 	n := len(samples)
 	vecLen := p.target * 3
 	pts := make([][]float32, n)
@@ -137,8 +140,8 @@ func (p *PointNet) Train(samples []dataset.Sample, cfg TrainConfig) error {
 			pts[i] = p.preparePoints(p.rng, s.Cloud)
 		}
 		perm := shuffledIndices(p.rng, n)
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < n; start += pointNetBatch {
+			end := start + pointNetBatch
 			if end > n {
 				end = n
 			}
@@ -151,7 +154,7 @@ func (p *PointNet) Train(samples []dataset.Sample, cfg TrainConfig) error {
 				copy(x.Data[bi*vecLen:(bi+1)*vecLen], pts[idx])
 				y[bi] = labels[idx]
 			}
-			out := p.net.Forward(x, true)
+			out := p.net.Forward(x)
 			_, grad := nn.SoftmaxCrossEntropy(out, y)
 			p.net.Backward(grad)
 			opt.Step(p.net.Params())

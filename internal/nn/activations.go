@@ -24,7 +24,7 @@ func (*ReLU) Name() string { return "ReLU" }
 func (*ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	if cap(r.mask) < len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
@@ -79,8 +79,8 @@ func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.P) }
 func (*Dropout) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
+func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if d.P == 0 {
 		d.mask = nil
 		return x
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // BatchNorm normalizes per channel (the last dimension) over all other
-// dimensions: it accepts [N, F] or [N, H, W, C] inputs. During training it
+// dimensions: it accepts [N, F] or [N, H, W, C] inputs. Forward (training)
 // uses batch statistics and updates running statistics with the given
-// momentum; during inference it uses the running statistics. Gamma and
-// beta are trainable; the running statistics are Stateful.
+// momentum; Infer uses the running statistics. Gamma and beta are
+// trainable; the running statistics are Stateful.
 type BatchNorm struct {
 	C        int
 	Eps      float64
@@ -61,7 +61,7 @@ func (b *BatchNorm) State() []*tensor.Tensor {
 }
 
 // Forward implements Layer.
-func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dim(x.Rank()-1) != b.C {
 		panic(fmt.Sprintf("nn: BatchNorm input %v, want last dim %d", x.Shape, b.C))
 	}
@@ -71,33 +71,28 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	mean := make([]float32, b.C)
 	variance := make([]float32, b.C)
-	if train {
-		for i := 0; i < total; i += b.C {
-			for c := 0; c < b.C; c++ {
-				mean[c] += x.Data[i+c]
-			}
-		}
-		for c := range mean {
-			mean[c] /= float32(m)
-		}
-		for i := 0; i < total; i += b.C {
-			for c := 0; c < b.C; c++ {
-				d := x.Data[i+c] - mean[c]
-				variance[c] += d * d
-			}
-		}
-		for c := range variance {
-			variance[c] /= float32(m)
-		}
-		// Update running statistics.
-		mom := float32(b.Momentum)
+	for i := 0; i < total; i += b.C {
 		for c := 0; c < b.C; c++ {
-			b.RunningMean.Data[c] = mom*b.RunningMean.Data[c] + (1-mom)*mean[c]
-			b.RunningVar.Data[c] = mom*b.RunningVar.Data[c] + (1-mom)*variance[c]
+			mean[c] += x.Data[i+c]
 		}
-	} else {
-		copy(mean, b.RunningMean.Data)
-		copy(variance, b.RunningVar.Data)
+	}
+	for c := range mean {
+		mean[c] /= float32(m)
+	}
+	for i := 0; i < total; i += b.C {
+		for c := 0; c < b.C; c++ {
+			d := x.Data[i+c] - mean[c]
+			variance[c] += d * d
+		}
+	}
+	for c := range variance {
+		variance[c] /= float32(m)
+	}
+	// Update running statistics.
+	mom := float32(b.Momentum)
+	for c := 0; c < b.C; c++ {
+		b.RunningMean.Data[c] = mom*b.RunningMean.Data[c] + (1-mom)*mean[c]
+		b.RunningVar.Data[c] = mom*b.RunningVar.Data[c] + (1-mom)*variance[c]
 	}
 
 	invStd := make([]float32, b.C)
@@ -113,9 +108,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			out.Data[i+c] = g[c]*xh + bt[c]
 		}
 	}
-	if train {
-		b.xhat, b.invStd, b.m = xhat, invStd, m
-	}
+	b.xhat, b.invStd, b.m = xhat, invStd, m
 	return out
 }
 
@@ -123,7 +116,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dx = γ/σ · (dy − mean(dy) − x̂·mean(dy·x̂)) per channel.
 func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
-		panic("nn: BatchNorm.Backward before training Forward")
+		panic("nn: BatchNorm.Backward before Forward")
 	}
 	total := grad.NumElems()
 	dg, db := b.Gamma.Grad.Data, b.Beta.Grad.Data

@@ -42,7 +42,7 @@ func (c *Conv2D) Name() string {
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(3) != c.Cin {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N, H, W, %d]", x.Shape, c.Cin))
 	}

@@ -37,7 +37,7 @@ func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.In, d.Out
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	if x.NumElems() != n*d.In {
 		panic(fmt.Sprintf("nn: Dense input %v, want [N, %d]", x.Shape, d.In))

@@ -2,17 +2,18 @@ package nn
 
 // Race-safe, allocation-free inference.
 //
-// Layer.Forward caches activations on the layer struct for the backward
-// pass, so a model shared across goroutines must not run Forward
-// concurrently — the race detector flags it immediately. Sequential.Infer
-// is the concurrent counterpart used by the parallel counting pipeline: it
-// reads only parameters and running statistics, writes no layer state, and
-// draws every intermediate tensor from a sync.Pool-backed scratch arena so
-// per-cluster inference does not allocate on the hot path.
+// Infer is the only inference pass: the counting pipeline, int8
+// calibration and the device cost model all run it. Layer.Forward is the
+// training pass and caches activations on the layer struct for the
+// backward pass, so a model shared across goroutines must not run it
+// concurrently. Sequential.Infer reads only parameters and running
+// statistics, writes no layer state, and draws every intermediate tensor
+// from a sync.Pool-backed scratch arena so per-cluster inference does not
+// allocate on the hot path.
 //
-// Infer is arithmetically identical to Forward(x, false): each layer's
-// inference math runs the same operations in the same order, so the two
-// paths produce bit-identical outputs.
+// Its oracle is inferNaive (naive_test.go): the same layers one at a
+// time, without the BatchNorm+ReLU fusion, with Conv2D and Dense on their
+// scalar applyNaive kernels. The tests pin the two bit for bit.
 
 import (
 	"fmt"
@@ -69,28 +70,15 @@ func (s *Scratch) uninit(shape ...int) *tensor.Tensor {
 	return tensor.FromSlice(s.grab(n), shape...)
 }
 
-// tensor returns a zeroed tensor of the given shape backed by arena
-// storage. Only ops with accumulation or sparse-write semantics — ops
-// that read or skip output elements they did not write — need the zeroed
-// variant; everything on the current hot path overwrites its output and
-// uses uninit instead.
-func (s *Scratch) tensor(shape ...int) *tensor.Tensor {
-	t := s.uninit(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-	return t
-}
-
 // scratchPool recycles arenas across Infer calls and goroutines.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Infer runs the inference pass (equivalent to Forward(x, false)) without
-// touching layer state, so one trained model may serve many goroutines at
-// once. Intermediate tensors come from a pooled scratch arena; the result
-// is detached from the arena before it is returned. A BatchNorm followed
-// by a ReLU runs as one pass over the activations, each element taking
-// the two layers' expressions in order.
+// Infer runs the inference pass without touching layer state, so one
+// trained model may serve many goroutines at once. Intermediate tensors
+// come from a pooled scratch arena; the result is detached from the arena
+// before it is returned. A BatchNorm followed by a ReLU runs as one pass
+// over the activations, each element taking the two layers' expressions
+// in order.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
@@ -131,7 +119,7 @@ func (d *Dense) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 }
 
 // Infer implements Layer. It normalizes with the running statistics,
-// exactly as Forward does at inference, without touching them.
+// without touching them.
 func (b *BatchNorm) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return b.infer(x, s, false)
 }
@@ -173,7 +161,7 @@ func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// rectify is max(0, v) as Forward computes it: v when v > 0, else +0
+// rectify is max(0, v) as ReLU.Forward computes it: v when v > 0, else +0
 // (NaN included). It decides on the bits, without a data-dependent
 // branch: v > 0 exactly when its bits, read unsigned, lie in
 // [1, bits(+Inf)] — sign clear, nonzero, not NaN.

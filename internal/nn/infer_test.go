@@ -39,25 +39,45 @@ func inferTestPointNet(rng *rand.Rand) *Sequential {
 }
 
 // settle runs a few training steps so batch-norm running statistics are
-// non-trivial before comparing the two inference paths.
+// non-trivial before checking Infer.
 func settle(m *Sequential, x *tensor.Tensor, labels []int) {
 	opt := NewAdam(0.01)
 	for i := 0; i < 3; i++ {
-		out := m.Forward(x, true)
+		out := m.Forward(x)
 		_, grad := SoftmaxCrossEntropy(out, labels)
 		m.Backward(grad)
 		opt.Step(m.Params())
 	}
 }
 
+// trainMatchesInfer turns off what the training pass does differently:
+// dropout's draws, and BatchNorm's running average — at momentum 0 a
+// training pass leaves the running statistics equal to its batch's.
+func trainMatchesInfer(m *Sequential) {
+	for _, l := range m.Layers {
+		switch l := l.(type) {
+		case *BatchNorm:
+			l.Momentum = 0
+		case *Dropout:
+			l.P = 0
+		}
+	}
+}
+
+// TestInferMatchesForward pins the inference pass to the training pass
+// where the two compute the same function: once trainMatchesInfer holds,
+// Forward over a batch and Infer over the same batch must agree bit for
+// bit — the fused BatchNorm+ReLU, the packed GEMM panels and the scratch
+// arena against the layer-by-layer training arithmetic.
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := inferTestCNN(rng)
 	x := tensor.New(2, 4, 4, 2)
 	x.RandNormal(rng, 1)
 	settle(m, x, []int{0, 2})
+	trainMatchesInfer(m)
 
-	want := m.Forward(x, false)
+	want := m.Forward(x)
 	for trial := 0; trial < 3; trial++ { // repeat: scratch reuse must not corrupt
 		got := m.Infer(x)
 		if len(got.Data) != len(want.Data) {
@@ -77,8 +97,9 @@ func TestInferMatchesForwardPointNetLayers(t *testing.T) {
 	x := tensor.New(8, 3) // 2 clouds × 4 points
 	x.RandNormal(rng, 1)
 	settle(m, x, []int{1, 0})
+	trainMatchesInfer(m)
 
-	want := m.Forward(x, false)
+	want := m.Forward(x)
 	got := m.Infer(x)
 	for i := range got.Data {
 		if got.Data[i] != want.Data[i] {
@@ -95,7 +116,7 @@ func TestInferConcurrent(t *testing.T) {
 	base := tensor.New(1, 4, 4, 2)
 	base.RandNormal(rng, 1)
 	settle(m, base.Reshape(1, 4, 4, 2), []int{1})
-	want := m.Forward(base, false)
+	want := inferNaive(m, base)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -108,7 +129,7 @@ func TestInferConcurrent(t *testing.T) {
 				got := m.Infer(base)
 				for i := range got.Data {
 					if got.Data[i] != want.Data[i] {
-						errs <- "concurrent Infer diverged from sequential Forward"
+						errs <- "concurrent Infer diverged from inferNaive"
 						return
 					}
 				}
@@ -131,7 +152,7 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 	x.RandNormal(rng, 1)
 	labels := []int{0, 1}
 
-	out := m.Forward(x, true)
+	out := m.Forward(x)
 	_ = m.Infer(x) // must not clobber cached activations
 	_, grad := SoftmaxCrossEntropy(out, labels)
 	m.Backward(grad) // panics or races if Infer wrote layer state
@@ -171,7 +192,7 @@ func TestInferAfterStepMatchesFreshModel(t *testing.T) {
 				}
 			}
 		}
-		out := m.Forward(x5, true)
+		out := m.Forward(x5)
 		_, grad := SoftmaxCrossEntropy(out, labels)
 		m.Backward(grad)
 		opt.Step(m.Params())
@@ -180,19 +201,13 @@ func TestInferAfterStepMatchesFreshModel(t *testing.T) {
 
 func TestScratchReusesBuffers(t *testing.T) {
 	var s Scratch
-	a := s.tensor(2, 3)
-	a.Fill(5)
+	a := s.uninit(2, 3)
 	s.reset()
-	b := s.tensor(3, 2)
+	b := s.uninit(3, 2)
 	if &a.Data[0] != &b.Data[0] {
 		t.Error("scratch did not reuse its buffer after reset")
 	}
-	for i, v := range b.Data {
-		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
-		}
-	}
-	c := s.tensor(10) // larger than slot capacity: must grow
+	c := s.uninit(10) // larger than slot capacity: must grow
 	if len(c.Data) != 10 {
 		t.Fatalf("grown buffer len %d", len(c.Data))
 	}

@@ -132,24 +132,20 @@ func TestSparseDenseInputsAgree(t *testing.T) {
 	}
 }
 
-// TestInferNaiveMatchesInfer pins the two inference routes (and Forward)
-// together end to end on a realistic stack, including the batch>1 case
-// used by batched cluster classification: every sample of a batched pass
-// must equal its own single-sample pass bit for bit.
+// TestInferNaiveMatchesInfer pins Infer to its oracle end to end on a
+// realistic stack with sparse inputs, including the batch>1 case used by
+// batched cluster classification: every sample of a batched pass must
+// equal its own single-sample pass bit for bit.
 func TestInferNaiveMatchesInfer(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := inferTestCNN(rng)
 	x := randTensor(rng, 6, 4, 4, 2)
 	sparsify(rng, x, 0.4)
-	fwd := m.Forward(x, false)
 	fast := m.Infer(x)
 	slow := inferNaive(m, x)
-	for i := range fwd.Data {
-		if fast.Data[i] != fwd.Data[i] {
-			t.Fatalf("Infer[%d] = %v, Forward = %v", i, fast.Data[i], fwd.Data[i])
-		}
-		if slow.Data[i] != fwd.Data[i] {
-			t.Fatalf("inferNaive[%d] = %v, Forward = %v", i, slow.Data[i], fwd.Data[i])
+	for i := range slow.Data {
+		if fast.Data[i] != slow.Data[i] {
+			t.Fatalf("Infer[%d] = %v, inferNaive = %v", i, fast.Data[i], slow.Data[i])
 		}
 	}
 	// Batch invariance: each row of the batched result equals the
@@ -198,24 +194,6 @@ func TestScratchNoAliasingAcrossModels(t *testing.T) {
 					t.Fatalf("pass %d tensor %d[%d] = %v, want %v (arena slots alias)", pi, ti, i, v, want)
 				}
 			}
-		}
-	}
-}
-
-// TestScratchTensorZeroes pins the contract split between tensor
-// (zeroed, for accumulation-style consumers) and uninit (raw): after a
-// slot has been dirtied, tensor must hand it back all-zero.
-func TestScratchTensorZeroes(t *testing.T) {
-	s := newScratch()
-	d := s.uninit(4, 4)
-	for i := range d.Data {
-		d.Data[i] = 7
-	}
-	s.reset()
-	z := s.tensor(4, 4)
-	for i, v := range z.Data {
-		if v != 0 {
-			t.Fatalf("tensor()[%d] = %v, want 0", i, v)
 		}
 	}
 }

@@ -1,15 +1,15 @@
 // Package nn is a small, dependency-free neural-network substrate: layers
 // with explicit forward/backward passes, softmax cross-entropy and MSE
-// losses, SGD and Adam optimizers, and a Sequential container with
-// save/load. It replaces the TensorFlow stack the paper trained HAWC,
-// PointNet, and the AutoEncoder with (see DESIGN.md).
+// losses, the Adam optimizer, and a Sequential container with save/load.
+// It replaces the TensorFlow stack the paper trained HAWC, PointNet, and
+// the AutoEncoder with (see DESIGN.md).
 //
-// Layers cache forward activations for the backward pass, so a model
-// instance must not be shared across goroutines during training, and
-// Forward itself is not safe for concurrent use. Sequential.Infer is the
-// concurrent inference path: it writes no layer state and recycles its
-// intermediate tensors through a sync.Pool, so one trained model can serve
-// many goroutines at once (see infer.go).
+// Forward is the training pass: layers cache its activations for the
+// backward pass, so a model instance must not be shared across goroutines
+// during training, and Forward itself is not safe for concurrent use.
+// Sequential.Infer is the one inference pass: it writes no layer state
+// and recycles its intermediate tensors through a sync.Pool, so one
+// trained model can serve many goroutines at once (see infer.go).
 package nn
 
 import (
@@ -62,12 +62,14 @@ func newParam(name string, shape ...int) *Param {
 type Layer interface {
 	// Name identifies the layer type for diagnostics and serialization.
 	Name() string
-	// Forward computes the layer output. train selects training behavior
-	// (batch statistics, dropout).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Infer is Forward(x, false) reading only parameters and running
-	// statistics — no per-call layer state — so it is safe for concurrent
-	// use; intermediate tensors come from s.
+	// Forward is the training pass (batch statistics, dropout); it
+	// caches what Backward needs on the layer.
+	Forward(x *tensor.Tensor) *tensor.Tensor
+	// Infer is the one inference pass (running statistics, no dropout).
+	// It reads only parameters and running statistics — no per-call
+	// layer state — so it is safe for concurrent use; intermediate
+	// tensors come from s. Its oracle is inferNaive, the scalar
+	// reference walk in naive_test.go.
 	Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor
 	// Backward receives ∂L/∂output and returns ∂L/∂input, accumulating
 	// parameter gradients. It must be called after Forward.

@@ -45,31 +45,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return loss / float64(n), grad
 }
 
-// Softmax returns the row-wise softmax probabilities of logits [N, K].
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, k)
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		o := out.Data[i*k : (i+1)*k]
-		for j, v := range row {
-			o[j] = float32(math.Exp(float64(v - maxV)))
-			sum += float64(o[j])
-		}
-		for j := range o {
-			o[j] = float32(float64(o[j]) / sum)
-		}
-	}
-	return out
-}
-
 // MSELoss computes the mean squared error between pred and target and the
 // gradient ∂L/∂pred. Shapes must match.
 func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {

@@ -22,10 +22,10 @@ func (s *Sequential) Add(layers ...Layer) *Sequential {
 	return s
 }
 
-// Forward runs the layer chain.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// Forward runs the layer chain's training pass.
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }
@@ -45,15 +45,6 @@ func (s *Sequential) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// NumParams returns the total trainable parameter count.
-func (s *Sequential) NumParams() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.NumElems()
-	}
-	return n
 }
 
 // states returns all Stateful tensors in layer order.
@@ -141,18 +132,4 @@ func (s *Sequential) Load(r io.Reader) error {
 		p.changed()
 	}
 	return nil
-}
-
-// Summary returns a human-readable architecture description.
-func (s *Sequential) Summary() string {
-	out := ""
-	for _, l := range s.Layers {
-		np := 0
-		for _, p := range l.Params() {
-			np += p.Value.NumElems()
-		}
-		out += fmt.Sprintf("%-24s params=%d\n", l.Name(), np)
-	}
-	out += fmt.Sprintf("total trainable parameters: %d\n", s.NumParams())
-	return out
 }

@@ -16,12 +16,12 @@ func numericalGradCheck(t *testing.T, model *Sequential, x *tensor.Tensor, label
 	t.Helper()
 
 	// Analytic gradients.
-	out := model.Forward(x, true)
+	out := model.Forward(x)
 	_, grad := SoftmaxCrossEntropy(out, labels)
 	model.Backward(grad)
 
 	lossAt := func() float64 {
-		o := model.Forward(x, true)
+		o := model.Forward(x)
 		l, _ := SoftmaxCrossEntropy(o, labels)
 		return l
 	}
@@ -173,19 +173,26 @@ func TestSoftmaxCrossEntropyPanics(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRowsSumToOne reads the softmax back out of the loss
+// gradient, ∂L/∂logits = (softmax − one-hot)/N, on random logits: every
+// probability lies in [0, 1] and every row sums to one.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	logits := tensor.New(5, 3)
 	logits.RandNormal(rng, 3)
-	p := Softmax(logits)
+	labels := []int{0, 1, 2, 1, 0}
+	_, grad := SoftmaxCrossEntropy(logits, labels)
 	for i := 0; i < 5; i++ {
 		var sum float64
 		for j := 0; j < 3; j++ {
-			v := p.Data[i*3+j]
-			if v < 0 || v > 1 {
+			v := 5 * float64(grad.Data[i*3+j])
+			if j == labels[i] {
+				v++
+			}
+			if v < -1e-6 || v > 1+1e-6 {
 				t.Fatalf("probability %v outside [0,1]", v)
 			}
-			sum += float64(v)
+			sum += v
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Errorf("row %d sums to %v", i, sum)
@@ -219,7 +226,7 @@ func TestDropout(t *testing.T) {
 	x := tensor.New(1, 1000)
 	x.Fill(1)
 	// Training: roughly half zeroed, survivors scaled 2×.
-	out := d.Forward(x, true)
+	out := d.Forward(x)
 	zeros, twos := 0, 0
 	for _, v := range out.Data {
 		switch v {
@@ -238,13 +245,13 @@ func TestDropout(t *testing.T) {
 		t.Error("dropout outputs must be 0 or scaled")
 	}
 	// Inference: identity (same tensor).
-	if got := d.Forward(x, false); got != x {
+	if got := d.Infer(x, nil); got != x {
 		t.Error("inference dropout should be identity")
 	}
 	// Backward masks gradient identically.
 	g := tensor.New(1, 1000)
 	g.Fill(1)
-	d.Forward(x, true)
+	d.Forward(x)
 	dg := d.Backward(g)
 	for i, v := range dg.Data {
 		if v != 0 && v != 2 {
@@ -273,9 +280,9 @@ func TestBatchNormTrainVsEval(t *testing.T) {
 	}
 	// Train several steps so running stats converge toward batch stats.
 	for i := 0; i < 60; i++ {
-		bn.Forward(x, true)
+		bn.Forward(x)
 	}
-	out := bn.Forward(x, true)
+	out := bn.Forward(x)
 	// Batch output: each channel ≈ zero mean, unit variance (γ=1, β=0).
 	for c := 0; c < 3; c++ {
 		var mean float64
@@ -288,7 +295,7 @@ func TestBatchNormTrainVsEval(t *testing.T) {
 		}
 	}
 	// Eval uses running stats — close to the converged batch stats.
-	evalOut := bn.Forward(x, false)
+	evalOut := bn.Infer(x, new(Scratch))
 	for c := 0; c < 3; c++ {
 		var mean float64
 		for i := 0; i < 64; i++ {
@@ -308,7 +315,7 @@ func TestMaxPoolForward(t *testing.T) {
 		x.Data[i] = float32(i)
 	}
 	mp := NewMaxPool2D()
-	out := mp.Forward(x, false)
+	out := mp.Forward(x)
 	want := []float32{5, 7, 13, 15}
 	for i, w := range want {
 		if out.Data[i] != w {
@@ -317,7 +324,7 @@ func TestMaxPoolForward(t *testing.T) {
 	}
 	// Odd dimension floors.
 	x5 := tensor.New(1, 5, 5, 1)
-	out5 := mp.Forward(x5, false)
+	out5 := mp.Forward(x5)
 	if out5.Dim(1) != 2 || out5.Dim(2) != 2 {
 		t.Errorf("5x5 pooled to %v", out5.Shape)
 	}
@@ -344,7 +351,7 @@ func TestTrainLinearlySeparable(t *testing.T) {
 	}
 	var loss float64
 	for epoch := 0; epoch < 200; epoch++ {
-		out := model.Forward(x, true)
+		out := model.Forward(x)
 		var grad *tensor.Tensor
 		loss, grad = SoftmaxCrossEntropy(out, labels)
 		model.Backward(grad)
@@ -353,7 +360,7 @@ func TestTrainLinearlySeparable(t *testing.T) {
 	if loss > 0.1 {
 		t.Errorf("final loss %v, want < 0.1", loss)
 	}
-	pred := Argmax(model.Forward(x, false))
+	pred := Argmax(model.Infer(x))
 	correct := 0
 	for i := range pred {
 		if pred[i] == labels[i] {
@@ -362,30 +369,6 @@ func TestTrainLinearlySeparable(t *testing.T) {
 	}
 	if correct < 62 {
 		t.Errorf("train accuracy %d/64", correct)
-	}
-}
-
-func TestTrainXORWithSGD(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	model := (&Sequential{}).Add(
-		NewDense(2, 16, rng),
-		NewReLU(),
-		NewDense(16, 2, rng),
-	)
-	opt := NewSGD(0.1, 0.9)
-	x := tensor.FromSlice([]float32{0, 0, 0, 1, 1, 0, 1, 1}, 4, 2)
-	labels := []int{0, 1, 1, 0}
-	for epoch := 0; epoch < 2000; epoch++ {
-		out := model.Forward(x, true)
-		_, grad := SoftmaxCrossEntropy(out, labels)
-		model.Backward(grad)
-		opt.Step(model.Params())
-	}
-	pred := Argmax(model.Forward(x, false))
-	for i := range pred {
-		if pred[i] != labels[i] {
-			t.Fatalf("XOR not learned: pred %v", pred)
-		}
 	}
 }
 
@@ -414,8 +397,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	x := tensor.New(1, 4, 4, 2)
 	x.RandNormal(rng, 1)
-	o1 := m1.Forward(x, false)
-	o2 := m2.Forward(x, false)
+	o1 := m1.Infer(x)
+	o2 := m2.Infer(x)
 	for i := range o1.Data {
 		if o1.Data[i] != o2.Data[i] {
 			t.Fatalf("outputs differ after load at %d", i)
@@ -447,22 +430,10 @@ func TestLoadRejectsMismatchedModel(t *testing.T) {
 	}
 }
 
-func TestNumParamsAndSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	m := (&Sequential{}).Add(NewDense(10, 5, rng), NewReLU(), NewDense(5, 2, rng))
-	want := 10*5 + 5 + 5*2 + 2
-	if got := m.NumParams(); got != want {
-		t.Errorf("NumParams = %d, want %d", got, want)
-	}
-	if s := m.Summary(); s == "" {
-		t.Error("empty summary")
-	}
-}
-
 func TestReshape(t *testing.T) {
 	x := tensor.New(2, 12)
 	r := NewReshape(3, 4)
-	out := r.Forward(x, false)
+	out := r.Forward(x)
 	if out.Dim(0) != 2 || out.Dim(1) != 3 || out.Dim(2) != 4 {
 		t.Errorf("shape %v", out.Shape)
 	}
@@ -471,7 +442,7 @@ func TestReshape(t *testing.T) {
 		t.Errorf("backward shape %v", back.Shape)
 	}
 	f := NewFlatten()
-	out2 := f.Forward(tensor.New(2, 3, 4, 5), false)
+	out2 := f.Forward(tensor.New(2, 3, 4, 5))
 	if out2.Dim(1) != 60 {
 		t.Errorf("flatten shape %v", out2.Shape)
 	}
@@ -483,7 +454,7 @@ func TestGroupUngroup(t *testing.T) {
 		x.Data[i] = float32(i)
 	}
 	g := NewGroup(3)
-	out := g.Forward(x, false)
+	out := g.Forward(x)
 	if out.Dim(0) != 2 || out.Dim(1) != 3 || out.Dim(2) != 4 {
 		t.Fatalf("Group shape %v", out.Shape)
 	}
@@ -493,7 +464,7 @@ func TestGroupUngroup(t *testing.T) {
 	}
 
 	u := NewUngroup()
-	flat := u.Forward(out, false)
+	flat := u.Forward(out)
 	if flat.Dim(0) != 6 || flat.Dim(1) != 4 {
 		t.Fatalf("Ungroup shape %v", flat.Shape)
 	}
@@ -525,7 +496,7 @@ func TestGroupIndivisibleBatchPanics(t *testing.T) {
 			t.Fatal("indivisible batch should panic")
 		}
 	}()
-	g.Forward(tensor.New(6, 2), false)
+	g.Forward(tensor.New(6, 2))
 }
 
 func TestPointNetStyleGradients(t *testing.T) {

@@ -6,50 +6,6 @@ import (
 	"hawccc/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients and then
-// zeroes the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Param]*tensor.Tensor
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	lr := float32(s.LR)
-	mom := float32(s.Momentum)
-	for _, p := range params {
-		if mom == 0 {
-			p.Value.AddScaled(p.Grad, -lr)
-		} else {
-			v, ok := s.vel[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape...)
-				s.vel[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = mom*v.Data[i] - lr*p.Grad.Data[i]
-				p.Value.Data[i] += v.Data[i]
-			}
-		}
-		p.changed()
-		p.Grad.Zero()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba). The paper trains HAWC with
 // Adam at lr 0.001 (Section VII-A).
 type Adam struct {
@@ -62,8 +18,6 @@ type Adam struct {
 	v map[*Param]*tensor.Tensor
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam builds an Adam optimizer with the standard β/ε defaults.
 func NewAdam(lr float64) *Adam {
 	return &Adam{
@@ -73,7 +27,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates params from their accumulated gradients and then zeroes
+// the gradients.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	b1c := 1 - math.Pow(a.Beta1, float64(a.t))

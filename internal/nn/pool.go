@@ -25,7 +25,7 @@ func (*MaxPool2D) Name() string { return "MaxPool2D(2x2)" }
 func (*MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v, want rank 4", x.Shape))
 	}
@@ -96,7 +96,7 @@ func (*MaxOverPoints) Name() string { return "MaxOverPoints" }
 func (*MaxOverPoints) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (m *MaxOverPoints) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (m *MaxOverPoints) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: MaxOverPoints input %v, want [N, P, F]", x.Shape))
 	}
@@ -185,7 +185,7 @@ func (g *Group) Name() string { return fmt.Sprintf("Group(%d)", g.P) }
 func (*Group) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (g *Group) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (g *Group) Forward(x *tensor.Tensor) *tensor.Tensor {
 	b, f := x.Dim(0), x.Dim(1)
 	if b%g.P != 0 {
 		panic(fmt.Sprintf("nn: Group(%d) input batch %d not divisible", g.P, b))
@@ -217,7 +217,7 @@ func (*Ungroup) Name() string { return "Ungroup" }
 func (*Ungroup) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (u *Ungroup) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (u *Ungroup) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: Ungroup input %v, want rank 3", x.Shape))
 	}
@@ -242,7 +242,7 @@ func (r *Reshape) Name() string {
 func (*Reshape) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (r *Reshape) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (r *Reshape) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.inShape = append(r.inShape[:0], x.Shape...)
 	n := x.Dim(0)
 	if len(r.dims) == 0 {

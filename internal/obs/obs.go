@@ -77,13 +77,6 @@ func (g *Gauge) SetTime(t time.Time) {
 	g.Set(float64(t.UnixNano()) / 1e9)
 }
 
-// Inc shifts the gauge up by 1 — the queue-depth convention: Inc on
-// enqueue, Dec on dequeue.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec shifts the gauge down by 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Add shifts the gauge by delta (negative to decrement).
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
@@ -133,7 +126,7 @@ func LatencyBuckets() []float64 {
 // NewHistogram builds a detached histogram (not in any registry) with the
 // given ascending bucket upper bounds. Registry.Histogram is the usual
 // constructor; detached histograms serve internal accounting that still
-// wants quantile snapshots.
+// wants bucket snapshots.
 func NewHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
@@ -200,49 +193,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Mean returns Sum/Count, or 0 for an empty snapshot.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-th quantile (0 < q < 1) by linear
-// interpolation inside the bucket containing the target rank, the same
-// estimate Prometheus' histogram_quantile computes. Observations in the
-// +Inf bucket clamp to the highest finite bound.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) { // +Inf bucket
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		upper := s.Bounds[i]
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // metricKind distinguishes family types at registration and exposition.

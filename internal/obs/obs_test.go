@@ -102,15 +102,8 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if got := s.Counts[2]; got != 50 {
 		t.Errorf("bucket(≤4) = %d, want 50", got)
 	}
-	if math.Abs(s.Mean()-2.02) > 1e-9 {
-		t.Errorf("mean = %g, want 2.02", s.Mean())
-	}
-	// Uniform over (0,4]: p50 ≈ 2, p95 ≈ 3.8 (interpolated inside (2,4]).
-	if p50 := s.Quantile(0.50); math.Abs(p50-2.0) > 0.05 {
-		t.Errorf("p50 = %g, want ≈2.0", p50)
-	}
-	if p95 := s.Quantile(0.95); math.Abs(p95-3.8) > 0.1 {
-		t.Errorf("p95 = %g, want ≈3.8", p95)
+	if math.Abs(s.Sum-202) > 1e-9 {
+		t.Errorf("sum = %g, want 202", s.Sum)
 	}
 }
 
@@ -120,17 +113,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	s := h.Snapshot()
 	if s.Counts[2] != 1 {
 		t.Errorf("+Inf bucket = %d, want 1", s.Counts[2])
-	}
-	// Quantiles clamp to the highest finite bound.
-	if q := s.Quantile(0.99); q != 2 {
-		t.Errorf("overflow quantile = %g, want 2", q)
-	}
-}
-
-func TestEmptyHistogramQuantile(t *testing.T) {
-	h := NewHistogram(LatencyBuckets())
-	if q := h.Snapshot().Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %g, want 0", q)
 	}
 }
 

@@ -26,7 +26,7 @@ var _ models.Classifier = tallStub{}
 
 func (tallStub) Name() string { return "TallStub" }
 func (tallStub) PredictHuman(c geom.Cloud) bool {
-	extent := c.MaxZ() - c.MinZ()
+	extent := c.Bounds().Size().Z
 	return extent > 1.1 && extent < 2.3
 }
 

@@ -31,11 +31,6 @@ type Image struct {
 	Data []float32
 }
 
-// At returns the value at (row, col, ch).
-func (im Image) At(row, col, ch int) float32 {
-	return im.Data[(row*im.D+col)*im.C+ch]
-}
-
 // Projector converts a cloud of exactly Size() points into an Image.
 // Callers pass clouds already in the classifier's viewport frame (see
 // Viewport); projectors encode coordinates as given.

@@ -104,7 +104,7 @@ func TestHAPChannelSemantics(t *testing.T) {
 	}
 	imFlat := HAP{}.Project(flat)
 	for i := 0; i < 16; i++ {
-		if sigma := imFlat.At(i/4, i%4, 2); sigma != 0 {
+		if sigma := at(imFlat, i/4, i%4, 2); sigma != 0 {
 			t.Errorf("flat sheet σz = %v at %d, want 0", sigma, i)
 		}
 	}
@@ -116,7 +116,7 @@ func TestHAPChannelSemantics(t *testing.T) {
 	imCol := HAP{}.Project(column)
 	nonzero := 0
 	for i := 0; i < 16; i++ {
-		if imCol.At(i/4, i%4, 2) > 0.01 {
+		if at(imCol, i/4, i%4, 2) > 0.01 {
 			nonzero++
 		}
 	}
@@ -133,7 +133,7 @@ func TestHAPEncodesCoordinates(t *testing.T) {
 	im := HAP{}.Project(cloud)
 	prev := float32(math.Inf(-1))
 	for i := 0; i < 49; i++ {
-		z := im.At(i/7, i%7, 4)
+		z := at(im, i/7, i%7, 4)
 		if z < prev {
 			t.Fatalf("z channel not sorted at %d: %v < %v", i, z, prev)
 		}
@@ -141,7 +141,7 @@ func TestHAPEncodesCoordinates(t *testing.T) {
 	}
 	// Side view x channel (5) equals top view x channel (0).
 	for i := 0; i < 49; i++ {
-		if im.At(i/7, i%7, 0) != im.At(i/7, i%7, 5) {
+		if at(im, i/7, i%7, 0) != at(im, i/7, i%7, 5) {
 			t.Fatal("x channels of top and side views must match")
 		}
 	}
@@ -207,7 +207,7 @@ func TestRVEncodesRange(t *testing.T) {
 	// must be 10..13.
 	for i := 0; i < 4; i++ {
 		want := float32(10 + i)
-		if got := im.At(i/2, i%2, 2); math.Abs(float64(got-want)) > 1e-5 {
+		if got := at(im, i/2, i%2, 2); math.Abs(float64(got-want)) > 1e-5 {
 			t.Errorf("range[%d] = %v, want %v", i, got, want)
 		}
 	}
@@ -227,8 +227,8 @@ func TestDADensityChannel(t *testing.T) {
 	dScatter := DA{}.Project(scattered)
 	var sumClump, sumScatter float32
 	for i := 0; i < 9; i++ {
-		sumClump += dClump.At(i/3, i%3, 2)
-		sumScatter += dScatter.At(i/3, i%3, 2)
+		sumClump += at(dClump, i/3, i%3, 2)
+		sumScatter += at(dScatter, i/3, i%3, 2)
 	}
 	if sumClump <= sumScatter {
 		t.Errorf("clump density %v should exceed scattered %v", sumClump, sumScatter)
@@ -257,4 +257,9 @@ func TestProjectDoesNotMutateInput(t *testing.T) {
 			t.Fatal("Project mutated the input cloud")
 		}
 	}
+}
+
+// at returns im's value at (row, col, ch).
+func at(im Image, row, col, ch int) float32 {
+	return im.Data[(row*im.D+col)*im.C+ch]
 }

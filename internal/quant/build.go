@@ -25,25 +25,6 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return q.Dequantize()
 }
 
-// WeightBytes returns the total int8 parameter footprint.
-func (m *Model) WeightBytes() int {
-	n := 0
-	for _, op := range m.Ops {
-		n += op.WeightBytes()
-	}
-	return n
-}
-
-// Summary describes the quantized graph.
-func (m *Model) Summary() string {
-	s := fmt.Sprintf("input: scale=%.6f zero=%d\n", m.InScale, m.InZero)
-	for _, op := range m.Ops {
-		s += op.Name() + "\n"
-	}
-	s += fmt.Sprintf("int8 weight bytes: %d\n", m.WeightBytes())
-	return s
-}
-
 // stage is a group of FP layers that becomes one QOp.
 type stage struct {
 	layers    []nn.Layer // executed for calibration
@@ -122,9 +103,7 @@ func Quantize(m *nn.Sequential, calib []*tensor.Tensor) (*Model, error) {
 		inRange.Update(x)
 		cur := x
 		for si, st := range stages {
-			for _, l := range st.layers {
-				cur = l.Forward(cur, false)
-			}
+			cur = (&nn.Sequential{Layers: st.layers}).Infer(cur)
 			outRanges[si].Update(cur)
 		}
 	}

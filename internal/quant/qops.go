@@ -11,8 +11,6 @@ import (
 type QOp interface {
 	Name() string
 	Apply(x *QTensor) *QTensor
-	// WeightBytes is the int8 parameter footprint, for model-size reports.
-	WeightBytes() int
 }
 
 // gemmScratch holds the int8 GEMM workspace (im2col matrix, packed
@@ -81,9 +79,6 @@ func (c *QConv2D) Name() string {
 	return fmt.Sprintf("QConv2D(%dx%d,%d→%d)", c.KH, c.KW, c.Cin, c.Cout)
 }
 
-// WeightBytes implements QOp.
-func (c *QConv2D) WeightBytes() int { return len(c.W) + 4*len(c.Bias) }
-
 // Apply implements QOp via im2col + int8 GEMM: the weights pack once
 // per call, each image lowers to its patch matrix (padding taps filled
 // with the input zero point, so they contribute exactly nothing after
@@ -131,9 +126,6 @@ var _ QOp = (*QDense)(nil)
 // Name implements QOp.
 func (d *QDense) Name() string { return fmt.Sprintf("QDense(%d→%d)", d.In, d.Out) }
 
-// WeightBytes implements QOp.
-func (d *QDense) WeightBytes() int { return len(d.W) + 4*len(d.Bias) }
-
 // Apply implements QOp as one int8 GEMM over the whole batch, then one
 // requantization pass. Exactly equal to the scalar reference (ApplyNaive
 // in naive_test.go): integer arithmetic.
@@ -164,9 +156,6 @@ var _ QOp = QMaxPool2D{}
 
 // Name implements QOp.
 func (QMaxPool2D) Name() string { return "QMaxPool2D" }
-
-// WeightBytes implements QOp.
-func (QMaxPool2D) WeightBytes() int { return 0 }
 
 // Apply implements QOp.
 func (QMaxPool2D) Apply(x *QTensor) *QTensor {
@@ -204,9 +193,6 @@ var _ QOp = QMaxOverPoints{}
 // Name implements QOp.
 func (QMaxOverPoints) Name() string { return "QMaxOverPoints" }
 
-// WeightBytes implements QOp.
-func (QMaxOverPoints) WeightBytes() int { return 0 }
-
 // Apply implements QOp.
 func (QMaxOverPoints) Apply(x *QTensor) *QTensor {
 	n, p, f := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -240,9 +226,6 @@ func (r QReshape) Name() string {
 	return fmt.Sprintf("QReshape%v", r.Dims)
 }
 
-// WeightBytes implements QOp.
-func (QReshape) WeightBytes() int { return 0 }
-
 // Apply implements QOp.
 func (r QReshape) Apply(x *QTensor) *QTensor {
 	n := x.Dim(0)
@@ -263,9 +246,6 @@ var _ QOp = QReLU{}
 
 // Name implements QOp.
 func (QReLU) Name() string { return "QReLU" }
-
-// WeightBytes implements QOp.
-func (QReLU) WeightBytes() int { return 0 }
 
 // Apply implements QOp.
 func (QReLU) Apply(x *QTensor) *QTensor {
@@ -290,9 +270,6 @@ var _ QOp = QGroup{}
 // Name implements QOp.
 func (g QGroup) Name() string { return fmt.Sprintf("QGroup(%d)", g.P) }
 
-// WeightBytes implements QOp.
-func (QGroup) WeightBytes() int { return 0 }
-
 // Apply implements QOp.
 func (g QGroup) Apply(x *QTensor) *QTensor {
 	b, f := x.Dim(0), x.Dim(1)
@@ -309,9 +286,6 @@ var _ QOp = QUngroup{}
 
 // Name implements QOp.
 func (QUngroup) Name() string { return "QUngroup" }
-
-// WeightBytes implements QOp.
-func (QUngroup) WeightBytes() int { return 0 }
 
 // Apply implements QOp.
 func (QUngroup) Apply(x *QTensor) *QTensor {

@@ -135,7 +135,7 @@ func buildCNN(rng *rand.Rand) *nn.Sequential {
 	for i := 0; i < 20; i++ {
 		x := tensor.New(8, 4, 4, 2)
 		x.RandNormal(rng, 1)
-		m.Forward(x, true)
+		m.Forward(x)
 	}
 	return m
 }
@@ -155,8 +155,8 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		x := tensor.New(3, 4, 4, 2)
 		x.RandNormal(rng, 1)
-		want := m.Forward(x, false)
-		got := folded.Forward(x, false)
+		want := m.Infer(x)
+		got := folded.Infer(x)
 		for i := range want.Data {
 			if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-3 {
 				t.Fatalf("trial %d output %d: folded %v vs original %v",
@@ -201,7 +201,7 @@ func TestQuantizedCNNCloseToFloat(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		x := tensor.New(1, 4, 4, 2)
 		x.RandNormal(rng, 1)
-		fp := m.Forward(x, false)
+		fp := m.Infer(x)
 		q := qm.Forward(x)
 		if nn.Argmax(fp)[0] == nn.Argmax(q)[0] {
 			agree++
@@ -216,19 +216,17 @@ func TestQuantizedCNNCloseToFloat(t *testing.T) {
 	if agree < total*8/10 {
 		t.Errorf("argmax agreement %d/%d", agree, total)
 	}
-	_, hi := tensorAbsRange(m, rng)
+	hi := tensorAbsRange(m, rng)
 	if maxErr > hi*0.35 {
 		t.Errorf("max logit error %v too large relative to logit scale %v", maxErr, hi)
 	}
 }
 
 // tensorAbsRange estimates the logit magnitude scale of the model.
-func tensorAbsRange(m *nn.Sequential, rng *rand.Rand) (lo, hi float64) {
+func tensorAbsRange(m *nn.Sequential, rng *rand.Rand) float64 {
 	x := tensor.New(8, 4, 4, 2)
 	x.RandNormal(rng, 1)
-	out := m.Forward(x, false)
-	mn, mx := out.MinMax()
-	return float64(mn), math.Max(math.Abs(float64(mn)), math.Abs(float64(mx)))
+	return float64(m.Infer(x).AbsMax())
 }
 
 func TestQuantizePointNetStyleGraph(t *testing.T) {
@@ -255,7 +253,7 @@ func TestQuantizePointNetStyleGraph(t *testing.T) {
 	}
 	x := tensor.New(4, 3)
 	x.RandNormal(rng, 1)
-	fp := m.Forward(x, false)
+	fp := m.Infer(x)
 	q := qm.Forward(x)
 	if fp.NumElems() != q.NumElems() {
 		t.Fatalf("shape mismatch %v vs %v", fp.Shape, q.Shape)
@@ -273,24 +271,6 @@ func TestQuantizeErrors(t *testing.T) {
 	x := tensor.New(1, 2)
 	if _, err := Quantize(m2, []*tensor.Tensor{x}); err == nil {
 		t.Error("unfoldable BatchNorm accepted")
-	}
-}
-
-func TestModelWeightBytesAndSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := (&nn.Sequential{}).Add(nn.NewDense(4, 3, rng))
-	x := tensor.New(1, 4)
-	x.RandNormal(rng, 1)
-	qm, err := Quantize(m, []*tensor.Tensor{x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 4*3 + 4*3 // int8 weights + int32 bias
-	if got := qm.WeightBytes(); got != want {
-		t.Errorf("WeightBytes = %d, want %d", got, want)
-	}
-	if qm.Summary() == "" {
-		t.Error("empty summary")
 	}
 }
 

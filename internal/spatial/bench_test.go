@@ -28,7 +28,7 @@ func BenchmarkGridBuild(b *testing.B) {
 
 func BenchmarkGridRadius(b *testing.B) {
 	cloud := benchCloud(2000)
-	g := NewGrid(cloud, benchRadius)
+	g := newGrid(cloud, benchRadius)
 	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()

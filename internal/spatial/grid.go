@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"fmt"
+
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
 )
@@ -17,7 +19,7 @@ const maxGridCells = 1 << 18
 // fixed-radius region queries DBSCAN issues: with cell edge ≈ ε a radius
 // query visits at most 27 cells. It answers radius queries only; every
 // k-nearest list comes from KNNAll. The zero value is an empty grid for
-// which every query returns no results; use NewGrid, or Reset to rebuild
+// which every query returns no results; Reset builds it, and rebuilds it
 // in place reusing the internal arrays (the one-build-per-frame path).
 //
 // On hardware with usable AVX the grid also keeps a float32 mirror of
@@ -52,20 +54,16 @@ type Grid struct {
 	vec        bool
 }
 
-// NewGrid builds a grid over cloud with the given cell edge length.
-// cell <= 0 selects AutoCell's default.
-func NewGrid(cloud geom.Cloud, cell float64) *Grid {
-	g := &Grid{}
-	g.Reset(cloud, cell)
-	return g
-}
-
 // Reset rebuilds the grid over cloud in place, reusing the internal
 // arrays so a steady-state caller rebuilding once per frame stops
-// allocating once the arrays have grown to the traffic. cell <= 0
-// selects AutoCell's default. The grid references cloud; the caller must
-// not mutate it while the grid is in use.
+// allocating once the arrays have grown to the traffic. cell is the
+// voxel edge and must be positive: every caller bins at a fixed query
+// radius. The grid references cloud; the caller must not mutate it while
+// the grid is in use.
 func (g *Grid) Reset(cloud geom.Cloud, cell float64) {
+	if !(cell > 0) {
+		panic(fmt.Sprintf("spatial: grid cell edge %v, want > 0", cell))
+	}
 	g.pts = cloud
 	n := len(cloud)
 	if n == 0 {
@@ -73,9 +71,6 @@ func (g *Grid) Reset(cloud geom.Cloud, cell float64) {
 		return
 	}
 	b := cloud.Bounds()
-	if cell <= 0 {
-		cell = autoCellSized(b.Size(), n, 8)
-	}
 	ncells := g.sizeLattice(b, cell, n)
 	for i, p := range cloud {
 		c := g.cellIndex(p)
@@ -169,15 +164,6 @@ func (g *Grid) Len() int {
 	return len(g.pts)
 }
 
-// Cell returns the cell edge the grid was built with (after any budget
-// doubling), or 0 for an empty grid.
-func (g *Grid) Cell() float64 {
-	if g.Len() == 0 {
-		return 0
-	}
-	return g.cell
-}
-
 // cellIndex maps a point inside the grid's bounds to its cell id.
 func (g *Grid) cellIndex(p geom.Point3) int32 {
 	ix := clampAxis(int((p.X-g.min.X)*g.inv), g.nx)
@@ -226,15 +212,6 @@ func (g *Grid) axisRange(rel, r float64, n int) (lo, hi int, ok bool) {
 		hi = n - 1
 	}
 	return lo, hi, true
-}
-
-// Radius returns the indices of all points within radius r of q
-// (inclusive). The result order is unspecified.
-func (g *Grid) Radius(q geom.Point3, r float64) []int {
-	if g.Len() == 0 || r < 0 {
-		return nil
-	}
-	return g.RadiusInto(nil, q, r)
 }
 
 // RadiusInto appends the indices of all points within radius r of q

@@ -56,6 +56,13 @@ func bruteRadius(cloud geom.Cloud, q geom.Point3, r float64) []int {
 	return out
 }
 
+// newGrid builds a grid over cloud with the given cell edge.
+func newGrid(cloud geom.Cloud, cell float64) *Grid {
+	g := &Grid{}
+	g.Reset(cloud, cell)
+	return g
+}
+
 func sortedCopy(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)
@@ -126,7 +133,7 @@ func TestGridRadiusMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 400} {
 		cloud := randomCloud(rng, n)
 		for _, cell := range []float64{0.15, 0.5, 2.0} {
-			g := NewGrid(cloud, cell)
+			g := newGrid(cloud, cell)
 			var buf []int
 			for _, q := range queryPoints(rng, cloud, 30) {
 				for _, r := range []float64{0, 0.2, 0.5, 3.0} {
@@ -153,7 +160,7 @@ func TestGridRadiusMatchesBruteForce(t *testing.T) {
 func TestGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cloud := randomCloud(rng, 500)
-	g := NewGrid(cloud, 0.3)
+	g := newGrid(cloud, 0.3)
 	tr := kdtree.New(cloud)
 	var gids, tids []int
 	for _, q := range queryPoints(rng, cloud, 60) {
@@ -201,45 +208,57 @@ func TestGridDegenerateClouds(t *testing.T) {
 	q := geom.Point3{X: 1, Y: 2, Z: 3}
 
 	var empty *Grid
-	if got := empty.Radius(q, 1); got != nil {
-		t.Fatalf("nil grid Radius = %v, want nil", got)
+	if got := empty.RadiusInto(nil, q, 1); got != nil {
+		t.Fatalf("nil grid RadiusInto = %v, want nil", got)
 	}
 	if empty.Len() != 0 {
 		t.Fatalf("nil grid Len = %d", empty.Len())
 	}
 
-	g := NewGrid(nil, 0.5)
+	g := newGrid(nil, 0.5)
 	if got := g.RadiusInto(nil, q, 1); len(got) != 0 {
 		t.Fatalf("empty grid radius = %v", got)
 	}
 
 	// All points coincident.
 	dup := geom.Cloud{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}}
-	g = NewGrid(dup, 0) // AutoCell path on zero-extent cloud
+	g = newGrid(dup, 0.5)
 	if c := g.RadiusCount(geom.Point3{X: 1, Y: 1, Z: 1}, 0); c != 3 {
 		t.Fatalf("coincident RadiusCount = %d, want 3", c)
 	}
 
-	// Flat (planar) cloud: zero volume, AutoCell fallback.
+	// Flat (planar) cloud: zero volume.
 	flat := make(geom.Cloud, 50)
 	rng := rand.New(rand.NewSource(15))
 	for i := range flat {
 		flat[i] = geom.Point3{X: rng.Float64() * 5, Y: rng.Float64() * 5, Z: 1.5}
 	}
-	g = NewGrid(flat, 0)
+	g = newGrid(flat, 0.3)
 	for _, r := range []float64{0.3, 2.0} {
 		want := bruteRadius(flat, q, r)
-		if got := sortedCopy(g.Radius(q, r)); !equalInts(got, want) {
+		if got := sortedCopy(g.RadiusInto(nil, q, r)); !equalInts(got, want) {
 			t.Fatalf("flat cloud radius r=%g: got %v want %v", r, got, want)
 		}
 	}
 
 	// Negative radius.
-	if got := g.Radius(q, -1); got != nil {
+	if got := g.RadiusInto(nil, q, -1); got != nil {
 		t.Fatalf("negative radius = %v, want nil", got)
 	}
 	if c := g.RadiusCount(q, -1); c != 0 {
 		t.Fatalf("negative RadiusCount = %d", c)
+	}
+
+	// A cell edge that is not positive is a caller bug.
+	for _, cell := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset with cell %v did not panic", cell)
+				}
+			}()
+			newGrid(dup, cell)
+		}()
 	}
 }
 
@@ -256,16 +275,16 @@ func TestGridCellBudget(t *testing.T) {
 			Z: rng.Float64() * 1e4,
 		}
 	}
-	g := NewGrid(cloud, 0.01) // naive lattice would be 1e18 cells
+	g := newGrid(cloud, 0.01) // naive lattice would be 1e18 cells
 	if cells := int64(g.nx) * int64(g.ny) * int64(g.nz); cells > maxGridCells {
 		t.Fatalf("cell budget not enforced: %d cells", cells)
 	}
-	if g.Cell() <= 0.01 {
-		t.Fatalf("cell edge not grown: %g", g.Cell())
+	if g.cell <= 0.01 {
+		t.Fatalf("cell edge not grown: %g", g.cell)
 	}
 	for _, q := range queryPoints(rng, cloud, 10) {
 		want := bruteRadius(cloud, q, 500)
-		if got := sortedCopy(g.Radius(q, 500)); !equalInts(got, want) {
+		if got := sortedCopy(g.RadiusInto(nil, q, 500)); !equalInts(got, want) {
 			t.Fatalf("capped grid radius mismatch: got %v want %v", got, want)
 		}
 	}
@@ -282,7 +301,7 @@ func TestGridResetReuse(t *testing.T) {
 		g.Reset(cloud, 0.4)
 		for _, q := range queryPoints(rng, cloud, 10) {
 			want := bruteRadius(cloud, q, 0.6)
-			if got := sortedCopy(g.Radius(q, 0.6)); !equalInts(got, want) {
+			if got := sortedCopy(g.RadiusInto(nil, q, 0.6)); !equalInts(got, want) {
 				t.Fatalf("round %d: radius mismatch: got %v want %v", round, got, want)
 			}
 		}
@@ -312,7 +331,7 @@ func TestFrameIndex(t *testing.T) {
 	}
 	for _, q := range queryPoints(rng, cloud, 20) {
 		want := bruteRadius(cloud, q, 0.5)
-		if got := sortedCopy(fi.Radius(q, 0.5)); !equalInts(got, want) {
+		if got := sortedCopy(fi.Grid.RadiusInto(nil, q, 0.5)); !equalInts(got, want) {
 			t.Fatalf("FrameIndex radius mismatch: got %v want %v", got, want)
 		}
 		if c := fi.RadiusCount(q, 0.5); c != len(want) {
@@ -323,35 +342,13 @@ func TestFrameIndex(t *testing.T) {
 	// Rebuild + query in steady state is allocation-free.
 	fi.Build(cloud, 0.3)
 	q := cloud[0]
-	_ = fi.Radius(q, 0.5)
+	nbuf := fi.Grid.RadiusInto(nil, q, 0.5)
 	allocs := testing.AllocsPerRun(100, func() {
 		fi.Build(cloud, 0.3)
-		_ = fi.Radius(q, 0.5)
+		nbuf = fi.Grid.RadiusInto(nbuf[:0], q, 0.5)
 		_ = fi.RadiusCount(q, 0.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state FrameIndex allocates: %.1f allocs/op", allocs)
-	}
-}
-
-func TestAutoCell(t *testing.T) {
-	if c := AutoCell(nil, 8); c != 1 {
-		t.Fatalf("empty cloud AutoCell = %g, want 1", c)
-	}
-	dup := geom.Cloud{{X: 2, Y: 2, Z: 2}, {X: 2, Y: 2, Z: 2}}
-	if c := AutoCell(dup, 8); c != 1 {
-		t.Fatalf("coincident AutoCell = %g, want 1", c)
-	}
-	rng := rand.New(rand.NewSource(19))
-	cloud := randomCloud(rng, 500)
-	c := AutoCell(cloud, 8)
-	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-		t.Fatalf("AutoCell = %g", c)
-	}
-	// Sanity: the target density of ~8 points per 27-cell neighborhood
-	// should put the cell well below the cloud extent.
-	size := cloud.Bounds().Size()
-	if c >= size.X && c >= size.Y && c >= size.Z {
-		t.Fatalf("AutoCell %g not smaller than extents %v", c, size)
 	}
 }

@@ -57,7 +57,7 @@ func TestGridVectorizedMatchesScalar(t *testing.T) {
 			if !vec {
 				idx = 1
 			}
-			g := NewGrid(cloud, 0.4) // rebuild so the vec flag is re-latched
+			g := newGrid(cloud, 0.4) // rebuild so the vec flag is re-latched
 			for qi, q := range queries {
 				qrng := rand.New(rand.NewSource(int64(n*100 + qi)))
 				for _, r := range boundaryRadii(qrng, cloud, q, 4) {
@@ -112,7 +112,7 @@ func TestGridFloat32CloudVectorMatchesScalar(t *testing.T) {
 			radii[i] = boundaryRadii(rng, cloud, q, 3)
 		}
 		withVectorized(t, func(vec bool) {
-			g := NewGrid(cloud, 0) // rebuild so the vec flag is re-latched
+			g := newGrid(cloud, 0.3) // rebuild so the vec flag is re-latched
 			if g.Len() != n {
 				t.Fatalf("n=%d vec=%v: Len = %d", n, vec, g.Len())
 			}
@@ -144,13 +144,13 @@ func TestGridVecLargeCoordsFallback(t *testing.T) {
 		{X: far, Y: 3, Z: 0},
 		{X: far + 0.5, Y: 0.5, Z: 0.5},
 	}
-	g := NewGrid(cloud, 1)
+	g := newGrid(cloud, 1)
 	if g.vec {
 		t.Fatal("grid stayed vectorized beyond the float32-safe coordinate band")
 	}
 	q := geom.Point3{X: far, Y: 0, Z: 0}
 	want := bruteRadius(cloud, q, 1.2)
-	if got := sortedCopy(g.Radius(q, 1.2)); !equalInts(got, want) {
+	if got := sortedCopy(g.RadiusInto(nil, q, 1.2)); !equalInts(got, want) {
 		t.Fatalf("fallback radius %v != brute %v", got, want)
 	}
 	if c := g.RadiusCount(q, 1.2); c != len(want) {

@@ -24,11 +24,7 @@
 // property tests against the tree, here and in the cluster package, pin.
 package spatial
 
-import (
-	"math"
-
-	"hawccc/internal/geom"
-)
+import "hawccc/internal/geom"
 
 // Neighbor is a kNN query result: the cloud index of the point and its
 // squared distance from the query point.
@@ -84,39 +80,3 @@ type NeighborIndex interface {
 }
 
 var _ NeighborIndex = (*Grid)(nil)
-
-// AutoCell picks a default voxel edge length over cloud: under a
-// uniform-density assumption it targets about k points per 3×3×3 cell
-// neighborhood. Degenerate clouds (flat, collinear,
-// or all-duplicate) fall back to extent- and count-based estimates; the
-// result is always positive for a non-empty cloud.
-func AutoCell(cloud geom.Cloud, k int) float64 {
-	if len(cloud) == 0 {
-		return 1
-	}
-	return autoCellSized(cloud.Bounds().Size(), len(cloud), k)
-}
-
-// autoCellSized is AutoCell's heuristic over an already-computed
-// bounding-box size and point count.
-func autoCellSized(size geom.Point3, n, k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	if vol := size.X * size.Y * size.Z; vol > 0 {
-		return math.Cbrt(vol * float64(k) / (27 * float64(n)))
-	}
-	// Flat or collinear cloud: scale the largest extent by the per-axis
-	// point budget instead.
-	ext := size.X
-	if size.Y > ext {
-		ext = size.Y
-	}
-	if size.Z > ext {
-		ext = size.Z
-	}
-	if ext <= 0 {
-		return 1 // all points coincide; any cell works
-	}
-	return ext * math.Cbrt(float64(k)/float64(n))
-}

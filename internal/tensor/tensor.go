@@ -82,42 +82,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// AddScaled accumulates alpha·o into t element-wise. Shapes must match in
-// element count.
-func (t *Tensor) AddScaled(o *Tensor, alpha float32) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] += alpha * o.Data[i]
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
-// MinMax returns the smallest and largest element. It panics on an empty
-// tensor.
-func (t *Tensor) MinMax() (minV, maxV float32) {
-	if len(t.Data) == 0 {
-		panic("tensor: MinMax of empty tensor")
-	}
-	minV, maxV = t.Data[0], t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV
-}
-
 // AbsMax returns the largest absolute element value (0 for empty).
 func (t *Tensor) AbsMax() float32 {
 	var m float32
@@ -144,19 +108,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 func (t *Tensor) HeInit(rng *rand.Rand, fanIn int) {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	t.RandNormal(rng, std)
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String summarizes the tensor for debugging.

@@ -75,9 +75,8 @@ func TestReshape(t *testing.T) {
 func TestFillZeroScale(t *testing.T) {
 	x := New(4)
 	x.Fill(2)
-	x.Scale(3)
 	for _, v := range x.Data {
-		if v != 6 {
+		if v != 2 {
 			t.Fatalf("value %v", v)
 		}
 	}
@@ -89,39 +88,14 @@ func TestFillZeroScale(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	x := FromSlice([]float32{1, 2}, 2)
-	y := FromSlice([]float32{10, 20}, 2)
-	x.AddScaled(y, 0.5)
-	if x.Data[0] != 6 || x.Data[1] != 12 {
-		t.Errorf("AddScaled = %v", x.Data)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size mismatch should panic")
-		}
-	}()
-	x.AddScaled(New(3), 1)
-}
-
 func TestMinMaxAbsMax(t *testing.T) {
 	x := FromSlice([]float32{-3, 1, 2}, 3)
-	lo, hi := x.MinMax()
-	if lo != -3 || hi != 2 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
 	if x.AbsMax() != 3 {
 		t.Errorf("AbsMax = %v", x.AbsMax())
 	}
 	if New(0).AbsMax() != 0 {
 		t.Error("empty AbsMax should be 0")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty MinMax should panic")
-		}
-	}()
-	New(0).MinMax()
 }
 
 func TestHeInitStatistics(t *testing.T) {
@@ -143,18 +117,6 @@ func TestHeInitStatistics(t *testing.T) {
 	}
 	if std < 0.03 || std > 0.05 { // 0.2² = 0.04
 		t.Errorf("variance = %v, want ≈0.04", std)
-	}
-}
-
-func TestSameShape(t *testing.T) {
-	if !New(2, 3).SameShape(New(2, 3)) {
-		t.Error("equal shapes")
-	}
-	if New(2, 3).SameShape(New(3, 2)) {
-		t.Error("different dims")
-	}
-	if New(6).SameShape(New(2, 3)) {
-		t.Error("different ranks")
 	}
 }
 

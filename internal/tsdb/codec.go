@@ -73,12 +73,6 @@ type Chunk struct {
 	data         []byte
 }
 
-// Bytes returns the encoded size of the chunk payload.
-func (c *Chunk) Bytes() int { return len(c.data) }
-
-// Data exposes the encoded payload for persistence.
-func (c *Chunk) Data() []byte { return c.data }
-
 // zigzag maps signed deltas onto unsigned varint-friendly space.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 

@@ -137,7 +137,7 @@ func TestIntegralSeriesCompression(t *testing.T) {
 	if c.data[2] != encIntDelta {
 		t.Fatalf("encoding %d, want int-delta for all-integral values", c.data[2])
 	}
-	perSample := float64(c.Bytes()) / n
+	perSample := float64(len(c.data)) / n
 	if perSample > 2 {
 		t.Errorf("%.2f bytes/sample, want <= 2 for regular integral series", perSample)
 	}
@@ -152,8 +152,8 @@ func TestConstantRunUsesZeroRLE(t *testing.T) {
 		vals[i] = 21.5 // non-integral so the bits encoding is exercised too
 	}
 	c := roundTrip(t, ts, vals)
-	if c.Bytes() > 64 {
-		t.Errorf("constant series encoded to %d bytes, want <= 64 via zero-RLE", c.Bytes())
+	if len(c.data) > 64 {
+		t.Errorf("constant series encoded to %d bytes, want <= 64 via zero-RLE", len(c.data))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestDecodeChunkDataRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := c.Data()
+	good := c.data
 	cases := map[string][]byte{
 		"empty":       {},
 		"short":       good[:5],
@@ -194,7 +194,7 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := append([]byte(nil), c.Data()...)
+	data := append([]byte(nil), c.data...)
 	// Rewrite the count varint (offset 3) to claim 2^40 samples; the
 	// original count 1 is a single byte, so splice freely.
 	forged := append(data[:3:3], 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)
@@ -209,10 +209,10 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 // failure mode.
 func FuzzDecodeChunkData(f *testing.F) {
 	if c, err := EncodeChunk([]int64{1, 2, 3}, []float64{1.5, math.NaN(), -0.0}); err == nil {
-		f.Add(c.Data())
+		f.Add(c.data)
 	}
 	if c, err := EncodeChunk([]int64{0, 1_000_000_000}, []float64{100, 101}); err == nil {
-		f.Add(c.Data())
+		f.Add(c.data)
 	}
 	f.Add([]byte{chunkMagic, chunkVersion, encIntDelta, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -220,7 +220,7 @@ func fuzzSegment(tb testing.TB) []byte {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			w.writeChunk(uint32(id+1), key, chunk.Data())
+			w.writeChunk(uint32(id+1), key, chunk.data)
 		}
 	}
 	if err := w.close(); err != nil {

@@ -61,9 +61,6 @@ func NewPool(objectClouds []geom.Cloud) *Pool {
 // Len returns the total number of pooled points.
 func (p *Pool) Len() int { return p.total }
 
-// NumClouds returns the number of pooled object captures.
-func (p *Pool) NumClouds() int { return len(p.clouds) }
-
 // Draw returns n noise points assembled from randomly chosen object
 // captures at their original positions (all "Object" data is pooled
 // together and the deficit is sampled from the pool, Section V). It panics

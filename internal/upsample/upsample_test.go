@@ -60,12 +60,12 @@ func TestPoolCounts(t *testing.T) {
 	if p.Len() != 4 {
 		t.Errorf("Len = %d, want 4", p.Len())
 	}
-	if p.NumClouds() != 2 {
-		t.Errorf("NumClouds = %d, want 2", p.NumClouds())
+	if len(p.clouds) != 2 {
+		t.Errorf("pooled clouds = %d, want 2", len(p.clouds))
 	}
 	// Empty clouds dropped.
 	p2 := NewPool([]geom.Cloud{nil, {}})
-	if p2.NumClouds() != 0 {
+	if len(p2.clouds) != 0 {
 		t.Error("empty clouds should be dropped")
 	}
 }
