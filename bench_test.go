@@ -265,9 +265,10 @@ func BenchmarkHAPProjection(b *testing.B) {
 		cloud[i] = P(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3, rng.Float64()*1.8)
 	}
 	proj := projection.HAP{}
+	img := make([]float32, len(cloud)*proj.Channels())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = proj.Project(cloud)
+		proj.ProjectInto(img, cloud)
 	}
 }
 
@@ -283,7 +284,7 @@ func BenchmarkUpsampleFromPool(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = upsample.FromPool(rng, human, pool, 289)
+		_ = upsample.FromPool(nil, rng, human, pool, 289)
 	}
 }
 

@@ -223,7 +223,7 @@ func TestFastFloor(t *testing.T) {
 	}
 }
 
-func TestClustersIntoMatchesClusters(t *testing.T) {
+func TestClustersIntoMatchesLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cloud := append(blob(rng, geom.P(15, 0, -1), 0.1, 60), blob(rng, geom.P(25, 2, -1), 0.1, 60)...)
 	cloud = append(cloud, geom.P(40, -2, 5)) // an isolated noise point

@@ -95,7 +95,7 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestBoxContainsAndExtend(t *testing.T) {
+func TestEmptyBoxAndExtend(t *testing.T) {
 	b := EmptyBox()
 	if !b.IsEmpty() {
 		t.Fatal("EmptyBox not empty")
@@ -125,7 +125,7 @@ func TestBoxUnion(t *testing.T) {
 	}
 }
 
-func TestBoxSizeAndCenter(t *testing.T) {
+func TestBoxSize(t *testing.T) {
 	b := Box{Min: Point3{0, -2, 1}, Max: Point3{4, 2, 3}}
 	if b.Size() != (Point3{4, 4, 2}) {
 		t.Errorf("Size = %v", b.Size())
@@ -135,7 +135,7 @@ func TestBoxSizeAndCenter(t *testing.T) {
 	}
 }
 
-func TestFilterAndMinMaxZ(t *testing.T) {
+func TestFilterAndBounds(t *testing.T) {
 	c := Cloud{{0, 0, -3}, {0, 0, -1}, {0, 0, 2}}
 	kept := c.Filter(func(p Point3) bool { return p.Z >= -2.6 })
 	if len(kept) != 2 {

@@ -189,7 +189,7 @@ func (a *AutoEncoder) reconError(v []float32) float64 {
 func (a *AutoEncoder) extract(rng *rand.Rand, cloud geom.Cloud) []float64 {
 	up := cloud
 	if a.pool != nil && a.pool.Len() > 0 && a.target > 0 {
-		up = upsample.FromPool(rng, cloud, a.pool, a.target)
+		up = upsample.FromPool(nil, rng, cloud, a.pool, a.target)
 	}
 	c := cloud.Centroid()
 	const w = featureWindow

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"hawccc/internal/dataset"
@@ -84,26 +85,43 @@ func buildHAWCNet(d, c int, rng *rand.Rand) *nn.Sequential {
 	)
 }
 
-// prepare up-samples, frames, and projects one cloud into a flat image
-// vector: pad to N′max, place the candidate in the classifier viewport
-// (cluster-centered, ±ViewportWindow), project. The rng drives the
-// up-sampling noise: training passes the model's stream (fresh noise every
-// epoch, a natural augmentation), inference passes a content-seeded stream
-// (see seeded) so predictions are deterministic and order-independent.
-func (h *HAWC) prepare(rng *rand.Rand, cloud geom.Cloud) []float32 {
-	var up geom.Cloud
+// prepare up-samples, frames, and projects one cloud into dst, a flat
+// image of imageLen floats, and returns dst: pad to N′max, place the
+// candidate in the classifier viewport (cluster-centered,
+// ±ViewportWindow), project. The rng drives the up-sampling noise:
+// training passes the model's stream (fresh noise every epoch, a natural
+// augmentation), inference passes a content-seeded stream (see seeded) so
+// predictions are deterministic and order-independent.
+func (h *HAWC) prepare(dst []float32, rng *rand.Rand, cloud geom.Cloud) []float32 {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
 	if h.GaussianSigma > 0 || h.pool == nil || h.pool.Len() == 0 {
 		sigma := h.GaussianSigma
 		if sigma == 0 {
 			sigma = 3
 		}
-		up = upsample.Gaussian(rng, cloud, sigma, h.target)
+		sc.up = upsample.Gaussian(sc.up, rng, cloud, sigma, h.target)
 	} else {
-		up = upsample.FromPool(rng, cloud, h.pool, h.target)
+		sc.up = upsample.FromPool(sc.up, rng, cloud, h.pool, h.target)
 	}
-	framed := projection.Viewport(up, cloud.Centroid(), projection.ViewportWindow)
-	return h.Projector.Project(framed).Data
+	sc.framed = projection.Viewport(sc.framed, sc.up, cloud.Centroid(), projection.ViewportWindow)
+	h.Projector.ProjectInto(dst, sc.framed)
+	return dst
 }
+
+// prepScratch holds the padded and the framed cloud of one prepare call.
+type prepScratch struct{ up, framed geom.Cloud }
+
+// prepPool recycles prepare's clouds across calls and goroutines.
+var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
+
+// image is prepare into a new image.
+func (h *HAWC) image(rng *rand.Rand, cloud geom.Cloud) []float32 {
+	return h.prepare(make([]float32, h.imageLen()), rng, cloud)
+}
+
+// imageLen is the length of one flat classifier input, d·d·C.
+func (h *HAWC) imageLen() int { return h.d * h.d * h.Projector.Channels() }
 
 // rngPool recycles the padding-noise streams of inference calls.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
@@ -157,7 +175,7 @@ func (h *HAWC) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	prepareAll := func() [][]float32 {
 		images := make([][]float32, len(samples))
 		for i, s := range samples {
-			images[i] = h.prepare(h.rng, s.Cloud)
+			images[i] = h.image(h.rng, s.Cloud)
 		}
 		return images
 	}
@@ -212,7 +230,7 @@ func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
 	if h.net == nil {
 		panic("models: HAWC not trained")
 	}
-	img := seeded(cloud, h.prepare)
+	img := seeded(cloud, h.image)
 	x := tensor.FromSlice(img, 1, h.d, h.d, h.Projector.Channels())
 	var out *tensor.Tensor
 	if h.qnet != nil {
@@ -225,12 +243,13 @@ func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
 
 // PredictHumans implements BatchClassifier: all clusters are prepared
 // into one [N, d, d, C] tensor and classified in a single forward pass,
-// so the GEMM kernels run across the whole batch. The float network
-// packs its weights once per model, not per batch: its layers keep their
-// GEMM panels until the weights change. Per-cluster padding noise stays
-// content-seeded, and Infer is bit-identical across batch sizes, so the
-// results match PredictHuman cluster for cluster regardless of how a
-// frame is batched.
+// so the GEMM kernels run across the whole batch. Each cluster is
+// projected straight into its slot of the tensor, whose storage is
+// pooled across calls. The float network packs its weights once per
+// model, not per batch: its layers keep their GEMM panels until the
+// weights change. Per-cluster padding noise stays content-seeded, and
+// Infer is bit-identical across batch sizes, so the results match
+// PredictHuman cluster for cluster regardless of how a frame is batched.
 func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	if h.net == nil {
 		panic("models: HAWC not trained")
@@ -238,11 +257,15 @@ func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	if len(clouds) == 0 {
 		return nil
 	}
-	c := h.Projector.Channels()
-	imgLen := h.d * h.d * c
-	x := tensor.New(len(clouds), h.d, h.d, c)
+	imgLen := h.imageLen()
+	buf := batchPool.Get().(*[]float32)
+	*buf = slices.Grow((*buf)[:0], len(clouds)*imgLen)[:len(clouds)*imgLen]
+	x := tensor.FromSlice(*buf, len(clouds), h.d, h.d, h.Projector.Channels())
 	for i, cloud := range clouds {
-		copy(x.Data[i*imgLen:(i+1)*imgLen], seeded(cloud, h.prepare))
+		slot := x.Data[i*imgLen : (i+1)*imgLen]
+		seeded(cloud, func(rng *rand.Rand, cloud geom.Cloud) []float32 {
+			return h.prepare(slot, rng, cloud)
+		})
 	}
 	var out *tensor.Tensor
 	if h.qnet != nil {
@@ -250,12 +273,18 @@ func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	} else {
 		out = h.net.Infer(x)
 	}
+	batchPool.Put(buf)
 	preds := make([]bool, len(clouds))
 	for i, class := range nn.Argmax(out) {
 		preds[i] = class == 1
 	}
 	return preds
 }
+
+// batchPool recycles PredictHumans' input tensors. Both inference passes
+// return a result detached from their input, so the storage goes back as
+// soon as the pass returns.
+var batchPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // Quantize returns a copy of h that runs int8 inference, calibrated on the
 // given samples (the paper uses 100 random training samples, Section VI).
@@ -269,7 +298,7 @@ func (h *HAWC) Quantize(calib []dataset.Sample) (*HAWC, error) {
 	c := h.Projector.Channels()
 	tensors := make([]*tensor.Tensor, 0, len(calib))
 	for _, s := range calib {
-		img := seeded(s.Cloud, h.prepare)
+		img := seeded(s.Cloud, h.image)
 		tensors = append(tensors, tensor.FromSlice(img, 1, h.d, h.d, c))
 	}
 	qm, err := quant.Quantize(h.net, tensors)

@@ -352,3 +352,36 @@ func TestPredictHumansMatchesSingle(t *testing.T) {
 		t.Errorf("empty batch: got %v, want nil", got)
 	}
 }
+
+// TestPredictHumansSteadyStateAllocs is the classify stage's allocation
+// gate: once the pools are warm, a batch allocates nothing per cluster —
+// padding, framing, projection and the input tensor all reuse pooled
+// storage, each image built in its slot of the batch — so a batch of 16
+// allocates what a batch of 1 does, and that is no more than the
+// inference pass's per-layer tensor headers plus the results. CI's
+// alloc-gate runs it.
+func TestPredictHumansSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
+	}
+	split := smallSplit(t)
+	h := NewHAWC()
+	if err := h.Train(split.Train[:60], TrainConfig{Epochs: 1, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		clouds := make([]geom.Cloud, 0, n)
+		for _, s := range split.Test[:n] {
+			clouds = append(clouds, s.Cloud)
+		}
+		h.PredictHumans(clouds) // grow the pooled buffers to this batch
+		return testing.AllocsPerRun(20, func() { h.PredictHumans(clouds) })
+	}
+	one, sixteen := allocs(1), allocs(16)
+	if sixteen != one {
+		t.Errorf("a batch of 16 allocates %.1f times, a batch of 1 %.1f: want nothing per cluster", sixteen, one)
+	}
+	if limit := float64(2*len(h.Network().Layers) + 4); one > limit {
+		t.Errorf("a batch allocates %.1f times, want at most %.0f", one, limit)
+	}
+}

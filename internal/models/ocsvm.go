@@ -99,7 +99,7 @@ func (o *OCSVM) Train(samples []dataset.Sample, cfg TrainConfig) error {
 func (o *OCSVM) extract(rng *rand.Rand, cloud geom.Cloud) []float64 {
 	up := cloud
 	if o.pool != nil && o.pool.Len() > 0 && o.target > 0 {
-		up = upsample.FromPool(rng, cloud, o.pool, o.target)
+		up = upsample.FromPool(nil, rng, cloud, o.pool, o.target)
 	}
 	return features.Extract(up)
 }

@@ -90,9 +90,9 @@ func buildPointNet(points int, rng *rand.Rand) *nn.Sequential {
 func (p *PointNet) preparePoints(rng *rand.Rand, cloud geom.Cloud) []float32 {
 	var up geom.Cloud
 	if p.pool != nil && p.pool.Len() > 0 {
-		up = upsample.FromPool(rng, cloud, p.pool, p.target)
+		up = upsample.FromPool(nil, rng, cloud, p.pool, p.target)
 	} else {
-		up = upsample.Gaussian(rng, cloud, 3, p.target)
+		up = upsample.Gaussian(nil, rng, cloud, 3, p.target)
 	}
 	const roiCenterX, groundZ = 23.5, -3.0
 	out := make([]float32, p.target*3)

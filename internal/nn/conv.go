@@ -53,7 +53,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
 	k := c.KH * c.KW * c.Cin
-	c.conv(x, out, sc, kernels.PackB(k, c.Cout, c.W.Value.Data, sc.slice(kernels.PackedLen(k, c.Cout))))
+	c.conv(x, out, sc, kernels.PackB(k, c.Cout, c.W.Value.Data, sc.slice(kernels.PackedLen(k, c.Cout))), nil)
 	scratchPool.Put(sc)
 	return out
 }
@@ -63,7 +63,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // weights (Param.packedB). apply writes no layer state, so it is safe to
 // call concurrently from multiple goroutines (with distinct scratches).
 func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
-	c.conv(x, out, s, c.W.packedB(c.KH*c.KW*c.Cin, c.Cout))
+	c.conv(x, out, s, c.W.packedB(c.KH*c.KW*c.Cin, c.Cout), nil)
 }
 
 // conv computes the convolution via im2col + packed GEMM, with the
@@ -71,8 +71,10 @@ func (c *Conv2D) apply(x, out *tensor.Tensor, s *Scratch) {
 // is lowered to its patch matrix and multiplied. The im2col tap order
 // matches the accumulation order of the scalar reference (applyNaive in
 // naive_test.go) and the GEMM accumulates k ascending, so the output is
-// bit-identical to it. Workspace comes from the scratch arena.
-func (c *Conv2D) conv(x, out *tensor.Tensor, s *Scratch, bp []float32) {
+// bit-identical to it. A non-nil ep is the GEMM's epilogue (a following
+// BatchNorm and ReLU, see BatchNorm.epilogue), applied to each output on
+// the tile. Workspace comes from the scratch arena.
+func (c *Conv2D) conv(x, out *tensor.Tensor, s *Scratch, bp, ep []float32) {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	k := c.KH * c.KW * c.Cin
 	m := h * w
@@ -81,7 +83,7 @@ func (c *Conv2D) conv(x, out *tensor.Tensor, s *Scratch, bp []float32) {
 	bd := c.B.Value.Data
 	for ni := 0; ni < n; ni++ {
 		kernels.Im2col(h, w, c.Cin, c.KH, c.KW, x.Data[ni*m*c.Cin:(ni+1)*m*c.Cin], col)
-		kernels.GemmPacked(m, c.Cout, k, col, bp, bd, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout], tail)
+		kernels.GemmPacked(m, c.Cout, k, col, bp, bd, ep, out.Data[ni*m*c.Cout:(ni+1)*m*c.Cout], tail)
 	}
 }
 

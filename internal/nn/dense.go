@@ -67,7 +67,7 @@ func (d *Dense) apply(x, out *tensor.Tensor, s *Scratch) {
 		kernels.Gemm(n, d.Out, d.In, x.Data, d.W.Value.Data, d.B.Value.Data, out.Data, nil, nil)
 		return
 	}
-	kernels.GemmPacked(n, d.Out, d.In, x.Data, d.W.packedB(d.In, d.Out), d.B.Value.Data, out.Data,
+	kernels.GemmPacked(n, d.Out, d.In, x.Data, d.W.packedB(d.In, d.Out), d.B.Value.Data, nil, out.Data,
 		s.slice(kernels.TailLen(d.In)))
 }
 

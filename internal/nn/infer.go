@@ -12,14 +12,16 @@ package nn
 // allocate on the hot path.
 //
 // Its oracle is inferNaive (naive_test.go): the same layers one at a
-// time, without the BatchNorm+ReLU fusion, with Conv2D and Dense on their
-// scalar applyNaive kernels. The tests pin the two bit for bit.
+// time, without the Conv2D→BatchNorm→ReLU and BatchNorm+ReLU fusions,
+// with Conv2D and Dense on their scalar applyNaive kernels. The tests pin
+// the two bit for bit.
 
 import (
 	"fmt"
 	"math"
 	"sync"
 
+	"hawccc/internal/nn/kernels"
 	"hawccc/internal/tensor"
 )
 
@@ -76,34 +78,60 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // Infer runs the inference pass without touching layer state, so one
 // trained model may serve many goroutines at once. Intermediate tensors
 // come from a pooled scratch arena; the result is detached from the arena
-// before it is returned. A BatchNorm followed by a ReLU runs as one pass
-// over the activations, each element taking the two layers' expressions
-// in order.
+// before it is returned. A Conv2D followed by a BatchNorm and a ReLU runs
+// as one GEMM whose tile normalizes and rectifies each output before it
+// stores it (kernels.GemmPacked's epilogue); any other BatchNorm followed
+// by a ReLU runs as one pass over the activations. Either way each
+// element takes the layers' expressions in order.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sc := scratchPool.Get().(*Scratch)
 	sc.reset()
-	for i := 0; i < len(s.Layers); i++ {
-		if bn, ok := s.Layers[i].(*BatchNorm); ok && i+1 < len(s.Layers) {
-			if _, ok := s.Layers[i+1].(*ReLU); ok {
-				x = bn.infer(x, sc, true)
-				i++
+	ls := s.Layers
+	for i := 0; i < len(ls); i++ {
+		if c, ok := ls[i].(*Conv2D); ok {
+			if bn := bnReLU(ls[i+1:]); bn != nil && bn.C == c.Cout {
+				x = c.infer(x, sc, bn.epilogue(sc))
+				i += 2
 				continue
 			}
 		}
-		x = s.Layers[i].Infer(x, sc)
+		if bn := bnReLU(ls[i:]); bn != nil {
+			x = bn.infer(x, sc, true)
+			i++
+			continue
+		}
+		x = ls[i].Infer(x, sc)
 	}
 	out := x.Clone()
 	scratchPool.Put(sc)
 	return out
 }
 
+// bnReLU returns ls[0] when ls opens with a BatchNorm and a ReLU.
+func bnReLU(ls []Layer) *BatchNorm {
+	if len(ls) < 2 {
+		return nil
+	}
+	if _, ok := ls[1].(*ReLU); !ok {
+		return nil
+	}
+	bn, _ := ls[0].(*BatchNorm)
+	return bn
+}
+
 // Infer implements Layer.
 func (c *Conv2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	return c.infer(x, s, nil)
+}
+
+// infer is Infer, with each output passed through the GEMM epilogue ep
+// when it is non-nil.
+func (c *Conv2D) infer(x *tensor.Tensor, s *Scratch, ep []float32) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(3) != c.Cin {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N, H, W, %d]", x.Shape, c.Cin))
 	}
 	out := s.uninit(x.Dim(0), x.Dim(1), x.Dim(2), c.Cout)
-	c.apply(x, out, s)
+	c.conv(x, out, s, c.W.packedB(c.KH*c.KW*c.Cin, c.Cout), ep)
 	return out
 }
 
@@ -132,12 +160,8 @@ func (b *BatchNorm) infer(x *tensor.Tensor, s *Scratch, relu bool) *tensor.Tenso
 	}
 	total, n := x.NumElems(), b.C
 	out := s.uninit(x.Shape...)
-	invStd := s.uninit(n).Data[:n]
-	mean, variance := b.RunningMean.Data[:n], b.RunningVar.Data[:n]
-	for c := range invStd {
-		invStd[c] = float32(1 / math.Sqrt(float64(variance[c])+b.Eps))
-	}
-	g, bt := b.Gamma.Value.Data[:n], b.Beta.Value.Data[:n]
+	ep := b.epilogue(s)
+	mean, invStd, g, bt := ep[:n], ep[n:2*n], ep[2*n:3*n], ep[3*n:]
 	for i := 0; i < total; i += n {
 		xi, yi := x.Data[i:i+n], out.Data[i:i+n]
 		for c, v := range xi {
@@ -152,6 +176,21 @@ func (b *BatchNorm) infer(x *tensor.Tensor, s *Scratch, relu bool) *tensor.Tenso
 	return out
 }
 
+// epilogue lays the inference constants out as kernels.GemmPacked's
+// epilogue rows — running mean, 1/√(running variance + ε), γ, β — in
+// scratch, so a convolution's tile can apply this layer and a ReLU.
+func (b *BatchNorm) epilogue(s *Scratch) []float32 {
+	n := b.C
+	ep := s.slice(kernels.EpilogueLen(n))
+	copy(ep[:n], b.RunningMean.Data[:n])
+	for c, v := range b.RunningVar.Data[:n] {
+		ep[n+c] = float32(1 / math.Sqrt(float64(v)+b.Eps))
+	}
+	copy(ep[2*n:3*n], b.Gamma.Value.Data[:n])
+	copy(ep[3*n:], b.Beta.Value.Data[:n])
+	return ep
+}
+
 // Infer implements Layer.
 func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	out := s.uninit(x.Shape...)
@@ -161,22 +200,15 @@ func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	return out
 }
 
-// rectify is max(0, v) as ReLU.Forward computes it: v when v > 0, else +0
-// (NaN included). It decides on the bits, without a data-dependent
-// branch: v > 0 exactly when its bits, read unsigned, lie in
-// [1, bits(+Inf)] — sign clear, nonzero, not NaN.
-func rectify(v float32) float32 {
-	u := math.Float32bits(v)
-	if u-1 >= 0x7f800000 {
-		u = 0
-	}
-	return math.Float32frombits(u)
-}
+// rectify is max(0, v) as ReLU.Forward computes it, without a
+// data-dependent branch (kernels.Rectify).
+func rectify(v float32) float32 { return kernels.Rectify(v) }
 
 // Infer implements Layer. Dropout is the identity at inference.
 func (d *Dropout) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor { return x }
 
-// Infer implements Layer.
+// Infer implements Layer. It selects like Forward, v > bv in window
+// order, without a branch on the data (kernels.MaxPool2x2).
 func (m *MaxPool2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v, want rank 4", x.Shape))
@@ -187,26 +219,7 @@ func (m *MaxPool2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v too small", x.Shape))
 	}
 	out := s.uninit(n, oh, ow, c)
-	idx := func(ni, y, xx, ci int) int { return ((ni*h+y)*w+xx)*c + ci }
-	o := 0
-	for ni := 0; ni < n; ni++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				for ci := 0; ci < c; ci++ {
-					bv := x.Data[idx(ni, 2*y, 2*xx, ci)]
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							if v := x.Data[idx(ni, 2*y+dy, 2*xx+dx, ci)]; v > bv {
-								bv = v
-							}
-						}
-					}
-					out.Data[o] = bv
-					o++
-				}
-			}
-		}
-	}
+	kernels.MaxPool2x2(n, h, w, c, x.Data, out.Data)
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hawccc/internal/nn/kernels"
 	"hawccc/internal/tensor"
 )
 
@@ -232,5 +233,110 @@ func TestRectifyMatchesReLU(t *testing.T) {
 		if got := rectify(v); math.Float32bits(got) != math.Float32bits(want) {
 			t.Errorf("rectify(%v) = %v (%#x), want %v (%#x)", v, got, math.Float32bits(got), want, math.Float32bits(want))
 		}
+	}
+}
+
+// TestInferMatchesNaiveOnEachTile pins Infer — the Conv2D→BatchNorm→ReLU
+// GEMM epilogue, the branch-free max-pool, the bias-seeded tiles — to
+// inferNaive on the AVX tile and on the pure-Go one, the only tile an
+// arm64 pole runs, on the test CNN and on a HAWC-shaped network at
+// batch 1, 5 and 16.
+func TestInferMatchesNaiveOnEachTile(t *testing.T) {
+	for _, avx := range []bool{true, false} {
+		prev := kernels.SetAVX(avx)
+		rng := rand.New(rand.NewSource(22))
+		small := inferTestCNN(rng)
+		xs := randTensor(rng, 6, 4, 4, 2)
+		settle(small, xs, []int{0, 1, 2, 0, 1, 2})
+		hawc := hawcShapeNet(rng)
+		cases := []struct {
+			m *Sequential
+			x *tensor.Tensor
+		}{{small, xs}}
+		for _, n := range []int{1, 5, 16} {
+			x := randTensor(rng, n, 15, 15, 7)
+			sparsify(rng, x, 0.3)
+			cases = append(cases, struct {
+				m *Sequential
+				x *tensor.Tensor
+			}{hawc, x})
+		}
+		for ci, c := range cases {
+			got, want := c.m.Infer(c.x), inferNaive(c.m, c.x)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("avx=%v case %d: Infer[%d] = %v, inferNaive = %v", avx, ci, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		kernels.SetAVX(prev)
+	}
+}
+
+// TestFusedConvEdgeValues drives conv outputs of NaN, ±0, ±Inf and
+// subnormals into the fused Conv2D→BatchNorm→ReLU and into the max-pool:
+// a 1×1 convolution from one channel with weights ±1 and a −0 bias
+// passes each input through, negated on odd channels (−0 stays −0), so
+// the epilogue and the pool see exactly those values. (One input channel
+// keeps two NaNs from meeting in an add, where the hardware's choice of
+// payload follows operand order, not arithmetic.) On both tiles Infer
+// must equal inferNaive and the training pass's layer-by-layer
+// arithmetic (ReLU's and MaxPool2D's Forward, whose selects branch on
+// v > 0 and v > bv) bit for bit.
+func TestFusedConvEdgeValues(t *testing.T) {
+	edge := []float32{float32(math.NaN()), -float32(math.NaN()), 0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39,
+		math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.5, -0.5}
+	const c = 16
+	rng := rand.New(rand.NewSource(23))
+	identity := func() *Conv2D {
+		conv := NewConv2D(1, 1, 1, c, rng)
+		for i := 0; i < c; i++ {
+			conv.W.Value.Data[i] = float32(1 - 2*(i%2))
+			conv.B.Value.Data[i] = float32(math.Copysign(0, -1))
+		}
+		return conv
+	}
+	bn := NewBatchNorm(c)
+	for i := 0; i < c; i++ {
+		if i%2 == 1 { // identity on even channels; shift, scale and flip on odd
+			bn.RunningMean.Data[i], bn.RunningVar.Data[i] = 0.25, 4
+			bn.Gamma.Value.Data[i], bn.Beta.Value.Data[i] = -1.5, 1e-38
+		}
+	}
+	fused := (&Sequential{}).Add(identity(), bn, NewReLU(), NewMaxPool2D())
+	pooled := (&Sequential{}).Add(identity(), NewMaxPool2D())
+
+	x := tensor.New(3, 4, 6, 1)
+	for i := range x.Data {
+		x.Data[i] = edge[rng.Intn(len(edge))]
+	}
+	copy(x.Data[len(x.Data)-len(edge):], edge) // every value at least once
+	forward := func(m *Sequential) *tensor.Tensor {
+		y := tensor.New(3, 4, 6, c)
+		m.Layers[0].(*Conv2D).applyNaive(x, y)
+		for _, l := range m.Layers[1:] {
+			switch l := l.(type) {
+			case *BatchNorm:
+				y = l.Infer(y, newScratch())
+			default:
+				y = l.Forward(y)
+			}
+		}
+		return y
+	}
+	for _, avx := range []bool{true, false} {
+		prev := kernels.SetAVX(avx)
+		for mi, m := range []*Sequential{fused, pooled} {
+			got, naive, want := m.Infer(x), inferNaive(m, x), forward(m)
+			for i := range want.Data {
+				g, n, w := math.Float32bits(got.Data[i]), math.Float32bits(naive.Data[i]), math.Float32bits(want.Data[i])
+				if g != w || n != w {
+					t.Fatalf("avx=%v model %d [%d]: Infer %#x, inferNaive %#x, layer by layer %#x", avx, mi, i, g, n, w)
+				}
+			}
+		}
+		kernels.SetAVX(prev)
 	}
 }

@@ -83,7 +83,7 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
+func TestHistogramBucketsAndSum(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	// 100 observations uniform over (0, 4]: 25 per unit.
 	for i := 1; i <= 100; i++ {

@@ -17,12 +17,29 @@ func BenchmarkHeightVariation(b *testing.B) {
 	for i := range clouds {
 		clouds[i] = canonical(viewportCloud(rng, 225))
 	}
+	sigmaSink = make([]float64, 225)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sigmaSink = heightVariation(clouds[i%len(clouds)], KNeighbors)
+		sigmaSink = heightVariation(sigmaSink, clouds[i%len(clouds)], KNeighbors)
 	}
 }
 
 // sigmaSink keeps the benchmarked σz from being optimized away.
 var sigmaSink []float64
+
+// BenchmarkCanonical prices the keyed (z, x, y) sort of one 225-point
+// classifier input into pooled scratch.
+func BenchmarkCanonical(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	clouds := make([]geom.Cloud, 64)
+	for i := range clouds {
+		clouds[i] = viewportCloud(rng, 225)
+	}
+	var s scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.canonical(clouds[i%len(clouds)])
+	}
+}

@@ -73,7 +73,7 @@ func TestHeightVariationMatchesKDTree(t *testing.T) {
 	for _, n := range []int{16, 256, 1024} {
 		cloud := viewportCloud(rng, n)
 		want := refHeightVariation(cloud, KNeighbors)
-		got := heightVariation(cloud, KNeighbors)
+		got := heightVariation(make([]float64, len(cloud)), cloud, KNeighbors)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d point %d: grid σz %v != kdtree σz %v", n, i, got[i], want[i])
@@ -88,7 +88,7 @@ func TestDADensityMatchesKDTree(t *testing.T) {
 	cloud := viewportCloud(rng, 256)
 	c := canonical(cloud)
 	tree := kdtree.New(c)
-	im := DA{}.Project(cloud)
+	im := Project(DA{}, cloud)
 	for i, p := range c {
 		want := float32(float64(tree.RadiusCount(p, DensityRadius)-1) / float64(KNeighbors))
 		if got := im.Data[i*3+2]; got != want {

@@ -3,10 +3,31 @@ package projection
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hawccc/internal/geom"
 )
+
+// Image is a D×D multi-channel raster in channel-last layout:
+// Data[(row*D+col)*C + ch].
+type Image struct {
+	D, C int
+	Data []float32
+}
+
+// Project returns p's image of cloud in a new Image.
+func Project(p Projector, cloud geom.Cloud) Image {
+	im := Image{D: side(len(cloud)), C: p.Channels(), Data: make([]float32, len(cloud)*p.Channels())}
+	p.ProjectInto(im.Data, cloud)
+	return im
+}
+
+// canonical returns the cloud in canonical order, in new storage.
+func canonical(cloud geom.Cloud) geom.Cloud {
+	var s scratch
+	return s.canonical(cloud)
+}
 
 // squareCloud returns an n-point cloud (n a perfect square) resembling a
 // person-ish vertical cluster in the viewport frame (xy near 0, z 0…1.7).
@@ -28,7 +49,7 @@ func TestAllProjectorsShapeAndDeterminism(t *testing.T) {
 	projs := []Projector{HAP{}, ThreeView{}, BEV{}, RV{}, DA{}}
 	for _, p := range projs {
 		t.Run(p.Name(), func(t *testing.T) {
-			im := p.Project(cloud)
+			im := Project(p, cloud)
 			if im.D != 10 {
 				t.Errorf("D = %d, want 10", im.D)
 			}
@@ -42,7 +63,7 @@ func TestAllProjectorsShapeAndDeterminism(t *testing.T) {
 			// must give the identical image (canonical sort).
 			shuffled := cloud.Clone()
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			im2 := p.Project(shuffled)
+			im2 := Project(p, shuffled)
 			for i := range im.Data {
 				if im.Data[i] != im2.Data[i] {
 					t.Fatalf("projection not permutation-invariant at %d", i)
@@ -58,7 +79,65 @@ func TestProjectPanicsOnNonSquare(t *testing.T) {
 			t.Fatal("expected panic on non-square cloud")
 		}
 	}()
-	HAP{}.Project(make(geom.Cloud, 10))
+	Project(HAP{}, make(geom.Cloud, 10))
+}
+
+// TestCanonicalMatchesComparatorSort pins the keyed sort to a
+// comparison sort by compareZXY: the same point at every position, on
+// clouds with duplicated points, x and y ties on the viewport border,
+// runs of equal z, negative coordinates and both zeros.
+func TestCanonicalMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300) + 1
+		cloud := viewportCloud(rng, n)
+		for i := range cloud {
+			switch rng.Intn(8) {
+			case 0:
+				cloud[i].Z = float64(rng.Intn(3)) - 1 // runs of equal z
+			case 1:
+				cloud[i].Z = negZero
+			case 2:
+				cloud[i].X, cloud[i].Y = negZero, -cloud[i].Y
+			}
+		}
+		want := cloud.Clone()
+		slices.SortFunc(want, compareZXY)
+		got := canonical(cloud)
+		for i := range want {
+			if compareZXY(got[i], want[i]) != 0 {
+				t.Fatalf("n=%d: position %d holds %v, comparator sort %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestProjectIntoAllocatesNothing pins the classifier's in-place input:
+// once the pools are warm, ProjectInto fills a caller's slot, stale
+// contents and all, without a heap allocation, and the slot equals the
+// image projected into fresh storage.
+func TestProjectIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory allocates")
+	}
+	rng := rand.New(rand.NewSource(14))
+	cloud := viewportCloud(rng, 225)
+	for _, p := range []Projector{HAP{}, ThreeView{}, BEV{}, RV{}, DA{}} {
+		dst := make([]float32, 225*p.Channels())
+		for i := range dst {
+			dst[i] = float32(math.NaN())
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.ProjectInto(dst, cloud) }); allocs != 0 {
+			t.Errorf("%s: ProjectInto allocates %.1f times per call, want 0", p.Name(), allocs)
+		}
+		want := Project(p, cloud)
+		for i := range want.Data {
+			if math.Float32bits(dst[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: [%d] reused slot %v, fresh image %v", p.Name(), i, dst[i], want.Data[i])
+			}
+		}
+	}
 }
 
 func TestCanonicalIsHeightMajor(t *testing.T) {
@@ -76,7 +155,7 @@ func TestViewport(t *testing.T) {
 		geom.P(30, -2, -2.5),  // far noise
 	}
 	center := geom.P(20.1, 1, -2)
-	out := Viewport(padded, center, 2)
+	out := Viewport(nil, padded, center, 2)
 	// Cluster points centered near origin.
 	if math.Abs(out[0].X+0.1) > 1e-9 || math.Abs(out[0].Y) > 1e-9 {
 		t.Errorf("cluster point not centered: %+v", out[0])
@@ -102,7 +181,7 @@ func TestHAPChannelSemantics(t *testing.T) {
 	for i := range flat {
 		flat[i] = geom.P(float64(i%4)*0.1, float64(i/4)*0.1, 1)
 	}
-	imFlat := HAP{}.Project(flat)
+	imFlat := Project(HAP{}, flat)
 	for i := 0; i < 16; i++ {
 		if sigma := at(imFlat, i/4, i%4, 2); sigma != 0 {
 			t.Errorf("flat sheet σz = %v at %d, want 0", sigma, i)
@@ -113,7 +192,7 @@ func TestHAPChannelSemantics(t *testing.T) {
 	for i := range column {
 		column[i] = geom.P(0, 0, float64(i)*0.12)
 	}
-	imCol := HAP{}.Project(column)
+	imCol := Project(HAP{}, column)
 	nonzero := 0
 	for i := 0; i < 16; i++ {
 		if at(imCol, i/4, i%4, 2) > 0.01 {
@@ -130,7 +209,7 @@ func TestHAPEncodesCoordinates(t *testing.T) {
 	// be non-decreasing across the raster.
 	rng := rand.New(rand.NewSource(2))
 	cloud := squareCloud(rng, 49)
-	im := HAP{}.Project(cloud)
+	im := Project(HAP{}, cloud)
 	prev := float32(math.Inf(-1))
 	for i := 0; i < 49; i++ {
 		z := at(im, i/7, i%7, 4)
@@ -159,8 +238,8 @@ func TestBEVDiscardsHeight(t *testing.T) {
 		a[i] = geom.P(x, -float64(i)*0.05, float64(i%7)*0.3)
 		b[i] = geom.P(x, -float64(i)*0.05, 0.5)
 	}
-	imA := BEV{}.Project(a)
-	imB := BEV{}.Project(b)
+	imA := Project(BEV{}, a)
+	imB := Project(BEV{}, b)
 	// Compare as multisets of (x, y) pairs: sort-insensitive check via sums.
 	var sumA, sumB float64
 	for i := range imA.Data {
@@ -202,7 +281,7 @@ func TestRVEncodesRange(t *testing.T) {
 	for i := range c {
 		c[i] = geom.P(10+float64(i), 0, 0)
 	}
-	im := RV{}.Project(c)
+	im := Project(RV{}, c)
 	// All z equal → canonical falls back to x order; range channel (2)
 	// must be 10..13.
 	for i := 0; i < 4; i++ {
@@ -223,8 +302,8 @@ func TestDADensityChannel(t *testing.T) {
 	for i := range scattered {
 		scattered[i] = geom.P(float64(i%3)*5, float64(i/3)*5, 1)
 	}
-	dClump := DA{}.Project(clump)
-	dScatter := DA{}.Project(scattered)
+	dClump := Project(DA{}, clump)
+	dScatter := Project(DA{}, scattered)
 	var sumClump, sumScatter float32
 	for i := 0; i < 9; i++ {
 		sumClump += at(dClump, i/3, i%3, 2)
@@ -251,7 +330,7 @@ func TestProjectDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cloud := squareCloud(rng, 16)
 	orig := cloud.Clone()
-	_ = HAP{}.Project(cloud)
+	_ = Project(HAP{}, cloud)
 	for i := range cloud {
 		if cloud[i] != orig[i] {
 			t.Fatal("Project mutated the input cloud")

@@ -72,7 +72,7 @@ func TestReshape(t *testing.T) {
 	x.Reshape(5)
 }
 
-func TestFillZeroScale(t *testing.T) {
+func TestFillAndZero(t *testing.T) {
 	x := New(4)
 	x.Fill(2)
 	for _, v := range x.Data {
@@ -88,7 +88,7 @@ func TestFillZeroScale(t *testing.T) {
 	}
 }
 
-func TestMinMaxAbsMax(t *testing.T) {
+func TestAbsMax(t *testing.T) {
 	x := FromSlice([]float32{-3, 1, 2}, 3)
 	if x.AbsMax() != 3 {
 		t.Errorf("AbsMax = %v", x.AbsMax())

@@ -14,6 +14,8 @@ package upsample
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"hawccc/internal/geom"
 )
@@ -61,38 +63,58 @@ func NewPool(objectClouds []geom.Cloud) *Pool {
 // Len returns the total number of pooled points.
 func (p *Pool) Len() int { return p.total }
 
-// Draw returns n noise points assembled from randomly chosen object
-// captures at their original positions (all "Object" data is pooled
-// together and the deficit is sampled from the pool, Section V). It panics
-// on an empty pool.
-func (p *Pool) Draw(rng *rand.Rand, n int) geom.Cloud {
+// Draw appends to dst, and returns, n noise points assembled from
+// randomly chosen object captures at their original positions (all
+// "Object" data is pooled together and the deficit is sampled from the
+// pool, Section V). It panics on an empty pool.
+func (p *Pool) Draw(dst geom.Cloud, rng *rand.Rand, n int) geom.Cloud {
 	if len(p.clouds) == 0 {
 		panic("upsample: drawing from empty object pool")
 	}
-	out := make(geom.Cloud, 0, n)
-	for len(out) < n {
+	perm := permPool.Get().(*[]int)
+	defer permPool.Put(perm)
+	for want := len(dst) + n; len(dst) < want; {
 		src := p.clouds[rng.Intn(len(p.clouds))]
 		// Take the pattern's points in random order until n is reached.
-		perm := rng.Perm(len(src))
-		for _, i := range perm {
-			if len(out) == n {
+		for _, i := range permInto(perm, rng, len(src)) {
+			if len(dst) == want {
 				break
 			}
-			out = append(out, src[i])
+			dst = append(dst, src[i])
 		}
 	}
-	return out
+	return dst
+}
+
+// permPool recycles the permutation buffers of permInto.
+var permPool = sync.Pool{New: func() any { return new([]int) }}
+
+// permInto is rng.Perm(n) into *buf: the same draws, the same
+// permutation, without allocating one per call once buf has grown.
+func permInto(buf *[]int, rng *rand.Rand, n int) []int {
+	m := slices.Grow((*buf)[:0], n)[:n]
+	*buf = m
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // FromPool pads cloud to target points with object-data noise (the
 // paper's noise-controlled up-sampling). Clouds already at or above the
 // target are randomly down-sampled to exactly target so the output size
 // is always fixed — the deployment equivalent of a cluster larger than
-// anything seen in training.
-func FromPool(rng *rand.Rand, cloud geom.Cloud, pool *Pool, target int) geom.Cloud {
-	return pad(rng, cloud, target, func(n int) geom.Cloud {
-		return pool.Draw(rng, n)
-	})
+// anything seen in training. The result is written over dst's storage
+// (nil for a new cloud), so a caller that keeps its buffer pads without
+// allocating.
+func FromPool(dst geom.Cloud, rng *rand.Rand, cloud geom.Cloud, pool *Pool, target int) geom.Cloud {
+	dst, deficit := pad(dst, rng, cloud, target)
+	if deficit == 0 {
+		return dst
+	}
+	return pool.Draw(dst, rng, deficit)
 }
 
 // GaussianCenter is the fixed mean of Gaussian up-sampling noise: the
@@ -103,37 +125,36 @@ var GaussianCenter = geom.P(23.5, 0, -2)
 
 // Gaussian pads cloud to target points with fixed-mean Gaussian noise of
 // the given standard deviation — the Table III baseline (σ ∈ {3, 5, 7}).
-func Gaussian(rng *rand.Rand, cloud geom.Cloud, sigma float64, target int) geom.Cloud {
-	return pad(rng, cloud, target, func(n int) geom.Cloud {
-		out := make(geom.Cloud, n)
-		for i := range out {
-			out[i] = geom.P(
-				GaussianCenter.X+rng.NormFloat64()*sigma,
-				GaussianCenter.Y+rng.NormFloat64()*sigma,
-				GaussianCenter.Z+rng.NormFloat64()*sigma,
-			)
-		}
-		return out
-	})
+// Like FromPool, it writes over dst's storage.
+func Gaussian(dst geom.Cloud, rng *rand.Rand, cloud geom.Cloud, sigma float64, target int) geom.Cloud {
+	dst, deficit := pad(dst, rng, cloud, target)
+	for i := 0; i < deficit; i++ {
+		dst = append(dst, geom.P(
+			GaussianCenter.X+rng.NormFloat64()*sigma,
+			GaussianCenter.Y+rng.NormFloat64()*sigma,
+			GaussianCenter.Z+rng.NormFloat64()*sigma,
+		))
+	}
+	return dst
 }
 
-func pad(rng *rand.Rand, cloud geom.Cloud, target int, draw func(int) geom.Cloud) geom.Cloud {
+// pad writes cloud, randomly subsampled without replacement when it holds
+// target points or more, over dst's storage, with capacity for target
+// points, and returns it with the number of points still missing.
+func pad(dst geom.Cloud, rng *rand.Rand, cloud geom.Cloud, target int) (geom.Cloud, int) {
 	if target <= 0 {
-		return geom.Cloud{}
+		return dst[:0], 0
 	}
+	dst = slices.Grow(dst[:0], target)
 	if len(cloud) >= target {
-		// Random subsample without replacement.
-		idx := rng.Perm(len(cloud))[:target]
-		out := make(geom.Cloud, target)
-		for i, j := range idx {
-			out[i] = cloud[j]
+		perm := permPool.Get().(*[]int)
+		defer permPool.Put(perm)
+		for _, j := range permInto(perm, rng, len(cloud))[:target] {
+			dst = append(dst, cloud[j])
 		}
-		return out
+		return dst, 0
 	}
-	// One exact-capacity allocation instead of Clone plus append growth.
-	out := make(geom.Cloud, 0, target)
-	out = append(out, cloud...)
-	return append(out, draw(target-len(cloud))...)
+	return append(dst, cloud...), target - len(cloud)
 }
 
 // Clouds exposes the pooled object captures (for serialization). The

@@ -73,7 +73,7 @@ func TestPoolCounts(t *testing.T) {
 func TestDrawFromPool(t *testing.T) {
 	p := makePool()
 	rng := rand.New(rand.NewSource(1))
-	pts := p.Draw(rng, 50)
+	pts := p.Draw(nil, rng, 50)
 	if len(pts) != 50 {
 		t.Fatalf("drew %d points", len(pts))
 	}
@@ -96,14 +96,14 @@ func TestDrawEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPool(nil).Draw(rand.New(rand.NewSource(1)), 1)
+	NewPool(nil).Draw(nil, rand.New(rand.NewSource(1)), 1)
 }
 
 func TestFromPoolPadsToTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pool := makePool()
 	cloud := geom.Cloud{geom.P(15, 0, -1), geom.P(15.1, 0, -1.2)}
-	up := FromPool(rng, cloud, pool, 9)
+	up := FromPool(nil, rng, cloud, pool, 9)
 	if len(up) != 9 {
 		t.Fatalf("padded size = %d, want 9", len(up))
 	}
@@ -120,7 +120,7 @@ func TestFromPoolDownsamples(t *testing.T) {
 	for i := range cloud {
 		cloud[i] = geom.P(float64(i), 0, -1)
 	}
-	down := FromPool(rng, cloud, pool, 16)
+	down := FromPool(nil, rng, cloud, pool, 16)
 	if len(down) != 16 {
 		t.Fatalf("downsampled size = %d, want 16", len(down))
 	}
@@ -139,7 +139,7 @@ func TestFromPoolDoesNotMutateInput(t *testing.T) {
 	pool := makePool()
 	cloud := geom.Cloud{geom.P(1, 2, 3)}
 	orig := cloud.Clone()
-	_ = FromPool(rng, cloud, pool, 4)
+	_ = FromPool(nil, rng, cloud, pool, 4)
 	if cloud[0] != orig[0] || len(cloud) != 1 {
 		t.Error("input cloud mutated")
 	}
@@ -149,7 +149,7 @@ func TestPoolIsolatedFromSource(t *testing.T) {
 	src := []geom.Cloud{{geom.P(1, 1, 1)}}
 	p := NewPool(src)
 	src[0][0] = geom.P(99, 99, 99)
-	pts := p.Draw(rand.New(rand.NewSource(1)), 1)
+	pts := p.Draw(nil, rand.New(rand.NewSource(1)), 1)
 	if pts[0].Z != 1 {
 		t.Error("pool must copy source clouds")
 	}
@@ -158,7 +158,7 @@ func TestPoolIsolatedFromSource(t *testing.T) {
 func TestGaussianPadding(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cloud := geom.Cloud{geom.P(20, 0, -1), geom.P(20.2, 0.1, -1.3)}
-	up := Gaussian(rng, cloud, 3, 16)
+	up := Gaussian(nil, rng, cloud, 3, 16)
 	if len(up) != 16 {
 		t.Fatalf("size = %d", len(up))
 	}
@@ -176,10 +176,10 @@ func TestGaussianPadding(t *testing.T) {
 
 func TestZeroTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	if got := FromPool(rng, geom.Cloud{geom.P(1, 1, 1)}, makePool(), 0); len(got) != 0 {
+	if got := FromPool(nil, rng, geom.Cloud{geom.P(1, 1, 1)}, makePool(), 0); len(got) != 0 {
 		t.Error("target 0 should yield empty cloud")
 	}
-	if got := Gaussian(rng, geom.Cloud{geom.P(1, 1, 1)}, 1, -1); len(got) != 0 {
+	if got := Gaussian(nil, rng, geom.Cloud{geom.P(1, 1, 1)}, 1, -1); len(got) != 0 {
 		t.Error("negative target should yield empty cloud")
 	}
 }
@@ -212,5 +212,60 @@ func TestContentSeedSeparatesNearbyClouds(t *testing.T) {
 	single := geom.Cloud{}
 	if ContentSeed(dup) == ContentSeed(single) {
 		t.Error("duplicate points cancelled out of the seed")
+	}
+}
+
+// TestPermIntoMatchesPerm pins the pooled permutation to rand.Perm: the
+// same permutation from the same stream, and the stream left in the same
+// state, so pooled padding draws exactly the noise a fresh one did.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	var buf []int
+	for _, n := range []int{0, 1, 2, 7, 64, 300} {
+		want, got := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		wp, gp := want.Perm(n), permInto(&buf, got, n)
+		if len(gp) != n {
+			t.Fatalf("n=%d: permInto returned %d elements", n, len(gp))
+		}
+		for i := range wp {
+			if gp[i] != wp[i] {
+				t.Fatalf("n=%d: [%d] = %d, rand.Perm %d", n, i, gp[i], wp[i])
+			}
+		}
+		if want.Int63() != got.Int63() {
+			t.Fatalf("n=%d: streams diverge after the permutation", n)
+		}
+	}
+}
+
+// TestPaddingIntoBufferMatchesFresh pins that padding over a reused
+// buffer gives the cloud a fresh one does: pool and Gaussian noise,
+// clouds below and above the target.
+func TestPaddingIntoBufferMatchesFresh(t *testing.T) {
+	pool := makePool()
+	var buf geom.Cloud
+	for _, n := range []int{1, 5, 16, 40} {
+		cloud := make(geom.Cloud, n)
+		for i := range cloud {
+			cloud[i] = geom.P(float64(i), float64(-i), 0.5)
+		}
+		for _, gauss := range []bool{false, true} {
+			up := func(dst geom.Cloud, seed int64) geom.Cloud {
+				rng := rand.New(rand.NewSource(seed))
+				if gauss {
+					return Gaussian(dst, rng, cloud, 3, 16)
+				}
+				return FromPool(dst, rng, cloud, pool, 16)
+			}
+			want := up(nil, int64(n))
+			buf = up(buf, int64(n))
+			if len(buf) != len(want) {
+				t.Fatalf("n=%d gauss=%v: %d points, want %d", n, gauss, len(buf), len(want))
+			}
+			for i := range want {
+				if buf[i] != want[i] {
+					t.Fatalf("n=%d gauss=%v: point %d = %v, fresh %v", n, gauss, i, buf[i], want[i])
+				}
+			}
+		}
 	}
 }
