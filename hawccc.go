@@ -226,17 +226,6 @@ func (c *Counter) ClassifyCluster(cluster Cloud) bool {
 	return c.classifier.PredictHuman(cluster)
 }
 
-// SaveWeights serializes the trained classifier weights.
-func (c *Counter) SaveWeights(w io.Writer) error {
-	if c.classifier.Network() == nil {
-		return fmt.Errorf("hawccc: counter not trained")
-	}
-	if err := c.classifier.Network().Save(w); err != nil {
-		return fmt.Errorf("hawccc: %w", err)
-	}
-	return nil
-}
-
 // Save serializes the entire trained counter — classifier weights,
 // projector identity, and the object pool used for up-sampling — so it
 // can be reloaded with Load without retraining.

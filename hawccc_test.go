@@ -1,7 +1,6 @@
 package hawccc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -85,17 +84,6 @@ func TestClassifyClusterAndMetrics(t *testing.T) {
 		t.Error("metrics out of range")
 	}
 	_ = c.ClassifyCluster(train[0].Cloud)
-}
-
-func TestSaveWeights(t *testing.T) {
-	c, _ := trainSmall(t)
-	var buf bytes.Buffer
-	if err := c.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("no weights written")
-	}
 }
 
 func TestROIAndHelpers(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"hawccc/internal/metrics"
 	"hawccc/internal/models"
 	"hawccc/internal/tensor"
+	"hawccc/internal/upsample"
 )
 
 // TableIRow is one model's single-person detection accuracy (paper
@@ -86,8 +87,8 @@ func TableII(l *Lab) []TableIIRow {
 	oc := l.OCSVM()
 
 	// Example inputs sized from the trained models.
-	d := imageSide(hawc)
-	hawcX := tensor.New(1, d, d, 7)
+	d := upsample.Side(hawc.Target())
+	hawcX := tensor.New(1, d, d, hawc.Projector.Channels())
 	pnX := tensor.New(pn.Target(), 3)
 	aeX := tensor.New(1, oc.FeatureDim())
 
@@ -114,15 +115,6 @@ func TableII(l *Lab) []TableIIRow {
 		add("HAWC (Ours)", dev.EstimateFP32(hawcFP), dev.EstimateInt8(hawcQ8), true)
 	}
 	return rows
-}
-
-func imageSide(h *models.HAWC) int {
-	// N′max is a perfect square; the image side is its root.
-	d := 1
-	for d*d < h.Target() {
-		d++
-	}
-	return d
 }
 
 // FormatTableII renders rows like the paper's Table II.

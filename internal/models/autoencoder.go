@@ -2,7 +2,6 @@ package models
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -10,7 +9,6 @@ import (
 	"hawccc/internal/features"
 	"hawccc/internal/geom"
 	"hawccc/internal/nn"
-	"hawccc/internal/quant"
 	"hawccc/internal/tensor"
 	"hawccc/internal/upsample"
 )
@@ -30,8 +28,7 @@ import (
 // baseline (77.94% accuracy): their uneven scales let a few large
 // dimensions dominate the reconstruction loss.
 type AutoEncoder struct {
-	net       *nn.Sequential
-	qnet      *quant.Model
+	network
 	threshold float64
 	target    int
 	pool      *upsample.Pool
@@ -54,18 +51,7 @@ const autoEncoderBatch = 512
 func NewAutoEncoder() *AutoEncoder { return &AutoEncoder{} }
 
 // Name implements Classifier.
-func (a *AutoEncoder) Name() string {
-	if a.qnet != nil {
-		return "AutoEncoder-int8"
-	}
-	return "AutoEncoder"
-}
-
-// Network exposes the underlying network (nil before training).
-func (a *AutoEncoder) Network() *nn.Sequential { return a.net }
-
-// QuantNetwork exposes the int8 graph (nil unless quantized).
-func (a *AutoEncoder) QuantNetwork() *quant.Model { return a.qnet }
+func (a *AutoEncoder) Name() string { return a.name("AutoEncoder") }
 
 // thresholdPercentile: human training errors below this percentile are
 // "inside" the learned manifold.
@@ -98,13 +84,8 @@ func (a *AutoEncoder) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	cfg = cfg.withDefaults(60)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a.target = upsample.TargetSize(dataset.MaxPoints(samples))
-	var objectClouds []geom.Cloud
-	for _, s := range samples {
-		if !s.Human {
-			objectClouds = append(objectClouds, s.Cloud)
-		}
-	}
-	a.pool = upsample.NewPool(objectClouds)
+	_, objects := splitByClass(samples)
+	a.pool = upsample.NewPool(objects)
 
 	var humanVecs [][]float32
 	for _, s := range samples {
@@ -123,7 +104,7 @@ func (a *AutoEncoder) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	opt := nn.NewAdam(learningRate)
 	n := len(humanVecs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := shuffledIndices(rng, n)
+		perm := rng.Perm(n)
 		for start := 0; start < n; start += autoEncoderBatch {
 			end := start + autoEncoderBatch
 			if end > n {
@@ -168,13 +149,7 @@ func (a *AutoEncoder) fitThreshold(humanVecs [][]float32) {
 // vector.
 func (a *AutoEncoder) reconError(v []float32) float64 {
 	dim := len(v)
-	x := tensor.FromSlice(append([]float32(nil), v...), 1, dim)
-	var out *tensor.Tensor
-	if a.qnet != nil {
-		out = a.qnet.Forward(x)
-	} else {
-		out = a.net.Infer(x)
-	}
+	out := a.infer(tensor.FromSlice(v, 1, dim))
 	var sum float64
 	for i := range out.Data {
 		d := float64(out.Data[i] - v[i])
@@ -215,24 +190,14 @@ func (a *AutoEncoder) PredictHuman(cloud geom.Cloud) bool {
 // in the reconstructions translates directly into accuracy loss — the
 // effect Table I measures.
 func (a *AutoEncoder) Quantize(calib []dataset.Sample) (*AutoEncoder, error) {
-	if a.net == nil {
-		return nil, errors.New("models: quantizing untrained AutoEncoder")
+	q := *a
+	var err error
+	if q.network, err = a.quantize("AutoEncoder", calib, func(c geom.Cloud) *tensor.Tensor {
+		return tensor.FromSlice(toF32(seeded(c, a.extract)), 1, features.VectorLen)
+	}); err != nil {
+		return nil, err
 	}
-	if len(calib) == 0 {
-		return nil, errors.New("models: empty calibration set")
-	}
-	tensors := make([]*tensor.Tensor, 0, len(calib))
-	for _, s := range calib {
-		v := toF32(seeded(s.Cloud, a.extract))
-		tensors = append(tensors, tensor.FromSlice(v, 1, features.VectorLen))
-	}
-	qm, err := quant.Quantize(a.net, tensors)
-	if err != nil {
-		return nil, fmt.Errorf("models: quantize AutoEncoder: %w", err)
-	}
-	out := *a
-	out.qnet = qm
-	return &out, nil
+	return &q, nil
 }
 
 func toF32(v []float64) []float32 {

@@ -7,8 +7,6 @@
 package models
 
 import (
-	"math/rand"
-
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/metrics"
@@ -83,9 +81,4 @@ func splitByClass(samples []dataset.Sample) (humans, objects []geom.Cloud) {
 		}
 	}
 	return humans, objects
-}
-
-// shuffledIndices returns a permutation of [0, n).
-func shuffledIndices(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
 }

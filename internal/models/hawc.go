@@ -2,7 +2,6 @@ package models
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"hawccc/internal/geom"
 	"hawccc/internal/nn"
 	"hawccc/internal/projection"
-	"hawccc/internal/quant"
 	"hawccc/internal/tensor"
 	"hawccc/internal/upsample"
 )
@@ -28,12 +26,10 @@ type HAWC struct {
 	// Gaussian-noise up-sampling of that σ (Table III ablation).
 	GaussianSigma float64
 
+	network
 	target int // N′max
 	d      int // image side
 	pool   *upsample.Pool
-	net    *nn.Sequential
-	qnet   *quant.Model
-	rng    *rand.Rand
 }
 
 var (
@@ -45,22 +41,10 @@ var (
 func NewHAWC() *HAWC { return &HAWC{Projector: projection.HAP{}} }
 
 // Name implements Classifier.
-func (h *HAWC) Name() string {
-	if h.qnet != nil {
-		return "HAWC-int8"
-	}
-	return "HAWC"
-}
+func (h *HAWC) Name() string { return h.name("HAWC") }
 
 // Target returns N′max (0 before training).
 func (h *HAWC) Target() int { return h.target }
-
-// Network exposes the underlying CNN (nil before training) for device
-// cost modeling and inspection.
-func (h *HAWC) Network() *nn.Sequential { return h.net }
-
-// QuantNetwork exposes the int8 graph (nil unless quantized).
-func (h *HAWC) QuantNetwork() *quant.Model { return h.qnet }
 
 // buildNet constructs the CNN for side d and c input channels. The layer
 // widths give ≈56k trainable parameters at D=10/C=7, matching the paper's
@@ -123,13 +107,16 @@ func (h *HAWC) image(rng *rand.Rand, cloud geom.Cloud) []float32 {
 // imageLen is the length of one flat classifier input, d·d·C.
 func (h *HAWC) imageLen() int { return h.d * h.d * h.Projector.Channels() }
 
+// imageShape is the tensor shape of n classifier inputs, [n, d, d, C].
+func (h *HAWC) imageShape(n int) []int { return []int{n, h.d, h.d, h.Projector.Channels()} }
+
 // rngPool recycles the padding-noise streams of inference calls.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // seeded returns prepare(rng, cloud), with rng the padding-noise stream
 // for one inference call, seeded from the cluster content. Same cluster →
 // same noise → same prediction, at any worker count and in any order;
-// distinct calls share no state, so PredictHuman is safe for concurrent
+// distinct calls share no state, so prediction is safe for concurrent
 // use. The stream is a pooled rand.Rand re-seeded with
 // upsample.ContentSeed, which draws what a fresh one would without
 // allocating its ~4.9 KB source per cluster. It goes back to the pool
@@ -151,7 +138,7 @@ func (h *HAWC) Train(samples []dataset.Sample, cfg TrainConfig) error {
 		return errors.New("models: no training samples")
 	}
 	cfg = cfg.withDefaults(30)
-	h.rng = rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	if h.Projector == nil {
 		h.Projector = projection.HAP{}
 	}
@@ -160,85 +147,14 @@ func (h *HAWC) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	h.d = upsample.Side(h.target)
 	_, objects := splitByClass(samples)
 	h.pool = upsample.NewPool(objects)
-
-	c := h.Projector.Channels()
-	h.net = buildHAWCNet(h.d, c, h.rng)
-
-	labels := make([]int, len(samples))
-	for i, s := range samples {
-		if s.Human {
-			labels[i] = 1
-		}
-	}
-	// Up-sampling noise is redrawn every epoch — a natural augmentation
-	// that keeps the classifier from memorizing specific noise draws.
-	prepareAll := func() [][]float32 {
-		images := make([][]float32, len(samples))
-		for i, s := range samples {
-			images[i] = h.image(h.rng, s.Cloud)
-		}
-		return images
-	}
-
-	opt := nn.NewAdam(learningRate)
-	trainImages(h.net, opt, prepareAll, labels, h.d, c, cfg, h.rng)
+	h.net = buildHAWCNet(h.d, h.Projector.Channels(), rng)
+	train(h.net, samples, cfg, rng, hawcBatch, h.image, h.imageShape(1)...)
 	return nil
 }
 
-// trainImages runs the shared minibatch loop over flat image vectors,
-// re-materializing the images each epoch (fresh up-sampling noise) and
-// decaying the learning rate at 50% and 80% of the schedule.
-func trainImages(net *nn.Sequential, opt *nn.Adam, prepareAll func() [][]float32, labels []int, d, c int, cfg TrainConfig, rng *rand.Rand) {
-	n := len(labels)
-	imgLen := d * d * c
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if epoch == cfg.Epochs/2 || epoch == cfg.Epochs*4/5 {
-			opt.LR *= 0.3
-		}
-		images := prepareAll()
-		perm := shuffledIndices(rng, n)
-		for start := 0; start < n; start += hawcBatch {
-			end := start + hawcBatch
-			if end > n {
-				end = n
-			}
-			b := end - start
-			x := tensor.New(b, d, d, c)
-			y := make([]int, b)
-			for bi := 0; bi < b; bi++ {
-				idx := perm[start+bi]
-				copy(x.Data[bi*imgLen:(bi+1)*imgLen], images[idx])
-				y[bi] = labels[idx]
-			}
-			out := net.Forward(x)
-			_, grad := nn.SoftmaxCrossEntropy(out, y)
-			net.Backward(grad)
-			opt.Step(net.Params())
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(epoch)
-		}
-	}
-}
-
-// PredictHuman implements Classifier. It is safe for concurrent use by
-// multiple goroutines once the model is trained: padding noise comes from
-// a per-call content-seeded RNG and the forward pass runs through
-// nn.Sequential.Infer (or the stateless int8 graph), neither of which
-// touches shared mutable state.
+// PredictHuman implements Classifier: PredictHumans of one cluster.
 func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
-	if h.net == nil {
-		panic("models: HAWC not trained")
-	}
-	img := seeded(cloud, h.image)
-	x := tensor.FromSlice(img, 1, h.d, h.d, h.Projector.Channels())
-	var out *tensor.Tensor
-	if h.qnet != nil {
-		out = h.qnet.Forward(x)
-	} else {
-		out = h.net.Infer(x)
-	}
-	return nn.Argmax(out)[0] == 1
+	return h.PredictHumans([]geom.Cloud{cloud})[0]
 }
 
 // PredictHumans implements BatchClassifier: all clusters are prepared
@@ -248,8 +164,10 @@ func (h *HAWC) PredictHuman(cloud geom.Cloud) bool {
 // pooled across calls. The float network packs its weights once per
 // model, not per batch: its layers keep their GEMM panels until the
 // weights change. Per-cluster padding noise stays content-seeded, and
-// Infer is bit-identical across batch sizes, so the results match
-// PredictHuman cluster for cluster regardless of how a frame is batched.
+// Infer is bit-identical across batch sizes, so a cluster's label does
+// not depend on how a frame is batched. It is safe for concurrent use
+// once trained: the noise is per call and neither inference pass writes
+// shared state.
 func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	if h.net == nil {
 		panic("models: HAWC not trained")
@@ -260,19 +178,14 @@ func (h *HAWC) PredictHumans(clouds []geom.Cloud) []bool {
 	imgLen := h.imageLen()
 	buf := batchPool.Get().(*[]float32)
 	*buf = slices.Grow((*buf)[:0], len(clouds)*imgLen)[:len(clouds)*imgLen]
-	x := tensor.FromSlice(*buf, len(clouds), h.d, h.d, h.Projector.Channels())
+	x := tensor.FromSlice(*buf, h.imageShape(len(clouds))...)
 	for i, cloud := range clouds {
 		slot := x.Data[i*imgLen : (i+1)*imgLen]
 		seeded(cloud, func(rng *rand.Rand, cloud geom.Cloud) []float32 {
 			return h.prepare(slot, rng, cloud)
 		})
 	}
-	var out *tensor.Tensor
-	if h.qnet != nil {
-		out = h.qnet.Forward(x)
-	} else {
-		out = h.net.Infer(x)
-	}
+	out := h.infer(x)
 	batchPool.Put(buf)
 	preds := make([]bool, len(clouds))
 	for i, class := range nn.Argmax(out) {
@@ -289,25 +202,14 @@ var batchPool = sync.Pool{New: func() any { return new([]float32) }}
 // Quantize returns a copy of h that runs int8 inference, calibrated on the
 // given samples (the paper uses 100 random training samples, Section VI).
 func (h *HAWC) Quantize(calib []dataset.Sample) (*HAWC, error) {
-	if h.net == nil {
-		return nil, errors.New("models: quantizing untrained HAWC")
+	q := *h
+	var err error
+	if q.network, err = h.quantize("HAWC", calib, func(c geom.Cloud) *tensor.Tensor {
+		return tensor.FromSlice(seeded(c, h.image), h.imageShape(1)...)
+	}); err != nil {
+		return nil, err
 	}
-	if len(calib) == 0 {
-		return nil, errors.New("models: empty calibration set")
-	}
-	c := h.Projector.Channels()
-	tensors := make([]*tensor.Tensor, 0, len(calib))
-	for _, s := range calib {
-		img := seeded(s.Cloud, h.image)
-		tensors = append(tensors, tensor.FromSlice(img, 1, h.d, h.d, c))
-	}
-	qm, err := quant.Quantize(h.net, tensors)
-	if err != nil {
-		return nil, fmt.Errorf("models: quantize HAWC: %w", err)
-	}
-	out := *h
-	out.qnet = qm
-	return &out, nil
+	return &q, nil
 }
 
 // PoolClouds exposes the object captures in the up-sampling pool (empty

@@ -356,10 +356,11 @@ func TestPredictHumansMatchesSingle(t *testing.T) {
 // TestPredictHumansSteadyStateAllocs is the classify stage's allocation
 // gate: once the pools are warm, a batch allocates nothing per cluster —
 // padding, framing, projection and the input tensor all reuse pooled
-// storage, each image built in its slot of the batch — so a batch of 16
-// allocates what a batch of 1 does, and that is no more than the
-// inference pass's per-layer tensor headers plus the results. CI's
-// alloc-gate runs it.
+// storage, each image built in its slot of the batch, and the inference
+// pass keeps every intermediate tensor, header and shape in its arena —
+// so a batch of 5 or 16 allocates what a batch of 1 does: the input's
+// header, the pass's detached result, and the labels. CI's alloc-gate
+// runs it.
 func TestPredictHumansSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
@@ -377,11 +378,13 @@ func TestPredictHumansSteadyStateAllocs(t *testing.T) {
 		h.PredictHumans(clouds) // grow the pooled buffers to this batch
 		return testing.AllocsPerRun(20, func() { h.PredictHumans(clouds) })
 	}
-	one, sixteen := allocs(1), allocs(16)
-	if sixteen != one {
-		t.Errorf("a batch of 16 allocates %.1f times, a batch of 1 %.1f: want nothing per cluster", sixteen, one)
+	one := allocs(1)
+	for _, n := range []int{5, 16} {
+		if got := allocs(n); got != one {
+			t.Errorf("a batch of %d allocates %.1f times, a batch of 1 %.1f: want nothing per cluster", n, got, one)
+		}
 	}
-	if limit := float64(2*len(h.Network().Layers) + 4); one > limit {
-		t.Errorf("a batch allocates %.1f times, want at most %.0f", one, limit)
+	if one > 8 {
+		t.Errorf("a batch allocates %.1f times, want at most 8", one)
 	}
 }

@@ -65,13 +65,8 @@ func (o *OCSVM) Train(samples []dataset.Sample, cfg TrainConfig) error {
 	cfg = cfg.withDefaults(1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	o.target = upsample.TargetSize(dataset.MaxPoints(samples))
-	var objectClouds []geom.Cloud
-	for _, s := range samples {
-		if !s.Human {
-			objectClouds = append(objectClouds, s.Cloud)
-		}
-	}
-	o.pool = upsample.NewPool(objectClouds)
+	_, objects := splitByClass(samples)
+	o.pool = upsample.NewPool(objects)
 
 	var humanVecs [][]float64
 	for _, s := range samples {

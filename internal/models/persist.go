@@ -182,7 +182,6 @@ func LoadHAWC(r io.Reader) (*HAWC, error) {
 		target:        int(target),
 		d:             upsample.Side(int(target)),
 		pool:          upsample.NewPool(clouds),
-		rng:           rand.New(rand.NewSource(1)),
 	}
 	h.net = buildHAWCNet(h.d, proj.Channels(), rand.New(rand.NewSource(0)))
 	if err := h.net.Load(br); err != nil {

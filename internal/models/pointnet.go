@@ -2,13 +2,11 @@ package models
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/nn"
-	"hawccc/internal/quant"
 	"hawccc/internal/tensor"
 	"hawccc/internal/upsample"
 )
@@ -25,11 +23,9 @@ import (
 // 747k) so CPU-only training stays tractable; the accuracy/robustness
 // relationships of Tables I and V are preserved (see DESIGN.md).
 type PointNet struct {
+	network
 	target int
 	pool   *upsample.Pool
-	net    *nn.Sequential
-	qnet   *quant.Model
-	rng    *rand.Rand
 }
 
 var _ Classifier = (*PointNet)(nil)
@@ -38,21 +34,10 @@ var _ Classifier = (*PointNet)(nil)
 func NewPointNet() *PointNet { return &PointNet{} }
 
 // Name implements Classifier.
-func (p *PointNet) Name() string {
-	if p.qnet != nil {
-		return "PointNet-int8"
-	}
-	return "PointNet"
-}
+func (p *PointNet) Name() string { return p.name("PointNet") }
 
 // Target returns N′max (0 before training).
 func (p *PointNet) Target() int { return p.target }
-
-// Network exposes the underlying network (nil before training).
-func (p *PointNet) Network() *nn.Sequential { return p.net }
-
-// QuantNetwork exposes the int8 graph (nil unless quantized).
-func (p *PointNet) QuantNetwork() *quant.Model { return p.qnet }
 
 func buildPointNet(points int, rng *rand.Rand) *nn.Sequential {
 	return (&nn.Sequential{}).Add(
@@ -113,56 +98,14 @@ func (p *PointNet) Train(samples []dataset.Sample, cfg TrainConfig) error {
 		return errors.New("models: no training samples")
 	}
 	cfg = cfg.withDefaults(14)
-	p.rng = rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	p.target = upsample.TargetSize(dataset.MaxPoints(samples))
 	_, objects := splitByClass(samples)
 	p.pool = upsample.NewPool(objects)
-	p.net = buildPointNet(p.target, p.rng)
-
-	labels := make([]int, len(samples))
-	for i, s := range samples {
-		if s.Human {
-			labels[i] = 1
-		}
-	}
-
-	opt := nn.NewAdam(learningRate)
-	n := len(samples)
-	vecLen := p.target * 3
-	pts := make([][]float32, n)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if epoch == cfg.Epochs/2 || epoch == cfg.Epochs*4/5 {
-			opt.LR *= 0.3
-		}
-		// Fresh up-sampling noise each epoch (augmentation).
-		for i, s := range samples {
-			pts[i] = p.preparePoints(p.rng, s.Cloud)
-		}
-		perm := shuffledIndices(p.rng, n)
-		for start := 0; start < n; start += pointNetBatch {
-			end := start + pointNetBatch
-			if end > n {
-				end = n
-			}
-			b := end - start
-			// Points flattened into the batch: [b·P, 3].
-			x := tensor.New(b*p.target, 3)
-			y := make([]int, b)
-			for bi := 0; bi < b; bi++ {
-				idx := perm[start+bi]
-				copy(x.Data[bi*vecLen:(bi+1)*vecLen], pts[idx])
-				y[bi] = labels[idx]
-			}
-			out := p.net.Forward(x)
-			_, grad := nn.SoftmaxCrossEntropy(out, y)
-			p.net.Backward(grad)
-			opt.Step(p.net.Params())
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(epoch)
-		}
-	}
+	p.net = buildPointNet(p.target, rng)
+	// Points ride in the batch dimension: a batch is [b·P, 3].
+	train(p.net, samples, cfg, rng, pointNetBatch, p.preparePoints, p.target, 3)
 	return nil
 }
 
@@ -173,35 +116,20 @@ func (p *PointNet) PredictHuman(cloud geom.Cloud) bool {
 	if p.net == nil {
 		panic("models: PointNet not trained")
 	}
-	v := seeded(cloud, p.preparePoints)
-	x := tensor.FromSlice(v, p.target, 3)
-	var out *tensor.Tensor
-	if p.qnet != nil {
-		out = p.qnet.Forward(x)
-	} else {
-		out = p.net.Infer(x)
-	}
-	return nn.Argmax(out)[0] == 1
+	return nn.Argmax(p.infer(p.input(cloud)))[0] == 1
+}
+
+// input is one cloud's network input, [P, 3], with content-seeded noise.
+func (p *PointNet) input(cloud geom.Cloud) *tensor.Tensor {
+	return tensor.FromSlice(seeded(cloud, p.preparePoints), p.target, 3)
 }
 
 // Quantize returns an int8-inference copy calibrated on the given samples.
 func (p *PointNet) Quantize(calib []dataset.Sample) (*PointNet, error) {
-	if p.net == nil {
-		return nil, errors.New("models: quantizing untrained PointNet")
+	q := *p
+	var err error
+	if q.network, err = p.quantize("PointNet", calib, p.input); err != nil {
+		return nil, err
 	}
-	if len(calib) == 0 {
-		return nil, errors.New("models: empty calibration set")
-	}
-	tensors := make([]*tensor.Tensor, 0, len(calib))
-	for _, s := range calib {
-		v := seeded(s.Cloud, p.preparePoints)
-		tensors = append(tensors, tensor.FromSlice(v, p.target, 3))
-	}
-	qm, err := quant.Quantize(p.net, tensors)
-	if err != nil {
-		return nil, fmt.Errorf("models: quantize PointNet: %w", err)
-	}
-	out := *p
-	out.qnet = qm
-	return &out, nil
+	return &q, nil
 }

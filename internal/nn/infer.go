@@ -26,16 +26,20 @@ import (
 )
 
 // Scratch is an arena of reusable intermediate tensors for one inference
-// pass. Tensors handed out by a Scratch are valid until the owning
-// Sequential.Infer call returns; a Scratch must not be shared across
-// goroutines.
+// pass: their storage and their headers, shape slices included. Tensors
+// handed out by a Scratch are valid until the owning Sequential.Infer
+// call returns (which hands back a Clone of its result); a Scratch must
+// not be shared across goroutines.
 type Scratch struct {
-	bufs [][]float32
-	next int
+	bufs  [][]float32
+	next  int
+	heads []*tensor.Tensor
+	head  int
 }
 
-// reset rewinds the arena so the next pass reuses the same buffers.
-func (s *Scratch) reset() { s.next = 0 }
+// reset rewinds the arena so the next pass reuses the same buffers and
+// headers.
+func (s *Scratch) reset() { s.next, s.head = 0, 0 }
 
 // grab returns the next arena slot resized to n elements, contents
 // unspecified. Because a fixed model issues the same slot sequence every
@@ -65,11 +69,35 @@ func (s *Scratch) slice(n int) []float32 { return s.grab(n) }
 // GEMM kernels, pooling, batch norm, activations. Zeroing here would be
 // pure overhead on the hot path.
 func (s *Scratch) uninit(shape ...int) *tensor.Tensor {
+	return s.view(s.grab(elems(shape)), shape...)
+}
+
+// view returns an arena tensor header of the given shape over data, whose
+// length must match it. Like the buffers, a header and its shape slice
+// are reused once the arena is reset.
+func (s *Scratch) view(data []float32, shape ...int) *tensor.Tensor {
+	if s.head == len(s.heads) {
+		s.heads = append(s.heads, new(tensor.Tensor))
+	}
+	t := s.heads[s.head]
+	s.head++
+	// Check the copy: a panic that printed shape would move every
+	// caller's variadic shape to the heap.
+	t.Shape = append(t.Shape[:0], shape...)
+	if elems(t.Shape) != len(data) {
+		panic(fmt.Sprintf("nn: %d elements viewed as %v", len(data), t.Shape))
+	}
+	t.Data = data
+	return t
+}
+
+// elems is the element count of shape.
+func elems(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	return tensor.FromSlice(s.grab(n), shape...)
+	return n
 }
 
 // scratchPool recycles arenas across Infer calls and goroutines.
@@ -245,29 +273,30 @@ func (m *MaxOverPoints) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 }
 
 // Infer implements Layer. The view shares x's storage, which is safe:
-// arena buffers are only reclaimed when the whole pass finishes.
-func (r *Reshape) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
+// arena buffers are only reclaimed when the whole pass finishes. Its
+// header comes from the arena too.
+func (r *Reshape) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	n := x.Dim(0)
 	if len(r.dims) == 0 {
-		return x.Reshape(n, x.NumElems()/n)
+		return s.view(x.Data, n, x.NumElems()/n)
 	}
-	shape := append([]int{n}, r.dims...)
-	return x.Reshape(shape...)
+	var shape [4]int
+	return s.view(x.Data, append(append(shape[:0], n), r.dims...)...)
 }
 
 // Infer implements Layer.
-func (g *Group) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
+func (g *Group) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	b, f := x.Dim(0), x.Dim(1)
 	if b%g.P != 0 {
 		panic(fmt.Sprintf("nn: Group(%d) input batch %d not divisible", g.P, b))
 	}
-	return x.Reshape(b/g.P, g.P, f)
+	return s.view(x.Data, b/g.P, g.P, f)
 }
 
 // Infer implements Layer.
-func (u *Ungroup) Infer(x *tensor.Tensor, _ *Scratch) *tensor.Tensor {
+func (u *Ungroup) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: Ungroup input %v, want rank 3", x.Shape))
 	}
-	return x.Reshape(x.Dim(0)*x.Dim(1), x.Dim(2))
+	return s.view(x.Data, x.Dim(0)*x.Dim(1), x.Dim(2))
 }

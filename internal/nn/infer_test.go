@@ -214,6 +214,27 @@ func TestScratchReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestInferSteadyStateAllocs is the inference pass's allocation gate:
+// once the scratch pool is warm and the weight panels are packed, a
+// Sequential.Infer over HAWC's layer shapes allocates only the result it
+// detaches from the arena (its header, shape and storage). The arena
+// holds every intermediate tensor's storage, header and shape, Flatten's
+// view included. CI's alloc-gate runs it.
+func TestInferSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory allocates; gate runs in non-race CI job")
+	}
+	rng := rand.New(rand.NewSource(3))
+	m := hawcShapeNet(rng)
+	for _, batch := range []int{1, 5, 16} {
+		x := randTensor(rng, batch, 15, 15, 7)
+		m.Infer(x) // pack the weight panels, grow the arena to this batch
+		if got := testing.AllocsPerRun(20, func() { m.Infer(x) }); got > 3 {
+			t.Errorf("batch %d: Infer allocates %.1f times, want at most 3 (the detached result)", batch, got)
+		}
+	}
+}
+
 // TestRectifyMatchesReLU pins rectify, the branch-free element rule of
 // ReLU.Infer and the fused BatchNorm+ReLU pass, to Forward's v > 0
 // test bit for bit on the values where a bit trick could slip: both
@@ -279,7 +300,9 @@ func TestInferMatchesNaiveOnEachTile(t *testing.T) {
 // passes each input through, negated on odd channels (−0 stays −0), so
 // the epilogue and the pool see exactly those values. (One input channel
 // keeps two NaNs from meeting in an add, where the hardware's choice of
-// payload follows operand order, not arithmetic.) On both tiles Infer
+// payload follows operand order, not arithmetic; the kernels' contract
+// allows that case any NaN, and kernels.TestGemmNaNsMeetInOneAdd pins
+// it.) On both tiles Infer
 // must equal inferNaive and the training pass's layer-by-layer
 // arithmetic (ReLU's and MaxPool2D's Forward, whose selects branch on
 // v > 0 and v > bv) bit for bit.

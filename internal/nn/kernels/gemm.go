@@ -6,9 +6,13 @@
 // bias[j] followed by adds of a[i][k]·b[k][j] in strictly ascending k —
 // the same operation sequence as the textbook scalar loops — so the GEMM
 // path is bit-identical to the naive reference for float32 (and exactly
-// equal, trivially, for the integer kernels). Register blocking tiles the
-// i and j dimensions only; it never reorders the k accumulation of a
-// single output element. With AVX the float kernel runs every full panel
+// equal, trivially, for the integer kernels), NaN payload and sign
+// excepted: where two NaNs meet in one add, the hardware keeps the
+// payload of whichever operand comes first, and a tile may order
+// acc + a·b either way, so an output is NaN wherever the reference's is
+// NaN, not necessarily the same NaN (TestGemmNaNsMeetInOneAdd). Register
+// blocking tiles the i and j dimensions only; it never reorders the k
+// accumulation of a single output element. With AVX the float kernel runs every full panel
 // on its 8×8 vector tile, the M mod 8 remainder rows included: they run
 // zero-padded to eight rows into a scratch C tile, and since rows and
 // lanes accumulate independently the padding changes no value. So a

@@ -181,6 +181,58 @@ func TestGemmPackedEpilogueEdgeValues(t *testing.T) {
 	})
 }
 
+// TestGemmNaNsMeetInOneAdd pins the accumulation contract's one
+// exception: where two NaNs meet in one add, here a NaN·0 or Inf·0
+// product into an accumulator that is already NaN (a NaN bias of either
+// sign, or a NaN product at an earlier k), the hardware returns the
+// payload and sign of whichever operand comes first, and a tile may order
+// acc + a·b differently from the reference. So on both tiles, and on the
+// direct loop, an output must be NaN exactly where the reference's is,
+// and every other output must carry the reference's bits.
+func TestGemmNaNsMeetInOneAdd(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	onEachTile(t, func(t *testing.T) {
+		const m, n, k = 11, 16, 3 // one 8-row tile and three remainder rows
+		rng := rand.New(rand.NewSource(7))
+		pick := func(vals ...float32) float32 { return vals[rng.Intn(len(vals))] }
+		a := make([]float32, m*k)
+		for i := range a {
+			a[i] = pick(nan, inf, -inf, 0, 1, -1, 0.5, 2, -3, 0.25, 4, -0.5)
+		}
+		a[0], a[k] = nan, -inf // row 0 and row 1 open with a NaN·0 and an Inf·0
+		b := make([]float32, k*n)
+		for i := range b {
+			b[i] = pick(0, 0, 1, -2, 0.5, 3, -1, nan)
+		}
+		for j := 0; j < n; j++ {
+			b[j] = 0
+		}
+		bias := make([]float32, n)
+		for j := range bias {
+			bias[j] = []float32{nan, 0, 1, -1, -nan, 2, 0.5, -0.25}[j%8]
+		}
+		want := make([]float32, m*n)
+		refGemm(m, n, k, a, b, bias, want)
+		packed := make([]float32, m*n)
+		GemmPacked(m, n, k, a, PackB(k, n, b, make([]float32, PackedLen(k, n))), bias, nil, packed, make([]float32, TailLen(k)))
+		direct := make([]float32, m*n)
+		Gemm(m, n, k, a, b, bias, direct, nil, nil)
+		for name, got := range map[string][]float32{"packed": packed, "direct": direct} {
+			for i, w := range want {
+				g := got[i]
+				if w != w {
+					if g == g {
+						t.Errorf("%s: row %d col %d = %v, want NaN", name, i/n, i%n, g)
+					}
+				} else if math.Float32bits(g) != math.Float32bits(w) {
+					t.Errorf("%s: row %d col %d = %v, want %v", name, i/n, i%n, g, w)
+				}
+			}
+		}
+	})
+}
+
 func TestGemmAutoMatchesReferenceBothPaths(t *testing.T) {
 	onEachTile(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))

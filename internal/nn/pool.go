@@ -151,10 +151,6 @@ func NewReshape(dims ...int) *Reshape {
 // NewFlatten builds a reshape to [N, everything].
 func NewFlatten() *Reshape { return &Reshape{} }
 
-// CloneShape returns a fresh Reshape with the same target dims and no
-// cached state (used when copying models for quantization).
-func (r *Reshape) CloneShape() *Reshape { return NewReshape(r.dims...) }
-
 // TargetDims returns the configured non-batch target dimensions (empty for
 // Flatten).
 func (r *Reshape) TargetDims() []int { return append([]int(nil), r.dims...) }

@@ -25,138 +25,92 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return q.Dequantize()
 }
 
-// stage is a group of FP layers that becomes one QOp.
-type stage struct {
-	layers    []nn.Layer // executed for calibration
-	conv      *nn.Conv2D
-	dense     *nn.Dense
-	pool      bool
-	maxPoints bool
-	reshape   *nn.Reshape
-	group     int // >0: Group(P)
-	ungroup   bool
-	relu      bool // standalone ReLU stage
-	fusedReLU bool
-}
-
 // Quantize converts a trained FP32 model into an int8 Model. calib is the
 // calibration set (the paper uses 100 random training samples); every
 // tensor must have the model's input shape. BatchNorm layers are folded
-// first; ReLUs immediately after conv/dense are fused into the layer's
-// output clamp.
+// first; a ReLU right after a conv/dense is fused into the layer's output
+// clamp.
 func Quantize(m *nn.Sequential, calib []*tensor.Tensor) (*Model, error) {
 	if len(calib) == 0 {
 		return nil, fmt.Errorf("quant: empty calibration set")
 	}
-	folded := FoldBatchNorm(m)
+	ls := FoldBatchNorm(m).Layers
 
-	// Group folded layers into stages.
-	var stages []*stage
-	for i := 0; i < len(folded.Layers); i++ {
-		switch l := folded.Layers[i].(type) {
+	// Calibrate: the range of the input and of every layer's output.
+	in, out := EmptyRange(), make([]Range, len(ls))
+	for i := range out {
+		out[i] = EmptyRange()
+	}
+	for _, x := range calib {
+		in.Update(x)
+		for i := range ls {
+			x = (&nn.Sequential{Layers: ls[i : i+1]}).Infer(x)
+			out[i].Update(x)
+		}
+	}
+
+	scale, zero := in.Params()
+	model := &Model{InScale: scale, InZero: zero}
+	for i := 0; i < len(ls); i++ {
+		var op QOp
+		switch l := ls[i].(type) {
 		case *nn.Conv2D:
-			st := &stage{layers: []nn.Layer{l}, conv: l}
-			if i+1 < len(folded.Layers) {
-				if r, ok := folded.Layers[i+1].(*nn.ReLU); ok {
-					st.layers = append(st.layers, r)
-					st.fusedReLU = true
-					i++
-				}
+			relu := reluAt(ls, i+1)
+			if relu {
+				i++
 			}
-			stages = append(stages, st)
+			outScale, outZero := out[i].Params()
+			w, bias, mult := quantizeAffine(l.W, l.B, scale, outScale)
+			op = &QConv2D{KH: l.KH, KW: l.KW, Cin: l.Cin, Cout: l.Cout, W: w, Bias: bias,
+				InScale: scale, InZero: zero, OutScale: outScale, OutZero: outZero, Mult: mult, FusedReLU: relu}
+			scale, zero = outScale, outZero
 		case *nn.Dense:
-			st := &stage{layers: []nn.Layer{l}, dense: l}
-			if i+1 < len(folded.Layers) {
-				if r, ok := folded.Layers[i+1].(*nn.ReLU); ok {
-					st.layers = append(st.layers, r)
-					st.fusedReLU = true
-					i++
-				}
+			relu := reluAt(ls, i+1)
+			if relu {
+				i++
 			}
-			stages = append(stages, st)
+			outScale, outZero := out[i].Params()
+			w, bias, mult := quantizeAffine(l.W, l.B, scale, outScale)
+			op = &QDense{In: l.In, Out: l.Out, W: w, Bias: bias,
+				InScale: scale, InZero: zero, OutScale: outScale, OutZero: outZero, Mult: mult, FusedReLU: relu}
+			scale, zero = outScale, outZero
 		case *nn.MaxPool2D:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, pool: true})
+			op = QMaxPool2D{}
 		case *nn.MaxOverPoints:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, maxPoints: true})
+			op = QMaxOverPoints{}
 		case *nn.Reshape:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, reshape: l})
+			op = QReshape{Dims: l.TargetDims()}
 		case *nn.Group:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, group: l.P})
+			op = QGroup{P: l.P}
 		case *nn.Ungroup:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, ungroup: true})
+			op = QUngroup{}
 		case *nn.ReLU:
-			stages = append(stages, &stage{layers: []nn.Layer{l}, relu: true})
+			op = QReLU{}
 		case *nn.BatchNorm:
 			return nil, fmt.Errorf("quant: unfoldable BatchNorm (not preceded by conv/dense)")
 		default:
-			return nil, fmt.Errorf("quant: unsupported layer %s", folded.Layers[i].Name())
+			return nil, fmt.Errorf("quant: unsupported layer %s", l.Name())
 		}
-	}
-
-	// Calibrate: input range plus each stage's output range.
-	inRange := EmptyRange()
-	outRanges := make([]Range, len(stages))
-	for i := range outRanges {
-		outRanges[i] = EmptyRange()
-	}
-	for _, x := range calib {
-		inRange.Update(x)
-		cur := x
-		for si, st := range stages {
-			cur = (&nn.Sequential{Layers: st.layers}).Infer(cur)
-			outRanges[si].Update(cur)
-		}
-	}
-
-	inScale, inZero := inRange.Params()
-	model := &Model{InScale: inScale, InZero: inZero}
-	curScale, curZero := inScale, inZero
-	for si, st := range stages {
-		switch {
-		case st.conv != nil:
-			outScale, outZero := outRanges[si].Params()
-			wq, wScale := QuantizeWeights(st.conv.W.Value)
-			accScale := curScale * wScale
-			op := &QConv2D{
-				KH: st.conv.KH, KW: st.conv.KW,
-				Cin: st.conv.Cin, Cout: st.conv.Cout,
-				W:       wq,
-				Bias:    QuantizeBias(st.conv.B.Value, accScale),
-				InScale: curScale, InZero: curZero,
-				OutScale: outScale, OutZero: outZero,
-				Mult:      NewMultiplier(accScale / outScale),
-				FusedReLU: st.fusedReLU,
-			}
-			model.Ops = append(model.Ops, op)
-			curScale, curZero = outScale, outZero
-		case st.dense != nil:
-			outScale, outZero := outRanges[si].Params()
-			wq, wScale := QuantizeWeights(st.dense.W.Value)
-			accScale := curScale * wScale
-			op := &QDense{
-				In: st.dense.In, Out: st.dense.Out,
-				W:       wq,
-				Bias:    QuantizeBias(st.dense.B.Value, accScale),
-				InScale: curScale, InZero: curZero,
-				OutScale: outScale, OutZero: outZero,
-				Mult:      NewMultiplier(accScale / outScale),
-				FusedReLU: st.fusedReLU,
-			}
-			model.Ops = append(model.Ops, op)
-			curScale, curZero = outScale, outZero
-		case st.pool:
-			model.Ops = append(model.Ops, QMaxPool2D{})
-		case st.maxPoints:
-			model.Ops = append(model.Ops, QMaxOverPoints{})
-		case st.reshape != nil:
-			model.Ops = append(model.Ops, QReshape{Dims: st.reshape.TargetDims()})
-		case st.group > 0:
-			model.Ops = append(model.Ops, QGroup{P: st.group})
-		case st.ungroup:
-			model.Ops = append(model.Ops, QUngroup{})
-		case st.relu:
-			model.Ops = append(model.Ops, QReLU{})
-		}
+		model.Ops = append(model.Ops, op)
 	}
 	return model, nil
+}
+
+// reluAt reports whether ls[i] is a ReLU.
+func reluAt(ls []nn.Layer, i int) bool {
+	if i >= len(ls) {
+		return false
+	}
+	_, ok := ls[i].(*nn.ReLU)
+	return ok
+}
+
+// quantizeAffine quantizes a conv/dense layer's weights w and bias b for
+// an input at inScale and an output at outScale: the int8 weights, the
+// bias at the accumulator's scale, and the multiplier that takes an
+// accumulator to the output's scale.
+func quantizeAffine(w, b *nn.Param, inScale, outScale float64) ([]int8, []int32, Multiplier) {
+	wq, wScale := QuantizeWeights(w.Value)
+	accScale := inScale * wScale
+	return wq, QuantizeBias(b.Value, accScale), NewMultiplier(accScale / outScale)
 }

@@ -8,15 +8,17 @@ import (
 	"hawccc/internal/nn"
 )
 
-// FoldBatchNorm returns a new model equivalent (in inference mode) to m
+// FoldBatchNorm returns a model equivalent (in inference mode) to m
 // with every Conv2D→BatchNorm and Dense→BatchNorm pair collapsed into a
 // single layer whose weights absorb the normalization:
 //
 //	W′[..., c] = W[..., c] · γ_c / √(σ²_c + ε)
 //	b′[c]      = (b[c] − μ_c) · γ_c / √(σ²_c + ε) + β_c
 //
-// using the BatchNorm's running statistics. Layers without a following
-// BatchNorm are deep-copied unchanged.
+// using the BatchNorm's running statistics. Only a folded layer is new.
+// Dropout, the identity at inference, is dropped, and every other layer
+// is m's own: Infer writes no layer state, so the two models may share
+// it, and m is left unchanged.
 func FoldBatchNorm(m *nn.Sequential) *nn.Sequential {
 	out := &nn.Sequential{}
 	rng := rand.New(rand.NewSource(0)) // constructors need an rng; weights are overwritten
@@ -26,58 +28,35 @@ func FoldBatchNorm(m *nn.Sequential) *nn.Sequential {
 			bn, _ = m.Layers[i+1].(*nn.BatchNorm)
 		}
 		switch l := m.Layers[i].(type) {
-		case *nn.Conv2D:
-			nc := nn.NewConv2D(l.KH, l.KW, l.Cin, l.Cout, rng)
-			copy(nc.W.Value.Data, l.W.Value.Data)
-			copy(nc.B.Value.Data, l.B.Value.Data)
-			if bn != nil {
-				foldInto(nc.W.Value.Data, nc.B.Value.Data, l.Cout, bn)
-				i++
-			}
-			out.Add(nc)
-		case *nn.Dense:
-			nd := nn.NewDense(l.In, l.Out, rng)
-			copy(nd.W.Value.Data, l.W.Value.Data)
-			copy(nd.B.Value.Data, l.B.Value.Data)
-			if bn != nil {
-				foldInto(nd.W.Value.Data, nd.B.Value.Data, l.Out, bn)
-				i++
-			}
-			out.Add(nd)
-		case *nn.BatchNorm:
-			// A BatchNorm not preceded by conv/dense cannot be folded;
-			// keep a copy so inference stays correct.
-			nb := nn.NewBatchNorm(l.C)
-			copy(nb.Gamma.Value.Data, l.Gamma.Value.Data)
-			copy(nb.Beta.Value.Data, l.Beta.Value.Data)
-			copy(nb.RunningMean.Data, l.RunningMean.Data)
-			copy(nb.RunningVar.Data, l.RunningVar.Data)
-			out.Add(nb)
-		case *nn.ReLU:
-			out.Add(nn.NewReLU())
-		case *nn.MaxPool2D:
-			out.Add(nn.NewMaxPool2D())
-		case *nn.MaxOverPoints:
-			out.Add(nn.NewMaxOverPoints())
-		case *nn.Reshape:
-			out.Add(copyReshape(l))
-		case *nn.Group:
-			out.Add(nn.NewGroup(l.P))
-		case *nn.Ungroup:
-			out.Add(nn.NewUngroup())
 		case *nn.Dropout:
-			// Identity at inference; drop it.
-		default:
-			panic(fmt.Sprintf("quant: cannot fold layer %s", m.Layers[i].Name()))
+			continue
+		case *nn.Conv2D:
+			if bn != nil {
+				nc := nn.NewConv2D(l.KH, l.KW, l.Cin, l.Cout, rng)
+				foldInto(nc.W, nc.B, l.W, l.B, bn)
+				out.Add(nc)
+				i++
+				continue
+			}
+		case *nn.Dense:
+			if bn != nil {
+				nd := nn.NewDense(l.In, l.Out, rng)
+				foldInto(nd.W, nd.B, l.W, l.B, bn)
+				out.Add(nd)
+				i++
+				continue
+			}
 		}
+		out.Add(m.Layers[i])
 	}
 	return out
 }
 
-// foldInto rescales weights and bias in place. Weight layout has the
-// output channel as the innermost dimension for both Conv2D
+// foldInto writes w and b, rescaled by bn, into dw and db. Weight layout
+// has the output channel as the innermost dimension for both Conv2D
 // ([KH, KW, Cin, Cout]) and Dense ([In, Out]).
-func foldInto(w, b []float32, cout int, bn *nn.BatchNorm) {
+func foldInto(dw, db, w, b *nn.Param, bn *nn.BatchNorm) {
+	cout := len(b.Value.Data)
 	if bn.C != cout {
 		panic(fmt.Sprintf("quant: BatchNorm(%d) after layer with %d outputs", bn.C, cout))
 	}
@@ -86,16 +65,10 @@ func foldInto(w, b []float32, cout int, bn *nn.BatchNorm) {
 		factor[c] = bn.Gamma.Value.Data[c] /
 			float32(math.Sqrt(float64(bn.RunningVar.Data[c])+bn.Eps))
 	}
-	for i := range w {
-		w[i] *= factor[i%cout]
+	for i, v := range w.Value.Data {
+		dw.Value.Data[i] = v * factor[i%cout]
 	}
-	for c := 0; c < cout; c++ {
-		b[c] = (b[c]-bn.RunningMean.Data[c])*factor[c] + bn.Beta.Value.Data[c]
+	for c, v := range b.Value.Data {
+		db.Value.Data[c] = (v-bn.RunningMean.Data[c])*factor[c] + bn.Beta.Value.Data[c]
 	}
-}
-
-func copyReshape(r *nn.Reshape) *nn.Reshape {
-	// Reshape's only configuration is its target dims, which its Name
-	// encodes; rebuild via the constructor using reflection-free copying.
-	return r.CloneShape()
 }
