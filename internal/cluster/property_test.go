@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hawccc/internal/geom"
+	"hawccc/internal/geom/kernels"
 	"hawccc/internal/kdtree"
 )
 
@@ -273,16 +274,23 @@ func TestAdaptiveSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	scenes := propertyScenes(rng)
 	cfg := DefaultAdaptiveConfig()
-	var s Scratch
-	for _, scene := range scenes {
-		s.Adaptive(scene.cloud, cfg) // warm the buffers
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	// With the vector kernels on, the k-distance curve of a scene of up
+	// to a few hundred points takes KNNAll's small-cloud path; off, every
+	// scene takes its column search.
+	for _, vec := range []bool{true, false} {
+		prev := kernels.SetVectorized(vec)
+		var s Scratch
 		for _, scene := range scenes {
-			s.Adaptive(scene.cloud, cfg)
+			s.Adaptive(scene.cloud, cfg) // warm the buffers
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Adaptive allocates: %.1f allocs/run", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, scene := range scenes {
+				s.Adaptive(scene.cloud, cfg)
+			}
+		})
+		kernels.SetVectorized(prev)
+		if allocs != 0 {
+			t.Fatalf("vectorized=%v: steady-state Adaptive allocates: %.1f allocs/run", vec, allocs)
+		}
 	}
 }

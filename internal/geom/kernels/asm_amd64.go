@@ -11,15 +11,16 @@ package kernels
 // and dispatch never changes results, only speed.
 //
 // Detection follows internal/nn/kernels: CPUID leaf 1 for AVX plus
-// OSXSAVE, then XGETBV for OS-saved YMM state, so a positive answer
-// means the instructions are actually usable. (Leaf 7's AVX2 bit is
-// probed too for symmetry, but these kernels only need AVX; POPCNT is
-// implied by any AVX-era core.)
-var useAVX, useAVX2 = cpuFeatures()
+// OSXSAVE, then XGETBV for OS-saved YMM state, then leaf 7 for AVX2, so
+// a positive answer means the instructions are actually usable. The
+// float32 kernels need only AVX, but the float64 ones permute and count
+// in integer lanes, which is AVX2, and one switch gates them all; every
+// AVX2 core has POPCNT.
+var useAVX2 = cpuAVX2()
 
-// cpuFeatures reports AVX and AVX2 availability, implemented in
-// asm_amd64.s via CPUID/XGETBV.
-func cpuFeatures() (avx, avx2 bool)
+// cpuAVX2 reports whether AVX2 is usable, implemented in asm_amd64.s
+// via CPUID/XGETBV.
+func cpuAVX2() bool
 
 // dist2AVX computes dst[i] = ((xs[i]-qx)²+(ys[i]-qy)²)+(zs[i]-qz)² for
 // i in [0, n); n must be a positive multiple of 8 and all slices must
@@ -42,3 +43,34 @@ func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64
 //
 //go:noescape
 func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32)
+
+// dist2Min16AVX writes d2[i], the float64 squared distance from (qx,
+// qy, qz) to (xs[i], ys[i], zs[i]) in geom.Point3.Dist2's association,
+// for i in [0, n), and mins[g], the least d2[i] over i ≡ g (mod 16) with
+// a NaN never taken (+Inf if every one is NaN), and returns the k-th
+// smallest of mins, 1 ≤ k ≤ 16. n must be a positive multiple of 16 and
+// every slice must hold at least n elements.
+//
+//go:noescape
+func dist2Min16AVX(d2 *float64, mins *[16]float64, xs, ys, zs *float64, n int, qx, qy, qz float64, k int) float64
+
+// selectLEAVX is SelectLE on d2[0:n], n a positive multiple of 8, idx
+// holding n elements and 1 ≤ k ≤ 16.
+//
+//go:noescape
+func selectLEAVX(idx *int32, d2 *float64, n int, t float64, lowMask uint64, k int, top *[17]uint64) int
+
+// compressPerm[m] is the VPERMD control that packs the lanes set in the
+// 8-bit mask m, ascending, into the low lanes.
+var compressPerm = func() (p [256][8]int32) {
+	for m := range p {
+		n := 0
+		for l := 0; l < 8; l++ {
+			if m>>l&1 == 1 {
+				p[m][n] = int32(l)
+				n++
+			}
+		}
+	}
+	return p
+}()

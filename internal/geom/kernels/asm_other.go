@@ -3,11 +3,8 @@
 package kernels
 
 // Non-amd64 builds run the pure-Go reference kernels only. The
-// constants compile the assembly dispatch away entirely.
-const (
-	useAVX  = false
-	useAVX2 = false
-)
+// constant compiles the assembly dispatch away entirely.
+const useAVX2 = false
 
 func dist2AVX(dst, xs, ys, zs *float32, n int, qx, qy, qz float32) {
 	panic("kernels: no assembly on this architecture")
@@ -18,5 +15,13 @@ func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64 {
 }
 
 func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32) {
+	panic("kernels: no assembly on this architecture")
+}
+
+func dist2Min16AVX(d2 *float64, mins *[16]float64, xs, ys, zs *float64, n int, qx, qy, qz float64, k int) float64 {
+	panic("kernels: no assembly on this architecture")
+}
+
+func selectLEAVX(idx *int32, d2 *float64, n int, t float64, lowMask uint64, k int, top *[17]uint64) int {
 	panic("kernels: no assembly on this architecture")
 }

@@ -160,8 +160,8 @@ func TestSetVectorizedToggle(t *testing.T) {
 	SetVectorized(true)
 	// On AVX hardware this re-enables; elsewhere it must stay off
 	// rather than faulting.
-	if Vectorized() != useAVX {
-		t.Fatalf("Vectorized() = %v after SetVectorized(true), want %v", Vectorized(), useAVX)
+	if Vectorized() != useAVX2 {
+		t.Fatalf("Vectorized() = %v after SetVectorized(true), want %v", Vectorized(), useAVX2)
 	}
 
 	// The toggle must not change results.

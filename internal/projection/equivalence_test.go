@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
+	"hawccc/internal/geom/kernels"
 	"hawccc/internal/kdtree"
+	"hawccc/internal/upsample"
 )
 
 // refHeightVariation is the pre-grid σz implementation: a fresh k-d
@@ -64,21 +67,54 @@ func viewportCloud(rng *rand.Rand, n int) geom.Cloud {
 	return cloud
 }
 
-// TestHeightVariationMatchesKDTree pins that moving σz from a
-// per-cluster k-d tree to the pooled voxel grid changed nothing: the
-// neighbor sets, their iteration order, and therefore every float
-// operation are identical.
+// generatedInputs returns n classifier inputs built the way HAWC builds
+// them: dataset-generated clusters (humans and objects), padded to 225
+// points from a pool of the objects' captures, framed by Viewport and put
+// in canonical order. Most of their points are padding clamped onto the
+// viewport's border sheets and corner lines — the mix σz meets on a pole.
+func generatedInputs(n int) []geom.Cloud {
+	samples := dataset.NewGenerator(11).Classification((n + 1) / 2)
+	var objects []geom.Cloud
+	for _, s := range samples {
+		if !s.Human {
+			objects = append(objects, s.Cloud)
+		}
+	}
+	pool := upsample.NewPool(objects)
+	rng := rand.New(rand.NewSource(11))
+	clouds := make([]geom.Cloud, n)
+	for i, s := range samples[:n] {
+		up := upsample.FromPool(nil, rng, s.Cloud, pool, 225)
+		clouds[i] = canonical(Viewport(nil, up, s.Cloud.Centroid(), ViewportWindow))
+	}
+	return clouds
+}
+
+// TestHeightVariationMatchesKDTree pins that σz through spatial.KNNAll
+// equals σz over a fresh k-d tree per cluster, bit for bit: the neighbor
+// sets, their iteration order, and therefore every float operation are
+// identical. It covers synthetic viewports on either side of KNNAll's
+// small-cloud crossover and generated classifier inputs, with the
+// vector kernels on and off.
 func TestHeightVariationMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var clouds []geom.Cloud
 	for _, n := range []int{16, 256, 1024} {
-		cloud := viewportCloud(rng, n)
-		want := refHeightVariation(cloud, KNeighbors)
-		got := heightVariation(make([]float64, len(cloud)), cloud, KNeighbors)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d point %d: grid σz %v != kdtree σz %v", n, i, got[i], want[i])
+		clouds = append(clouds, viewportCloud(rng, n))
+	}
+	clouds = append(clouds, generatedInputs(24)...)
+	for _, vec := range []bool{true, false} {
+		prev := kernels.SetVectorized(vec)
+		for c, cloud := range clouds {
+			want := refHeightVariation(cloud, KNeighbors)
+			got := heightVariation(make([]float64, len(cloud)), cloud, KNeighbors)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("vectorized=%v cloud %d (n=%d) point %d: σz %v != kdtree σz %v", vec, c, len(cloud), i, got[i], want[i])
+				}
 			}
 		}
+		kernels.SetVectorized(prev)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"hawccc/internal/geom"
+	"hawccc/internal/geom/kernels"
 )
 
 // KNNAll calls fn(i, nn) once for every point i of cloud, with nn its
@@ -19,21 +20,35 @@ import (
 // projection's σz channel. Scratch comes from a pool, so steady-state
 // calls do not allocate.
 //
-// The points are binned into xy columns, each column's run ascending in
-// (z, index); a height-major cloud arrives in that order, so the sort is
-// one linear check. A query sweeps its own column up and down from its
-// own position, then the columns of each Chebyshev ring around it, and
-// keeps the k+1 smallest candidate keys (see allScratch.sweep). The
-// search skips a column, stops a sweep or stops at a ring only on a
-// lower bound that the candidate's computed squared distance cannot
-// undercut, and it prunes against an upper bound on the k-th distance,
-// so it never drops one of the exact k nearest.
+// A small cloud — at most smallMax points, all coordinates finite, k ≤
+// 16, and the vector kernels in use — is answered by one exact AVX2
+// pass over the whole cloud per point (see allScratch.querySmall): every
+// squared distance, computed as Dist2 computes it, and the minimum of
+// each of 16 strided index groups. The k-th smallest group minimum
+// bounds the k-th distance, since k distinct points lie within it; the
+// points under that bound, about 9 at k = 8, are ranked by key
+// branch-free, and a prefix tie at the k-th key falls back to an exact
+// pass under (Dist2, Index). The distances are Dist2's bits and the
+// order is the oracle's, so the answer cannot move. smallMax is where
+// the two paths break even on ingested frames (DESIGN.md).
+//
+// Every other cloud — larger ones, non-finite ones, k > 16, and every
+// cloud without the vector kernels (arm64, kernels.SetVectorized(false))
+// — is binned into xy columns, each column's run ascending in (z,
+// index); a height-major cloud arrives in that order, so the sort is one
+// linear check. A query sweeps its own column up and down from its own
+// position, then the columns of each Chebyshev ring around it, and keeps
+// the k+1 smallest candidate keys (see allScratch.sweep). The search
+// skips a column, stops a sweep or stops at a ring only on a lower bound
+// that the candidate's computed squared distance cannot undercut, and it
+// prunes against an upper bound on the k-th distance, so it never drops
+// one of the exact k nearest.
 func KNNAll(cloud geom.Cloud, k int, fn func(i int, nn []Neighbor)) {
 	knnAll(cloud, k, fn)
 }
 
 // knnAll is KNNAll, returning how many points were answered by an exact
-// pass over their candidates (see allScratch.query).
+// pass over their candidates (see allScratch.query and querySmall).
 func knnAll(cloud geom.Cloud, k int, fn func(i int, nn []Neighbor)) (ties int) {
 	if k <= 0 {
 		for i := range cloud {
@@ -47,7 +62,15 @@ func knnAll(cloud geom.Cloud, k int, fn func(i int, nn []Neighbor)) (ties int) {
 	k = min(k, len(cloud))
 	s := allPool.Get().(*allScratch)
 	defer allPool.Put(s)
+	if len(cloud) <= smallMax && k <= groups && kernels.Vectorized() && s.loadSmall(cloud) {
+		return s.allSmall(cloud, k, fn)
+	}
 	s.build(cloud, k)
+	return s.allColumns(cloud, fn)
+}
+
+// allColumns is knnAll on a cloud build has laid out in columns.
+func (s *allScratch) allColumns(cloud geom.Cloud, fn func(i int, nn []Neighbor)) (ties int) {
 	// The previous query and its k-th distance² seed each query's bound.
 	var prev geom.Point3
 	kth := math.NaN()
@@ -107,6 +130,13 @@ type allScratch struct {
 	cands []Neighbor // every candidate offered to top; capacity n
 	nn    []Neighbor // the answer handed to fn; capacity k
 	k     int
+
+	// The small-cloud path (knnsmall.go): the cloud's coordinates, one
+	// slice per axis, NaN-padded to a multiple of 16 points; one query's
+	// squared distances, candidates and candidate keys by rank.
+	xs, ys, zs, d2 []float64
+	cand           []int32
+	ranked         [groups + 1]uint64
 }
 
 var allPool = sync.Pool{New: func() any { return new(allScratch) }}

@@ -2,12 +2,14 @@ package spatial
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"hawccc/internal/geom"
+	"hawccc/internal/geom/kernels"
 	"hawccc/internal/kdtree"
 )
 
@@ -45,6 +47,19 @@ func viewportShaped(rng *rand.Rand, n int) geom.Cloud {
 		}
 	}
 	return cloud
+}
+
+// bothPaths runs f once with the vector kernels on — KNNAll's
+// small-cloud path answers clouds of up to smallMax points at k ≤ 16 —
+// and once with them off, where every cloud takes the column search.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	for _, vec := range []bool{true, false} {
+		t.Run(fmt.Sprintf("vectorized=%v", vec), func(t *testing.T) {
+			prev := kernels.SetVectorized(vec)
+			defer kernels.SetVectorized(prev)
+			f(t)
+		})
+	}
 }
 
 // checkKNNAll holds KNNAll to the k-d tree oracle's KNNInto over cloud,
@@ -199,14 +214,20 @@ func boundaryTies(rng *rand.Rand, groups int) geom.Cloud {
 }
 
 // TestKNNAllMatchesKDTree pins KNNAll to the k-d tree oracle element for
-// element — indices and distance bits — on the cloud shapes the
-// classifier, the adaptive-ε curve and the tests meet: unsorted and
-// height-major input, duplicates and mirror-symmetric equal distances,
-// sizes on either side of a key's index-bit widths (255, 256, 257, 1100
-// points), a single column, one height, a sparse cloud, and clouds built
-// to meet the pruning bounds exactly. Clouds with equal distances at the
-// k-th neighbor must take the exact pass.
+// element — indices and distance bits — on both of its paths and on the
+// cloud shapes the classifier, the adaptive-ε curve and the tests meet:
+// unsorted and height-major input, duplicates and mirror-symmetric equal
+// distances, sizes on either side of a key's index-bit widths (255, 256,
+// 257, 1100 points) and of the small-cloud crossover (smallMax), a single
+// column, one height, a sparse cloud, generated classifier inputs, and
+// clouds built to meet the pruning bounds exactly, at every k the
+// small-cloud path takes and the first it leaves to the columns. Clouds
+// with equal distances at the k-th neighbor must take the exact pass.
 func TestKNNAllMatchesKDTree(t *testing.T) {
+	bothPaths(t, testKNNAllMatchesKDTree)
+}
+
+func testKNNAllMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	line := make(geom.Cloud, 60)
 	flat := make(geom.Cloud, 150)
@@ -230,15 +251,18 @@ func TestKNNAllMatchesKDTree(t *testing.T) {
 	}
 	descending := heightMajor(viewportShaped(rng, 225))
 	slices.Reverse(descending)
-	clouds := []struct {
+	type namedCloud struct {
 		name  string
 		cloud geom.Cloud
 		ties  bool // equal distances at the k-th neighbor somewhere
-	}{
+	}
+	clouds := []namedCloud{
 		{"random9", randomCloud(rng, 9), false},
 		{"random120", randomCloud(rng, 120), false},
 		{"random300", randomCloud(rng, 300), false},
 		{"random400", randomCloud(rng, 400), false},
+		{"smallMax", randomCloud(rng, smallMax), false},
+		{"smallMax+1", randomCloud(rng, smallMax+1), false},
 		{"coincident", geom.Cloud{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1}}, true},
 		{"duplicates", dups, true},
 		{"collinear", line, false},
@@ -258,6 +282,9 @@ func TestKNNAllMatchesKDTree(t *testing.T) {
 		{"near-ties", nearTies(rng, 40), true},
 		{"boundary-ties", boundaryTies(rng, 100), true},
 	}
+	for i, c := range generatedViewports(4, 225) {
+		clouds = append(clouds, namedCloud{fmt.Sprintf("generated%d", i), c, false})
+	}
 	for _, c := range clouds {
 		n := len(c.cloud)
 		ks := []int{1, 2, 8, n - 1, n, n + 3}
@@ -270,6 +297,16 @@ func TestKNNAllMatchesKDTree(t *testing.T) {
 		}
 		if c.ties && ties == 0 {
 			t.Fatalf("%s: no point took the exact pass", c.name)
+		}
+	}
+
+	// Every k the small-cloud path answers, and the first past it, on the
+	// clouds of up to 260 points (the oracle's cost grows with n).
+	for _, c := range clouds {
+		if len(c.cloud) <= 260 && len(c.cloud) > groups+1 {
+			for k := 3; k <= groups+1; k++ {
+				checkKNNAll(t, c.name, c.cloud, k)
+			}
 		}
 	}
 
@@ -286,12 +323,18 @@ func TestKNNAllMatchesKDTree(t *testing.T) {
 
 // TestKNNAllNonFinite feeds KNNAll clouds with non-finite points — NaN
 // or infinite coordinates, which only a direct caller can pass (the
-// pipeline's ROI crop drops such points). fn must be called once per
-// point, with min(k, n) neighbors, and nothing may panic. A bad point is
-// farther than any other from every finite point, so a finite point's
-// list, while k is below the finite count, is the tree's over the finite
-// points alone; a bad point's own list has no order to pin.
+// pipeline's ROI crop drops such points) — on both paths; the
+// small-cloud path must leave every such cloud to the columns. fn must
+// be called once per point, with min(k, n) neighbors, and nothing may
+// panic. A bad point is farther than any other from every finite point,
+// so a finite point's list, while k is below the finite count, is the
+// tree's over the finite points alone; a bad point's own list has no
+// order to pin.
 func TestKNNAllNonFinite(t *testing.T) {
+	bothPaths(t, testKNNAllNonFinite)
+}
+
+func testKNNAllNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	bad := []struct {
 		name string
@@ -336,6 +379,9 @@ func TestKNNAllNonFinite(t *testing.T) {
 		} {
 			for _, i := range c.at {
 				b.set(&c.cloud[i])
+			}
+			if new(allScratch).loadSmall(c.cloud) {
+				t.Fatalf("%s: the small-cloud path takes a non-finite cloud", b.name)
 			}
 			checkNonFinite(t, b.name, c.cloud, c.at)
 		}
@@ -388,7 +434,7 @@ func checkNonFinite(t *testing.T, name string, cloud geom.Cloud, at []int) {
 
 // TestKNNAllZeroAllocs holds the σz pass of one classifier input — a
 // height-major 225-point viewport cloud — to zero heap allocations per
-// call once the pooled scratch has grown.
+// call once the pooled scratch has grown, on both paths.
 func TestKNNAllZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -396,8 +442,10 @@ func TestKNNAllZeroAllocs(t *testing.T) {
 	cloud := heightMajor(viewportShaped(rand.New(rand.NewSource(5)), 225))
 	var sum float64
 	fn := func(i int, nn []Neighbor) { sum += nn[len(nn)-1].Dist2 }
-	KNNAll(cloud, 8, fn)
-	if allocs := testing.AllocsPerRun(50, func() { KNNAll(cloud, 8, fn) }); allocs != 0 {
-		t.Fatalf("KNNAll allocates %.1f times per call at steady state", allocs)
-	}
+	bothPaths(t, func(t *testing.T) {
+		KNNAll(cloud, 8, fn)
+		if allocs := testing.AllocsPerRun(50, func() { KNNAll(cloud, 8, fn) }); allocs != 0 {
+			t.Fatalf("KNNAll allocates %.1f times per call at steady state", allocs)
+		}
+	})
 }

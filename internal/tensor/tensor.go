@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 array.
@@ -27,7 +28,7 @@ func New(shape ...int) *Tensor {
 // copied; it panics if the length does not match the shape.
 func FromSlice(data []float32, shape ...int) *Tensor {
 	if len(data) != numElems(shape) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), slices.Clone(shape)))
 	}
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
@@ -36,7 +37,7 @@ func numElems(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
