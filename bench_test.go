@@ -217,37 +217,64 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptiveClustering prices the cluster stage — ε search and
+// final labels — on one 3-person frame (/frame, the package-level
+// call), and per frame on a reused Scratch over the ledger-like
+// /walkway and /crowd scenes of ringScenes.
 func BenchmarkAdaptiveClustering(b *testing.B) {
-	f := benchFrame(b)
-	cloud := ground.Ingest(f.Cloud, ground.DefaultROI())
 	cfg := cluster.DefaultAdaptiveConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cluster.Adaptive(cloud, cfg)
+	b.Run("frame", func(b *testing.B) {
+		f := benchFrame(b)
+		cloud := ground.Ingest(f.Cloud, ground.DefaultROI())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = cluster.Adaptive(cloud, cfg)
+		}
+	})
+	for _, w := range ringScenes {
+		b.Run(w.name, func(b *testing.B) {
+			clouds := w.clouds()
+			var s cluster.Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = s.Adaptive(clouds[i%len(clouds)], cfg)
+			}
+		})
 	}
 }
 
+// ringScenes are ground-ingested scenes built like the ledger's pole
+// rings (bench/pole.go): seed 11, one frame per people count.
+var ringScenes = []ringScene{
+	{"walkway", 1, 6, 2},
+	{"crowd", 16, 32, 6},
+}
+
+type ringScene struct {
+	name                 string
+	minPeople, maxPeople int
+	objects              int
+}
+
+func (w ringScene) clouds() []Cloud {
+	g := dataset.NewGenerator(11)
+	var clouds []Cloud
+	for k := w.minPeople; k <= w.maxPeople; k++ {
+		f := g.CrowdFrames(1, k, k, w.objects)[0]
+		clouds = append(clouds, ground.Ingest(f.Cloud, ground.DefaultROI()))
+	}
+	return clouds
+}
+
 // BenchmarkOptimalEpsilon prices one frame's ε search — k-distance
-// curve, elbow and structure-gap pass — on a reused Scratch, over
-// ground-ingested scenes built like the ledger's pole rings
-// (bench/pole.go): seed 11, one frame per people count.
+// curve, elbow and structure-gap pass — on a reused Scratch over the
+// ringScenes.
 func BenchmarkOptimalEpsilon(b *testing.B) {
-	for _, w := range []struct {
-		name                 string
-		minPeople, maxPeople int
-		objects              int
-	}{
-		{"walkway", 1, 6, 2},
-		{"crowd", 16, 32, 6},
-	} {
+	cfg := cluster.DefaultAdaptiveConfig()
+	for _, w := range ringScenes {
 		b.Run(w.name, func(b *testing.B) {
-			g := dataset.NewGenerator(11)
-			var clouds []Cloud
-			for k := w.minPeople; k <= w.maxPeople; k++ {
-				f := g.CrowdFrames(1, k, k, w.objects)[0]
-				clouds = append(clouds, ground.Ingest(f.Cloud, ground.DefaultROI()))
-			}
-			cfg := cluster.DefaultAdaptiveConfig()
+			clouds := w.clouds()
 			var s cluster.Scratch
 			b.ReportAllocs()
 			b.ResetTimer()

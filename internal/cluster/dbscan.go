@@ -4,14 +4,17 @@
 // elbow), and single-linkage hierarchical clustering. HAWC-CC uses
 // adaptive DBSCAN; the rest are the baselines of Table IV.
 //
-// The density-based algorithms run their radius queries against
-// internal/spatial's voxel grid, built once per frame and shared by the
-// structure-gap coarse pass and DBSCAN expansion (Scratch); the
-// adaptive-ε curve reads every point's k-th distance from
-// spatial.KNNAll (KDistanceCurve). The expansion and the ε search take
-// the grid as a spatial.NeighborIndex, which is where the property tests
-// in this package substitute the k-d tree oracle (internal/kdtree) and
-// pin identical labels; the same tree is the curve's oracle.
+// The density-based algorithms read every answer from one neighbour
+// graph per frame (graph.go): a half-stencil sweep over a cell lattice
+// counts each close pair once, with the AVX2 pair kernels of
+// internal/geom/kernels, and a fill sweep writes each point's CSR row
+// of neighbours and squared distances in place. The band of the
+// k-distance curve, core flags, components (union-find) and border
+// labels are reads of those rows. The breadth-first expansion
+// over a spatial.NeighborIndex — internal/spatial's voxel grid or the
+// k-d tree oracle (internal/kdtree) — is kept in the tests as the
+// graph's oracle, which its labels and ε must equal exactly.
+// KDistanceCurve, Figure 4's whole curve, reads spatial.KNNAll.
 package cluster
 
 import (
@@ -91,7 +94,7 @@ func (r Result) NoiseCount() int {
 }
 
 // Scratch holds the reusable state of the density-based clustering path:
-// the per-frame spatial index plus every working buffer DBSCAN and the
+// the frame's neighbour graph plus every working buffer DBSCAN and the
 // adaptive-ε search need. A zero Scratch is ready to use. Reusing one
 // Scratch across frames makes the steady state allocation-free once the
 // buffers have grown to the traffic.
@@ -102,19 +105,14 @@ func (r Result) NoiseCount() int {
 // functions, which use a throwaway Scratch) get freshly allocated
 // buffers by construction. A Scratch is not safe for concurrent use.
 type Scratch struct {
-	grid spatial.Grid
+	g graph
 
-	// Query and expansion buffers.
-	nbuf    []int
-	queue   []int
-	visited []bool
-	labels  []int
-	sizes   []int
-	dists   []float64
+	labels []int
+	sizes  []int
+	dists  []float64
 
 	// Coarse-pass cache: structureGap's DBSCAN at the fallback ε, kept so
-	// Adaptive can return it directly when the final ε is the fallback —
-	// the fallback-ε pass is then paid once per frame instead of twice.
+	// Adaptive can return it directly when the final ε is the fallback.
 	coarseNum    int
 	coarseLabels []int
 	coarseSizes  []int
@@ -125,108 +123,45 @@ type Scratch struct {
 	gaps      []float64
 }
 
-// index rebuilds the scratch-owned grid over cloud in place
-// (allocation-free in steady state) with the given cell edge.
-func (s *Scratch) index(cloud geom.Cloud, cell float64) spatial.NeighborIndex {
-	s.grid.Reset(cloud, cell)
-	return &s.grid
-}
-
 // DBSCAN clusters the cloud with the classic density-based algorithm:
 // a point is a core point when at least minPts points (itself included)
 // lie within eps; clusters are the connected components of core points
-// plus their border neighbors. The voxel-grid engine makes each region
-// query a 27-cell scan (Ester et al. 1996), so a frame clusters in
-// near-linear time.
+// plus their border neighbors. The frame's neighbour graph at eps is
+// built by one sweep over an eps-sized cell lattice (Ester et al. 1996's
+// grid, visited pair by pair), so a frame clusters in near-linear time.
 func DBSCAN(cloud geom.Cloud, eps float64, minPts int) Result {
 	var s Scratch
 	return s.DBSCAN(cloud, eps, minPts)
 }
 
 // DBSCAN is the Scratch-backed form of the package-level DBSCAN: same
-// labels, but the index and every working buffer come from the Scratch.
+// labels, but the graph and every working buffer come from the Scratch.
 // The result aliases the Scratch's buffers (see Scratch).
 func (s *Scratch) DBSCAN(cloud geom.Cloud, eps float64, minPts int) Result {
 	if len(cloud) == 0 || eps <= 0 || minPts < 1 {
 		return s.degenerate(len(cloud), eps)
 	}
-	return s.dbscan(s.index(cloud, eps), cloud, eps, minPts)
+	s.g.build(cloud, eps)
+	return s.labelAt(len(cloud), eps, minPts)
 }
 
 // degenerate labels every point noise (empty cloud or nonsensical
 // parameters).
 func (s *Scratch) degenerate(n int, eps float64) Result {
-	s.labels = growInts(s.labels, n)
+	s.labels = grow(s.labels, n)
 	for i := range s.labels {
 		s.labels[i] = Noise
 	}
 	return Result{Labels: s.labels, Epsilon: eps}
 }
 
-// dbscan runs the expansion against an already-built index.
-func (s *Scratch) dbscan(idx spatial.NeighborIndex, pts geom.Cloud, eps float64, minPts int) Result {
-	s.labels = growInts(s.labels, len(pts))
-	num := s.expand(idx, pts, eps, minPts, s.labels)
-	s.sizes = countSizes(s.labels, growInts(s.sizes, num))
+// labelAt labels the n-point cloud the graph was built over at eps, at
+// most the graph's radius.
+func (s *Scratch) labelAt(n int, eps float64, minPts int) Result {
+	s.labels = grow(s.labels, n)
+	num := s.g.label(s.labels, eps, minPts)
+	s.sizes = countSizes(s.labels, grow(s.sizes, num))
 	return Result{Labels: s.labels, NumClusters: num, Epsilon: eps, Sizes: s.sizes}
-}
-
-// expand runs the DBSCAN expansion over cloud against idx, writing
-// cluster ids (or Noise) into labels and returning the cluster count.
-// The BFS queue is dequeued by advancing a cursor over a single reused
-// buffer — the seed implementation's queue[1:] re-slicing kept the full
-// backing array live and degraded to O(n²) copying under adversarial
-// expansion orders.
-//
-// Labels depend only on the neighbor *sets* idx returns, not their
-// order: every member of a cluster's queue gets the same id, and the
-// visited set of one expansion is the core-reachable component of its
-// seed. Any NeighborIndex therefore yields identical labels.
-func (s *Scratch) expand(idx spatial.NeighborIndex, pts geom.Cloud, eps float64, minPts int, labels []int) int {
-	for i := range labels {
-		labels[i] = Noise
-	}
-	n := len(pts)
-	s.visited = growBools(s.visited, n)
-	visited := s.visited
-	for i := range visited {
-		visited[i] = false
-	}
-	queue := s.queue[:0]
-	nbuf := s.nbuf
-	next := 0
-	for i := 0; i < n; i++ {
-		if visited[i] {
-			continue
-		}
-		visited[i] = true
-		nbuf = idx.RadiusInto(nbuf[:0], pts[i], eps)
-		if len(nbuf) < minPts {
-			continue // noise (may be claimed later as a border point)
-		}
-		// Start a new cluster and expand it breadth-first.
-		labels[i] = next
-		queue = append(queue[:0], nbuf...)
-		for cur := 0; cur < len(queue); cur++ {
-			j := queue[cur]
-			if labels[j] == Noise {
-				labels[j] = next // border point
-			}
-			if visited[j] {
-				continue
-			}
-			visited[j] = true
-			labels[j] = next
-			nbuf = idx.RadiusInto(nbuf[:0], pts[j], eps)
-			if len(nbuf) >= minPts {
-				queue = append(queue, nbuf...)
-			}
-		}
-		next++
-	}
-	s.queue = queue
-	s.nbuf = nbuf
-	return next
 }
 
 // countSizes tallies per-cluster point counts into sizes, whose length
@@ -241,20 +176,6 @@ func countSizes(labels, sizes []int) []int {
 		}
 	}
 	return sizes
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 // AdaptiveConfig parameterizes adaptive DBSCAN. The zero value is not
@@ -274,7 +195,10 @@ type AdaptiveConfig struct {
 	// MaxEps a neighborhood exceeds the pedestrian separation scale and
 	// merges the scene. The paper observes the same pathology from the
 	// unconstrained elbow (Figure 4b: optimal ε up to 9.06) and notes
-	// that deployed values must be clamped.
+	// that deployed values must be clamped. MaxEps must be positive and
+	// finite: it is the radius of the frame's neighbour graph, which
+	// answers every ε the elbow can land on, and Adaptive and
+	// OptimalEpsilon panic without it.
 	MinEps, MaxEps float64
 }
 
@@ -282,6 +206,13 @@ type AdaptiveConfig struct {
 // Section IV.
 func DefaultAdaptiveConfig() AdaptiveConfig {
 	return AdaptiveConfig{K: 4, MinPts: 5, FallbackEps: 0.3, MinEps: 0.2, MaxEps: 0.5}
+}
+
+// check panics unless MaxEps bounds the elbow's band (see MaxEps).
+func (cfg AdaptiveConfig) check() {
+	if !(cfg.MaxEps > 0) || math.IsInf(cfg.MaxEps, 1) {
+		panic(fmt.Sprintf("cluster: AdaptiveConfig.MaxEps %v, want positive and finite", cfg.MaxEps))
+	}
 }
 
 // OptimalEpsilon computes the per-capture ε: sort every point's K-th
@@ -296,27 +227,29 @@ func OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
 // OptimalEpsilon is the Scratch-backed form of the package-level
 // OptimalEpsilon.
 func (s *Scratch) OptimalEpsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
+	cfg.check()
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return cfg.FallbackEps
 	}
-	return s.optimalEpsilon(s.index(cloud, cfg.FallbackEps), cloud, cfg)
+	return s.epsilon(cloud, cfg)
 }
 
-// optimalEpsilon runs the elbow search over the k-distance curve, then
-// the structural refinement against an already-built index.
-func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg AdaptiveConfig) float64 {
-	dists := KDistanceCurve(s.dists, pts, cfg.K)
-	s.dists = dists
-	// Restrict the elbow search to the physical band.
-	lo := sort.SearchFloat64s(dists, cfg.MinEps)
-	hi := len(dists)
-	if cfg.MaxEps > 0 {
-		hi = sort.SearchFloat64s(dists, cfg.MaxEps)
-	}
-	band := dists
-	if cfg.MinEps > 0 || cfg.MaxEps > 0 {
-		band = dists[lo:hi]
-	}
+// epsilon builds the frame's neighbour graph at max(FallbackEps,
+// MaxEps), reads the band of the k-distance curve and the coarse pass
+// from it, and returns the elbow capped by the structure gap.
+func (s *Scratch) epsilon(cloud geom.Cloud, cfg AdaptiveConfig) float64 {
+	s.g.build(cloud, max(cfg.FallbackEps, cfg.MaxEps))
+	s.dists = s.g.kBand(s.dists[:0], cfg.K, cfg.MinEps, cfg.MaxEps)
+	sort.Float64s(s.dists)
+	eps := elbow(s.dists, cfg)
+	s.coarseLabels = grow(s.coarseLabels, len(cloud))
+	s.coarseNum = s.g.label(s.coarseLabels, cfg.FallbackEps, cfg.MinPts)
+	return s.refine(eps, cloud, cfg)
+}
+
+// elbow picks ε from the sorted band of the k-distance curve: the last
+// significant jump, clamped into [MinEps, MaxEps].
+func elbow(band []float64, cfg AdaptiveConfig) float64 {
 	eps := lastSignificantJump(band, cfg.FallbackEps)
 	if eps <= 0 {
 		eps = cfg.FallbackEps
@@ -324,17 +257,19 @@ func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg 
 	if cfg.MinEps > 0 && eps < cfg.MinEps {
 		eps = cfg.MinEps
 	}
-	if cfg.MaxEps > 0 && eps > cfg.MaxEps {
-		eps = cfg.MaxEps
-	}
-	// Structural refinement: the elbow proposes, the scene's cluster
-	// spacing caps. A coarse density pass measures how closely separate
-	// structures sit; in crowded captures the gap shrinks and ε must
-	// shrink with it or neighbors chain into one cluster. This is the
-	// "adjusts to point cloud structure and density" behavior of
-	// Section IV operationalized for scenes denser than the training
-	// walkway.
-	if gap, ok := s.structureGap(idx, pts, cfg); ok {
+	return min(eps, cfg.MaxEps)
+}
+
+// refine is the structural refinement: the elbow proposes, the scene's
+// cluster spacing caps. The coarse density pass (the Scratch's coarse
+// labels, at the fallback ε) measures how closely separate structures
+// sit; in crowded captures the gap shrinks and ε must shrink with it or
+// neighbors chain into one cluster. This is the "adjusts to point cloud
+// structure and density" behavior of Section IV operationalized for
+// scenes denser than the training walkway.
+func (s *Scratch) refine(eps float64, pts geom.Cloud, cfg AdaptiveConfig) float64 {
+	s.coarseSizes = countSizes(s.coarseLabels, grow(s.coarseSizes, s.coarseNum))
+	if gap, ok := s.structureGap(pts); ok {
 		cap := gap / 3
 		if cap < cfg.MinEps {
 			cap = cfg.MinEps
@@ -352,7 +287,7 @@ func (s *Scratch) optimalEpsilon(idx spatial.NeighborIndex, pts geom.Cloud, cfg 
 // k others reads its farthest. A non-finite coordinate yields NaN or +Inf
 // distances, which sort to the two ends of the curve.
 func KDistanceCurve(dst []float64, cloud geom.Cloud, k int) []float64 {
-	dst = growFloats(dst, len(cloud))
+	dst = grow(dst, len(cloud))
 	// k+1 because the query point itself sits at distance 0.
 	spatial.KNNAll(cloud, k+1, func(i int, nn []spatial.Neighbor) {
 		dst[i] = math.Sqrt(nn[len(nn)-1].Dist2)
@@ -361,32 +296,17 @@ func KDistanceCurve(dst []float64, cloud geom.Cloud, k int) []float64 {
 	return dst
 }
 
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // structureGap estimates the separation scale between substantial
-// structures: a coarse DBSCAN pass at the fallback ε, then the 10th
-// percentile of nearest-centroid distances among clusters with at least
+// structures from the coarse pass: the 10th percentile of
+// nearest-centroid distances among its clusters with at least
 // structureMinPts points. ok is false when the scene has fewer than two
-// such structures. The coarse result is cached on the Scratch so
-// Adaptive can reuse it when the final ε is the fallback.
-func (s *Scratch) structureGap(idx spatial.NeighborIndex, pts geom.Cloud, cfg AdaptiveConfig) (float64, bool) {
+// such structures.
+func (s *Scratch) structureGap(pts geom.Cloud) (float64, bool) {
 	const structureMinPts = 15
 
-	// The coarse pass runs against the frame index already built.
-	s.coarseLabels = growInts(s.coarseLabels, len(pts))
-	num := s.expand(idx, pts, cfg.FallbackEps, cfg.MinPts, s.coarseLabels)
-	s.coarseSizes = countSizes(s.coarseLabels, growInts(s.coarseSizes, num))
-	s.coarseNum = num
-
-	if cap(s.sums) < num {
-		s.sums = make([]geom.Point3, num)
-	}
-	sums := s.sums[:num]
+	num := s.coarseNum
+	s.sums = grow(s.sums, num)
+	sums := s.sums
 	for c := range sums {
 		sums[c] = geom.Point3{}
 	}
@@ -463,24 +383,20 @@ func Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
 }
 
 // Adaptive is the Scratch-backed form of the package-level Adaptive and
-// the geometry stage's per-frame entry point. The frame's grid is built
-// exactly once (cell edge = the fallback ε, which sits inside the
-// [MinEps, MaxEps] band, so one grid serves every ε the elbow can land
-// on) and shared by the coarse structure pass and the final expansion —
-// and when the elbow lands on the fallback ε, the coarse pass *is* the
-// final result and no second expansion runs. The result aliases the
-// Scratch's buffers (see Scratch).
+// the geometry stage's per-frame entry point. The frame's neighbour
+// graph is built once, at a radius covering every ε the elbow can land
+// on, and answers the curve, the coarse structure pass and the final
+// labels; when the elbow lands on the fallback ε, the coarse pass *is*
+// the final result. The result aliases the Scratch's buffers (see
+// Scratch).
 func (s *Scratch) Adaptive(cloud geom.Cloud, cfg AdaptiveConfig) Result {
+	cfg.check()
 	if cfg.K < 1 || len(cloud) < cfg.K+2 {
 		return s.DBSCAN(cloud, cfg.FallbackEps, cfg.MinPts)
 	}
-	idx := s.index(cloud, cfg.FallbackEps)
-	eps := s.optimalEpsilon(idx, cloud, cfg)
+	eps := s.epsilon(cloud, cfg)
 	if eps == cfg.FallbackEps {
-		// The elbow landed on the fallback ε: the coarse structure pass
-		// already computed exactly this clustering.
 		return Result{Labels: s.coarseLabels, NumClusters: s.coarseNum, Epsilon: eps, Sizes: s.coarseSizes}
 	}
-	// Same frame index, final ε.
-	return s.dbscan(idx, cloud, eps, cfg.MinPts)
+	return s.labelAt(len(cloud), eps, cfg.MinPts)
 }

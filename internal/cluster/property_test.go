@@ -264,19 +264,22 @@ func TestAdaptiveCoarseReuse(t *testing.T) {
 }
 
 // TestAdaptiveSteadyStateAllocs pins the zero-alloc guarantee of the
-// geometry stage: after warm-up, a full Adaptive pass — grid build,
-// k-distance curve, coarse pass, final expansion — performs no heap
-// allocation.
+// geometry stage: after warm-up, a full Adaptive pass — neighbour graph,
+// k-distance band, coarse pass, final labels — performs no heap
+// allocation, on the property scenes and on ledger-like crowd and
+// walkway frames, with the vector kernels on and off. It holds under
+// the race detector too: the stage draws from no sync.Pool.
 func TestAdaptiveSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops the k-distance curve's pooled scratch at random")
-	}
 	rng := rand.New(rand.NewSource(105))
-	scenes := propertyScenes(rng)
+	var scenes []sceneSpec
+	for _, c := range ringFrames(17, 16, 32, 6) {
+		scenes = append(scenes, sceneSpec{name: "crowd", cloud: c})
+	}
+	for _, c := range ringFrames(6, 1, 6, 2) {
+		scenes = append(scenes, sceneSpec{name: "walkway", cloud: c})
+	}
+	scenes = append(scenes, propertyScenes(rng)...)
 	cfg := DefaultAdaptiveConfig()
-	// With the vector kernels on, the k-distance curve of a scene of up
-	// to a few hundred points takes KNNAll's small-cloud path; off, every
-	// scene takes its column search.
 	for _, vec := range []bool{true, false} {
 		prev := kernels.SetVectorized(vec)
 		var s Scratch

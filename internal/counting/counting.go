@@ -26,7 +26,7 @@ import (
 )
 
 // ScratchClusterer partitions an ingested frame into candidate clusters
-// against a caller-owned cluster.Scratch, so the spatial index and every
+// against a caller-owned cluster.Scratch, so the neighbour graph and every
 // working buffer are recycled with the pooled frame job and the
 // steady-state geometry stage performs no heap allocation. The returned
 // result may alias the Scratch's buffers; the pipeline materializes

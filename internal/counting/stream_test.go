@@ -242,9 +242,9 @@ func TestStreamRecordsFrameMetrics(t *testing.T) {
 
 // TestStreamSteadyStateAllocs is the allocation gate: once job and
 // buffer pools are warm, a frame through the pooled path — job
-// lifecycle, ingest buffers, the full adaptive geometry stage (voxel
-// grid build, kNN elbow curve, structure-gap coarse pass, DBSCAN
-// expansion, via the job's cluster.Scratch), cluster materialization,
+// lifecycle, ingest buffers, the full adaptive geometry stage (the
+// frame's neighbour graph, the k-distance band, structure-gap coarse
+// pass, final labels, via the job's cluster.Scratch), cluster materialization,
 // kept filtering, sequential classification, instrument no-ops —
 // performs zero heap allocations.
 func TestStreamSteadyStateAllocs(t *testing.T) {

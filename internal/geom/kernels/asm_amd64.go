@@ -74,3 +74,39 @@ var compressPerm = func() (p [256][8]int32) {
 	}
 	return p
 }()
+
+// pairCountAVX is PairCount's vector form: per 4-lane float64 step,
+// geom.Point3.Dist2's association, VCMPPD LE, the lanes past b1 masked
+// off, popcount into fwd[i] and the lane mask subtracted from
+// back[j:j+4].
+//
+//go:noescape
+func pairCountAVX(fwd, back *int64, xs, ys, zs *float64, a0, a1, b0, b1 int, r2 float64)
+
+// pairFillAVX is PairFill's vector form: the same distances and masks as
+// pairCountAVX, each step's pairs packed by VPERMD (pairPerm) and stored
+// four lanes wide.
+//
+//go:noescape
+func pairFillAVX(end *int64, nbr *int32, dist *float64, xs, ys, zs *float64, a0, a1, b0, b1 int, r2 float64, lower bool)
+
+// maskLE64AVX is MaskLE over words full words of 64 distances.
+//
+//go:noescape
+func maskLE64AVX(bits *uint64, d *float64, words int, t float64)
+
+// pairPerm[m] holds the two VPERMD controls that pack the 4-bit mask
+// m's lanes, ascending, into the low lanes: the first of four float64
+// lanes (as dword pairs), the second of four int32 lanes.
+var pairPerm = func() (p [16][16]int32) {
+	for m := range p {
+		n := int32(0)
+		for l := int32(0); l < 4; l++ {
+			if m>>l&1 == 1 {
+				p[m][2*n], p[m][2*n+1], p[m][8+n] = 2*l, 2*l+1, l
+				n++
+			}
+		}
+	}
+	return p
+}()

@@ -439,3 +439,219 @@ GLOBL iota8<>(SB), RODATA|NOPTR, $32
 DATA eight32<>+0(SB)/4, $8
 GLOBL eight32<>(SB), RODATA|NOPTR, $4
 
+
+DATA iota4q<>+0(SB)/8, $0
+DATA iota4q<>+8(SB)/8, $1
+DATA iota4q<>+16(SB)/8, $2
+DATA iota4q<>+24(SB)/8, $3
+GLOBL iota4q<>(SB), RODATA|NOPTR, $32
+
+DATA four64<>+0(SB)/8, $4
+GLOBL four64<>(SB), RODATA|NOPTR, $8
+
+// PAIRD2 leaves in Y4 the squared distances from the point broadcast in
+// Y1-Y3 to points j..j+3 (j in CX) and in Y5 the lanes with d2 ≤ r2
+// (Y0) and j+l < b1 (Y15; the running lane indices are Y6): x_i - x_j
+// (VSUBPD), square (VMULPD), ((dx²+dy²)+dz²) with two VADDPD — the
+// association of geom.Point3.Dist2, never FMA — then VCMPPD predicate 2
+// (LE, ordered: NaN compares false, matching Go's <=) and VPCMPGTQ for
+// the lanes still inside the span.
+#define PAIRD2 \
+	VSUBPD   (SI)(CX*8), Y1, Y4 \
+	VMULPD   Y4, Y4, Y4         \
+	VSUBPD   (R8)(CX*8), Y2, Y5 \
+	VMULPD   Y5, Y5, Y5         \
+	VADDPD   Y5, Y4, Y4         \
+	VSUBPD   (R9)(CX*8), Y3, Y5 \
+	VMULPD   Y5, Y5, Y5         \
+	VADDPD   Y5, Y4, Y4         \
+	VCMPPD   $2, Y0, Y4, Y5     \
+	VPCMPGTQ Y6, Y15, Y7        \
+	VPAND    Y7, Y5, Y5
+
+// func pairCountAVX(fwd, back *int64, xs, ys, zs *float64, a0, a1, b0, b1 int, r2 float64)
+//
+// For each i of the block: broadcast its coordinates, run j from
+// max(b0, i+1) to b1 four lanes at a time, add the POPCNT of each lane
+// mask to a running count added to fwd[i] after the row, and subtract
+// the mask (-1 per set lane) from back[j:j+4].
+TEXT ·pairCountAVX(SB), NOSPLIT, $0-80
+	MOVQ         fwd+0(FP), BX
+	MOVQ         back+8(FP), DI
+	MOVQ         xs+16(FP), SI
+	MOVQ         ys+24(FP), R8
+	MOVQ         zs+32(FP), R9
+	MOVQ         a0+40(FP), R10
+	MOVQ         a1+48(FP), R11
+	MOVQ         b0+56(FP), R12
+	VBROADCASTSD r2+72(FP), Y0
+	VPBROADCASTQ b1+64(FP), Y15
+	VMOVDQU      iota4q<>(SB), Y14
+	VPBROADCASTQ four64<>(SB), Y13
+	MOVQ         b1+64(FP), R13
+
+crow:
+	VBROADCASTSD (SI)(R10*8), Y1
+	VBROADCASTSD (R8)(R10*8), Y2
+	VBROADCASTSD (R9)(R10*8), Y3
+	LEAQ         1(R10), CX
+	CMPQ         CX, R12
+	CMOVQLT      R12, CX
+	VMOVQ        CX, X6
+	VPBROADCASTQ X6, Y6
+	VPADDQ       Y14, Y6, Y6
+	XORQ         AX, AX
+	CMPQ         CX, R13
+	JGE          cnext
+
+cstep:
+	PAIRD2
+	VMOVMSKPD Y5, DX
+	POPCNTL   DX, DX
+	ADDQ      DX, AX
+	VMOVDQU   (DI)(CX*8), Y8
+	VPSUBQ    Y5, Y8, Y8
+	VMOVDQU   Y8, (DI)(CX*8)
+	VPADDQ    Y13, Y6, Y6
+	ADDQ      $4, CX
+	CMPQ      CX, R13
+	JLT       cstep
+
+	ADDQ AX, (BX)(R10*8)
+
+cnext:
+	INCQ R10
+	CMPQ R10, R11
+	JLT  crow
+
+	VZEROUPPER
+	RET
+
+// func pairFillAVX(end *int64, nbr *int32, dist *float64, xs, ys, zs *float64, a0, a1, b0, b1 int, r2 float64, lower bool)
+//
+// The rows and lanes of pairCountAVX — j in [max(b0, i+1), b1), or with
+// lower in [b0, min(b1, i)), so Y15 is set per row — each step's pairs
+// packed to the front: the step's mask picks a row of pairPerm, whose
+// first VPERMD control moves the selected distances' qword lanes down
+// and whose second moves the selected int32 j+l (Y12, running with the
+// 64-bit lane indices) down. All four distances and j's are stored at
+// end[i], held in R11 for the row, which then advances by the mask's
+// POPCNT: the lanes past it are overwritten by the next step or lie in
+// the row's pad.
+TEXT ·pairFillAVX(SB), NOSPLIT, $0-89
+	MOVQ         end+0(FP), DI
+	MOVQ         nbr+8(FP), BX
+	MOVQ         dist+16(FP), R14
+	MOVQ         xs+24(FP), SI
+	MOVQ         ys+32(FP), R8
+	MOVQ         zs+40(FP), R9
+	MOVQ         a0+48(FP), R10
+	VBROADCASTSD r2+80(FP), Y0
+	VMOVDQU      iota4q<>(SB), Y14
+	VPBROADCASTQ four64<>(SB), Y13
+	VMOVDQU      iota8<>(SB), Y10
+	VPBROADCASTD four32<>(SB), Y11
+	LEAQ         ·pairPerm(SB), R12
+
+frow:
+	VBROADCASTSD (SI)(R10*8), Y1
+	VBROADCASTSD (R8)(R10*8), Y2
+	VBROADCASTSD (R9)(R10*8), Y3
+	MOVQ         b0+64(FP), CX
+	MOVQ         b1+72(FP), R13
+	CMPB         lower+88(FP), $0
+	JNE          flower
+	LEAQ         1(R10), DX
+	CMPQ         DX, CX
+	CMOVQGT      DX, CX
+	JMP          franged
+
+flower:
+	CMPQ    R10, R13
+	CMOVQLT R10, R13
+
+franged:
+	VMOVQ        R13, X15
+	VPBROADCASTQ X15, Y15
+	VMOVQ        CX, X6
+	VPBROADCASTQ X6, Y6
+	VPADDQ       Y14, Y6, Y6
+	VPBROADCASTD X6, Y12
+	VPADDD       Y10, Y12, Y12
+	MOVQ         (DI)(R10*8), R11
+	CMPQ         CX, R13
+	JGE          fnext
+
+fstep:
+	PAIRD2
+	VMOVMSKPD Y5, AX
+	MOVQ      AX, DX
+	SHLQ      $6, DX
+	VMOVDQU   (R12)(DX*1), Y8
+	VPERMD    Y4, Y8, Y9
+	VMOVUPD   Y9, (R14)(R11*8)
+	VMOVDQU   32(R12)(DX*1), Y8
+	VPERMD    Y12, Y8, Y9
+	VMOVDQU   X9, (BX)(R11*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R11
+	VPADDQ    Y13, Y6, Y6
+	VPADDD    Y11, Y12, Y12
+	ADDQ      $4, CX
+	CMPQ      CX, R13
+	JLT       fstep
+
+fnext:
+	MOVQ R11, (DI)(R10*8)
+	INCQ R10
+	CMPQ R10, a1+56(FP)
+	JLT  frow
+
+	VZEROUPPER
+	RET
+
+DATA four32<>+0(SB)/4, $4
+GLOBL four32<>(SB), RODATA|NOPTR, $4
+
+// MASK4 compares distances 4g..4g+3 of the word with t: VCMPPD
+// predicate 13 (t GE d, ordered: NaN compares false, matching Go's <=),
+// VMOVMSKPD, and the four bits shifted to 4g and ORed into AX.
+#define MASK4(g) \
+	VCMPPD    $13, (32*g)(SI), Y0, Y1 \
+	VMOVMSKPD Y1, DX                  \
+	SHLQ      $(4*g), DX              \
+	ORQ       DX, AX
+
+// func maskLE64AVX(bits *uint64, d *float64, words int, t float64)
+TEXT ·maskLE64AVX(SB), NOSPLIT, $0-32
+	MOVQ         bits+0(FP), DI
+	MOVQ         d+8(FP), SI
+	MOVQ         words+16(FP), CX
+	VBROADCASTSD t+24(FP), Y0
+
+wloop:
+	XORQ AX, AX
+	MASK4(0)
+	MASK4(1)
+	MASK4(2)
+	MASK4(3)
+	MASK4(4)
+	MASK4(5)
+	MASK4(6)
+	MASK4(7)
+	MASK4(8)
+	MASK4(9)
+	MASK4(10)
+	MASK4(11)
+	MASK4(12)
+	MASK4(13)
+	MASK4(14)
+	MASK4(15)
+	MOVQ AX, (DI)
+	ADDQ $512, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  wloop
+
+	VZEROUPPER
+	RET

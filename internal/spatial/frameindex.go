@@ -4,11 +4,10 @@ import (
 	"hawccc/internal/geom"
 )
 
-// FrameIndex is the one-build-per-frame radius index the geometry stage
-// shares across the structure-gap coarse pass, DBSCAN expansion, and the
-// projection's density channel. Build it once per frame (Build reuses all
-// internal arrays); queries that materialize neighbors use the Grid's
-// RadiusInto with the caller's own buffer.
+// FrameIndex is the one-build-per-frame radius index of the
+// projection's density channel. Build it once per frame (Build reuses
+// all internal arrays); queries that materialize neighbors use the
+// Grid's RadiusInto with the caller's own buffer.
 type FrameIndex struct {
 	Grid Grid
 }
