@@ -3,46 +3,23 @@
 package kernels
 
 // SIMD fast paths for the geometry kernels, written in Go assembly so
-// the toolchain needs no cgo or external dependencies. Each kernel
-// processes 8 float32 lanes per step on YMM registers with the exact
-// per-lane operation sequence of its scalar reference (VSUBPS, then
-// VMULPS and VADDPS in the fixed ((dx²+dy²)+dz²) association — never
-// FMA), so the assembly and pure-Go paths produce bit-identical values
-// and dispatch never changes results, only speed.
+// the toolchain needs no cgo or external dependencies. Each kernel works
+// on float64 lanes of YMM registers and computes every distance with
+// geom.Point3.Dist2's per-lane operation sequence (VSUBPD, then VMULPD
+// and VADDPD in the fixed ((dx²+dy²)+dz²) association — never FMA), so
+// a kernel with a pure-Go form (PairCount, PairFill, MaskLE) returns the
+// same bits on either path and dispatch changes speed, never results.
 //
 // Detection follows internal/nn/kernels: CPUID leaf 1 for AVX plus
 // OSXSAVE, then XGETBV for OS-saved YMM state, then leaf 7 for AVX2, so
 // a positive answer means the instructions are actually usable. The
-// float32 kernels need only AVX, but the float64 ones permute and count
-// in integer lanes, which is AVX2, and one switch gates them all; every
-// AVX2 core has POPCNT.
+// kernels permute and count in integer lanes, which is AVX2, and one
+// switch gates them all; every AVX2 core has POPCNT.
 var useAVX2 = cpuAVX2()
 
 // cpuAVX2 reports whether AVX2 is usable, implemented in asm_amd64.s
 // via CPUID/XGETBV.
 func cpuAVX2() bool
-
-// dist2AVX computes dst[i] = ((xs[i]-qx)²+(ys[i]-qy)²)+(zs[i]-qz)² for
-// i in [0, n); n must be a positive multiple of 8 and all slices must
-// have at least n elements.
-//
-//go:noescape
-func dist2AVX(dst, xs, ys, zs *float32, n int, qx, qy, qz float32)
-
-// countLEAVX returns how many of the n squared distances — computed
-// exactly as dist2AVX computes them — are ≤ t, via a masked VCMPPS(LE)
-// compare and per-block popcount. n must be a positive multiple of 8.
-//
-//go:noescape
-func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64
-
-// maskLEAVX writes, for each 8-lane block of the n squared distances —
-// computed exactly as dist2AVX computes them — one byte into hiM with
-// bit j set iff distance 8b+j ≤ tHi, and likewise into loM against tLo.
-// n must be a positive multiple of 8.
-//
-//go:noescape
-func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32)
 
 // dist2Min16AVX writes d2[i], the float64 squared distance from (qx,
 // qy, qz) to (xs[i], ys[i], zs[i]) in geom.Point3.Dist2's association,

@@ -2,21 +2,9 @@
 
 package kernels
 
-// Non-amd64 builds run the pure-Go reference kernels only. The
-// constant compiles the assembly dispatch away entirely.
+// Non-amd64 builds run the pure-Go kernels only. The constant compiles
+// the assembly dispatch away entirely.
 const useAVX2 = false
-
-func dist2AVX(dst, xs, ys, zs *float32, n int, qx, qy, qz float32) {
-	panic("kernels: no assembly on this architecture")
-}
-
-func countLEAVX(xs, ys, zs *float32, n int, qx, qy, qz, t float32) int64 {
-	panic("kernels: no assembly on this architecture")
-}
-
-func maskLEAVX(hiM, loM *uint8, xs, ys, zs *float32, n int, qx, qy, qz, tHi, tLo float32) {
-	panic("kernels: no assembly on this architecture")
-}
 
 func dist2Min16AVX(d2 *float64, mins *[16]float64, xs, ys, zs *float64, n int, qx, qy, qz float64, k int) float64 {
 	panic("kernels: no assembly on this architecture")

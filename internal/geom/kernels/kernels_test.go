@@ -1,151 +1,10 @@
 package kernels
 
 import (
-	"math"
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 )
-
-// randCoords fills three coordinate slices with values drawn from the
-// given generator, mixing magnitudes so tails, denormals, and ordinary
-// campus-scale coordinates all appear.
-func randCoords(rng *rand.Rand, n int) (xs, ys, zs []float32) {
-	xs = make([]float32, n)
-	ys = make([]float32, n)
-	zs = make([]float32, n)
-	for i := 0; i < n; i++ {
-		xs[i] = randVal(rng)
-		ys[i] = randVal(rng)
-		zs[i] = randVal(rng)
-	}
-	return xs, ys, zs
-}
-
-func randVal(rng *rand.Rand) float32 {
-	switch rng.Intn(10) {
-	case 0:
-		// Denormal-range magnitudes.
-		return float32(rng.NormFloat64()) * 1e-40
-	case 1:
-		return 0
-	case 2:
-		return float32(math.Copysign(0, -1)) // -0
-	default:
-		return float32(rng.NormFloat64() * 40) // campus-scale metres
-	}
-}
-
-func TestDist2MatchesReference(t *testing.T) {
-	if !Vectorized() {
-		t.Skip("no vector unit; dispatch already uses the reference")
-	}
-	rng := rand.New(rand.NewSource(7))
-	for n := 0; n <= 100; n++ {
-		xs, ys, zs := randCoords(rng, n)
-		qx, qy, qz := randVal(rng), randVal(rng), randVal(rng)
-
-		want := make([]float32, n)
-		dist2Ref(want, xs, ys, zs, qx, qy, qz)
-
-		got := make([]float32, n)
-		Dist2(got, xs, ys, zs, qx, qy, qz)
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("n=%d i=%d: Dist2 = %x, reference = %x",
-					n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-			}
-		}
-	}
-}
-
-func TestCountDist2LEMatchesReference(t *testing.T) {
-	if !Vectorized() {
-		t.Skip("no vector unit; dispatch already uses the reference")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 100; n++ {
-		xs, ys, zs := randCoords(rng, n)
-		qx, qy, qz := randVal(rng), randVal(rng), randVal(rng)
-
-		// Exercise ε-boundary thresholds: pick t equal to an actual
-		// computed distance so the ≤ comparison sits exactly on a value,
-		// plus a generic threshold.
-		d := make([]float32, n)
-		dist2Ref(d, xs, ys, zs, qx, qy, qz)
-		thresholds := []float32{4, 0, float32(math.Inf(1))}
-		if n > 0 {
-			thresholds = append(thresholds, d[rng.Intn(n)])
-		}
-		for _, th := range thresholds {
-			want := countLERef(xs, ys, zs, qx, qy, qz, th)
-			got := CountDist2LE(xs, ys, zs, qx, qy, qz, th)
-			if got != want {
-				t.Fatalf("n=%d t=%g: CountDist2LE = %d, reference = %d", n, th, got, want)
-			}
-		}
-	}
-}
-
-func TestMaskDist2LEMatchesReference(t *testing.T) {
-	if !Vectorized() {
-		t.Skip("no vector unit; dispatch already uses the reference")
-	}
-	rng := rand.New(rand.NewSource(13))
-	for n := 0; n <= 100; n++ {
-		xs, ys, zs := randCoords(rng, n)
-		qx, qy, qz := randVal(rng), randVal(rng), randVal(rng)
-
-		// Boundary thresholds as in the count test: an actual computed
-		// distance so ≤ sits exactly on a value, plus generic ones.
-		d := make([]float32, n)
-		dist2Ref(d, xs, ys, zs, qx, qy, qz)
-		thresholds := []float32{4, 0, float32(math.Inf(1))}
-		if n > 0 {
-			thresholds = append(thresholds, d[rng.Intn(n)])
-		}
-		nb := (n + 7) / 8
-		for _, tHi := range thresholds {
-			for _, tLo := range thresholds {
-				wantHi, wantLo := make([]uint8, nb), make([]uint8, nb)
-				maskLERef(wantHi, wantLo, xs, ys, zs, qx, qy, qz, tHi, tLo)
-				gotHi, gotLo := make([]uint8, nb), make([]uint8, nb)
-				MaskDist2LE(gotHi, gotLo, xs, ys, zs, qx, qy, qz, tHi, tLo)
-				for b := 0; b < nb; b++ {
-					if gotHi[b] != wantHi[b] || gotLo[b] != wantLo[b] {
-						t.Fatalf("n=%d tHi=%g tLo=%g b=%d: MaskDist2LE = %02x/%02x, reference = %02x/%02x",
-							n, tHi, tLo, b, gotHi[b], gotLo[b], wantHi[b], wantLo[b])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMaskDist2LENaNSetsNoBits(t *testing.T) {
-	nan := float32(math.NaN())
-	xs := []float32{nan, 0, 1, 2, 3, 4, 5, 6, 7, 8}
-	ys := make([]float32, len(xs))
-	zs := make([]float32, len(xs))
-	hi := make([]uint8, 2)
-	lo := make([]uint8, 2)
-	inf := float32(math.Inf(1))
-	MaskDist2LE(hi, lo, xs, ys, zs, 0, 0, 0, inf, inf)
-	if hi[0] != 0xfe || hi[1] != 0x03 || lo[0] != 0xfe || lo[1] != 0x03 {
-		t.Fatalf("MaskDist2LE with NaN input = %02x %02x / %02x %02x, want fe 03 twice",
-			hi[0], hi[1], lo[0], lo[1])
-	}
-}
-
-func TestCountDist2LENaNNeverCounts(t *testing.T) {
-	nan := float32(math.NaN())
-	xs := []float32{nan, 0, 1, 2, 3, 4, 5, 6, 7, 8}
-	ys := make([]float32, len(xs))
-	zs := make([]float32, len(xs))
-	got := CountDist2LE(xs, ys, zs, 0, 0, 0, float32(math.Inf(1)))
-	if got != len(xs)-1 {
-		t.Fatalf("CountDist2LE with NaN input = %d, want %d", got, len(xs)-1)
-	}
-}
 
 func TestSetVectorizedToggle(t *testing.T) {
 	orig := Vectorized()
@@ -158,100 +17,71 @@ func TestSetVectorizedToggle(t *testing.T) {
 		t.Fatal("Vectorized() true after SetVectorized(false)")
 	}
 	SetVectorized(true)
-	// On AVX hardware this re-enables; elsewhere it must stay off
+	// On AVX2 hardware this re-enables; elsewhere it must stay off
 	// rather than faulting.
 	if Vectorized() != useAVX2 {
 		t.Fatalf("Vectorized() = %v after SetVectorized(true), want %v", Vectorized(), useAVX2)
 	}
-
-	// The toggle must not change results.
-	rng := rand.New(rand.NewSource(17))
-	xs, ys, zs := randCoords(rng, 43)
-	a := make([]float32, len(xs))
-	b := make([]float32, len(xs))
-	SetVectorized(true)
-	Dist2(a, xs, ys, zs, 1, -2, 0.5)
-	ca := CountDist2LE(xs, ys, zs, 1, -2, 0.5, 9)
-	SetVectorized(false)
-	Dist2(b, xs, ys, zs, 1, -2, 0.5)
-	cb := CountDist2LE(xs, ys, zs, 1, -2, 0.5, 9)
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			t.Fatalf("i=%d: vectorized %x != scalar %x", i, math.Float32bits(a[i]), math.Float32bits(b[i]))
-		}
-	}
-	if ca != cb {
-		t.Fatalf("CountDist2LE vectorized %d != scalar %d", ca, cb)
-	}
 }
 
+// TestLengthMismatchPanics holds every kernel's argument checks: each
+// call below breaks one stated precondition and must panic with the
+// message naming it, with the kernels on and off — before any vector
+// code could read or write past a slice.
 func TestLengthMismatchPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"Dist2":        func() { Dist2(make([]float32, 3), make([]float32, 2), make([]float32, 3), make([]float32, 3), 0, 0, 0) },
-		"CountDist2LE": func() { CountDist2LE(make([]float32, 3), make([]float32, 2), make([]float32, 3), 0, 0, 0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
+	const n, p = 8, 8 + PairPad // points in a pair layout, and its padded length
+	f := func(m int) []float64 { return make([]float64, m) }
+	i64 := func(m int) []int64 { return make([]int64, m) }
+	var mins [16]float64
+	var top [17]uint64
+	cases := []struct {
+		name, want string
+		call       func()
+	}{
+		{"PairCount a0 > a1", "pair ranges", func() { PairCount(i64(p), i64(p), f(p), f(p), f(p), 3, 2, 0, n, 1) }},
+		{"PairCount negative b0", "pair ranges", func() { PairCount(i64(p), i64(p), f(p), f(p), f(p), 0, 2, -1, n, 1) }},
+		{"PairCount zs without pad", "PairPad", func() { PairCount(i64(p), i64(p), f(p), f(p), f(n), 0, 2, 0, n, 1) }},
+		{"PairCount back without pad", "PairPad", func() { PairCount(i64(p), i64(n), f(p), f(p), f(p), 0, n, 0, n, 1) }},
+		{"PairFill b0 > b1", "pair ranges", func() {
+			PairFill(i64(p), make([]int32, 64), f(64), f(p), f(p), f(p), 0, 2, 5, 4, 1, false)
+		}},
+		{"PairFill end without pad", "PairPad", func() {
+			PairFill(i64(n), make([]int32, 64), f(64), f(p), f(p), f(p), 0, n, 0, n, 1, false)
+		}},
+		{"PairFill fewer distance slots", "distance slots", func() {
+			PairFill(i64(p), make([]int32, 64), f(63), f(p), f(p), f(p), 0, 2, 0, n, 1, false)
+		}},
+		{"PairFill no slots", "distance slots", func() {
+			PairFill(i64(p), nil, nil, f(p), f(p), f(p), 0, 2, 0, n, 1, true)
+		}},
+		{"MaskLE short bits", "bit for every distance", func() { MaskLE(make([]uint64, 1), f(65), 1) }},
+		{"MaskLE no bits", "bit for every distance", func() { MaskLE(nil, f(1), 1) }},
+		{"Dist2Min16 length mismatch", "multiple of 16", func() { Dist2Min16(f(16), f(16), f(15), f(16), 0, 0, 0, &mins, 1) }},
+		{"Dist2Min16 not a multiple of 16", "multiple of 16", func() { Dist2Min16(f(24), f(24), f(24), f(24), 0, 0, 0, &mins, 1) }},
+		{"Dist2Min16 empty", "multiple of 16", func() { Dist2Min16(nil, nil, nil, nil, 0, 0, 0, &mins, 1) }},
+		{"Dist2Min16 k = 0", "1 ≤ k ≤ 16", func() { Dist2Min16(f(16), f(16), f(16), f(16), 0, 0, 0, &mins, 0) }},
+		{"Dist2Min16 k = 17", "1 ≤ k ≤ 16", func() { Dist2Min16(f(16), f(16), f(16), f(16), 0, 0, 0, &mins, 17) }},
+		{"SelectLE not a multiple of 8", "multiple of 8", func() { SelectLE(make([]int32, 12), f(12), 1, 15, 1, &top) }},
+		{"SelectLE empty", "multiple of 8", func() { SelectLE(nil, nil, 1, 15, 1, &top) }},
+		{"SelectLE short idx", "multiple of 8", func() { SelectLE(make([]int32, 15), f(16), 1, 15, 1, &top) }},
+		{"SelectLE k = 0", "1 ≤ k ≤ 16", func() { SelectLE(make([]int32, 16), f(16), 1, 15, 0, &top) }},
+		{"SelectLE k = 17", "1 ≤ k ≤ 16", func() { SelectLE(make([]int32, 16), f(16), 1, 15, 17, &top) }},
+		{"SelectLE low mask not 2ᵇ-1", "low mask", func() { SelectLE(make([]int32, 16), f(16), 1, 5, 1, &top) }},
+	}
+	orig := Vectorized()
+	defer SetVectorized(orig)
+	for _, vec := range []bool{true, false} {
+		SetVectorized(vec)
+		for _, c := range cases {
+			func() {
+				defer func() {
+					r := recover()
+					if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, c.want) {
+						t.Errorf("vectorized=%v %s: panic %v, want one naming %q", vec, c.name, r, c.want)
+					}
+				}()
+				c.call()
 			}()
-			fn()
-		}()
-	}
-}
-
-func BenchmarkDist2(b *testing.B) {
-	benchSizes := []int{64, 1024, 16384}
-	for _, n := range benchSizes {
-		rng := rand.New(rand.NewSource(1))
-		xs, ys, zs := randCoords(rng, n)
-		dst := make([]float32, n)
-		for _, vec := range []bool{false, true} {
-			name := "scalar"
-			if vec {
-				name = "vector"
-			}
-			b.Run(benchName(name, n), func(b *testing.B) {
-				prev := SetVectorized(vec)
-				defer SetVectorized(prev)
-				b.SetBytes(int64(n * 12))
-				for i := 0; i < b.N; i++ {
-					Dist2(dst, xs, ys, zs, 1, 2, 3)
-				}
-			})
 		}
 	}
-}
-
-func BenchmarkCountDist2LE(b *testing.B) {
-	n := 16384
-	rng := rand.New(rand.NewSource(2))
-	xs, ys, zs := randCoords(rng, n)
-	for _, vec := range []bool{false, true} {
-		name := "scalar"
-		if vec {
-			name = "vector"
-		}
-		b.Run(benchName(name, n), func(b *testing.B) {
-			prev := SetVectorized(vec)
-			defer SetVectorized(prev)
-			b.SetBytes(int64(n * 12))
-			for i := 0; i < b.N; i++ {
-				CountDist2LE(xs, ys, zs, 1, 2, 3, 25)
-			}
-		})
-	}
-}
-
-func benchName(kind string, n int) string {
-	switch n {
-	case 64:
-		return kind + "/64"
-	case 1024:
-		return kind + "/1k"
-	case 16384:
-		return kind + "/16k"
-	}
-	return kind
 }

@@ -118,17 +118,22 @@ func TestHeightVariationMatchesKDTree(t *testing.T) {
 	}
 }
 
-// TestDADensityMatchesKDTree pins the same for DA's density channel.
+// TestDADensityMatchesKDTree pins the same for DA's density channel, on
+// a synthetic viewport and on generated classifier inputs, whose corner
+// lines, border sheets and duplicates put many points exactly at the
+// same distances.
 func TestDADensityMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	cloud := viewportCloud(rng, 256)
-	c := canonical(cloud)
-	tree := kdtree.New(c)
-	im := Project(DA{}, cloud)
-	for i, p := range c {
-		want := float32(float64(tree.RadiusCount(p, DensityRadius)-1) / float64(KNeighbors))
-		if got := im.Data[i*3+2]; got != want {
-			t.Fatalf("point %d: grid density %v != kdtree density %v", i, got, want)
+	clouds := append([]geom.Cloud{viewportCloud(rng, 256)}, generatedInputs(24)...)
+	for ci, cloud := range clouds {
+		c := canonical(cloud)
+		tree := kdtree.New(c)
+		im := Project(DA{}, cloud)
+		for i, p := range c {
+			want := float32(float64(tree.RadiusCount(p, DensityRadius)-1) / float64(KNeighbors))
+			if got := im.Data[i*3+2]; got != want {
+				t.Fatalf("cloud %d point %d: grid density %v != kdtree density %v", ci, i, got, want)
+			}
 		}
 	}
 }

@@ -5,9 +5,8 @@ import (
 )
 
 // FrameIndex is the one-build-per-frame radius index of the
-// projection's density channel. Build it once per frame (Build reuses
-// all internal arrays); queries that materialize neighbors use the
-// Grid's RadiusInto with the caller's own buffer.
+// projection's density channel, which only counts neighbours. Build it
+// once per frame (Build reuses all internal arrays).
 type FrameIndex struct {
 	Grid Grid
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hawccc/internal/geom"
-	"hawccc/internal/geom/kernels"
 )
 
 // maxGridCells bounds the voxel count of one grid. A pathologically
@@ -15,20 +14,15 @@ import (
 // such degenerate scenes.
 const maxGridCells = 1 << 18
 
-// Grid is a uniform voxel grid over a point cloud, tuned for the
-// fixed-radius region queries DBSCAN issues: with cell edge ≈ ε a radius
-// query visits at most 27 cells. It answers radius queries only; every
-// k-nearest list comes from KNNAll. The zero value is an empty grid for
-// which every query returns no results; Reset builds it, and rebuilds it
-// in place reusing the internal arrays (the one-build-per-frame path).
-//
-// On hardware with usable AVX the grid also keeps a float32 mirror of
-// the coordinates in CSR order and runs radius scans through the
-// internal/geom/kernels vector primitives. The float32 lanes are only a
-// prefilter: candidates whose float32 squared distance falls inside an
-// analytically bounded uncertainty band around the decision threshold
-// are re-checked in float64 against the source coordinates, so vector
-// and scalar paths return bit-identical results (see gridvec.go).
+// Grid is a uniform voxel grid over a point cloud for fixed-radius
+// queries: with cell edge ≈ r a radius query visits at most 27 cells.
+// It answers radius queries only; every k-nearest list comes from
+// KNNAll. In the running system only DA's density counts query it
+// (through FrameIndex); RadiusInto, which materializes neighbours, serves
+// the tests' breadth-first DBSCAN expansion. The zero value is an empty
+// grid for which every query returns no results; Reset builds it, and
+// rebuilds it in place reusing the internal arrays (the
+// one-build-per-frame path).
 //
 // The grid references the cloud instead of copying it: it is a
 // per-frame index, valid only while the indexed cloud is unchanged.
@@ -44,14 +38,6 @@ type Grid struct {
 	ids   []int32
 	// cellOf is build scratch: the cell id of each point.
 	cellOf []int32
-	// Vectorized-scan state: float32 coordinates in CSR (ids) order, so
-	// each cell — and each contiguous run of z-cells — is one dense span
-	// for the 8-wide kernels. maxAbs bounds every coordinate magnitude
-	// for the float32 error analysis; vec records whether this build may
-	// use the vector path at all.
-	gx, gy, gz []float32
-	maxAbs     float64
-	vec        bool
 }
 
 // Reset rebuilds the grid over cloud in place, reusing the internal
@@ -77,28 +63,19 @@ func (g *Grid) Reset(cloud geom.Cloud, cell float64) {
 		g.cellOf[i] = c
 		g.start[c+1]++
 	}
-	g.finishBuild(n, ncells, b)
+	g.finishBuild(n, ncells)
 }
 
 // clear empties the grid (the n == 0 build).
 func (g *Grid) clear() {
 	g.nx, g.ny, g.nz = 0, 0, 0
 	g.ids = g.ids[:0]
-	g.vec = false
 }
 
 // sizeLattice fits the cell lattice to bounds b within the cell budget
 // and prepares the CSR arrays for a build over n points, returning the
 // cell count. start comes back zeroed for the counting pass.
 func (g *Grid) sizeLattice(b geom.Box, cell float64, n int) int {
-	// A grid that will scan with the 8-wide kernels bins coarser: the
-	// prefilter discards excess candidates far cheaper than the scalar
-	// path computes exact distances, so longer contiguous spans beat
-	// tighter cells. Queries are exact for any bin width — this moves
-	// work between span setup and candidate filtering, never results.
-	if kernels.Vectorized() && boxMaxAbs(b) < maxVecCoord {
-		cell *= vecCellScale
-	}
 	g.min = b.Min
 	size := b.Size()
 	// Size the lattice, growing the cell edge until it fits the budget.
@@ -126,12 +103,12 @@ func (g *Grid) sizeLattice(b geom.Box, cell float64, n int) int {
 
 // finishBuild completes the counting sort started by the caller's
 // binning pass (start[c+1] holds cell c's population, cellOf each
-// point's cell) and refreshes the vectorized-scan state.
+// point's cell).
 //
 // Counting-sort into CSR layout: prefix-sum the counts into begin
 // offsets, scatter (advancing each begin), then shift the offsets right
 // one slot to restore begins.
-func (g *Grid) finishBuild(n, ncells int, b geom.Box) {
+func (g *Grid) finishBuild(n, ncells int) {
 	for c := 0; c < ncells; c++ {
 		g.start[c+1] += g.start[c]
 	}
@@ -143,8 +120,6 @@ func (g *Grid) finishBuild(n, ncells int, b geom.Box) {
 	}
 	copy(g.start[1:ncells+1], g.start[:ncells])
 	g.start[0] = 0
-
-	g.refreshVec(n, b)
 }
 
 // growInt32 returns s resized to n, reallocating only when capacity is
@@ -234,9 +209,6 @@ func (g *Grid) RadiusInto(dst []int, q geom.Point3, r float64) []int {
 		return dst
 	}
 	r2 := r * r
-	if g.vec {
-		return g.radiusVec(dst, q, r2, ix0, ix1, iy0, iy1, iz0, iz1)
-	}
 	for ix := ix0; ix <= ix1; ix++ {
 		for iy := iy0; iy <= iy1; iy++ {
 			row := (ix*g.ny + iy) * g.nz
@@ -272,9 +244,6 @@ func (g *Grid) RadiusCount(q geom.Point3, r float64) int {
 		return 0
 	}
 	r2 := r * r
-	if g.vec {
-		return g.radiusCountVec(q, r2, ix0, ix1, iy0, iy1, iz0, iz1)
-	}
 	count := 0
 	for ix := ix0; ix <= ix1; ix++ {
 		for iy := iy0; iy <= iy1; iy++ {

@@ -1,20 +1,21 @@
 // Package spatial provides the neighbor searches behind the geometry
-// stage of the counting pipeline: a uniform voxel grid tuned for
-// DBSCAN-style ε-range queries, the NeighborIndex interface it answers
-// them through (where the equivalence tests substitute the k-d tree
-// oracle, internal/kdtree), and KNNAll, the one k-nearest search.
+// stage of the counting pipeline: a uniform voxel grid for fixed-radius
+// queries, the NeighborIndex interface it answers them through (where
+// the equivalence tests substitute the k-d tree oracle, internal/kdtree),
+// and KNNAll, the one k-nearest search.
 //
 // The grid follows the classic observation of the DBSCAN literature
-// (Ester et al. 1996): when the query radius ε is known up front,
-// bucketing points into ε-sized voxels turns every region query into a
-// 3×3×3 cell scan — no tree descent, no log factor, and with the Into
-// query variants no per-query allocation. It is built once per frame
-// (see FrameIndex) for the projection's density channel; the cluster
+// (Ester et al. 1996): when the query radius is known up front,
+// bucketing points into radius-sized voxels turns every region query
+// into a 3×3×3 cell scan — no tree descent, no log factor, and no
+// per-query allocation. It is built once per frame (see FrameIndex) for
+// the projection's density channel, which only counts; the cluster
 // stage reads its own neighbour graph (internal/cluster), and the
-// breadth-first DBSCAN expansion over a NeighborIndex is that graph's
-// test oracle. Every k-nearest list — the projection's σz
-// neighborhoods and Figure 4's k-distance curve — comes from KNNAll,
-// which keeps its own column index.
+// breadth-first DBSCAN expansion over a NeighborIndex, the one caller
+// that materializes neighbours, is that graph's test oracle. Every
+// k-nearest list — the projection's σz neighborhoods and Figure 4's
+// k-distance curve — comes from KNNAll, which keeps its own column
+// index.
 //
 // One neighbor-ordering contract holds throughout: k-nearest-neighbor
 // sets are the k smallest candidates under ascending (Dist2, Index), ties
