@@ -24,11 +24,12 @@ func goList(t *testing.T, args ...string) []string {
 	return strings.Fields(string(out))
 }
 
-// TestReferencesStayOutOfTheRunningSystem guards the one-path geometry
-// stage: the k-d tree is the oracle the equivalence tests compare the
-// voxel grid against, so nothing the library, the commands, or the
-// examples build may import it, and the retired tracking and fleet
-// load-generator packages must not reappear in the module. It also
+// TestReferencesStayOutOfTheRunningSystem keeps references out of the
+// module's packages: every internal package is one the library, the
+// commands or the examples build, so an oracle lives in the test that
+// needs it, not in a package the running system never imports. The
+// retired tracking and fleet load-generator packages must not reappear
+// in the module. It also
 // keeps internal/experiments to the paper's tables and figures: those
 // never need a live campus, so the package must not reach the backend,
 // the pole node or the history store (bench/ is the system benchmark;
@@ -39,9 +40,13 @@ func goList(t *testing.T, args ...string) []string {
 // storage: it records what poles reported, so it must not reach the
 // metrics registry.
 func TestReferencesStayOutOfTheRunningSystem(t *testing.T) {
+	built := map[string]bool{}
 	for _, pkg := range goList(t, "-deps", ".", "./cmd/...", "./examples/...") {
-		if pkg == "hawccc/internal/kdtree" {
-			t.Errorf("a non-test package imports %s (test-only oracle)", pkg)
+		built[pkg] = true
+	}
+	for _, pkg := range goList(t, "./internal/...") {
+		if !built[pkg] {
+			t.Errorf("%s is a package no library, command or example builds", pkg)
 		}
 	}
 	for _, pkg := range goList(t, "./...") {

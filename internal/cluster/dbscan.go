@@ -10,9 +10,8 @@
 // internal/geom/kernels, and a fill sweep writes each point's CSR row
 // of neighbours and squared distances in place. The band of the
 // k-distance curve, core flags, components (union-find) and border
-// labels are reads of those rows. The breadth-first expansion
-// over a spatial.NeighborIndex — internal/spatial's voxel grid or the
-// k-d tree oracle (internal/kdtree) — is kept in the tests as the
+// labels are reads of those rows. The breadth-first expansion by a
+// brute-force scan of the whole cloud is kept in the tests as the
 // graph's oracle, which its labels and ε must equal exactly.
 // KDistanceCurve, Figure 4's whole curve, reads spatial.KNNAll.
 package cluster

@@ -11,8 +11,6 @@ import (
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
 	"hawccc/internal/ground"
-	"hawccc/internal/kdtree"
-	"hawccc/internal/spatial"
 )
 
 // ringFrames returns n ground-ingested frames built like the ledger's
@@ -61,14 +59,6 @@ func boundaryScenes() []sceneSpec {
 	return scenes
 }
 
-// oracleIndexes are the radius indexes the breadth-first expansion runs
-// over: the voxel grid and the k-d tree.
-func oracleIndexes(cloud geom.Cloud, cell float64) map[string]spatial.NeighborIndex {
-	var grid spatial.Grid
-	grid.Reset(cloud, cell)
-	return map[string]spatial.NeighborIndex{"grid": &grid, "kdtree": treeIndex{kdtree.New(cloud)}}
-}
-
 // sameResult fails unless got and want agree on ε, every label, the
 // cluster count and every size.
 func sameResult(t *testing.T, what string, got, want Result) {
@@ -87,9 +77,8 @@ func sameResult(t *testing.T, what string, got, want Result) {
 // the graph answers from its MaxEps radius), ε-pitch lattices and
 // duplicate stacks — Adaptive's ε, labels, cluster count and sizes, and
 // DBSCAN's at every fixed ε the repository runs (Table IV's 0.1 to 0.9
-// among them), equal the breadth-first expansion's over the
-// voxel grid and over the k-d tree, with MinPts = K+1 and otherwise,
-// with the vector kernels on and off.
+// among them), equal the breadth-first expansion's by brute force, with
+// MinPts = K+1 and otherwise, with the vector kernels on and off.
 func TestGraphMatchesExpansion(t *testing.T) {
 	scenes := propertyScenes(rand.New(rand.NewSource(108)))
 	scenes = append(scenes, boundaryScenes()...)
@@ -110,29 +99,23 @@ func TestGraphMatchesExpansion(t *testing.T) {
 		prev := kernels.SetVectorized(vec)
 		var s, e, o Scratch
 		for _, scene := range scenes {
-			idxs := oracleIndexes(scene.cloud, DefaultAdaptiveConfig().FallbackEps)
 			for ci, cfg := range cfgs {
 				got := s.Adaptive(scene.cloud, cfg)
 				checkResult(t, scene.name, got)
 				if vec && ci == 0 && got.Epsilon > cfg.FallbackEps {
 					above[scene.name[:min(len(scene.name), 5)]]++
 				}
-				for name, idx := range idxs {
-					what := fmt.Sprintf("%s K=%d MinPts=%d vectorized=%v vs %s", scene.name, cfg.K, cfg.MinPts, vec, name)
-					eps := o.optimalEpsilon(idx, scene.cloud, cfg)
-					if got := e.OptimalEpsilon(scene.cloud, cfg); got != eps {
-						t.Fatalf("%s: OptimalEpsilon %g, oracle %g", what, got, eps)
-					}
-					sameResult(t, what, got, o.dbscan(idx, scene.cloud, eps, cfg.MinPts))
+				what := fmt.Sprintf("%s K=%d MinPts=%d vectorized=%v", scene.name, cfg.K, cfg.MinPts, vec)
+				eps := o.optimalEpsilon(scene.cloud, cfg)
+				if got := e.OptimalEpsilon(scene.cloud, cfg); got != eps {
+					t.Fatalf("%s: OptimalEpsilon %g, oracle %g", what, got, eps)
 				}
+				sameResult(t, what, got, o.dbscan(scene.cloud, eps, cfg.MinPts))
 			}
 			for _, eps := range []float64{0.1, 0.15, 0.25, 0.3, 0.5, 0.7, 0.9} {
 				for _, minPts := range []int{1, 3, 5} {
-					got := s.DBSCAN(scene.cloud, eps, minPts)
-					for name, idx := range idxs {
-						what := fmt.Sprintf("%s DBSCAN ε=%g MinPts=%d vectorized=%v vs %s", scene.name, eps, minPts, vec, name)
-						sameResult(t, what, got, o.dbscan(idx, scene.cloud, eps, minPts))
-					}
+					what := fmt.Sprintf("%s DBSCAN ε=%g MinPts=%d vectorized=%v", scene.name, eps, minPts, vec)
+					sameResult(t, what, s.DBSCAN(scene.cloud, eps, minPts), o.dbscan(scene.cloud, eps, minPts))
 				}
 			}
 		}

@@ -8,20 +8,19 @@ import (
 
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
-	"hawccc/internal/kdtree"
 )
 
-// sceneSpec names one generated point layout for the cross-engine
-// property tests.
+// sceneSpec names one generated point layout for the property tests
+// against the brute-force oracle.
 type sceneSpec struct {
 	name  string
 	cloud geom.Cloud
 }
 
-// propertyScenes builds the layouts the grid-vs-kdtree equivalence
-// property must hold on: seeded random crowds, all-noise scatter, one
-// dense cluster, and points placed exactly at ε boundaries where the
-// inclusive-radius contract decides membership.
+// propertyScenes builds the layouts the graph-vs-brute-force
+// equivalence property must hold on: seeded random crowds, all-noise
+// scatter, one dense cluster, and points placed exactly at ε boundaries
+// where the inclusive-radius contract decides membership.
 func propertyScenes(rng *rand.Rand) []sceneSpec {
 	scenes := []sceneSpec{}
 
@@ -130,24 +129,24 @@ func checkResult(t *testing.T, scene string, r Result) {
 	}
 }
 
-// treeIndex adapts the k-d tree oracle to spatial.NeighborIndex: Len,
-// RadiusInto, and RadiusCount are the tree's own.
-type treeIndex struct{ *kdtree.Tree }
-
-// TestKDistanceCurveMatchesKDTree pins the adaptive-ε curve to the k-d
-// tree oracle bit for bit: on every scene and for several k, the shared
-// curve equals the sorted square roots of each point's (k+1)-th tree
-// distance (the point itself is its own nearest).
+// TestKDistanceCurveMatchesKDTree pins the adaptive-ε curve to the
+// brute-force scan bit for bit: on every scene and for several k, the
+// shared curve equals the sorted square roots of each point's (k+1)-th
+// smallest squared distance over the whole cloud (the point itself is
+// its own nearest).
 func TestKDistanceCurveMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	var curve []float64
 	for _, scene := range propertyScenes(rng) {
-		tree := kdtree.New(scene.cloud)
+		d2 := make([]float64, len(scene.cloud))
 		for _, k := range []int{1, DefaultAdaptiveConfig().K, 9} {
 			want := make([]float64, len(scene.cloud))
 			for i, p := range scene.cloud {
-				nn := tree.KNN(p, k+1)
-				want[i] = math.Sqrt(nn[len(nn)-1].Dist2)
+				for j, q := range scene.cloud {
+					d2[j] = p.Dist2(q)
+				}
+				sort.Float64s(d2)
+				want[i] = math.Sqrt(d2[min(k, len(d2)-1)])
 			}
 			sort.Float64s(want)
 			curve = KDistanceCurve(curve, scene.cloud, k)
@@ -156,7 +155,7 @@ func TestKDistanceCurveMatchesKDTree(t *testing.T) {
 			}
 			for i := range want {
 				if math.Float64bits(curve[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s k=%d: curve[%d] = %v, tree %v", scene.name, k, i, curve[i], want[i])
+					t.Fatalf("%s k=%d: curve[%d] = %v, brute force %v", scene.name, k, i, curve[i], want[i])
 				}
 			}
 		}
@@ -164,24 +163,23 @@ func TestKDistanceCurveMatchesKDTree(t *testing.T) {
 }
 
 // TestDBSCANGridMatchesKDTree is the cross-engine property test: on
-// every scene the expansion over the voxel grid and over the k-d tree
-// oracle produces identical labels — not merely the same partition up
-// to renumbering, because both expand clusters in ascending seed order
-// over identical neighbor sets.
+// every scene DBSCAN over the neighbour graph and the brute-force
+// expansion produce identical labels — not merely the same partition up
+// to renumbering, because both number clusters in ascending seed order
+// over identical ε-regions.
 func TestDBSCANGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	var grid, tree Scratch
+	var s, o Scratch
 	for _, scene := range propertyScenes(rng) {
-		idx := treeIndex{kdtree.New(scene.cloud)}
 		for _, eps := range []float64{0.15, 0.3, 0.45} {
 			for _, minPts := range []int{3, 5} {
-				g := grid.DBSCAN(scene.cloud, eps, minPts)
+				g := s.DBSCAN(scene.cloud, eps, minPts)
 				checkResult(t, scene.name, g)
-				k := tree.dbscan(idx, scene.cloud, eps, minPts)
-				checkResult(t, scene.name, k)
-				if g.NumClusters != k.NumClusters || !equalLabels(g.Labels, k.Labels) {
-					t.Fatalf("%s eps=%g minPts=%d: grid labels differ from kdtree\ngrid %v (%d clusters)\ntree %v (%d clusters)",
-						scene.name, eps, minPts, g.Labels, g.NumClusters, k.Labels, k.NumClusters)
+				b := o.dbscan(scene.cloud, eps, minPts)
+				checkResult(t, scene.name, b)
+				if g.NumClusters != b.NumClusters || !equalLabels(g.Labels, b.Labels) {
+					t.Fatalf("%s eps=%g minPts=%d: graph labels differ from brute force\ngraph %v (%d clusters)\nbrute %v (%d clusters)",
+						scene.name, eps, minPts, g.Labels, g.NumClusters, b.Labels, b.NumClusters)
 				}
 			}
 		}
@@ -189,26 +187,26 @@ func TestDBSCANGridMatchesKDTree(t *testing.T) {
 }
 
 // TestAdaptiveGridMatchesKDTree extends the property to the full
-// adaptive path: elbow ε and structure-gap refinement against the tree,
-// then a fresh expansion at the final ε — so it also pins that the
-// grid path's coarse-result reuse returns what a second pass would.
+// adaptive path: elbow ε and structure-gap refinement against the
+// brute-force expansion, then a fresh expansion at the final ε — so it
+// also pins that the graph path's coarse-result reuse returns what a
+// second pass would.
 func TestAdaptiveGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	cfg := DefaultAdaptiveConfig()
-	var grid, tree Scratch
+	var s, o Scratch
 	for _, scene := range propertyScenes(rng) {
-		g := grid.Adaptive(scene.cloud, cfg)
+		g := s.Adaptive(scene.cloud, cfg)
 		checkResult(t, scene.name, g)
-		idx := treeIndex{kdtree.New(scene.cloud)}
-		eps := tree.optimalEpsilon(idx, scene.cloud, cfg)
+		eps := o.optimalEpsilon(scene.cloud, cfg)
 		if g.Epsilon != eps {
-			t.Fatalf("%s: grid eps %g != kdtree eps %g", scene.name, g.Epsilon, eps)
+			t.Fatalf("%s: graph eps %g != brute-force eps %g", scene.name, g.Epsilon, eps)
 		}
-		k := tree.dbscan(idx, scene.cloud, eps, cfg.MinPts)
-		checkResult(t, scene.name, k)
-		if g.NumClusters != k.NumClusters || !equalLabels(g.Labels, k.Labels) {
-			t.Fatalf("%s: adaptive grid labels differ from kdtree\ngrid %v (%d)\ntree %v (%d)",
-				scene.name, g.Labels, g.NumClusters, k.Labels, k.NumClusters)
+		b := o.dbscan(scene.cloud, eps, cfg.MinPts)
+		checkResult(t, scene.name, b)
+		if g.NumClusters != b.NumClusters || !equalLabels(g.Labels, b.Labels) {
+			t.Fatalf("%s: adaptive graph labels differ from brute force\ngraph %v (%d)\nbrute %v (%d)",
+				scene.name, g.Labels, g.NumClusters, b.Labels, b.NumClusters)
 		}
 	}
 }

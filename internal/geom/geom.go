@@ -39,10 +39,14 @@ func (p Point3) Norm() float64 { return math.Sqrt(p.Dot(p)) }
 func (p Point3) Dist(q Point3) float64 { return p.Sub(q).Norm() }
 
 // Dist2 returns the squared Euclidean distance between p and q. It avoids
-// the square root on hot paths (k-d tree searches, DBSCAN region queries).
+// the square root on hot paths (neighbour searches, DBSCAN region
+// queries). Each product and the inner sum are rounded explicitly, which
+// keeps a compiler from fusing them into multiply-adds (Go fuses on
+// arm64): every architecture computes the same bits as the amd64 vector
+// kernels, (dx² + dy²) + dz², each step rounded.
 func (p Point3) Dist2(q Point3) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return dx*dx + dy*dy + dz*dz
+	return float64(float64(dx*dx)+float64(dy*dy)) + float64(dz*dz)
 }
 
 // Coord returns the axis-th coordinate (0 = x, 1 = y, 2 = z).

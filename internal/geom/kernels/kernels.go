@@ -11,9 +11,10 @@
 // Like internal/nn/kernels, the package dispatches to assembly only
 // when CPUID (and the OS's YMM state handling) says AVX2 is usable.
 // PairCount, PairFill and MaskLE also have a pure-Go form, which is what
-// runs without AVX2 (arm64, or SetVectorized off); on amd64 it returns
-// the assembly's bits, so the dispatch changes speed, not values (on
-// arm64 the compiler may fuse its multiply-adds). Dist2Min16 and
+// runs without AVX2 (arm64, or SetVectorized off). It rounds each
+// product and the inner sum explicitly, so no compiler fuses them and it
+// returns the assembly's bits on every architecture: the dispatch
+// changes speed, not values. Dist2Min16 and
 // SelectLE exist only in assembly (their scalar references live in the
 // tests): their one caller takes the small-cloud path only while
 // Vectorized reports true.

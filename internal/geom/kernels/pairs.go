@@ -80,10 +80,11 @@ func PairFill(end []int64, nbr []int32, dist []float64, xs, ys, zs []float64, a0
 	}
 }
 
-// pairDist2 is geom.Point3.Dist2 of points i and j, in its association.
+// pairDist2 is geom.Point3.Dist2 of points i and j, in its association
+// and with its explicit roundings, so no architecture fuses it.
 func pairDist2(xs, ys, zs []float64, i, j int) float64 {
 	dx, dy, dz := xs[i]-xs[j], ys[i]-ys[j], zs[i]-zs[j]
-	return dx*dx + dy*dy + dz*dz
+	return float64(float64(dx*dx)+float64(dy*dy)) + float64(dz*dz)
 }
 
 func checkPairs(n int, xs, ys, zs []float64, a0, a1, b0, b1 int) {

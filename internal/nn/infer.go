@@ -292,11 +292,3 @@ func (g *Group) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	}
 	return s.view(x.Data, b/g.P, g.P, f)
 }
-
-// Infer implements Layer.
-func (u *Ungroup) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("nn: Ungroup input %v, want rank 3", x.Shape))
-	}
-	return s.view(x.Data, x.Dim(0)*x.Dim(1), x.Dim(2))
-}

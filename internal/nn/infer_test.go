@@ -27,7 +27,7 @@ func inferTestCNN(rng *rand.Rand) *Sequential {
 	)
 }
 
-// inferTestPointNet covers Group/Ungroup/MaxOverPoints.
+// inferTestPointNet covers Group and MaxOverPoints.
 func inferTestPointNet(rng *rand.Rand) *Sequential {
 	return (&Sequential{}).Add(
 		NewDense(3, 8, rng),

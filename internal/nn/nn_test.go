@@ -463,20 +463,11 @@ func TestGroupUngroup(t *testing.T) {
 		t.Errorf("Group backward shape %v", back.Shape)
 	}
 
-	u := NewUngroup()
-	flat := u.Forward(out)
-	if flat.Dim(0) != 6 || flat.Dim(1) != 4 {
-		t.Fatalf("Ungroup shape %v", flat.Shape)
-	}
-	// Data preserved through both reshapes.
+	// Data preserved through the reshape.
 	for i := range x.Data {
-		if flat.Data[i] != x.Data[i] {
+		if out.Data[i] != x.Data[i] {
 			t.Fatal("data scrambled")
 		}
-	}
-	uback := u.Backward(tensor.New(2, 3, 4))
-	if uback.Dim(0) != 2 || uback.Dim(2) != 4 {
-		t.Errorf("Ungroup backward shape %v", uback.Shape)
 	}
 }
 

@@ -195,37 +195,6 @@ func (g *Group) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad.Reshape(g.inShape...)
 }
 
-// Ungroup flattens per-cloud blocks back into the batch dimension:
-// [N, P, F] → [N·P, F].
-type Ungroup struct {
-	inShape []int
-}
-
-var _ Layer = (*Ungroup)(nil)
-
-// NewUngroup builds the inverse of Group.
-func NewUngroup() *Ungroup { return &Ungroup{} }
-
-// Name implements Layer.
-func (*Ungroup) Name() string { return "Ungroup" }
-
-// Params implements Layer.
-func (*Ungroup) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (u *Ungroup) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("nn: Ungroup input %v, want rank 3", x.Shape))
-	}
-	u.inShape = append(u.inShape[:0], x.Shape...)
-	return x.Reshape(x.Dim(0)*x.Dim(1), x.Dim(2))
-}
-
-// Backward implements Layer.
-func (u *Ungroup) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(u.inShape...)
-}
-
 // Name implements Layer.
 func (r *Reshape) Name() string {
 	if len(r.dims) == 0 {

@@ -3,31 +3,52 @@ package projection
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hawccc/internal/dataset"
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
-	"hawccc/internal/kdtree"
 	"hawccc/internal/upsample"
 )
 
-// refHeightVariation is the pre-grid σz implementation: a fresh k-d
-// tree per cluster. Kept as the reference the pooled-grid path must
-// reproduce bit-for-bit.
+// bruteKNN returns the indices of q's min(k, n) nearest points in
+// cloud by brute force: every point ranked by its squared distance from
+// q, ties by the lower index.
+func bruteKNN(cloud geom.Cloud, q geom.Point3, k int) []int {
+	idx := make([]int, len(cloud))
+	d2 := make([]float64, len(cloud))
+	for i, p := range cloud {
+		idx[i], d2[i] = i, q.Dist2(p)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case d2[a] < d2[b]:
+			return -1
+		case d2[a] > d2[b]:
+			return 1
+		}
+		return a - b
+	})
+	return idx[:min(k, len(idx))]
+}
+
+// refHeightVariation is σz by its definition: the population standard
+// deviation of the heights of each point's k nearest, found by brute
+// force and summed in ascending (Dist2, Index) order. It is the
+// reference the KNNAll path must reproduce bit for bit.
 func refHeightVariation(cloud geom.Cloud, k int) []float64 {
-	tree := kdtree.New(cloud)
 	out := make([]float64, len(cloud))
 	for i, p := range cloud {
-		nn := tree.KNN(p, k)
+		nn := bruteKNN(cloud, p, k)
 		var mean float64
-		for _, n := range nn {
-			mean += cloud[n.Index].Z
+		for _, j := range nn {
+			mean += cloud[j].Z
 		}
 		mean /= float64(len(nn))
 		var v float64
-		for _, n := range nn {
-			d := cloud[n.Index].Z - mean
+		for _, j := range nn {
+			d := cloud[j].Z - mean
 			v += d * d
 		}
 		out[i] = math.Sqrt(v / float64(len(nn)))
@@ -91,9 +112,8 @@ func generatedInputs(n int) []geom.Cloud {
 }
 
 // TestHeightVariationMatchesKDTree pins that σz through spatial.KNNAll
-// equals σz over a fresh k-d tree per cluster, bit for bit: the neighbor
-// sets, their iteration order, and therefore every float operation are
-// identical. It covers synthetic viewports on either side of KNNAll's
+// equals σz by brute force, bit for bit: the neighbor sets, their
+// iteration order, and therefore every float operation are identical. It covers synthetic viewports on either side of KNNAll's
 // small-cloud crossover and generated classifier inputs, with the
 // vector kernels on and off.
 func TestHeightVariationMatchesKDTree(t *testing.T) {
@@ -103,14 +123,18 @@ func TestHeightVariationMatchesKDTree(t *testing.T) {
 		clouds = append(clouds, viewportCloud(rng, n))
 	}
 	clouds = append(clouds, generatedInputs(24)...)
+	wants := make([][]float64, len(clouds))
+	for c, cloud := range clouds {
+		wants[c] = refHeightVariation(cloud, KNeighbors)
+	}
 	for _, vec := range []bool{true, false} {
 		prev := kernels.SetVectorized(vec)
 		for c, cloud := range clouds {
-			want := refHeightVariation(cloud, KNeighbors)
+			want := wants[c]
 			got := heightVariation(make([]float64, len(cloud)), cloud, KNeighbors)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("vectorized=%v cloud %d (n=%d) point %d: σz %v != kdtree σz %v", vec, c, len(cloud), i, got[i], want[i])
+					t.Fatalf("vectorized=%v cloud %d (n=%d) point %d: σz %v != brute-force σz %v", vec, c, len(cloud), i, got[i], want[i])
 				}
 			}
 		}
@@ -118,21 +142,28 @@ func TestHeightVariationMatchesKDTree(t *testing.T) {
 	}
 }
 
-// TestDADensityMatchesKDTree pins the same for DA's density channel, on
-// a synthetic viewport and on generated classifier inputs, whose corner
-// lines, border sheets and duplicates put many points exactly at the
-// same distances.
+// TestDADensityMatchesKDTree pins the same for DA's density channel —
+// each point's count of points within DensityRadius, itself excluded —
+// on a synthetic viewport and on generated classifier inputs, whose
+// corner lines, border sheets and duplicates put many points exactly at
+// the same distances.
 func TestDADensityMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	clouds := append([]geom.Cloud{viewportCloud(rng, 256)}, generatedInputs(24)...)
 	for ci, cloud := range clouds {
 		c := canonical(cloud)
-		tree := kdtree.New(c)
 		im := Project(DA{}, cloud)
+		r2 := DensityRadius * DensityRadius
 		for i, p := range c {
-			want := float32(float64(tree.RadiusCount(p, DensityRadius)-1) / float64(KNeighbors))
+			n := -1
+			for _, q := range c {
+				if p.Dist2(q) <= r2 {
+					n++
+				}
+			}
+			want := float32(float64(n) / float64(KNeighbors))
 			if got := im.Data[i*3+2]; got != want {
-				t.Fatalf("cloud %d point %d: grid density %v != kdtree density %v", ci, i, got, want)
+				t.Fatalf("cloud %d point %d: grid density %v != brute-force density %v", ci, i, got, want)
 			}
 		}
 	}

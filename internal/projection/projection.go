@@ -20,8 +20,8 @@ import (
 // Projection runs per candidate cluster on every goroutine that counts
 // a frame, so the pool hands each a warm index whose buffers are
 // already grown. The equivalence tests hold the neighborhood channels
-// (DA's density, HAP's σz) to the k-d tree oracle (internal/kdtree) bit
-// for bit.
+// (DA's density, HAP's σz) to a brute-force scan of the cloud bit for
+// bit.
 var indexPool = sync.Pool{New: func() any { return new(spatial.FrameIndex) }}
 
 // Projector converts a cloud of exactly Size() points into a D×D

@@ -82,8 +82,6 @@ func Quantize(m *nn.Sequential, calib []*tensor.Tensor) (*Model, error) {
 			op = QReshape{Dims: l.TargetDims()}
 		case *nn.Group:
 			op = QGroup{P: l.P}
-		case *nn.Ungroup:
-			op = QUngroup{}
 		case *nn.ReLU:
 			op = QReLU{}
 		case *nn.BatchNorm:

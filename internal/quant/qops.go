@@ -278,16 +278,3 @@ func (g QGroup) Apply(x *QTensor) *QTensor {
 	}
 	return &QTensor{Shape: []int{b / g.P, g.P, f}, Data: x.Data, Scale: x.Scale, Zero: x.Zero}
 }
-
-// QUngroup flattens [N, P, F] → [N·P, F] on int8 data.
-type QUngroup struct{}
-
-var _ QOp = QUngroup{}
-
-// Name implements QOp.
-func (QUngroup) Name() string { return "QUngroup" }
-
-// Apply implements QOp.
-func (QUngroup) Apply(x *QTensor) *QTensor {
-	return &QTensor{Shape: []int{x.Dim(0) * x.Dim(1), x.Dim(2)}, Data: x.Data, Scale: x.Scale, Zero: x.Zero}
-}

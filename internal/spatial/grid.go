@@ -16,13 +16,11 @@ const maxGridCells = 1 << 18
 
 // Grid is a uniform voxel grid over a point cloud for fixed-radius
 // queries: with cell edge ≈ r a radius query visits at most 27 cells.
-// It answers radius queries only; every k-nearest list comes from
+// It counts radius neighbours only; every k-nearest list comes from
 // KNNAll. In the running system only DA's density counts query it
-// (through FrameIndex); RadiusInto, which materializes neighbours, serves
-// the tests' breadth-first DBSCAN expansion. The zero value is an empty
-// grid for which every query returns no results; Reset builds it, and
-// rebuilds it in place reusing the internal arrays (the
-// one-build-per-frame path).
+// (through FrameIndex). The zero value is an empty grid for which every
+// count is zero; Reset builds it, and rebuilds it in place reusing the
+// internal arrays (the one-build-per-frame path).
 //
 // The grid references the cloud instead of copying it: it is a
 // per-frame index, valid only while the indexed cloud is unchanged.
@@ -187,42 +185,6 @@ func (g *Grid) axisRange(rel, r float64, n int) (lo, hi int, ok bool) {
 		hi = n - 1
 	}
 	return lo, hi, true
-}
-
-// RadiusInto appends the indices of all points within radius r of q
-// (inclusive) to dst and returns the extended slice. With cell ≈ r this
-// is a 27-cell scan; larger radii scan proportionally more cells.
-func (g *Grid) RadiusInto(dst []int, q geom.Point3, r float64) []int {
-	if g.Len() == 0 || r < 0 {
-		return dst
-	}
-	ix0, ix1, ok := g.axisRange(q.X-g.min.X, r, g.nx)
-	if !ok {
-		return dst
-	}
-	iy0, iy1, ok := g.axisRange(q.Y-g.min.Y, r, g.ny)
-	if !ok {
-		return dst
-	}
-	iz0, iz1, ok := g.axisRange(q.Z-g.min.Z, r, g.nz)
-	if !ok {
-		return dst
-	}
-	r2 := r * r
-	for ix := ix0; ix <= ix1; ix++ {
-		for iy := iy0; iy <= iy1; iy++ {
-			row := (ix*g.ny + iy) * g.nz
-			for iz := iz0; iz <= iz1; iz++ {
-				c := row + iz
-				for _, id := range g.ids[g.start[c]:g.start[c+1]] {
-					if q.Dist2(g.pts[id]) <= r2 {
-						dst = append(dst, int(id))
-					}
-				}
-			}
-		}
-	}
-	return dst
 }
 
 // RadiusCount returns the number of points within radius r of q without

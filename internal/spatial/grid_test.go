@@ -8,7 +8,6 @@ import (
 
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
-	"hawccc/internal/kdtree"
 )
 
 // randomCloud builds a cloud with clustered structure plus uniform
@@ -64,6 +63,43 @@ func newGrid(cloud geom.Cloud, cell float64) *Grid {
 	return g
 }
 
+// RadiusInto appends the indices of all points within radius r of q
+// (inclusive) to dst and returns the extended slice: RadiusCount's cell
+// scan, collecting the ids it counts. The running system only counts;
+// the tests read the ids to hold the scan to bruteRadius.
+func (g *Grid) RadiusInto(dst []int, q geom.Point3, r float64) []int {
+	if g.Len() == 0 || r < 0 {
+		return dst
+	}
+	ix0, ix1, ok := g.axisRange(q.X-g.min.X, r, g.nx)
+	if !ok {
+		return dst
+	}
+	iy0, iy1, ok := g.axisRange(q.Y-g.min.Y, r, g.ny)
+	if !ok {
+		return dst
+	}
+	iz0, iz1, ok := g.axisRange(q.Z-g.min.Z, r, g.nz)
+	if !ok {
+		return dst
+	}
+	r2 := r * r
+	for ix := ix0; ix <= ix1; ix++ {
+		for iy := iy0; iy <= iy1; iy++ {
+			row := (ix*g.ny + iy) * g.nz
+			for iz := iz0; iz <= iz1; iz++ {
+				c := row + iz
+				for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+					if q.Dist2(g.pts[id]) <= r2 {
+						dst = append(dst, int(id))
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
 func sortedCopy(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)
@@ -92,15 +128,6 @@ func equalNeighbors(a, b []Neighbor) bool {
 		}
 	}
 	return true
-}
-
-// fromTree converts the k-d tree oracle's neighbors to this package's.
-func fromTree(ns []kdtree.Neighbor) []Neighbor {
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor(n)
-	}
-	return out
 }
 
 // queryPoints yields a mix of indexed points, perturbed points, and
@@ -221,51 +248,23 @@ func TestGridVectorizedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGridMatchesKDTree pins the cross-engine contract the cluster
-// package relies on: the grid and the k-d tree return identical radius
-// sets and counts.
+// TestGridMatchesKDTree pins the grid to the brute-force scan on one
+// denser cloud at the radii DBSCAN and DA query: identical radius sets
+// and counts.
 func TestGridMatchesKDTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cloud := randomCloud(rng, 500)
 	g := newGrid(cloud, 0.3)
-	tr := kdtree.New(cloud)
-	var gids, tids []int
+	var ids []int
 	for _, q := range queryPoints(rng, cloud, 60) {
 		for _, r := range []float64{0.1, 0.3, 1.5} {
-			gids = g.RadiusInto(gids[:0], q, r)
-			tids = tr.RadiusInto(tids[:0], q, r)
-			if !equalInts(sortedCopy(gids), sortedCopy(tids)) {
-				t.Fatalf("q=%v r=%g: grid radius %v != kdtree %v", q, r, gids, tids)
+			want := bruteRadius(cloud, q, r)
+			ids = g.RadiusInto(ids[:0], q, r)
+			if got := sortedCopy(ids); !equalInts(got, want) {
+				t.Fatalf("q=%v r=%g: grid radius %v != brute force %v", q, r, got, want)
 			}
-			if gc, tc := g.RadiusCount(q, r), tr.RadiusCount(q, r); gc != tc {
-				t.Fatalf("q=%v r=%g: grid count %d != kdtree %d", q, r, gc, tc)
-			}
-		}
-	}
-}
-
-// TestKDTreeIntoMatchesAllocating pins that the Into variants added for
-// buffer reuse return exactly what the allocating variants do, including
-// reuse of a dirty buffer across queries.
-func TestKDTreeIntoMatchesAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	cloud := randomCloud(rng, 300)
-	tr := kdtree.New(cloud)
-	var ids []int
-	var ns []kdtree.Neighbor
-	for _, q := range queryPoints(rng, cloud, 40) {
-		for _, r := range []float64{0, 0.25, 1.0} {
-			want := tr.Radius(q, r)
-			ids = tr.RadiusInto(ids[:0], q, r)
-			if !equalInts(sortedCopy(ids), sortedCopy(append([]int(nil), want...))) {
-				t.Fatalf("q=%v r=%g: RadiusInto %v != Radius %v", q, r, ids, want)
-			}
-		}
-		for _, k := range []int{1, 6, 20} {
-			want := tr.KNN(q, k)
-			ns = tr.KNNInto(ns[:0], q, k)
-			if !equalNeighbors(fromTree(ns), fromTree(want)) {
-				t.Fatalf("q=%v k=%d: KNNInto %v != KNN %v", q, k, ns, want)
+			if c := g.RadiusCount(q, r); c != len(want) {
+				t.Fatalf("q=%v r=%g: grid count %d != brute force %d", q, r, c, len(want))
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // KNNAll calls fn(i, nn) once for every point i of cloud, with nn its
 // min(k, n) nearest neighbors in cloud, ascending under (Dist2, Index) —
-// element for element what internal/kdtree's KNNInto returns for
+// element for element the first min(k, n) of the whole cloud ranked from
 // cloud[i], for any input order and any k. nn is valid only during the
 // call, and the order of the calls is unspecified. It is the one
 // k-nearest search of the running system: the adaptive-ε curve and the

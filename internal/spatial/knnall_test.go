@@ -10,7 +10,6 @@ import (
 
 	"hawccc/internal/geom"
 	"hawccc/internal/geom/kernels"
-	"hawccc/internal/kdtree"
 )
 
 // viewportShaped mimics one classifier input: a person-sized blob with
@@ -62,12 +61,33 @@ func bothPaths(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkKNNAll holds KNNAll to the k-d tree oracle's KNNInto over cloud,
-// for every point, and returns how many points took KNNAll's exact pass
-// over their candidates.
+// bruteKNN is the k-nearest reference: every point of cloud ranked by
+// its squared distance from q, ties by the lower index, and the first
+// min(k, n) kept. The order is written out here rather than taken from
+// less, so the oracle shares no code with what it checks; it is total on
+// finite clouds, the only ones it ranks.
+func bruteKNN(cloud geom.Cloud, q geom.Point3, k int) []Neighbor {
+	all := make([]Neighbor, len(cloud))
+	for i, p := range cloud {
+		all[i] = Neighbor{Index: i, Dist2: q.Dist2(p)}
+	}
+	slices.SortFunc(all, func(a, b Neighbor) int {
+		switch {
+		case a.Dist2 < b.Dist2:
+			return -1
+		case a.Dist2 > b.Dist2:
+			return 1
+		}
+		return a.Index - b.Index
+	})
+	return all[:min(k, len(all))]
+}
+
+// checkKNNAll holds KNNAll to bruteKNN over cloud, for every point, and
+// returns how many points took KNNAll's exact pass over their
+// candidates.
 func checkKNNAll(t *testing.T, name string, cloud geom.Cloud, k int) int {
 	t.Helper()
-	tr := kdtree.New(cloud)
 	got := make([][]Neighbor, len(cloud))
 	calls := 0
 	ties := knnAll(cloud, k, func(i int, nn []Neighbor) {
@@ -81,14 +101,14 @@ func checkKNNAll(t *testing.T, name string, cloud geom.Cloud, k int) int {
 		t.Fatalf("%s k=%d: %d calls for %d points", name, k, calls, len(cloud))
 	}
 	for i, p := range cloud {
-		want := fromTree(tr.KNNInto(nil, p, k))
+		want := bruteKNN(cloud, p, k)
 		if len(got[i]) != len(want) {
-			t.Fatalf("%s k=%d point %d: %d neighbors, the tree has %d", name, k, i, len(got[i]), len(want))
+			t.Fatalf("%s k=%d point %d: %d neighbors, brute force has %d", name, k, i, len(got[i]), len(want))
 		}
 		for j := range want {
 			// Neighbor equality compares Index and the Dist2 bits.
 			if got[i][j] != want[j] {
-				t.Fatalf("%s k=%d point %d: KNNAll %v != tree %v", name, k, i, got[i], want)
+				t.Fatalf("%s k=%d point %d: KNNAll %v != brute force %v", name, k, i, got[i], want)
 			}
 		}
 	}
@@ -213,9 +233,9 @@ func boundaryTies(rng *rand.Rand, groups int) geom.Cloud {
 	return cloud
 }
 
-// TestKNNAllMatchesKDTree pins KNNAll to the k-d tree oracle element for
-// element — indices and distance bits — on both of its paths and on the
-// cloud shapes the classifier, the adaptive-ε curve and the tests meet:
+// TestKNNAllMatchesKDTree pins KNNAll to the brute-force scan element
+// for element — indices and distance bits — on both of its paths and on
+// the cloud shapes the classifier, the adaptive-ε curve and the tests meet:
 // unsorted and height-major input, duplicates and mirror-symmetric equal
 // distances, sizes on either side of a key's index-bit widths (255, 256,
 // 257, 1100 points) and of the small-cloud crossover (smallMax), a single
@@ -328,8 +348,8 @@ func testKNNAllMatchesKDTree(t *testing.T) {
 // be called once per point, with min(k, n) neighbors, and nothing may
 // panic. A bad point is farther than any other from every finite point,
 // so a finite point's list, while k is below the finite count, is the
-// tree's over the finite points alone; a bad point's own list has no
-// order to pin.
+// brute-force list over the finite points alone; a bad point's own list
+// has no order to pin.
 func TestKNNAllNonFinite(t *testing.T) {
 	bothPaths(t, testKNNAllNonFinite)
 }
@@ -400,7 +420,6 @@ func checkNonFinite(t *testing.T, name string, cloud geom.Cloud, at []int) {
 			orig = append(orig, i)
 		}
 	}
-	tr := kdtree.New(finite)
 	for _, k := range []int{1, 5, 8, len(cloud) + 3} {
 		calls := make([]int, len(cloud))
 		KNNAll(cloud, k, func(i int, nn []Neighbor) {
@@ -416,12 +435,12 @@ func checkNonFinite(t *testing.T, name string, cloud geom.Cloud, at []int) {
 			if slices.Contains(at, i) || k >= len(finite) {
 				return
 			}
-			want := fromTree(tr.KNNInto(nil, cloud[i], k))
+			want := bruteKNN(finite, cloud[i], k)
 			for j := range want {
 				want[j].Index = orig[want[j].Index]
 			}
 			if !equalNeighbors(nn, want) {
-				t.Fatalf("%s n=%d k=%d point %d: KNNAll %v != tree %v", name, len(cloud), k, i, nn, want)
+				t.Fatalf("%s n=%d k=%d point %d: KNNAll %v != brute force %v", name, len(cloud), k, i, nn, want)
 			}
 		})
 		for i, c := range calls {
